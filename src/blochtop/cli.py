@@ -35,7 +35,7 @@ class UsageError(Exception):
     pass
 
 
-_GLOBAL = {"workers": None, "time_scale": 1.0, "seed": None}
+_GLOBAL = {"workers": None, "time_scale": 1.0}
 
 # odd default keeps the midpoint of symmetric envelopes on the grid
 _PULSE_KEYS = {"family": None, "k": None, "eps": None, "branch": "rotating",
@@ -319,10 +319,9 @@ def _cmd_fit_period(cfg: dict, out: Path) -> int:
 def _add_common(sp):
     sp.add_argument("--config", help="JSON config or sidecar; flags override")
     sp.add_argument("--out", help="output directory (default .)")
-    sp.add_argument("--workers", type=int)
+    sp.add_argument("--workers", type=int, help="accepted; has no effect")
     sp.add_argument("--time-scale", type=float, dest="time_scale",
                     help="seconds per body time unit for exported t columns")
-    sp.add_argument("--seed", type=int)
 
 
 def _add_pulse_flags(sp):

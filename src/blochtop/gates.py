@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _util
-from .propagate import gate_fidelity, so3_final, su2_final
+from .propagate import gate_fidelity, so3_final, spinor_quaternion, su2_final
 from .pulsegen import (
     ControlPulse,
     concat,
@@ -187,7 +187,8 @@ def _solve_bracketed(f, lo: float, hi: float, xtol: float = 1e-10,
     """Root of f on a sign-change bracket: bisection, then secant polish.
 
     Returns (x, f(x), converged).  Without a sign change the endpoint
-    with the smaller |f| is returned unconverged.
+    with the smaller |f| is returned unconverged, and so is the last secant
+    iterate when the polish stalls or ends with the bracket wider than xtol.
     """
     flo = f(lo) if flo is None else flo
     fhi = f(hi) if fhi is None else fhi
@@ -221,7 +222,7 @@ def _solve_bracketed(f, lo: float, hi: float, xtol: float = 1e-10,
         else:
             lo, flo = x2, f2
         x0, f0, x1, f1 = x1, f1, x2, f2
-    return x1, f1, True
+    return x1, f1, hi - lo <= xtol
 
 
 # ---------------------------------------------------------------------------
@@ -654,14 +655,11 @@ def _loop_gate(p: TopParameters, axis_target, angle: float, n: int = 4096,
         eps_star, _, converged = _solve_bracketed(gap, lo, hi, xtol=1e-10)
 
     loop = tre_loop_pulse(p, eps_star, Family.ROTATING, n=n)
-    U = su2_final(loop)
-    q0 = 0.5 * float(np.real(U[0, 0] + U[1, 1]))
-    s = np.array([0.5 * np.real(1.0j * (U[0, 1] + U[1, 0])),
-                  0.5 * np.real(U[1, 0] - U[0, 1]),
-                  0.5 * np.real(1.0j * (U[0, 0] - U[1, 1]))])
-    axis = s / np.linalg.norm(s)
+    q = spinor_quaternion(su2_final(loop))
+    s = np.linalg.norm(q[1:])
+    axis = q[1:] / s
     # canonicalize to a rotation angle in (0, pi], then match the sign
-    if 2.0 * math.atan2(np.linalg.norm(s), q0) > math.pi:
+    if 2.0 * math.atan2(s, q[0]) > math.pi:
         axis = -axis
     if want < 0.0:
         axis = -axis

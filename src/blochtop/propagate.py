@@ -6,11 +6,15 @@ so the accumulated SU(2) propagator always covers the SO(3) rotation:
 adjoint_map(U(t)) = R(t).
 
 Each sampling interval is integrated with its field frozen at the
-average of the endpoint samples and exponentiated exactly.  Every step
-is therefore an exact rotation (orthogonality and unitarity hold to
-roundoff for any step size) and the trajectory error is second order
-in the sample spacing.  Static errors rescale the drive components by
-(1 + alpha) and shift the third component by delta before stepping.
+average of the endpoint samples and exponentiated exactly, as the unit
+quaternion (cos(phi/2), sin(phi/2) n) of its rotation by phi about n.
+Every step is therefore an exact rotation and the trajectory error is
+second order in the sample spacing.  Static errors rescale the drive
+components by (1 + alpha) and shift the third component by delta before
+stepping.  One kernel composes the steps by the Hamilton product, in a
+prefix scan for paths and a pairwise reduction for final propagators,
+and reads rotation matrices, spinors q0 - i (q1, q2, q3) . sigma and
+Bloch vectors out of the accumulated quaternions.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ _SIGMA = np.array([
     [[0.0, -1.0j], [1.0j, 0.0]],
     [[1.0, 0.0], [0.0, -1.0]],
 ], dtype=complex)
+_ONE = np.array([[1.0, 0.0, 0.0, 0.0]])  # identity quaternion, as one row
 
 
 @dataclass(frozen=True)
@@ -32,6 +37,10 @@ class ErrorParams:
 
     alpha: float = 0.0
     delta: float = 0.0
+
+    def __post_init__(self):
+        if not np.all(np.isfinite([self.alpha, self.delta])):
+            raise ValueError("alpha and delta must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,81 +77,88 @@ class AxisAnglePath:
     degenerate: np.ndarray
 
 
-def _effective_fields(pulse, err: ErrorParams):
-    w = pulse.fields
-    out = np.empty_like(w)
-    out[:, 0] = (1.0 + err.alpha) * w[:, 0]
-    out[:, 1] = (1.0 + err.alpha) * w[:, 1]
-    out[:, 2] = w[:, 2] + err.delta
+def _steps(pulse, err: ErrorParams):
+    """Quaternion of every sampling interval: the rotation by the
+    endpoint-averaged effective field times the interval length."""
+    gain = 1.0 + err.alpha
+    w = pulse.fields * (gain, gain, 1.0) + (0.0, 0.0, err.delta)
+    phi_vec = 0.5 * (w[1:] + w[:-1]) * np.diff(pulse.times)[:, None]
+    phi = _norm(phi_vec)
+    scale = np.sin(0.5 * phi) / np.where(phi == 0.0, 1.0, phi)
+    return np.column_stack([np.cos(0.5 * phi), phi_vec * scale[:, None]])
+
+
+def _qmul(p, q):
+    """Hamilton product p q of quaternion arrays (..., 4); q acts first."""
+    pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    out = np.empty_like(p)
+    out[..., 0] = pw * qw - px * qx - py * qy - pz * qz
+    out[..., 1] = pw * qx + px * qw + py * qz - pz * qy
+    out[..., 2] = pw * qy - px * qz + py * qw + pz * qx
+    out[..., 3] = pw * qz + px * qy - py * qx + pz * qw
     return out
 
 
-def _step_vectors(pulse, err: ErrorParams):
-    """Rotation vector (axis times angle) of every sampling interval."""
-    w = _effective_fields(pulse, err)
-    dt = np.diff(pulse.times)
-    return 0.5 * (w[1:] + w[:-1]) * dt[:, None]
+def _norm(v):
+    return np.sqrt(np.einsum("...i,...i->...", v, v))
 
 
-def _axis_angle(phi_vec):
-    phi = np.linalg.norm(phi_vec, axis=-1)
-    safe = np.where(phi == 0.0, 1.0, phi)
-    return phi_vec / safe[..., None], phi
-
-
-def _so3_steps(phi_vec):
-    axis, phi = _axis_angle(phi_vec)
-    n1, n2, n3 = axis[..., 0], axis[..., 1], axis[..., 2]
-    zeros = np.zeros_like(n1)
-    K = np.stack([
-        np.stack([zeros, -n3, n2], axis=-1),
-        np.stack([n3, zeros, -n1], axis=-1),
-        np.stack([-n2, n1, zeros], axis=-1),
-    ], axis=-2)
-    s = np.sin(phi)[..., None, None]
-    c = (1.0 - np.cos(phi))[..., None, None]
-    return np.eye(3) + s * K + c * (K @ K)
-
-
-def _su2_steps(phi_vec):
-    axis, phi = _axis_angle(phi_vec)
-    a = np.cos(0.5 * phi)
-    b = np.sin(0.5 * phi)
-    n1, n2, n3 = axis[..., 0], axis[..., 1], axis[..., 2]
-    U = np.empty(phi.shape + (2, 2), dtype=complex)
-    U[..., 0, 0] = a - 1.0j * b * n3
-    U[..., 0, 1] = -b * n2 - 1.0j * b * n1
-    U[..., 1, 0] = b * n2 - 1.0j * b * n1
-    U[..., 1, 1] = a + 1.0j * b * n3
-    return U
-
-
-def _scan_products(steps, identity):
-    """All left-accumulated products: out[i] = steps[i-1] @ ... @ steps[0],
-    with out[0] = identity.  Logarithmic number of vectorized passes."""
-    n = len(steps)
-    P = steps.copy()
+def _scan(steps):
+    """All left-accumulated products: out[i] = steps[i-1] ... steps[0],
+    with out[0] = 1.  Logarithmic number of vectorized passes."""
+    P = np.concatenate([_ONE, steps])
     s = 1
-    while s < n:
-        head = P[s:] @ P[:-s]
-        P[s:] = head
+    while s < len(P):
+        P[s:] = _qmul(P[s:], P[:-s])
         s *= 2
-    out = np.empty((n + 1,) + identity.shape, dtype=P.dtype)
-    out[0] = identity
-    out[1:] = P
-    return out
+    # rounding moves products off the unit sphere, under a nearly constant
+    # drive the same way at every step: rescale once at the end
+    return P / _norm(P)[:, None]
 
 
-def _reduce_product(steps, identity):
-    """Final product steps[-1] @ ... @ steps[0] by pairwise reduction."""
-    P = steps
+def _reduce(steps):
+    """Final product steps[-1] ... steps[0] by pairwise reduction."""
+    P = np.concatenate([_ONE, steps])
     while len(P) > 1:
-        half = P[1::2] @ P[0:2 * (len(P) // 2):2]
-        if len(P) % 2:
-            P = np.concatenate([half, P[-1:]])
-        else:
-            P = half
-    return P[0] if len(P) else identity.copy()
+        half = _qmul(P[1::2], P[0:len(P) - 1:2])
+        P = np.concatenate([half, P[-1:]]) if len(P) % 2 else half
+    return P[0] / _norm(P[0])  # rescaled as in _scan
+
+
+def _rotations(q):
+    """Rotation matrices (..., 3, 3) of unit quaternions (..., 4)."""
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    R = np.empty(q.shape[:-1] + (3, 3))
+    R[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)
+    R[..., 0, 1] = 2.0 * (x * y - w * z)
+    R[..., 0, 2] = 2.0 * (x * z + w * y)
+    R[..., 1, 0] = 2.0 * (x * y + w * z)
+    R[..., 1, 1] = 1.0 - 2.0 * (x * x + z * z)
+    R[..., 1, 2] = 2.0 * (y * z - w * x)
+    R[..., 2, 0] = 2.0 * (x * z - w * y)
+    R[..., 2, 1] = 2.0 * (y * z + w * x)
+    R[..., 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+    return R
+
+
+def _spinors(q):
+    """SU(2) matrices q0 - i (q1, q2, q3) . sigma of quaternions (..., 4)."""
+    shape = q.shape[:-1] + (2, 2)
+    q_sigma = (q[..., 1:] @ _SIGMA.reshape(3, 4)).reshape(shape)
+    return q[..., :1, None] * np.eye(2) - 1j * q_sigma
+
+
+def spinor_quaternion(U):
+    """Quaternions (..., 4) of SU(2) elements (..., 2, 2); inverts the
+    spinor read-out of the propagators exactly."""
+    U = np.asarray(U, dtype=complex)
+    q = np.empty(U.shape[:-2] + (4,))
+    q[..., 0] = 0.5 * np.real(U[..., 0, 0] + U[..., 1, 1])
+    q[..., 1] = 0.5 * np.real(1.0j * (U[..., 0, 1] + U[..., 1, 0]))
+    q[..., 2] = 0.5 * np.real(U[..., 1, 0] - U[..., 0, 1])
+    q[..., 3] = 0.5 * np.real(1.0j * (U[..., 0, 0] - U[..., 1, 1]))
+    return q
 
 
 def bloch_propagate(pulse, M0, err: ErrorParams = ErrorParams()) -> Trajectory:
@@ -150,33 +166,24 @@ def bloch_propagate(pulse, M0, err: ErrorParams = ErrorParams()) -> Trajectory:
     M0 = np.asarray(M0, dtype=float)
     if M0.shape != (3,):
         raise ValueError("M0 must be a vector of shape (3,)")
-    steps = _so3_steps(_step_vectors(pulse, err))
-    M = np.empty((pulse.n_samples, 3))
-    M[0] = M0
-    for i, R in enumerate(steps):
-        M[i + 1] = R @ M[i]
-    return Trajectory(pulse.times, M)
+    return Trajectory(pulse.times, _rotations(_scan(_steps(pulse, err))) @ M0)
 
 
 def so3_propagate(pulse, err: ErrorParams = ErrorParams()) -> PropagatorPath:
-    path = _scan_products(_so3_steps(_step_vectors(pulse, err)), np.eye(3))
-    return PropagatorPath(pulse.times, R=path)
+    return PropagatorPath(pulse.times, R=_rotations(_scan(_steps(pulse, err))))
 
 
 def su2_propagate(pulse, err: ErrorParams = ErrorParams()) -> PropagatorPath:
-    path = _scan_products(_su2_steps(_step_vectors(pulse, err)),
-                          np.eye(2, dtype=complex))
-    return PropagatorPath(pulse.times, U=path)
+    return PropagatorPath(pulse.times, U=_spinors(_scan(_steps(pulse, err))))
 
 
 def so3_final(pulse, err: ErrorParams = ErrorParams()):
     """Final rotation only; cheaper and rounds less than the full path."""
-    return _reduce_product(_so3_steps(_step_vectors(pulse, err)), np.eye(3))
+    return _rotations(_reduce(_steps(pulse, err)))
 
 
 def su2_final(pulse, err: ErrorParams = ErrorParams()):
-    return _reduce_product(_su2_steps(_step_vectors(pulse, err)),
-                           np.eye(2, dtype=complex))
+    return _spinors(_reduce(_steps(pulse, err)))
 
 
 def adjoint_map(U):
@@ -203,22 +210,19 @@ def axis_angle_path(upath: PropagatorPath, tol: float = 1e-12) -> AxisAnglePath:
     """Axis-angle reading of an SU(2) propagator path."""
     if upath.U is None:
         raise ValueError("axis_angle_path needs an SU(2) path")
-    U = upath.U
-    q = np.empty((len(U), 4))
-    q[:, 0] = 0.5 * np.real(U[:, 0, 0] + U[:, 1, 1])
-    q[:, 1] = 0.5 * np.real(1.0j * (U[:, 0, 1] + U[:, 1, 0]))
-    q[:, 2] = 0.5 * np.real(U[:, 1, 0] - U[:, 0, 1])
-    q[:, 3] = 0.5 * np.real(1.0j * (U[:, 0, 0] - U[:, 1, 1]))
+    q = spinor_quaternion(upath.U)
     # keep the double cover continuous in time
     flips = np.cumprod(np.where(np.sum(q[1:] * q[:-1], axis=1) < 0.0, -1.0, 1.0))
     q[1:] *= flips[:, None]
     s = np.linalg.norm(q[:, 1:], axis=1)
     angle = 2.0 * np.arctan2(s, q[:, 0])
     degenerate = s < tol
-    axis = np.empty((len(U), 3))
-    axis[0] = (0.0, 0.0, 1.0) if degenerate[0] else q[0, 1:] / s[0]
-    for i in range(1, len(U)):
-        axis[i] = axis[i - 1] if degenerate[i] else q[i, 1:] / s[i]
+    axis = q[:, 1:] / np.where(degenerate, 1.0, s)[:, None]
+    if degenerate[0]:
+        axis[0] = (0.0, 0.0, 1.0)
+    # each degenerate sample takes the axis of the last live one
+    live = np.maximum.accumulate(np.where(degenerate, 0, np.arange(len(q))))
+    axis = axis[live]
     return AxisAnglePath(upath.times, axis, angle, degenerate)
 
 

@@ -2,14 +2,15 @@
 
 Sweeps the miscalibration pair (alpha, delta) over a grid, one
 propagation per cell, and records a scalar merit of the final state.
-Sweeps are deterministic: the assembled map is identical bit for bit
-regardless of the worker count, and a failing cell is flagged and set
-to NaN instead of aborting the grid.
+Each cell is an independent propagation, evaluated in grid order, so its
+value does not depend on the rest of the grid; a failing cell, or one
+whose merit is not finite, is flagged and set to NaN instead of aborting
+the grid.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +62,9 @@ def sweep(pulse: ControlPulse, M0, alpha_grid=None, delta_grid=None,
           merit=merit_J3, workers: int | None = None) -> RobustnessMap:
     """Evaluate the merit over the error grid, one propagation per cell.
 
-    workers > 1 fans the cells out to a thread pool; results are always
-    assembled in grid order, so the output does not depend on the worker
-    count.  A cell whose propagation raises is recorded as NaN with its
+    Cells are evaluated serially in grid order; workers is accepted for
+    compatibility and has no effect.  A cell whose propagation or merit
+    raises, or whose merit is not finite, is recorded as NaN with its
     flag set.
     """
     alpha = (default_alpha_grid() if alpha_grid is None
@@ -74,22 +75,17 @@ def sweep(pulse: ControlPulse, M0, alpha_grid=None, delta_grid=None,
         raise ValueError("alpha_grid and delta_grid must be non-empty 1-d")
     M0 = np.asarray(M0, dtype=float)
 
-    def cell(a: float, d: float):
+    def cell(a: float, d: float) -> float:
         try:
             traj = bloch_propagate(pulse, M0, ErrorParams(alpha=a, delta=d))
-            return float(merit(traj)), 0
+            value = float(merit(traj))
         except Exception:
-            return float("nan"), 1
+            return math.nan
+        return value if math.isfinite(value) else math.nan
 
-    pairs = [(float(a), float(d)) for a in alpha for d in delta]
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(lambda ad: cell(*ad), pairs))
-    else:
-        out = [cell(a, d) for a, d in pairs]
-
-    values = np.array([v for v, _ in out]).reshape(len(alpha), len(delta))
-    flags = np.array([f for _, f in out], dtype=np.int64).reshape(values.shape)
+    values = np.array([cell(float(a), float(d)) for a in alpha
+                       for d in delta]).reshape(len(alpha), len(delta))
+    flags = np.isnan(values).astype(np.int64)
     meta = {"merit": getattr(merit, "__name__", str(merit)),
             "M0": [float(x) for x in M0],
             "pulse": pulse_sidecar_meta(pulse)}

@@ -58,6 +58,20 @@ def test_sidecar_replay_reproduces_bytes(tmp_path):
     assert (a / "pulse.csv").read_bytes() == (b / "pulse.csv").read_bytes()
 
 
+def test_retired_seed_flag_rejected_and_old_sidecars_replay(tmp_path):
+    assert run(["pulse", "--family", "rect", "--n", 11, "--seed", 3,
+                "--out", tmp_path]) == 2
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    assert run(["pulse", "--family", "rect", "--n", 11, "--out", a]) == 0
+    side = json.loads((a / "pulse.csv.json").read_text())
+    assert "seed" not in side["config"]
+    side["config"]["seed"] = 7
+    (a / "old.json").write_text(json.dumps(side))
+    assert run(["pulse", "--config", a / "old.json", "--out", b]) == 0
+    assert (a / "pulse.csv").read_bytes() == (b / "pulse.csv").read_bytes()
+
+
 def test_time_scale_touches_only_time_column(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -124,6 +138,21 @@ def test_sweep_worker_bytes_identical(tmp_path):
     c = tmp_path / "replay"
     assert run(["sweep", "--config", b / "sweep.csv.json", "--out", c]) == 0
     assert (b / "sweep.csv").read_bytes() == (c / "sweep.csv").read_bytes()
+
+
+def test_sweep_nan_error_grid_flags_cell(tmp_path, capsys):
+    assert run(["sweep", "--family", "rect", "--alpha-grid=nan",
+                "--delta-grid=0", "--out", tmp_path]) == 3
+    assert "1 sweep cells failed" in capsys.readouterr().err
+    data = load_csv(tmp_path / "sweep.csv")
+    assert np.isnan(data[0, 2]) and data[0, 3] == 1
+
+
+def test_simulate_nan_error_is_usage_error(tmp_path, capsys):
+    assert run(["simulate", "--family", "rect", "--alpha", "nan",
+                "--out", tmp_path]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_sweep_four_k_preset_emits_four_maps(tmp_path):

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from blochtop.gates import (
     NOT_SU2,
     PhaseBudget,
+    _solve_bracketed,
     budget_defect,
     composite_bir_not,
     design_phase_gate,
@@ -142,6 +143,17 @@ def test_tuned_not_other_k():
 def test_tuned_not_no_root_reports_not_raises():
     _, _, report = tune_not_gate(TopParameters(0.5), (0.3, 0.5))
     assert not report.converged
+
+
+def test_solve_bracketed_reports_stalled_secant_unconverged():
+    # a step function stalls the secant polish with the bracket still
+    # about 2e-7 wide, far above xtol
+    x, fx, converged = _solve_bracketed(
+        lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0)
+    assert abs(x - 0.3) < 1e-6 and abs(fx) == 1.0
+    assert converged is False
+    x, fx, converged = _solve_bracketed(lambda x: x * x - 0.09, 0.0, 1.0)
+    assert converged is True and abs(x - 0.3) <= 1e-10
 
 
 def test_tune_not_rejects_bad_range():

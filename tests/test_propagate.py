@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
@@ -26,6 +28,7 @@ from blochtop.pulsegen import (
     rect_pi_pulse,
     tre_pulse,
 )
+from blochtop.robustness import merit_J2, merit_J3, sweep
 from blochtop.topdyn import Family, TopParameters, analytic_trajectory, tre_initial
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -267,3 +270,157 @@ def test_propagator_csv(tmp_path):
     assert data.shape == (5, 9)
     assert_allclose(data[-1, 1], np.real(upath.U[-1, 0, 0]), atol=0)
     assert_allclose(data[-1, 4], np.imag(upath.U[-1, 0, 1]), atol=0)
+
+
+@pytest.mark.parametrize("alpha,delta", [(math.nan, 0.0), (0.0, math.inf),
+                                         (-math.inf, 0.1), (math.nan, math.nan)])
+def test_error_params_reject_non_finite(alpha, delta):
+    with pytest.raises(ValueError):
+        ErrorParams(alpha=alpha, delta=delta)
+
+
+# ---------------------------------------------------------------------------
+# properties over random pulses, checked against plain per-step loops
+
+TOL = 1e-12
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
+
+_field = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+_step = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
+
+
+@st.composite
+def pulses(draw, max_n=24):
+    """Random sampled drives, with repeated times and zero fields."""
+    n = draw(st.integers(1, max_n))
+    dts = draw(st.lists(_step, min_size=n - 1, max_size=n - 1))
+    w = np.array(draw(st.lists(st.tuples(_field, _field, _field),
+                               min_size=n, max_size=n)))
+    times = draw(st.floats(-1.0, 1.0)) + np.concatenate([[0.0], np.cumsum(dts)])
+    return ControlPulse(times, w[:, 0], w[:, 1], w[:, 2])
+
+
+errors = st.builds(ErrorParams, alpha=st.floats(-0.5, 0.5),
+                   delta=st.floats(-1.0, 1.0))
+
+
+def stepwise_reference(pulse, M0, err):
+    """Rodrigues and spinor step matrices multiplied one interval at a
+    time, with the Bloch vector carried along by the same steps."""
+    w = np.stack([(1.0 + err.alpha) * pulse.omega1,
+                  (1.0 + err.alpha) * pulse.omega2,
+                  pulse.omega3 + err.delta], axis=-1)
+    R = [np.eye(3)]
+    U = [np.eye(2, dtype=complex)]
+    M = [np.asarray(M0, dtype=float)]
+    for i in range(pulse.n_samples - 1):
+        phi_vec = 0.5 * (w[i] + w[i + 1]) * (pulse.times[i + 1] - pulse.times[i])
+        phi = np.linalg.norm(phi_vec)
+        if phi == 0.0:
+            r, u = np.eye(3), np.eye(2)
+        else:
+            r, u = rodrigues(phi_vec, phi), su2_of(phi_vec, phi)
+        R.append(r @ R[-1])
+        U.append(u @ U[-1])
+        M.append(r @ M[-1])
+    return np.array(R), np.array(U), np.array(M)
+
+
+def axis_angle_loop_reference(U, tol):
+    """Axis-angle reading that carries the last live axis forward in a
+    Python loop, sample by sample."""
+    q = np.empty((len(U), 4))
+    q[:, 0] = 0.5 * np.real(U[:, 0, 0] + U[:, 1, 1])
+    q[:, 1] = 0.5 * np.real(1.0j * (U[:, 0, 1] + U[:, 1, 0]))
+    q[:, 2] = 0.5 * np.real(U[:, 1, 0] - U[:, 0, 1])
+    q[:, 3] = 0.5 * np.real(1.0j * (U[:, 0, 0] - U[:, 1, 1]))
+    flips = np.cumprod(np.where(np.sum(q[1:] * q[:-1], axis=1) < 0.0, -1.0, 1.0))
+    q[1:] *= flips[:, None]
+    s = np.linalg.norm(q[:, 1:], axis=1)
+    angle = 2.0 * np.arctan2(s, q[:, 0])
+    degenerate = s < tol
+    axis = np.empty((len(U), 3))
+    axis[0] = (0.0, 0.0, 1.0) if degenerate[0] else q[0, 1:] / s[0]
+    for i in range(1, len(U)):
+        axis[i] = axis[i - 1] if degenerate[i] else q[i, 1:] / s[i]
+    return axis, angle, degenerate
+
+
+@PROPERTY
+@given(pulses(), errors)
+def test_path_elements_are_rotations_and_unitaries(pulse, err):
+    R = so3_propagate(pulse, err).R
+    U = su2_propagate(pulse, err).U
+    assert np.max(np.abs(np.swapaxes(R, 1, 2) @ R - np.eye(3))) <= TOL
+    assert np.max(np.abs(np.linalg.det(R) - 1.0)) <= TOL
+    assert np.max(np.abs(np.conj(np.swapaxes(U, 1, 2)) @ U - np.eye(2))) <= TOL
+
+
+@PROPERTY
+@given(pulses(), errors)
+def test_adjoint_map_covers_rotation_path(pulse, err):
+    R = so3_propagate(pulse, err).R
+    U = su2_propagate(pulse, err).U
+    assert np.max(np.abs(adjoint_map(U) - R)) <= TOL
+    assert np.max(np.abs(adjoint_map(su2_final(pulse, err))
+                         - so3_final(pulse, err))) <= TOL
+
+
+@PROPERTY
+@given(pulses(), st.floats(-0.5, 0.5))
+def test_pulse_then_inverse_is_identity(pulse, alpha):
+    # alpha scales every field alike, so the inverse still cancels
+    both = concat([pulse, inverse_pulse(pulse)])
+    err = ErrorParams(alpha=alpha)
+    assert np.max(np.abs(so3_final(both, err) - np.eye(3))) <= TOL
+    assert np.max(np.abs(su2_final(both, err) - np.eye(2))) <= TOL
+
+
+@PROPERTY
+@given(pulses(), pulses(), errors)
+def test_concat_product_law(a, b, err):
+    ab = concat([a, b])
+    assert np.max(np.abs(so3_final(ab, err)
+                         - so3_final(b, err) @ so3_final(a, err))) <= TOL
+    assert np.max(np.abs(su2_final(ab, err)
+                         - su2_final(b, err) @ su2_final(a, err))) <= TOL
+
+
+@PROPERTY
+@given(pulses(), errors)
+def test_kernel_matches_stepwise_loop(pulse, err):
+    M0 = np.array([0.6, 0.0, 0.8])
+    R, U, M = stepwise_reference(pulse, M0, err)
+    assert np.max(np.abs(so3_propagate(pulse, err).R - R)) <= TOL
+    assert np.max(np.abs(su2_propagate(pulse, err).U - U)) <= TOL
+    assert np.max(np.abs(bloch_propagate(pulse, M0, err).M - M)) <= TOL
+    assert np.max(np.abs(so3_final(pulse, err) - R[-1])) <= TOL
+    assert np.max(np.abs(su2_final(pulse, err) - U[-1])) <= TOL
+
+
+@PROPERTY
+@given(pulses(max_n=12), st.data())
+def test_sweep_cell_is_direct_propagation_bit_for_bit(pulse, data):
+    grid = st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4)
+    alphas = np.array(data.draw(grid))
+    deltas = np.array(data.draw(grid))
+    merit = data.draw(st.sampled_from([merit_J3, merit_J2]))
+    M0 = (0.0, 0.6, 0.8)
+    rmap = sweep(pulse, M0, alphas, deltas, merit=merit)
+    i = data.draw(st.integers(0, len(alphas) - 1))
+    j = data.draw(st.integers(0, len(deltas) - 1))
+    direct = merit(bloch_propagate(
+        pulse, M0, ErrorParams(alpha=alphas[i], delta=deltas[j])))
+    assert rmap.values[i, j] == direct
+    assert rmap.flags[i, j] == 0
+
+
+@PROPERTY
+@given(pulses(), errors, st.sampled_from([1e-12, 1e-2, 0.5]))
+def test_axis_angle_path_matches_carry_forward_loop(pulse, err, tol):
+    upath = su2_propagate(pulse, err)
+    axis, angle, degenerate = axis_angle_loop_reference(upath.U, tol)
+    ap = axis_angle_path(upath, tol)
+    assert np.array_equal(ap.axis, axis)
+    assert np.array_equal(ap.angle, angle)
+    assert np.array_equal(ap.degenerate, degenerate)

@@ -91,6 +91,20 @@ def test_failed_cell_flagged_not_fatal():
     assert np.isnan(rmap.values[bad[0], bad[1]])
 
 
+def test_non_finite_cells_flagged():
+    pulse = rect_pi_pulse(1.0, n=33)
+    rmap = sweep(pulse, (0.0, 0.0, 1.0), alpha_grid=np.array([0.0, 0.1]),
+                 delta_grid=np.array([0.0]),
+                 merit=lambda traj: math.inf if traj.M[-1, 2] < -0.999
+                 else merit_J3(traj))
+    assert rmap.flags[:, 0].tolist() == [1, 0]
+    assert np.isnan(rmap.values[0, 0]) and np.isfinite(rmap.values[1, 0])
+    rmap = sweep(pulse, (0.0, 0.0, 1.0), alpha_grid=np.array([math.nan]),
+                 delta_grid=np.array([0.0, math.inf]))
+    assert rmap.flags.tolist() == [[1, 1]]
+    assert np.all(np.isnan(rmap.values))
+
+
 def test_transfer_quality_across_k():
     for k in (0.2, 0.6, 0.9, 0.99):
         pulse = tre_pulse(TopParameters(k), 0.01, Family.ROTATING, n=2048)
