@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -201,7 +202,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
         raise UsageError(f"unknown merit {cfg['merit']!r}")
     workers = cfg["workers"]
     preset = cfg["preset"]
-    failed = 0
+    maps = []
 
     if preset == "experiment":
         k = float(cfg["k"]) if cfg["k"] is not None else 0.5
@@ -214,7 +215,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
         path = out / "sweep.csv"
         write_map_csv(rmap, path, sidecar=False)
         _finish(path, "sweep", cfg, {"map_meta": rmap.meta})
-        failed = int(rmap.flags.sum())
+        maps.append(rmap)
     elif preset == "four-k":
         eps = float(cfg["eps"]) if cfg["eps"] is not None else 0.01
         branch = _parse_branch(cfg["branch"])
@@ -226,7 +227,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
             path = out / f"sweep_k{k}.csv"
             write_map_csv(rmap, path, sidecar=False)
             _finish(path, "sweep", cfg, {"k": k, "map_meta": rmap.meta})
-            failed += int(rmap.flags.sum())
+            maps.append(rmap)
     elif preset is None:
         pulse = _build_pulse(cfg)
         m0 = _parse_vec3(cfg["m0"]) if cfg["m0"] is not None else (0.0, 0.0, 1.0)
@@ -236,12 +237,16 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
         path = out / "sweep.csv"
         write_map_csv(rmap, path, sidecar=False)
         _finish(path, "sweep", cfg, {"map_meta": rmap.meta})
-        failed = int(rmap.flags.sum())
+        maps.append(rmap)
     else:
         raise UsageError(f"unknown preset {preset!r}")
 
-    if failed:
-        print(f"warning: {failed} sweep cells failed", file=sys.stderr)
+    reasons = Counter(cell["reason"] for rmap in maps
+                      for cell in rmap.meta.get("failed_cells", ()))
+    if reasons:
+        counts = ", ".join(f"{r}: {c}" for r, c in sorted(reasons.items()))
+        print(f"warning: {sum(reasons.values())} sweep cells failed ({counts})",
+              file=sys.stderr)
         return 3
     return 0
 
@@ -402,10 +407,27 @@ _HANDLERS = {
 }
 
 
+_GRID_FLAGS = ("--alpha-grid", "--delta-grid")
+
+
+def _bind_grid_values(argv):
+    """Join each grid flag to the value after it, so that both
+    '--alpha-grid -0.1,0.1,3' and '--alpha-grid=-0.1,0.1,3' parse;
+    argparse alone reads a value with a leading '-' as an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _GRID_FLAGS and not tok.startswith("--"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_grid_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

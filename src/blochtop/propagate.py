@@ -15,6 +15,12 @@ stepping.  One kernel composes the steps by the Hamilton product, in a
 prefix scan for paths and a pairwise reduction for final propagators,
 and reads rotation matrices, spinors q0 - i (q1, q2, q3) . sigma and
 Bloch vectors out of the accumulated quaternions.
+
+The kernel is batched: steps, scan and reduction carry a leading axis of
+error pairs (alpha, delta).  The reduction pairs steps from the last one
+down, which is the product tree of the scan's last element, so a final
+propagator equals the endpoint of its path bit for bit, whether it is
+computed alone or inside a batch.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ _SIGMA = np.array([
     [[0.0, -1.0j], [1.0j, 0.0]],
     [[1.0, 0.0], [0.0, -1.0]],
 ], dtype=complex)
-_ONE = np.array([[1.0, 0.0, 0.0, 0.0]])  # identity quaternion, as one row
+_ONE = np.array([1.0, 0.0, 0.0, 0.0])  # identity quaternion
 
 
 @dataclass(frozen=True)
@@ -77,15 +83,22 @@ class AxisAnglePath:
     degenerate: np.ndarray
 
 
-def _steps(pulse, err: ErrorParams):
-    """Quaternion of every sampling interval: the rotation by the
-    endpoint-averaged effective field times the interval length."""
-    gain = 1.0 + err.alpha
-    w = pulse.fields * (gain, gain, 1.0) + (0.0, 0.0, err.delta)
-    phi_vec = 0.5 * (w[1:] + w[:-1]) * np.diff(pulse.times)[:, None]
+def _steps(pulse, alpha, delta):
+    """Quaternions (B, n - 1, 4) of every sampling interval, one row per
+    error pair (alpha[b], delta[b]): the rotation by the endpoint-averaged
+    effective field times the interval length."""
+    alpha = np.asarray(alpha, dtype=float)[:, None, None]
+    delta = np.asarray(delta, dtype=float)[:, None]
+    gain = np.ones((len(alpha), 1, 3))
+    gain[..., :2] = 1.0 + alpha
+    shift = np.zeros((len(delta), 1, 3))
+    shift[..., 2] = delta
+    w = pulse.fields * gain + shift
+    phi_vec = 0.5 * (w[:, 1:] + w[:, :-1]) * np.diff(pulse.times)[:, None]
     phi = _norm(phi_vec)
     scale = np.sin(0.5 * phi) / np.where(phi == 0.0, 1.0, phi)
-    return np.column_stack([np.cos(0.5 * phi), phi_vec * scale[:, None]])
+    return np.concatenate([np.cos(0.5 * phi)[..., None],
+                           phi_vec * scale[..., None]], axis=-1)
 
 
 def _qmul(p, q):
@@ -104,26 +117,42 @@ def _norm(v):
     return np.sqrt(np.einsum("...i,...i->...", v, v))
 
 
-def _scan(steps):
-    """All left-accumulated products: out[i] = steps[i-1] ... steps[0],
-    with out[0] = 1.  Logarithmic number of vectorized passes."""
-    P = np.concatenate([_ONE, steps])
-    s = 1
-    while s < len(P):
-        P[s:] = _qmul(P[s:], P[:-s])
-        s *= 2
+def _unit(P):
     # rounding moves products off the unit sphere, under a nearly constant
     # drive the same way at every step: rescale once at the end
-    return P / _norm(P)[:, None]
+    return P / _norm(P)[..., None]
+
+
+def _with_identity(steps):
+    P = np.empty(steps.shape[:-2] + (steps.shape[-2] + 1, 4))
+    P[..., 0, :] = _ONE
+    P[..., 1:, :] = steps
+    return P
+
+
+def _scan(steps):
+    """All left-accumulated products along axis -2: out[..., i, :] =
+    steps[i-1] ... steps[0], with out[..., 0, :] = 1.  Logarithmic number
+    of vectorized passes."""
+    P = _with_identity(steps)
+    s = 1
+    while s < P.shape[-2]:
+        P[..., s:, :] = _qmul(P[..., s:, :], P[..., :-s, :])
+        s *= 2
+    return _unit(P)
 
 
 def _reduce(steps):
-    """Final product steps[-1] ... steps[0] by pairwise reduction."""
-    P = np.concatenate([_ONE, steps])
-    while len(P) > 1:
-        half = _qmul(P[1::2], P[0:len(P) - 1:2])
-        P = np.concatenate([half, P[-1:]]) if len(P) % 2 else half
-    return P[0] / _norm(P[0])  # rescaled as in _scan
+    """Final products steps[-1] ... steps[0] along axis -2 by pairwise
+    reduction.  Pairs are anchored at the last step and an odd leading
+    element is carried, which is the product tree of the last entry of
+    _scan, so the result equals _scan(steps)[..., -1, :] bit for bit."""
+    P = _with_identity(steps)
+    while P.shape[-2] > 1:
+        odd = P.shape[-2] % 2
+        half = _qmul(P[..., 1 + odd::2, :], P[..., odd::2, :])
+        P = np.concatenate([P[..., :1, :], half], axis=-2) if odd else half
+    return _unit(P)[..., 0, :]
 
 
 def _rotations(q):
@@ -161,29 +190,51 @@ def spinor_quaternion(U):
     return q
 
 
-def bloch_propagate(pulse, M0, err: ErrorParams = ErrorParams()) -> Trajectory:
-    """Drive the vector M0 through the pulse.  Returns all samples."""
+def _state(M0):
     M0 = np.asarray(M0, dtype=float)
     if M0.shape != (3,):
         raise ValueError("M0 must be a vector of shape (3,)")
-    return Trajectory(pulse.times, _rotations(_scan(_steps(pulse, err))) @ M0)
+    return M0
+
+
+# a single pair drops the batch axis before composing: numpy's loops run
+# measurably slower on (1, n, 4) slices than on (n, 4) ones
+def _path(pulse, err: ErrorParams):
+    return _scan(_steps(pulse, [err.alpha], [err.delta])[0])
+
+
+def _final(pulse, err: ErrorParams):
+    return _reduce(_steps(pulse, [err.alpha], [err.delta])[0])
+
+
+def bloch_propagate(pulse, M0, err: ErrorParams = ErrorParams()) -> Trajectory:
+    """Drive the vector M0 through the pulse.  Returns all samples."""
+    return Trajectory(pulse.times, _rotations(_path(pulse, err)) @ _state(M0))
+
+
+def _final_states(pulse, M0, alpha, delta):
+    """Final Bloch vectors (B, 3) of M0 under the pulse, one per error
+    pair (alpha[b], delta[b]).  Row b has the bits of the last sample of
+    bloch_propagate under that pair, whatever the rest of the batch."""
+    return _rotations(_reduce(_steps(pulse, alpha, delta))) @ _state(M0)
 
 
 def so3_propagate(pulse, err: ErrorParams = ErrorParams()) -> PropagatorPath:
-    return PropagatorPath(pulse.times, R=_rotations(_scan(_steps(pulse, err))))
+    return PropagatorPath(pulse.times, R=_rotations(_path(pulse, err)))
 
 
 def su2_propagate(pulse, err: ErrorParams = ErrorParams()) -> PropagatorPath:
-    return PropagatorPath(pulse.times, U=_spinors(_scan(_steps(pulse, err))))
+    return PropagatorPath(pulse.times, U=_spinors(_path(pulse, err)))
 
 
 def so3_final(pulse, err: ErrorParams = ErrorParams()):
-    """Final rotation only; cheaper and rounds less than the full path."""
-    return _rotations(_reduce(_steps(pulse, err)))
+    """Final rotation only; the last element of so3_propagate, without
+    the path."""
+    return _rotations(_final(pulse, err))
 
 
 def su2_final(pulse, err: ErrorParams = ErrorParams()):
-    return _spinors(_reduce(_steps(pulse, err)))
+    return _spinors(_final(pulse, err))
 
 
 def adjoint_map(U):

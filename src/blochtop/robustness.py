@@ -1,11 +1,14 @@
 """Robustness maps for control pulses under static drive errors.
 
-Sweeps the miscalibration pair (alpha, delta) over a grid, one
-propagation per cell, and records a scalar merit of the final state.
-Each cell is an independent propagation, evaluated in grid order, so its
-value does not depend on the rest of the grid; a failing cell, or one
-whose merit is not finite, is flagged and set to NaN instead of aborting
-the grid.
+Sweeps the miscalibration pair (alpha, delta) over a grid and records a
+scalar merit of the final state.  Cells are propagated in chunks of
+about _CHUNK_SAMPLES samples, one pairwise product reduction per chunk,
+and the merit is called once per cell, in grid order, on a one-sample
+Trajectory holding that cell's final state.  A cell's value has the same
+bits as the last sample of bloch_propagate under its error pair, so it
+does not depend on the rest of the grid or on the chunking.  A failing
+cell, or one whose error pair or merit is not finite, is flagged and set
+to NaN instead of aborting the grid, and its reason is recorded.
 """
 
 from __future__ import annotations
@@ -16,9 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _util
-from .propagate import ErrorParams, Trajectory, bloch_propagate
+from .propagate import Trajectory, _final_states
 from .pulsegen import ControlPulse, pulse_sidecar_meta
 from .topdyn import Family, TopParameters, transfer_period
+
+# samples propagated per batch of cells: large enough to share the numpy
+# call overhead over many cells, small enough to keep peak memory flat
+_CHUNK_SAMPLES = 2 ** 14
 
 
 def merit_J3(traj: Trajectory) -> float:
@@ -60,12 +67,15 @@ def default_delta_grid(pulse: ControlPulse, n: int = 21) -> np.ndarray:
 
 def sweep(pulse: ControlPulse, M0, alpha_grid=None, delta_grid=None,
           merit=merit_J3, workers: int | None = None) -> RobustnessMap:
-    """Evaluate the merit over the error grid, one propagation per cell.
+    """Evaluate the merit over the error grid.
 
-    Cells are evaluated serially in grid order; workers is accepted for
-    compatibility and has no effect.  A cell whose propagation or merit
-    raises, or whose merit is not finite, is recorded as NaN with its
-    flag set.
+    The final states of the cells are computed in chunks; the merit is
+    then called once per cell in grid order, on a one-sample Trajectory
+    (times = the last pulse time, M = the final state).  workers is
+    accepted for compatibility and has no effect.  A cell whose error
+    pair is not finite, whose propagation or merit raises, or whose merit
+    is not finite is recorded as NaN with its flag set; meta then lists
+    each such cell under "failed_cells" as its [i, j] index and reason.
     """
     alpha = (default_alpha_grid() if alpha_grid is None
              else np.asarray(alpha_grid, dtype=float))
@@ -75,20 +85,40 @@ def sweep(pulse: ControlPulse, M0, alpha_grid=None, delta_grid=None,
         raise ValueError("alpha_grid and delta_grid must be non-empty 1-d")
     M0 = np.asarray(M0, dtype=float)
 
-    def cell(a: float, d: float) -> float:
+    a_cells = np.repeat(alpha, len(delta))
+    d_cells = np.tile(delta, len(alpha))
+    values = np.full(a_cells.size, math.nan)
+    finite = np.isfinite(a_cells) & np.isfinite(d_cells)
+    reasons = dict.fromkeys(np.flatnonzero(~finite), "non-finite error parameter")
+    live = np.flatnonzero(finite)
+    end = pulse.times[-1:]
+    per_chunk = max(1, _CHUNK_SAMPLES // pulse.n_samples)
+    for start in range(0, live.size, per_chunk):
+        cells = live[start:start + per_chunk]
         try:
-            traj = bloch_propagate(pulse, M0, ErrorParams(alpha=a, delta=d))
-            value = float(merit(traj))
-        except Exception:
-            return math.nan
-        return value if math.isfinite(value) else math.nan
+            finals = _final_states(pulse, M0, a_cells[cells], d_cells[cells])
+        except Exception as exc:
+            reasons.update(dict.fromkeys(cells, type(exc).__name__))
+            continue
+        for c, M in zip(cells, finals):
+            try:
+                value = float(merit(Trajectory(end, M[None])))
+            except Exception as exc:
+                reasons[c] = type(exc).__name__
+                continue
+            if math.isfinite(value):
+                values[c] = value
+            else:
+                reasons[c] = "non-finite merit"
 
-    values = np.array([cell(float(a), float(d)) for a in alpha
-                       for d in delta]).reshape(len(alpha), len(delta))
+    values = values.reshape(len(alpha), len(delta))
     flags = np.isnan(values).astype(np.int64)
     meta = {"merit": getattr(merit, "__name__", str(merit)),
             "M0": [float(x) for x in M0],
             "pulse": pulse_sidecar_meta(pulse)}
+    if reasons:
+        meta["failed_cells"] = [{"index": list(divmod(int(c), len(delta))),
+                                 "reason": reasons[c]} for c in sorted(reasons)]
     return RobustnessMap(alpha_grid=alpha, delta_grid=delta, values=values,
                          flags=flags, meta=meta)
 

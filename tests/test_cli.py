@@ -221,3 +221,29 @@ def test_help_exits_cleanly():
         cli._build_parser().parse_args(["--help"])
     assert exc.value.code == 0
     assert run([]) == 2
+
+
+def test_sweep_grid_flags_take_space_or_equals_form(tmp_path):
+    base = ["sweep", "--family", "rect", "--n", 65]
+    spaced = tmp_path / "spaced"
+    joined = tmp_path / "joined"
+    assert run(base + ["--alpha-grid", "-0.1,0.1,3", "--delta-grid",
+                       "-0.2,0.2,3", "--out", spaced]) == 0
+    assert run(base + ["--alpha-grid=-0.1,0.1,3", "--delta-grid=-0.2,0.2,3",
+                       "--out", joined]) == 0
+    for name in ("sweep.csv", "sweep.csv.json"):
+        assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+    assert load_csv(spaced / "sweep.csv").shape == (9, 4)
+
+
+def test_sweep_warning_counts_failures_per_reason(tmp_path, capsys):
+    assert run(["sweep", "--family", "rect", "--n", 33,
+                "--alpha-grid=nan", "--delta-grid", "-0.1,0.1,2",
+                "--out", tmp_path]) == 3
+    assert ("warning: 2 sweep cells failed (non-finite error parameter: 2)"
+            in capsys.readouterr().err)
+    side = json.loads((tmp_path / "sweep.csv.json").read_text())
+    assert side["config"]["delta_grid"] == "-0.1,0.1,2"
+    assert side["map_meta"]["failed_cells"] == [
+        {"index": [0, 0], "reason": "non-finite error parameter"},
+        {"index": [0, 1], "reason": "non-finite error parameter"}]

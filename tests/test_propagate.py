@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
+from blochtop import robustness
 from blochtop.propagate import (
     ErrorParams,
+    _reduce,
+    _scan,
+    _steps,
     adjoint_map,
     axis_angle_path,
     bloch_propagate,
@@ -413,6 +417,54 @@ def test_sweep_cell_is_direct_propagation_bit_for_bit(pulse, data):
         pulse, M0, ErrorParams(alpha=alphas[i], delta=deltas[j])))
     assert rmap.values[i, j] == direct
     assert rmap.flags[i, j] == 0
+
+
+_offsets = st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-1.0, 1.0)),
+                   min_size=1, max_size=5)
+
+
+@PROPERTY
+@given(pulses(), _offsets)
+def test_reduce_is_last_scan_entry_bit_for_bit(pulse, pairs):
+    alpha, delta = np.array(pairs).T
+    steps = _steps(pulse, alpha, delta)
+    assert np.array_equal(_reduce(steps), _scan(steps)[:, -1])
+
+
+@PROPERTY
+@given(pulses(), errors)
+def test_finals_are_path_endpoints_bit_for_bit(pulse, err):
+    assert np.array_equal(so3_final(pulse, err), so3_propagate(pulse, err).R[-1])
+    assert np.array_equal(su2_final(pulse, err), su2_propagate(pulse, err).U[-1])
+
+
+@st.composite
+def chunked_grids(draw):
+    """A grid of 3..5 x 3..5 cells and a chunk of k cells that splits it
+    into at least 3 chunks, the last one short."""
+    alphas = draw(st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=5))
+    deltas = draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=5))
+    cells = len(alphas) * len(deltas)
+    k = draw(st.sampled_from([k for k in range(2, cells)
+                              if cells % k and -(-cells // k) >= 3]))
+    return np.array(alphas), np.array(deltas), k
+
+
+@PROPERTY
+@given(pulses(max_n=12), chunked_grids(), st.sampled_from([merit_J3, merit_J2]))
+def test_sweep_cell_alone_matches_cell_in_chunked_grid(pulse, grid, merit):
+    alphas, deltas, k = grid
+    M0 = (0.6, 0.0, 0.8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(robustness, "_CHUNK_SAMPLES", k * pulse.n_samples)
+        rmap = sweep(pulse, M0, alphas, deltas, merit=merit)
+    whole = sweep(pulse, M0, alphas, deltas, merit=merit)
+    assert np.array_equal(whole.values, rmap.values)
+    for i, a in enumerate(alphas):
+        for j, d in enumerate(deltas):
+            alone = sweep(pulse, M0, [a], [d], merit=merit)
+            assert alone.values[0, 0] == rmap.values[i, j]
+    assert not rmap.flags.any()
 
 
 @PROPERTY

@@ -187,3 +187,43 @@ def test_map_shape_guard():
     with pytest.raises(ValueError):
         RobustnessMap(np.zeros(3), np.zeros(2), np.zeros((2, 3)),
                       np.zeros((3, 2), dtype=int), {})
+
+
+def test_failed_cells_record_index_and_reason():
+    def picky(traj):
+        if traj.M[-1, 2] > 0.9:
+            raise TypeError("probe fault")
+        return math.nan if traj.M[-1, 2] < -0.999 else merit_J3(traj)
+
+    pulse = rect_pi_pulse(1.0, n=33)
+    rmap = sweep(pulse, (0.0, 0.0, 1.0), alpha_grid=np.array([0.0, 0.1, -1.0]),
+                 delta_grid=np.array([0.0, math.inf]), merit=picky)
+    bad = "non-finite error parameter"
+    assert rmap.meta["failed_cells"] == [
+        {"index": [0, 0], "reason": "non-finite merit"},
+        {"index": [0, 1], "reason": bad},
+        {"index": [1, 1], "reason": bad},
+        {"index": [2, 0], "reason": "TypeError"},
+        {"index": [2, 1], "reason": bad}]
+    assert rmap.flags.tolist() == [[1, 1], [0, 1], [1, 1]]
+
+    clean = sweep(pulse, (0.0, 0.0, 1.0), alpha_grid=np.array([0.0, 0.1]),
+                  delta_grid=np.array([0.0]))
+    assert "failed_cells" not in clean.meta
+
+
+def test_merit_sees_one_sample_final_state():
+    pulse = tre_pulse(TopParameters(0.5), 0.05, Family.ROTATING, n=129)
+    seen = []
+
+    def probe(traj):
+        seen.append(traj)
+        return merit_J3(traj)
+
+    sweep(pulse, (0.0, 0.0, 1.0), alpha_grid=np.array([0.1]),
+          delta_grid=np.array([-0.2]), merit=probe)
+    direct = bloch_propagate(pulse, (0.0, 0.0, 1.0),
+                             ErrorParams(alpha=0.1, delta=-0.2))
+    (traj,) = seen
+    assert traj.times.tolist() == [pulse.times[-1]]
+    assert np.array_equal(traj.M, direct.M[-1:])
