@@ -146,18 +146,25 @@ def _rotation_about(axis, angle: float) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
 
 
+def _cross(a, b) -> np.ndarray:
+    """a x b of two float 3-vector arrays, bit for bit np.cross, but cheaper."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _rotation_between(a, b) -> np.ndarray:
     """Proper rotation taking unit vector a onto unit vector b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    w = np.cross(a, b)
+    w = _cross(a, b)
     s = np.linalg.norm(w)
     c = float(a @ b)
     if s < 1e-15:
         if c > 0.0:
             return np.eye(3)
         trial = _E1 if abs(a[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        perp = np.cross(a, trial)
+        perp = _cross(a, trial)
         return _rotation_about(perp / np.linalg.norm(perp), math.pi)
     return _rotation_about(w / s, math.atan2(s, c))
 
@@ -167,9 +174,9 @@ def _frame_angle(R, axis) -> float:
     a = np.asarray(axis, dtype=float)
     a = a / np.linalg.norm(a)
     trial = _E3 if abs(a[2]) < 0.9 else _E1
-    e = np.cross(a, trial)
+    e = _cross(a, trial)
     e /= np.linalg.norm(e)
-    f = np.cross(a, e)
+    f = _cross(a, e)
     Re = R @ e
     return math.atan2(f @ Re, e @ Re)
 
@@ -186,10 +193,14 @@ def _solve_bracketed(f, lo: float, hi: float, xtol: float = 1e-10,
                      flo: float | None = None, fhi: float | None = None):
     """Root of f on a sign-change bracket: bisection, then secant polish.
 
+    The bracket may come in either order; flo and fhi, when given, are
+    f(lo) and f(hi) as passed, and f is then never evaluated at lo or hi.
     Returns (x, f(x), converged).  Without a sign change the endpoint
     with the smaller |f| is returned unconverged, and so is the last secant
     iterate when the polish stalls or ends with the bracket wider than xtol.
     """
+    if lo > hi:
+        lo, hi, flo, fhi = hi, lo, fhi, flo
     flo = f(lo) if flo is None else flo
     fhi = f(hi) if fhi is None else fhi
     if flo == 0.0:
@@ -614,45 +625,58 @@ class SynthesisProgram:
         return concat(list(self.segments))
 
 
-def _loop_gate(p: TopParameters, axis_target, angle: float, n: int = 4096,
-               eps_lo: float = 5e-3, eps_hi: float = 0.9, scan: int = 96):
-    """Single orbit loop tuned to act as rot(axis_target, angle).
+def _loop_angle(p: TopParameters, eps: float, n: int) -> float:
+    """Rotation angle of one closed loop about its own base point."""
+    loop = tre_loop_pulse(p, eps, Family.ROTATING, n=n)
+    return _frame_angle(so3_final(loop), tre_initial(p, eps, Family.ROTATING))
 
-    The loop rotation angle about its own base point is scanned over eps,
-    unwrapped by continuity and solved against the requested angle mod
-    2 pi; the loop is then rigidly rotated so its measured axis matches.
+
+def _loop_scan(p: TopParameters, n: int, eps_lo: float = 5e-3,
+               eps_hi: float = 0.9, scan: int = 96):
+    """Loop angle on a descending log grid of eps, unwrapped by continuity.
+
+    Returns (es, raw, tots): the grid, the angles as measured in
+    (-pi, pi], and the same angles unwrapped along the grid.  It does not
+    depend on the target angle, so one scan serves every loop gate of a
+    synthesis.
     """
-    want = _util.wrap_angle(angle)
-
-    def tot_of(e: float) -> float:
-        loop = tre_loop_pulse(p, e, Family.ROTATING, n=n)
-        return _frame_angle(so3_final(loop), tre_initial(p, e, Family.ROTATING))
-
     es = np.geomspace(eps_hi, eps_lo, scan)
-    raw = [tot_of(float(e)) for e in es]
+    raw = [_loop_angle(p, float(e), n) for e in es]
     tots = [raw[0]]
     for v in raw[1:]:
         tots.append(tots[-1] + _util.wrap_angle(v - tots[-1]))
+    return es, raw, tots
 
-    bracket = None
-    for i in range(scan - 1):
+
+def _loop_gate(p: TopParameters, axis_target, angle: float, table, n: int):
+    """Single orbit loop tuned to act as rot(axis_target, angle).
+
+    table is the _loop_scan of (p, n).  Its unwrapped loop angles are
+    bracketed against the requested angle mod 2 pi, and the root is solved
+    from the scanned endpoint values; the loop is then rigidly rotated so
+    its measured axis matches.
+    """
+    want = _util.wrap_angle(angle)
+    es, raw, tots = table
+
+    def gap(e: float) -> float:
+        return _util.wrap_angle(_loop_angle(p, e, n) - want)
+
+    for i in range(len(es) - 1):
         a, b = tots[i], tots[i + 1]
         jlo = math.ceil((min(a, b) - want) / (2.0 * math.pi))
         jhi = math.floor((max(a, b) - want) / (2.0 * math.pi))
         if jlo <= jhi:
-            bracket = (float(es[i]), float(es[i + 1]))
+            # the grid descends, so es[i + 1] is the lower end
+            eps_star, _, converged = _solve_bracketed(
+                gap, float(es[i + 1]), float(es[i]), xtol=1e-10,
+                flo=_util.wrap_angle(raw[i + 1] - want),
+                fhi=_util.wrap_angle(raw[i] - want))
             break
-
-    def gap(e: float) -> float:
-        return _util.wrap_angle(tot_of(e) - want)
-
-    if bracket is None:
+    else:
         eps_star = float(es[int(np.argmin([abs(_util.wrap_angle(v - want))
                                            for v in raw]))])
         converged = False
-    else:
-        lo, hi = min(bracket), max(bracket)
-        eps_star, _, converged = _solve_bracketed(gap, lo, hi, xtol=1e-10)
 
     loop = tre_loop_pulse(p, eps_star, Family.ROTATING, n=n)
     q = spinor_quaternion(su2_final(loop))
@@ -677,8 +701,10 @@ def synthesize_one_qubit(U_target, p: TopParameters | None = None,
 
     Factors the target (up to global phase) as Rz(gamma) Rx(beta)
     Rz(alpha) and realizes each factor with a tuned orbit loop; an exact
-    pi about e1 uses the tuned NOT transfer instead.  Returns a
-    SynthesisProgram whose segments apply in time order.
+    pi about e1 uses the tuned NOT transfer instead.  The loop angle is
+    scanned over eps once, and that one table is shared by every loop
+    gate of the program.  Returns a SynthesisProgram whose segments apply
+    in time order.
     """
     p = TopParameters(0.5) if p is None else p
     U = np.asarray(U_target, dtype=complex)
@@ -700,23 +726,24 @@ def synthesize_one_qubit(U_target, p: TopParameters | None = None,
         gamma = 0.5 * (sum_ga + diff_ga)
         alpha = 0.5 * (sum_ga - diff_ga)
 
-    segments: list[ControlPulse] = []
-    labels: list[str] = []
-
-    def add_z(phase: float) -> None:
-        if abs(_util.wrap_angle(phase)) > angle_tol:
-            segments.append(_loop_gate(p, _E3, phase, n=n))
-            labels.append("z-loop")
-
-    add_z(alpha)
+    steps = []
+    if abs(_util.wrap_angle(alpha)) > angle_tol:
+        steps.append(("z-loop", _E3, alpha))
     if abs(_util.wrap_angle(beta - math.pi)) <= angle_tol:
-        _, not_pulse, _ = tune_not_gate(p, (0.001, 0.5), n=n)
-        segments.append(not_pulse)
-        labels.append("not")
+        steps.append(("not", None, None))
     elif abs(_util.wrap_angle(beta)) > angle_tol:
-        segments.append(_loop_gate(p, _E1, beta, n=n))
-        labels.append("x-loop")
-    add_z(gamma)
+        steps.append(("x-loop", _E1, beta))
+    if abs(_util.wrap_angle(gamma)) > angle_tol:
+        steps.append(("z-loop", _E3, gamma))
+
+    labels = [label for label, _, _ in steps]
+    table = _loop_scan(p, n) if set(labels) - {"not"} else None
+    segments: list[ControlPulse] = []
+    for label, axis, angle in steps:
+        if label == "not":
+            segments.append(tune_not_gate(p, (0.001, 0.5), n=n)[1])
+        else:
+            segments.append(_loop_gate(p, axis, angle, table, n=n))
 
     if segments:
         comp = np.eye(2, dtype=complex)

@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from blochtop import gates
 from blochtop.gates import (
     NOT_SU2,
     PhaseBudget,
+    _cross,
     _solve_bracketed,
     budget_defect,
     composite_bir_not,
@@ -156,6 +160,34 @@ def test_solve_bracketed_reports_stalled_secant_unconverged():
     assert converged is True and abs(x - 0.3) <= 1e-10
 
 
+def test_solve_bracketed_accepts_reversed_bracket():
+    # hi < lo must behave as the ordered bracket, not pass the final
+    # "bracket within xtol" check on a negative width
+    x, fx, converged = _solve_bracketed(
+        lambda x: -1.0 if x < 0.3 else 1.0, 1.0, 0.0)
+    assert abs(x - 0.3) < 1e-6 and abs(fx) == 1.0
+    assert converged is False
+    x, fx, converged = _solve_bracketed(lambda x: x * x - 0.09, 1.0, 0.0)
+    assert converged is True and abs(x - 0.3) <= 1e-10
+    x, fx, converged = _solve_bracketed(lambda x: x * x - 0.09, 1.0, 0.0,
+                                        flo=0.91, fhi=-0.09)
+    assert converged is True and abs(x - 0.3) <= 1e-10
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (1.0, 0.0)])
+def test_solve_bracketed_never_evaluates_given_endpoints(lo, hi):
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x * x - 0.09
+
+    x, _, converged = _solve_bracketed(f, lo, hi, flo=lo * lo - 0.09,
+                                       fhi=hi * hi - 0.09)
+    assert converged and abs(x - 0.3) <= 1e-10
+    assert seen and lo not in seen and hi not in seen
+
+
 def test_tune_not_rejects_bad_range():
     with pytest.raises(ValueError):
         tune_not_gate(TopParameters(0.5), (0.5, 0.1))
@@ -287,6 +319,38 @@ def test_synthesize_hadamard():
     assert prog.fidelity >= 1.0 - 1e-3
     assert prog.pulse is not None
     assert prog.pulse.duration > 0.0
+
+
+def test_synthesis_propagates_each_scan_point_once(monkeypatch):
+    built = []
+    finals = []
+    loop_pulse, final = gates.tre_loop_pulse, gates.so3_final
+
+    def counting_loop_pulse(p, eps, *args, **kwargs):
+        built.append(eps)
+        return loop_pulse(p, eps, *args, **kwargs)
+
+    def counting_final(*args, **kwargs):
+        finals.append(1)
+        return final(*args, **kwargs)
+
+    monkeypatch.setattr(gates, "tre_loop_pulse", counting_loop_pulse)
+    monkeypatch.setattr(gates, "so3_final", counting_final)
+    H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+    prog = synthesize_one_qubit(H, TopParameters(0.6), n=512)
+    assert prog.labels == ("z-loop", "x-loop", "z-loop")
+    for e in np.geomspace(0.9, 5e-3, 96):
+        assert built.count(float(e)) == 1
+    # one shared 96-point scan, then at most 20 bisections and 40 secant
+    # steps per gate plus its final loop; none of it re-runs a scan point
+    assert len(finals) <= 96 + 3 * 61
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.floats(-1e100, 1e100), min_size=6, max_size=6))
+def test_cross_is_np_cross_bit_for_bit(xs):
+    a, b = np.array(xs[:3]), np.array(xs[3:])
+    assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
 
 
 def test_synthesize_random_unitary():
