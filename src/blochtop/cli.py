@@ -15,6 +15,7 @@ import argparse
 import math
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -153,9 +154,8 @@ def _build_pulse(cfg: dict) -> ControlPulse:
 
 
 def _export_pulse(pulse: ControlPulse, path: Path, scale: float):
-    scaled = ControlPulse(pulse.times * scale, pulse.omega1, pulse.omega2,
-                          pulse.omega3, dict(pulse.meta))
-    write_pulse_csv(scaled, path, sidecar=False)
+    write_pulse_csv(replace(pulse, times=pulse.times * scale), path,
+                    sidecar=False)
 
 
 def _cmd_pulse(cfg: dict, out: Path) -> int:
@@ -179,11 +179,10 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
             {"final_state": [float(x) for x in traj.M[-1]]})
     if cfg["emit"] == "axis-angle":
         aap = axis_angle_path(su2_propagate(pulse, err))
-        data = np.column_stack([aap.times * scale, aap.axis, aap.angle,
-                                aap.degenerate.astype(float)])
         path2 = out / "axis_angle.csv"
-        np.savetxt(path2, data, delimiter=",", fmt="%.17g", comments="",
-                   header="t,n1,n2,n3,angle,degenerate")
+        _util.write_csv(path2, "t,n1,n2,n3,angle,degenerate", np.column_stack(
+            [aap.times * scale, aap.axis, aap.angle,
+             aap.degenerate.astype(float)]))
         _finish(path2, "simulate", cfg)
     return 0
 
@@ -200,7 +199,6 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
     merits = {"J3": merit_J3, "J2": merit_J2}
     if cfg["merit"] not in merits:
         raise UsageError(f"unknown merit {cfg['merit']!r}")
-    workers = cfg["workers"]
     preset = cfg["preset"]
     maps = []
 
@@ -211,7 +209,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
                          n=int(cfg["n"]))
         rmap = sweep(nmr_frame(base), (0.0, 1.0, 0.0),
                      np.linspace(-0.5, 0.5, 11), np.array([0.0]),
-                     merit=merit_J2, workers=workers)
+                     merit=merit_J2)
         path = out / "sweep.csv"
         write_map_csv(rmap, path, sidecar=False)
         _finish(path, "sweep", cfg, {"map_meta": rmap.meta})
@@ -223,7 +221,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
             pulse = tre_pulse(TopParameters(k), eps, branch, n=int(cfg["n"]))
             a, d = _sweep_grids(cfg, pulse)
             rmap = sweep(pulse, (0.0, 0.0, 1.0), a, d,
-                         merit=merits[cfg["merit"]], workers=workers)
+                         merit=merits[cfg["merit"]])
             path = out / f"sweep_k{k}.csv"
             write_map_csv(rmap, path, sidecar=False)
             _finish(path, "sweep", cfg, {"k": k, "map_meta": rmap.meta})
@@ -232,8 +230,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
         pulse = _build_pulse(cfg)
         m0 = _parse_vec3(cfg["m0"]) if cfg["m0"] is not None else (0.0, 0.0, 1.0)
         a, d = _sweep_grids(cfg, pulse)
-        rmap = sweep(pulse, m0, a, d, merit=merits[cfg["merit"]],
-                     workers=workers)
+        rmap = sweep(pulse, m0, a, d, merit=merits[cfg["merit"]])
         path = out / "sweep.csv"
         write_map_csv(rmap, path, sidecar=False)
         _finish(path, "sweep", cfg, {"map_meta": rmap.meta})

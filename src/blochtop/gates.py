@@ -19,7 +19,7 @@ outside the sphere, has positive geometric phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -236,6 +236,26 @@ def _solve_bracketed(f, lo: float, hi: float, xtol: float = 1e-10,
     return x1, f1, hi - lo <= xtol
 
 
+def _sign_changes(fs) -> list[int]:
+    """Intervals i, in grid order, with fs[i] == 0 or fs[i] fs[i + 1] < 0."""
+    return [i for i in range(len(fs) - 1)
+            if fs[i] == 0.0 or fs[i] * fs[i + 1] < 0.0]
+
+
+def _solve_scanned(f, xs, fs, i, xtol: float = 1e-10):
+    """(x, converged): root of f on the scanned bracket xs[i], xs[i + 1].
+
+    The solve starts from the scanned values fs = f(xs), so f is never
+    evaluated at a grid point.  With i None the grid point of smallest
+    |fs| comes back unconverged, and f is not called.
+    """
+    if i is None:
+        return float(xs[int(np.argmin(np.abs(fs)))]), False
+    x, _, converged = _solve_bracketed(f, float(xs[i]), float(xs[i + 1]),
+                                       xtol, flo=fs[i], fhi=fs[i + 1])
+    return x, converged
+
+
 # ---------------------------------------------------------------------------
 # gate reports
 
@@ -305,8 +325,8 @@ def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
 
     Scans the objective s(eps) on a log grid, gauging the involution
     axis by continuity along the scan so sign changes are genuine roots,
-    preferring the change at the largest eps (the shortest pulse), then
-    solves it to 1e-10.  Returns (eps, pulse, report); a missing sign
+    and solves the last sign change (the largest eps, the shortest pulse)
+    with _solve_scanned.  Returns (eps, pulse, report); a missing sign
     change is reported via report.converged, never raised.
     """
     lo, hi = float(eps_range[0]), float(eps_range[1])
@@ -334,26 +354,16 @@ def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
         axes.append(ax)
         fs.append(float(ax @ v1_of(float(x))))
 
-    bracket = None
-    for i in range(scan - 1, 0, -1):
-        if fs[i - 1] == 0.0 or fs[i - 1] * fs[i] < 0.0:
-            bracket = i - 1
-            break
-    if bracket is None:
-        j = int(np.argmin(np.abs(fs)))
-        eps_star, bracketed = float(xs[j]), False
-    else:
-        anchor = axes[bracket]
+    changes = _sign_changes(fs)
+    i = changes[-1] if changes else None
 
-        def s_of(e: float) -> float:
-            ax = raw_axis(e)
-            if float(ax @ anchor) < 0.0:
-                ax = -ax
-            return float(ax @ v1_of(e))
+    def s_of(e: float) -> float:
+        ax = raw_axis(e)
+        if float(ax @ axes[i]) < 0.0:
+            ax = -ax
+        return float(ax @ v1_of(e))
 
-        eps_star, _, bracketed = _solve_bracketed(
-            s_of, float(xs[bracket]), float(xs[bracket + 1]), xtol=1e-10,
-            flo=fs[bracket], fhi=fs[bracket + 1])
+    eps_star, bracketed = _solve_scanned(s_of, xs, fs, i)
 
     pulse, R, _ = _transfer_involution(p, eps_star, family, n)
     if family is Family.ROTATING:
@@ -383,9 +393,10 @@ def composite_bir_not(p: TopParameters, eps: float, n: int = 4096,
 
     The second segment runs the drive backwards with flipped sign, so the
     dynamical accumulation of the pair cancels identically.  eps seeds a
-    search for the nearest value where the pair closes into an exact pi
-    rotation; the composite is then rotated as a whole to put that axis
-    on e1.  Search diagnostics land in the returned pulse's meta.
+    log scan, and _solve_scanned takes the sign change nearest eps to
+    where the pair closes into an exact pi rotation; the composite is
+    then rotated as a whole to put that axis on e1.  Search diagnostics
+    land in the returned pulse's meta.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -399,16 +410,11 @@ def composite_bir_not(p: TopParameters, eps: float, n: int = 4096,
     hi = min(0.97, eps * 4.0)
     xs = np.geomspace(lo, hi, scan)
     fs = [g_of(float(x)) for x in xs]
-    brackets = [i for i in range(scan - 1)
-                if fs[i] == 0.0 or fs[i] * fs[i + 1] < 0.0]
-    if brackets:
-        mids = [math.sqrt(xs[i] * xs[i + 1]) for i in brackets]
-        i = brackets[int(np.argmin([abs(math.log(m / eps)) for m in mids]))]
-        eps_star, _, converged = _solve_bracketed(
-            g_of, float(xs[i]), float(xs[i + 1]), xtol=1e-10,
-            flo=fs[i], fhi=fs[i + 1])
-    else:
-        eps_star, converged = float(xs[int(np.argmin(np.abs(fs)))]), False
+    # nearest log-midpoint to the seed; a tie keeps the first
+    i = min(_sign_changes(fs),
+            key=lambda j: abs(math.log(math.sqrt(xs[j] * xs[j + 1]) / eps)),
+            default=None)
+    eps_star, converged = _solve_scanned(g_of, xs, fs, i)
 
     seg = tre_pulse(p, eps_star, Family.ROTATING, n=n)
     mate = transform_pulse(seg, reverse=True, s1=-1)
@@ -425,8 +431,7 @@ def composite_bir_not(p: TopParameters, eps: float, n: int = 4096,
     meta = {"kind": "composite_bir_not", "k": p.k, "eps": eps_star,
             "eps_seed": eps, "n": n, "fidelity": fid, "so3_residual": resid,
             "converged": bool(converged and fid >= 1.0 - 1e-4)}
-    return ControlPulse(aligned.times, aligned.omega1, aligned.omega2,
-                        aligned.omega3, meta)
+    return replace(aligned, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +489,11 @@ def design_phase_gate(target_phase: float, p_a: TopParameters, *,
     backwards, so only the geometric difference survives.  The free
     knobs are k of the second orbit (the outer root, setting the
     geometric sum) and its eps (the inner root, cancelling the dynamical
-    sum).  The composite is rotated so the base point sits on e3, making
-    the gate diagonal with relative phase equal to the geometric sum.
-    Returns (design, pulse, budget); infeasible targets come back with
-    converged False and the achieved budget.
+    sum), solved by _solve_scanned at the first sign change of one k scan
+    of the spread, per orientation.  The composite is rotated so the base
+    point sits on e3, making the gate diagonal with relative phase equal
+    to the geometric sum.  Returns (design, pulse, budget); infeasible
+    targets come back with converged False and the achieved budget.
     """
     phi = float(target_phase)
     if not 0.0 < phi < 2.0 * math.pi:
@@ -523,15 +529,12 @@ def design_phase_gate(target_phase: float, p_a: TopParameters, *,
     solved = None
     for orientation, phi_eff in (("reverse_first", phi),
                                  ("reverse_second", 2.0 * math.pi - phi)):
-        for i in range(len(ks) - 1):
-            lo_v, hi_v = ds[i] - phi_eff, ds[i + 1] - phi_eff
-            if lo_v == 0.0 or lo_v * hi_v < 0.0:
-                kb, _, ok = _solve_bracketed(
-                    lambda x: spread(x) - phi_eff, float(ks[i]),
-                    float(ks[i + 1]), xtol=1e-10, flo=lo_v, fhi=hi_v)
-                solved = (orientation, kb, ok)
-                break
-        if solved:
+        fs = [d - phi_eff for d in ds]
+        changes = _sign_changes(fs)
+        if changes:
+            kb, ok = _solve_scanned(lambda x: spread(x) - phi_eff, ks, fs,
+                                    changes[0])
+            solved = (orientation, kb, ok)
             break
     if solved is None:
         # report the closest achievable spread instead of failing
@@ -576,12 +579,12 @@ def _finish_phase_gate(phi, p_a, eps_a, p_b, eps_b, base, orientation, comp,
     else:
         dyn_sum = 0.0
         geo_sum = 0.0
-    total = _frame_angle(so3_final(aligned), _E3)
+    R = so3_final(aligned)
+    total = _frame_angle(R, _E3)
     budget = PhaseBudget(total=total, dynamical=dyn_sum, geometric=geo_sum)
     target_U = np.diag([np.exp(0.5j * phi), np.exp(-0.5j * phi)])
     fid = gate_fidelity(U, target_U)
-    resid = float(np.linalg.norm(
-        so3_final(aligned) - _rotation_about(_E3, -phi)))
+    resid = float(np.linalg.norm(R - _rotation_about(_E3, -phi)))
     phase_gap = abs(_util.wrap_angle(achieved - phi))
     residuals = {"off_diagonal": off_diag,
                  "dynamical_cancellation": abs(dyn_sum),
@@ -600,9 +603,7 @@ def _finish_phase_gate(phi, p_a, eps_a, p_b, eps_b, base, orientation, comp,
     meta = {"kind": "phase_gate", "k": p_a.k, "eps": eps_a,
             "k_b": p_b.k, "eps_b": eps_b, "target_phase": phi,
             "orientation": orientation}
-    pulse = ControlPulse(aligned.times, aligned.omega1, aligned.omega2,
-                         aligned.omega3, meta)
-    return design, pulse, budget
+    return design, replace(aligned, meta=meta), budget
 
 
 # ---------------------------------------------------------------------------
@@ -651,9 +652,9 @@ def _loop_scan(p: TopParameters, n: int, eps_lo: float = 5e-3,
 def _loop_gate(p: TopParameters, axis_target, angle: float, table, n: int):
     """Single orbit loop tuned to act as rot(axis_target, angle).
 
-    table is the _loop_scan of (p, n).  Its unwrapped loop angles are
-    bracketed against the requested angle mod 2 pi, and the root is solved
-    from the scanned endpoint values; the loop is then rigidly rotated so
+    table is the _loop_scan of (p, n).  The first interval whose unwrapped
+    loop angles cross the requested angle mod 2 pi is solved on the
+    wrapped gaps by _solve_scanned; the loop is then rigidly rotated so
     its measured axis matches.
     """
     want = _util.wrap_angle(angle)
@@ -662,21 +663,12 @@ def _loop_gate(p: TopParameters, axis_target, angle: float, table, n: int):
     def gap(e: float) -> float:
         return _util.wrap_angle(_loop_angle(p, e, n) - want)
 
-    for i in range(len(es) - 1):
-        a, b = tots[i], tots[i + 1]
-        jlo = math.ceil((min(a, b) - want) / (2.0 * math.pi))
-        jhi = math.floor((max(a, b) - want) / (2.0 * math.pi))
-        if jlo <= jhi:
-            # the grid descends, so es[i + 1] is the lower end
-            eps_star, _, converged = _solve_bracketed(
-                gap, float(es[i + 1]), float(es[i]), xtol=1e-10,
-                flo=_util.wrap_angle(raw[i + 1] - want),
-                fhi=_util.wrap_angle(raw[i] - want))
-            break
-    else:
-        eps_star = float(es[int(np.argmin([abs(_util.wrap_angle(v - want))
-                                           for v in raw]))])
-        converged = False
+    # first interval whose unwrapped angles pass a level want + 2 pi m
+    lv = [(t - want) / (2.0 * math.pi) for t in tots]
+    i = next((j for j, (a, b) in enumerate(zip(lv, lv[1:]))
+              if math.ceil(min(a, b)) <= math.floor(max(a, b))), None)
+    fs = [_util.wrap_angle(v - want) for v in raw]
+    eps_star, converged = _solve_scanned(gap, es, fs, i)
 
     loop = tre_loop_pulse(p, eps_star, Family.ROTATING, n=n)
     q = spinor_quaternion(su2_final(loop))
@@ -691,8 +683,7 @@ def _loop_gate(p: TopParameters, axis_target, angle: float, table, n: int):
     aligned = rotate_pulse(loop, W)
     meta = {"kind": "loop_gate", "k": p.k, "eps": eps_star,
             "angle": want, "n": n, "converged": bool(converged)}
-    return ControlPulse(aligned.times, aligned.omega1, aligned.omega2,
-                        aligned.omega3, meta)
+    return replace(aligned, meta=meta)
 
 
 def synthesize_one_qubit(U_target, p: TopParameters | None = None,

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _util
+
 _SIGMA = np.array([
     [[0.0, 1.0], [1.0, 0.0]],
     [[0.0, -1.0j], [1.0j, 0.0]],
@@ -278,9 +280,7 @@ def axis_angle_path(upath: PropagatorPath, tol: float = 1e-12) -> AxisAnglePath:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    data = np.column_stack([traj.times, traj.M])
-    np.savetxt(path, data, delimiter=",", fmt="%.17g", comments="",
-               header="t,M1,M2,M3")
+    _util.write_csv(path, "t,M1,M2,M3", np.column_stack([traj.times, traj.M]))
 
 
 def write_propagator_csv(ppath: PropagatorPath, path) -> None:
@@ -299,5 +299,4 @@ def write_propagator_csv(ppath: PropagatorPath, path) -> None:
                 cols.append(np.imag(ppath.U[:, i, j]))
                 names.append(f"ReU{i + 1}{j + 1}")
                 names.append(f"ImU{i + 1}{j + 1}")
-    np.savetxt(path, np.column_stack(cols), delimiter=",", fmt="%.17g",
-               comments="", header=",".join(names))
+    _util.write_csv(path, ",".join(names), np.column_stack(cols))

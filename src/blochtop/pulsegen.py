@@ -229,9 +229,8 @@ def pulse_sidecar_meta(pulse: ControlPulse) -> dict:
 
 def write_pulse_csv(pulse: ControlPulse, path, sidecar: bool = True) -> None:
     """Write t,omega1,omega2,omega3 rows; a .json sidecar carries the meta."""
-    data = np.column_stack([pulse.times, pulse.omega1, pulse.omega2, pulse.omega3])
-    np.savetxt(path, data, delimiter=",", fmt="%.17g", comments="",
-               header="t,omega1,omega2,omega3")
+    _util.write_csv(path, "t,omega1,omega2,omega3", np.column_stack(
+        [pulse.times, pulse.omega1, pulse.omega2, pulse.omega3]))
     if sidecar:
         _util.dump_json(pulse_sidecar_meta(pulse), str(path) + ".json")
 

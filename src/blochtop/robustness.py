@@ -125,14 +125,10 @@ def sweep(pulse: ControlPulse, M0, alpha_grid=None, delta_grid=None,
 
 def write_map_csv(rmap: RobustnessMap, path, sidecar: bool = True) -> None:
     """CSV rows alpha,delta,J,flag in grid order plus a JSON sidecar."""
-    lines = ["alpha,delta,J,flag"]
-    for i, a in enumerate(rmap.alpha_grid):
-        for j, d in enumerate(rmap.delta_grid):
-            lines.append(",".join([_util.fmt(a), _util.fmt(d),
-                                   _util.fmt(rmap.values[i, j]),
-                                   str(int(rmap.flags[i, j]))]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    alpha, delta = rmap.alpha_grid, rmap.delta_grid
+    _util.write_csv(path, "alpha,delta,J,flag", np.column_stack(
+        [np.repeat(alpha, len(delta)), np.tile(delta, len(alpha)),
+         rmap.values.ravel(), rmap.flags.ravel()]))
     if sidecar:
         _util.dump_json({"alpha_grid": [float(x) for x in rmap.alpha_grid],
                          "delta_grid": [float(x) for x in rmap.delta_grid],

@@ -188,6 +188,51 @@ def test_solve_bracketed_never_evaluates_given_endpoints(lo, hi):
     assert seen and lo not in seen and hi not in seen
 
 
+def _cubic(x):
+    return x**3 - 0.2
+
+
+def test_solve_scanned_never_evaluates_a_grid_point():
+    xs = np.linspace(0.0, 1.0, 11)
+    fs = [_cubic(float(x)) for x in xs]
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return _cubic(x)
+
+    i = gates._sign_changes(fs)[0]
+    x, converged = gates._solve_scanned(f, xs, fs, i)
+    assert converged and abs(x - 0.2 ** (1.0 / 3.0)) <= 1e-10
+    assert seen and not set(seen) & set(xs.tolist())
+
+
+def test_solve_scanned_without_bracket_keeps_smallest_scan_point():
+    def f(x):
+        raise AssertionError("f must not be called without a bracket")
+
+    xs = np.array([0.1, 0.2, 0.3, 0.4])
+    x, converged = gates._solve_scanned(f, xs, [3.0, -0.5, 0.25, 2.0], None)
+    assert x == 0.3 and type(x) is float and converged is False
+
+
+def test_solve_scanned_descending_bracket_same_bits():
+    xs = np.geomspace(0.05, 0.9, 17)
+    fs = [_cubic(float(x)) for x in xs]
+    i = gates._sign_changes(fs)[0]
+    up = gates._solve_scanned(_cubic, xs, fs, i)
+    down = gates._solve_scanned(_cubic, xs[::-1], fs[::-1], len(xs) - 2 - i)
+    assert up[1] and down == up
+
+
+def test_sign_changes_zero_counts_at_left_end_only():
+    assert gates._sign_changes([0.0, 1.0, 2.0]) == [0]
+    assert gates._sign_changes([1.0, 2.0, 0.0]) == []
+    assert gates._sign_changes([1.0, 0.0, 2.0]) == [1]
+    assert gates._sign_changes([1.0, -1.0, 2.0, 3.0, -4.0]) == [0, 1, 3]
+    assert gates._sign_changes([1.0]) == []
+
+
 def test_tune_not_rejects_bad_range():
     with pytest.raises(ValueError):
         tune_not_gate(TopParameters(0.5), (0.5, 0.1))
