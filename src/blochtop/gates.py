@@ -242,7 +242,7 @@ def _sign_changes(fs) -> list[int]:
             if fs[i] == 0.0 or fs[i] * fs[i + 1] < 0.0]
 
 
-def _solve_scanned(f, xs, fs, i, xtol: float = 1e-10):
+def _solve_scanned(f, xs, fs, i):
     """(x, converged): root of f on the scanned bracket xs[i], xs[i + 1].
 
     The solve starts from the scanned values fs = f(xs), so f is never
@@ -252,7 +252,7 @@ def _solve_scanned(f, xs, fs, i, xtol: float = 1e-10):
     if i is None:
         return float(xs[int(np.argmin(np.abs(fs)))]), False
     x, _, converged = _solve_bracketed(f, float(xs[i]), float(xs[i + 1]),
-                                       xtol, flo=fs[i], fhi=fs[i + 1])
+                                       xtol=1e-10, flo=fs[i], fhi=fs[i + 1])
     return x, converged
 
 
