@@ -270,11 +270,13 @@ def _cmd_gate(cfg: dict, out: Path) -> int:
                             design.converged)
     elif name == "hadamard":
         prog = synthesize_one_qubit(_HADAMARD, p, n=n)
+        infidelity = 1.0 - prog.fidelity
+        converged = (all(seg.meta["converged"] for seg in prog.segments)
+                     and infidelity <= 1e-6)
         report = GateReport("hadamard",
                             {"k": p.k, "segments": list(prog.labels)},
                             prog.fidelity, None,
-                            {"infidelity": 1.0 - prog.fidelity},
-                            prog.fidelity >= 1.0 - 1e-3)
+                            {"infidelity": infidelity}, converged)
         pulse = prog.pulse
     else:
         raise UsageError(f"unknown gate {name!r}")

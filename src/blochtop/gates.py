@@ -5,6 +5,17 @@ gate, BIR-style composite NOT pulses, two-orbit geometric phase gates
 with dynamical-phase cancellation, and one-qubit synthesis over those
 primitives.
 
+Transfer and loop pulses are read off free-top orbits, which are
+mirror-symmetric about their midpoints.  Every scan point and solver
+step of the NOT, composite-NOT and loop-gate searches, and the loop
+propagator of the Montgomery budget, therefore sample and propagate only
+the first half of the orbit (pulsegen._mirror_half,
+propagate._mirror_final), and orbit solid angles sum half the geodesic
+fan and double it.  The pulse a designer returns, and the fidelity and
+residuals of its report, are computed from the full pulse through the
+public propagators; rotated, offset, concatenated and user pulses never
+take the mirror route.
+
 Sign conventions frozen here (and locked by regression tests):
 the geometric term is minus the line integral of (1 - M3) dphi along
 the loop, so that the budget identity reads
@@ -24,9 +35,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _util
-from .propagate import gate_fidelity, so3_final, spinor_quaternion, su2_final
+from .propagate import (
+    _mirror_final,
+    _rotations,
+    gate_fidelity,
+    so3_final,
+    spinor_quaternion,
+    su2_final,
+)
 from .pulsegen import (
     ControlPulse,
+    _mirror_half,
     concat,
     inverse_pulse,
     rotate_pulse,
@@ -43,7 +62,6 @@ from .topdyn import (
     tre_initial,
 )
 
-_Z3 = np.diag([-1.0, -1.0, 1.0])
 _E1 = np.array([1.0, 0.0, 0.0])
 _E3 = np.array([0.0, 0.0, 1.0])
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -88,11 +106,14 @@ def geometric_phase(M) -> float:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[1] != 3 or M.shape[0] < 3:
         raise ValueError("need a loop of at least 3 samples of shape (n, 3)")
-    a = M
-    b = np.roll(M, -1, axis=0)
+    return -2.0 * _fan(M, np.roll(M, -1, axis=0))
+
+
+def _fan(a, b) -> float:
+    """Sum of the half-angle fan terms of the geodesic edges a[i] -> b[i]."""
     num = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     den = 1.0 + a[:, 2] + b[:, 2] + np.sum(a * b, axis=1)
-    return -2.0 * float(np.sum(np.arctan2(num, den)))
+    return float(np.sum(np.arctan2(num, den)))
 
 
 def dynamical_phase(pulse: ControlPulse, M) -> float:
@@ -103,11 +124,21 @@ def dynamical_phase(pulse: ControlPulse, M) -> float:
 
 def _orbit_geometric(p: TopParameters, eps: float, family: Family,
                      n: int = 4097) -> float:
-    # Richardson pair on uniform samples kills the h^2 polygon deficit
+    # Richardson pair on uniform samples kills the h^2 polygon deficit.
+    # The orbit is symmetric about its midpoint under the reflection in a
+    # vertical plane through e3 (L2 -> -L2 rotating, L1 -> -L1 oscillating),
+    # which maps each edge of the second half onto a reversed edge of the
+    # first with the same fan term: both sums run over the first half and
+    # double (-4 = 2 x the -2 of geometric_phase), which needs the
+    # midpoint on the every-other-sample grid too.
+    if n < 5 or (n - 1) % 4:
+        raise ValueError(f"n - 1 must be a positive multiple of 4, got n = {n}")
     T = orbit_period(p, eps, family)
-    t = np.linspace(0.0, T, n)
+    t = np.linspace(0.0, T, n)[:n // 2 + 1]
     L = analytic_trajectory(p, eps, family, t)
-    return (4.0 * geometric_phase(L) - geometric_phase(L[::2])) / 3.0
+    fine = -4.0 * _fan(L[:-1], L[1:])
+    coarse = -4.0 * _fan(L[:-2:2], L[2::2])
+    return (4.0 * fine - coarse) / 3.0
 
 
 def _orbit_dynamical(p: TopParameters, eps: float, family: Family) -> float:
@@ -119,13 +150,13 @@ def montgomery_phase(p: TopParameters, eps: float, family: Family,
                      n: int = 65537, closure_tol: float = 1e-6) -> PhaseBudget:
     """Phase budget of one full orbit period.
 
-    total is read off the SO(3) propagator of the full-period pulse as
-    the signed rotation angle about the starting point, dynamical is
-    2 E T, geometric is the signed solid angle of the orbit.
+    total is read off the propagator of the full-period loop pulse (by
+    the mirror route) as the signed rotation angle about the starting
+    point, dynamical is 2 E T, geometric is the signed solid angle of
+    the orbit.
     """
-    pulse = tre_loop_pulse(p, eps, family, n=n)
     base = tre_initial(p, eps, family)
-    R = so3_final(pulse)
+    R = _rotations(_mirror_final(_mirror_half(p, eps, family, n, loop=True)))
     if np.linalg.norm(R @ base - base) > closure_tol:
         raise ValueError(
             "loop does not close at this resolution; raise n or closure_tol")
@@ -303,20 +334,23 @@ def _coupling_defect(so3_residual: float, fidelity: float) -> float:
 # tuned NOT gate
 
 
-def _transfer_involution(p: TopParameters, eps: float, family: Family, n: int):
-    """Transfer pulse together with the axis of its involutive part.
+def _transfer_involution(p: TopParameters, eps: float, family: Family,
+                         n: int) -> np.ndarray:
+    """Axis of the involutive part P Z3 of the transfer propagator P.
 
-    The sampled transfer propagator P obeys (P Z3)^2 = 1 exactly, with
-    Z3 = diag(-1,-1,1), because the grid fields are symmetric about the
-    midpoint.  P Z3 is therefore a pi rotation whose axis lies in the
-    plane spanned by v1 = (c, 0, eps) and e2 (rotating family; swap the
-    first two slots for the oscillating one).  The axis sign is whatever
-    the eigenvector extraction produces; callers gauge it as needed.
-    The projection of the axis on v1 is the NOT tuning objective.
+    P comes from the mirror route, P = J A^-1 J^-1 . M . A with J = Z3 =
+    diag(-1,-1,1), so (P Z3)^2 = 1 holds by construction: exactly for
+    odd n, and up to the rounding of the middle step's omega3 (zero in
+    exact arithmetic) for even n.  P Z3 is therefore a pi rotation, the
+    vector part (q2, -q1, q0) of the quaternion q z3, whose axis lies in
+    the plane spanned by v1 = (c, 0, eps) and e2 (rotating family; swap
+    the first two slots for the oscillating one).  The axis sign is
+    whatever q carries; callers gauge it as needed.  The projection of
+    the axis on v1 is the NOT tuning objective.
     """
-    pulse = tre_pulse(p, eps, family, n=n)
-    R = so3_final(pulse)
-    return pulse, R, _pi_axis(R @ _Z3)
+    q0, q1, q2, _ = _mirror_final(_mirror_half(p, eps, family, n, loop=False))
+    axis = np.array([q2, -q1, q0])
+    return axis / np.linalg.norm(axis)
 
 
 def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
@@ -333,9 +367,6 @@ def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
     if not 0.0 < lo < hi < 1.0:
         raise ValueError("eps_range must satisfy 0 < lo < hi < 1")
 
-    def raw_axis(e: float) -> np.ndarray:
-        return _transfer_involution(p, e, family, n)[2]
-
     def v1_of(e: float) -> np.ndarray:
         c = math.sqrt(1.0 - e * e)
         if family is Family.ROTATING:
@@ -347,7 +378,7 @@ def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
     fs = []
     ref = None
     for x in xs:
-        ax = raw_axis(float(x))
+        ax = _transfer_involution(p, float(x), family, n)
         if ref is not None and float(ax @ ref) < 0.0:
             ax = -ax
         ref = ax
@@ -358,14 +389,15 @@ def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
     i = changes[-1] if changes else None
 
     def s_of(e: float) -> float:
-        ax = raw_axis(e)
+        ax = _transfer_involution(p, e, family, n)
         if float(ax @ axes[i]) < 0.0:
             ax = -ax
         return float(ax @ v1_of(e))
 
     eps_star, bracketed = _solve_scanned(s_of, xs, fs, i)
 
-    pulse, R, _ = _transfer_involution(p, eps_star, family, n)
+    pulse = tre_pulse(p, eps_star, family, n=n)
+    R = so3_final(pulse)
     if family is Family.ROTATING:
         target_R, target_U = NOT_SO3, NOT_SU2
     else:
@@ -403,7 +435,7 @@ def composite_bir_not(p: TopParameters, eps: float, n: int = 4096,
 
     def g_of(e: float) -> float:
         # axis-sign free: only the e1 component's magnitude enters
-        a = float(_transfer_involution(p, e, Family.ROTATING, n)[2][0])
+        a = float(_transfer_involution(p, e, Family.ROTATING, n)[0])
         return 2.0 * a * a - 1.0
 
     lo = max(1e-3, eps / 4.0)
@@ -628,8 +660,8 @@ class SynthesisProgram:
 
 def _loop_angle(p: TopParameters, eps: float, n: int) -> float:
     """Rotation angle of one closed loop about its own base point."""
-    loop = tre_loop_pulse(p, eps, Family.ROTATING, n=n)
-    return _frame_angle(so3_final(loop), tre_initial(p, eps, Family.ROTATING))
+    q = _mirror_final(_mirror_half(p, eps, Family.ROTATING, n, loop=True))
+    return _frame_angle(_rotations(q), tre_initial(p, eps, Family.ROTATING))
 
 
 def _loop_scan(p: TopParameters, n: int, eps_lo: float = 5e-3,

@@ -21,6 +21,13 @@ error pairs (alpha, delta).  The reduction pairs steps from the last one
 down, which is the product tree of the scan's last element, so a final
 propagator equals the endpoint of its path bit for bit, whether it is
 computed alone or inside a batch.
+
+A private mirror route (_mirror_final) serves gate design: the fields of
+an unrotated transfer or loop pulse on its own grid are mirror-symmetric
+about the midpoint, so the final propagator follows from the product of
+the first half's steps, a sign flip and the middle step.  It takes no
+error parameters.  The public propagators never use it and compose every
+step of whatever pulse they are given.
 """
 
 from __future__ import annotations
@@ -207,6 +214,24 @@ def _path(pulse, err: ErrorParams):
 
 def _final(pulse, err: ErrorParams):
     return _reduce(_steps(pulse, [err.alpha], [err.delta])[0])
+
+
+def _mirror_final(half):
+    """Final quaternion of a mirror-symmetric field table from its first
+    half (a pulsegen._MirrorHalf), with no error parameters.
+
+    Mirrored intervals carry the fields phi and -J phi, J the pi rotation
+    about e_axis, so their steps are q and J q^-1 J^-1.  With A the
+    product of the first-half steps and M the middle step (n even only),
+    the whole table propagates by J A^-1 J^-1 . M . A, and J A^-1 J^-1 is
+    A with the sign of its component along e_axis flipped.
+    """
+    steps = _steps(half, [0.0], [0.0])[0]
+    A = _reduce(steps[:-1] if half.middle else steps)
+    mirror = A.copy()  # J A^-1 J^-1
+    mirror[half.axis] = -mirror[half.axis]
+    MA = _qmul(steps[-1], A) if half.middle else A
+    return _unit(_qmul(mirror, MA))
 
 
 def bloch_propagate(pulse, M0, err: ErrorParams = ErrorParams()) -> Trajectory:

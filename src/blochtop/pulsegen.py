@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,6 +110,43 @@ def tre_loop_pulse(p: TopParameters, eps: float, family: Family, n: int = 2048,
     meta = {"kind": "tre_loop", "k": p.k, "eps": eps, "family": family.value,
             "n": n, "u_offset": u_offset}
     return ControlPulse(times, w1, w2, w3, meta)
+
+
+class _MirrorHalf(NamedTuple):
+    """First half of a field table that is mirror-symmetric about its
+    midpoint: samples 0 .. n // 2 of the n-sample grid.  middle marks
+    that the last interval is the middle one (n even), and the pi
+    rotation about e_axis maps each field step of the first half onto
+    the negative of its mirror step in the second."""
+
+    times: np.ndarray
+    fields: np.ndarray
+    middle: bool
+    axis: int
+
+
+def _mirror_half(p: TopParameters, eps: float, family: Family, n: int,
+                 loop: bool) -> _MirrorHalf:
+    """First half of the unrotated tre_pulse (loop False) or
+    tre_loop_pulse (loop True, u_offset 0) grid, without a ControlPulse.
+
+    About the midpoint of the transfer (u = 2K) omega1 is even and omega3
+    odd, so J is the pi rotation about e3 in both families.  About the
+    midpoint of the loop (u = 3K) both are even on a rotating orbit (J
+    about e2), while an oscillating orbit has omega1 odd and omega3 even
+    (J about e1).
+    """
+    _check_n(n)
+    oc = orbit_constants(p, eps, family)
+    times = np.linspace(0.0, (4.0 if loop else 2.0) * oc.K / oc.omega, n)
+    times = times[:n // 2 + 1]
+    fields = np.stack(_top_fields(p, analytic_trajectory(p, eps, family, times)),
+                      axis=-1)
+    if not loop:
+        axis = 3
+    else:
+        axis = 2 if family is Family.ROTATING else 1
+    return _MirrorHalf(times, fields, n % 2 == 0, axis)
 
 
 def allen_eberly_pulse(p: TopParameters, t0: float = 0.0, half_width: float = 12.0,

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from blochtop import cli
+from blochtop import cli, gates
 
 
 def run(args):
@@ -176,6 +176,25 @@ def test_gate_not_unconverged_exits_3_but_writes(tmp_path, capsys):
     report = json.loads((tmp_path / "gate_not.json").read_text())
     assert report["converged"] is False
     assert (tmp_path / "gate_not_pulse.csv").exists()
+
+
+def test_gate_hadamard_unconverged_segment_exits_3_but_writes(
+        tmp_path, capsys, monkeypatch):
+    solve = gates._solve_scanned
+
+    def unconverged(*args):
+        return solve(*args)[0], False
+
+    # same roots, so the fidelity alone would pass; the segment flags fail
+    monkeypatch.setattr(gates, "_solve_scanned", unconverged)
+    assert run(["gate", "hadamard", "--k", 0.6, "--n", 512,
+                "--out", tmp_path]) == 3
+    assert "did not converge" in capsys.readouterr().err
+    report = json.loads((tmp_path / "gate_hadamard.json").read_text())
+    assert report["converged"] is False
+    assert report["residuals"]["infidelity"] <= 1e-6
+    assert (tmp_path / "gate_hadamard_pulse.csv").exists()
+    assert (tmp_path / "gate_hadamard_pulse.csv.json").exists()
 
 
 def test_gate_phase_budget_reports_target(tmp_path):

@@ -369,18 +369,18 @@ def test_synthesize_hadamard():
 def test_synthesis_propagates_each_scan_point_once(monkeypatch):
     built = []
     finals = []
-    loop_pulse, final = gates.tre_loop_pulse, gates.so3_final
+    half, final = gates._mirror_half, gates._mirror_final
 
-    def counting_loop_pulse(p, eps, *args, **kwargs):
+    def counting_half(p, eps, *args, **kwargs):
         built.append(eps)
-        return loop_pulse(p, eps, *args, **kwargs)
+        return half(p, eps, *args, **kwargs)
 
     def counting_final(*args, **kwargs):
         finals.append(1)
         return final(*args, **kwargs)
 
-    monkeypatch.setattr(gates, "tre_loop_pulse", counting_loop_pulse)
-    monkeypatch.setattr(gates, "so3_final", counting_final)
+    monkeypatch.setattr(gates, "_mirror_half", counting_half)
+    monkeypatch.setattr(gates, "_mirror_final", counting_final)
     H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
     prog = synthesize_one_qubit(H, TopParameters(0.6), n=512)
     assert prog.labels == ("z-loop", "x-loop", "z-loop")
@@ -389,6 +389,23 @@ def test_synthesis_propagates_each_scan_point_once(monkeypatch):
     # one shared 96-point scan, then at most 20 bisections and 40 secant
     # steps per gate plus its final loop; none of it re-runs a scan point
     assert len(finals) <= 96 + 3 * 61
+
+
+@pytest.mark.parametrize("n", [4097, 32769])
+@pytest.mark.parametrize("family", list(Family))
+def test_orbit_geometric_half_fan_matches_full_loop(n, family):
+    for k, eps in ((0.35, 0.002), (0.6, 0.05), (0.9, 0.5)):
+        p = TopParameters(k)
+        L = analytic_trajectory(p, eps, family,
+                                np.linspace(0.0, orbit_period(p, eps, family), n))
+        full = (4.0 * geometric_phase(L) - geometric_phase(L[::2])) / 3.0
+        assert abs(gates._orbit_geometric(p, eps, family, n=n) - full) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 4096, 4098, 4099])
+def test_orbit_geometric_needs_n_minus_1_multiple_of_4(n):
+    with pytest.raises(ValueError):
+        gates._orbit_geometric(TopParameters(0.5), 0.1, Family.ROTATING, n=n)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

@@ -12,7 +12,10 @@ from scipy.integrate import solve_ivp
 from blochtop import robustness
 from blochtop.propagate import (
     ErrorParams,
+    _final,
+    _mirror_final,
     _reduce,
+    _rotations,
     _scan,
     _steps,
     adjoint_map,
@@ -26,10 +29,12 @@ from blochtop.propagate import (
 )
 from blochtop.pulsegen import (
     ControlPulse,
+    _mirror_half,
     concat,
     inverse_pulse,
     nmr_frame,
     rect_pi_pulse,
+    tre_loop_pulse,
     tre_pulse,
 )
 from blochtop.robustness import merit_J2, merit_J3, sweep
@@ -436,6 +441,24 @@ def test_reduce_is_last_scan_entry_bit_for_bit(pulse, pairs):
 def test_finals_are_path_endpoints_bit_for_bit(pulse, err):
     assert np.array_equal(so3_final(pulse, err), so3_propagate(pulse, err).R[-1])
     assert np.array_equal(su2_final(pulse, err), su2_propagate(pulse, err).U[-1])
+
+
+# odd and even n, and n - 1 a multiple of 4 (the orbit-geometric grids)
+_mirror_n = st.one_of(st.integers(16, 4097), st.sampled_from([513, 4096, 4097]))
+
+
+@PROPERTY
+@given(st.floats(0.2, 0.95), st.floats(1e-3, 0.8), _mirror_n,
+       st.sampled_from(Family), st.booleans())
+def test_mirror_final_matches_full_product(k, eps, n, family, loop):
+    p = TopParameters(k)
+    q = _mirror_final(_mirror_half(p, eps, family, n, loop))
+    pulse = (tre_loop_pulse if loop else tre_pulse)(p, eps, family, n=n)
+    assert np.max(np.abs(q - _final(pulse, ErrorParams()))) <= 1e-13
+    if not loop:
+        # the transfer involution (P Z3)^2 = 1
+        PZ = _rotations(q) @ np.diag([-1.0, -1.0, 1.0])
+        assert np.max(np.abs(PZ @ PZ - np.eye(3))) <= 1e-14
 
 
 @st.composite
