@@ -23,8 +23,9 @@ import numpy as np
 from . import _util
 from .gates import GateReport, budget_defect, design_phase_gate, \
     montgomery_phase, synthesize_one_qubit, tune_not_gate, write_gate_report
-from .propagate import ErrorParams, Trajectory, axis_angle_path, \
-    bloch_propagate, su2_propagate, write_trajectory_csv
+from .propagate import ErrorParams, Trajectory, \
+    _trajectory_and_axis_angle, bloch_propagate, write_axis_angle_csv, \
+    write_trajectory_csv
 from .pulsegen import ControlPulse, allen_eberly_pulse, nmr_frame, \
     pulse_sidecar_meta, read_pulse_csv, rect_pi_pulse, tre_loop_pulse, \
     tre_pulse, write_pulse_csv
@@ -172,17 +173,19 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
         raise UsageError(f"unknown emit mode {cfg['emit']!r}")
     err = ErrorParams(alpha=float(cfg["alpha"]), delta=float(cfg["delta"]))
     scale = float(cfg["time_scale"])
-    traj = bloch_propagate(pulse, _parse_vec3(cfg["m0"]), err)
+    M0 = _parse_vec3(cfg["m0"])
+    if cfg["emit"] == "axis-angle":
+        # one scan feeds both read-outs
+        traj, aap = _trajectory_and_axis_angle(pulse, M0, err)
+    else:
+        traj, aap = bloch_propagate(pulse, M0, err), None
     path = out / "trajectory.csv"
     write_trajectory_csv(Trajectory(traj.times * scale, traj.M), path)
     _finish(path, "simulate", cfg,
             {"final_state": [float(x) for x in traj.M[-1]]})
-    if cfg["emit"] == "axis-angle":
-        aap = axis_angle_path(su2_propagate(pulse, err))
+    if aap is not None:
         path2 = out / "axis_angle.csv"
-        _util.write_csv(path2, "t,n1,n2,n3,angle,degenerate", np.column_stack(
-            [aap.times * scale, aap.axis, aap.angle,
-             aap.degenerate.astype(float)]))
+        write_axis_angle_csv(aap, path2, scale)
         _finish(path2, "simulate", cfg)
     return 0
 

@@ -183,8 +183,10 @@ def _rotations(q):
 def _spinors(q):
     """SU(2) matrices q0 - i (q1, q2, q3) . sigma of quaternions (..., 4)."""
     shape = q.shape[:-1] + (2, 2)
-    q_sigma = (q[..., 1:] @ _SIGMA.reshape(3, 4)).reshape(shape)
-    return q[..., :1, None] * np.eye(2) - 1j * q_sigma
+    U = (q[..., 1:] @ _SIGMA.reshape(3, 4)).reshape(shape)
+    # in place: complex (n, 2, 2) temporaries set the peak memory of a path
+    np.multiply(1j, U, out=U)
+    return np.subtract(q[..., :1, None] * np.eye(2), U, out=U)
 
 
 def spinor_quaternion(U):
@@ -304,8 +306,25 @@ def axis_angle_path(upath: PropagatorPath, tol: float = 1e-12) -> AxisAnglePath:
     return AxisAnglePath(upath.times, axis, angle, degenerate)
 
 
+def _trajectory_and_axis_angle(pulse, M0, err: ErrorParams):
+    """bloch_propagate(pulse, M0, err) and axis_angle_path(su2_propagate(
+    pulse, err)) from one scan.  Both read the same quaternions through
+    the same formulas as the public pair, so the bits are theirs."""
+    q = _path(pulse, err)
+    traj = Trajectory(pulse.times, _rotations(q) @ _state(M0))
+    return traj, axis_angle_path(PropagatorPath(pulse.times, U=_spinors(q)))
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     _util.write_csv(path, "t,M1,M2,M3", np.column_stack([traj.times, traj.M]))
+
+
+def write_axis_angle_csv(aap: AxisAnglePath, path, scale: float = 1.0) -> None:
+    """Row per time sample: t * scale, axis, angle, then 1 for a
+    degenerate sample and 0 otherwise."""
+    _util.write_csv(path, "t,n1,n2,n3,angle,degenerate", np.column_stack(
+        [aap.times * scale, aap.axis, aap.angle,
+         aap.degenerate.astype(float)]))
 
 
 def write_propagator_csv(ppath: PropagatorPath, path) -> None:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from blochtop import cli, gates
+from blochtop import cli, gates, propagate
 
 
 def run(args):
@@ -106,6 +106,44 @@ def test_simulate_axis_angle_constant_axis_for_rect(tmp_path):
     assert np.all(live[:, 2] == 0.0)
     assert np.all(live[:, 3] == 0.0)
     assert abs(live[-1, 4] - math.pi) <= 1e-12
+
+
+@pytest.mark.parametrize("case", [
+    dict(family="rect", n=101),
+    dict(family="tre", k=0.6, eps=0.01, n=513, alpha=0.03, delta=-0.02,
+         m0="0.6,0,0.8"),
+])
+def test_simulate_axis_angle_scans_once_with_two_scan_bytes(
+        tmp_path, monkeypatch, case):
+    scans = []
+    scan = propagate._scan
+    monkeypatch.setattr(propagate, "_scan",
+                        lambda steps: scans.append(1) or scan(steps))
+    flags = [a for key, value in case.items() for a in (f"--{key}", value)]
+    assert run(["simulate", *flags, "--emit", "axis-angle",
+                "--time-scale", 2, "--out", tmp_path]) == 0
+    assert len(scans) == 1
+    monkeypatch.undo()
+
+    # the public two-scan composition, written by numpy
+    cfg = dict(cli._SPECS["simulate"], **case)
+    pulse = cli._build_pulse(cfg)
+    err = propagate.ErrorParams(cfg["alpha"], cfg["delta"])
+    m0 = [float(x) for x in cfg["m0"].split(",")]
+    traj = propagate.bloch_propagate(pulse, m0, err)
+    aap = propagate.axis_angle_path(propagate.su2_propagate(pulse, err))
+    assert aap.degenerate.any()
+    for name, header, table in [
+        ("trajectory.csv", "t,M1,M2,M3",
+         np.column_stack([traj.times * 2.0, traj.M])),
+        ("axis_angle.csv", "t,n1,n2,n3,angle,degenerate",
+         np.column_stack([aap.times * 2.0, aap.axis, aap.angle,
+                          aap.degenerate.astype(float)])),
+    ]:
+        np.savetxt(tmp_path / "ref.csv", table, fmt="%.17g", delimiter=",",
+                   comments="", header=header)
+        assert (tmp_path / name).read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
 
 
 def test_simulate_zero_duration_single_row(tmp_path):

@@ -2,6 +2,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -34,3 +35,23 @@ def test_write_csv_round_trips_doubles(tmp_path):
     _util.write_csv(tmp_path / "t.csv", "a,b,c,d", table)
     back = np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=1)
     assert back.tobytes() == table.tobytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, _util._CSV_BLOCK_ROWS - 1,
+                                  _util._CSV_BLOCK_ROWS,
+                                  _util._CSV_BLOCK_ROWS + 1,
+                                  2 * _util._CSV_BLOCK_ROWS + 3])
+@pytest.mark.parametrize("cols", [1, 4])
+def test_write_csv_matches_savetxt_across_blocks(tmp_path, rows, cols):
+    rng = np.random.default_rng(rows * 10 + cols)
+    table = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(
+        -300, 300, size=(rows, cols))
+    # a special value on every row, so on the first and last of each block
+    table[:, 0] = np.resize(_SPECIAL, rows)
+    header = ",".join(f"c{j}" for j in range(cols))
+    _util.write_csv(tmp_path / "t.csv", header, table)
+    # the reference: the numpy writer that write_csv replaced
+    np.savetxt(tmp_path / "ref.csv", table, fmt="%.17g", delimiter=",",
+               comments="", header=header)
+    assert (tmp_path / "t.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
