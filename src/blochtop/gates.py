@@ -341,15 +341,18 @@ def _transfer_involution(p: TopParameters, eps: float, family: Family,
     P comes from the mirror route, P = J A^-1 J^-1 . M . A with J = Z3 =
     diag(-1,-1,1), so (P Z3)^2 = 1 holds by construction: exactly for
     odd n, and up to the rounding of the middle step's omega3 (zero in
-    exact arithmetic) for even n.  P Z3 is therefore a pi rotation, the
-    vector part (q2, -q1, q0) of the quaternion q z3, whose axis lies in
-    the plane spanned by v1 = (c, 0, eps) and e2 (rotating family; swap
-    the first two slots for the oscillating one).  The axis sign is
-    whatever q carries; callers gauge it as needed.  The projection of
-    the axis on v1 is the NOT tuning objective.
+    exact arithmetic) for even n.  P Z3 is therefore a pi rotation.  The
+    mirror route returns the Cayley-Klein pair (a, b) of P, its SU(2)
+    element [[a, -b*], [b, a*]], and the axis of P Z3 is (Re b, Im b,
+    Re a), the vector part (q2, -q1, q0) of the quaternion q z3 with
+    (q0, q1, q2) = (Re a, -Im b, Re b).  It lies in the plane spanned by
+    v1 = (c, 0, eps) and e2 (rotating family; swap the first two slots
+    for the oscillating one).  The axis sign is whatever P carries;
+    callers gauge it as needed.  The projection of the axis on v1 is the
+    NOT tuning objective.
     """
-    q0, q1, q2, _ = _mirror_final(_mirror_half(p, eps, family, n, loop=False))
-    axis = np.array([q2, -q1, q0])
+    a, b = _mirror_final(_mirror_half(p, eps, family, n, loop=False))
+    axis = np.array([b.real, b.imag, a.real])
     return axis / np.linalg.norm(axis)
 
 

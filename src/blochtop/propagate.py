@@ -6,26 +6,32 @@ so the accumulated SU(2) propagator always covers the SO(3) rotation:
 adjoint_map(U(t)) = R(t).
 
 Each sampling interval is integrated with its field frozen at the
-average of the endpoint samples and exponentiated exactly, as the unit
-quaternion (cos(phi/2), sin(phi/2) n) of its rotation by phi about n.
-Every step is therefore an exact rotation and the trajectory error is
-second order in the sample spacing.  Static errors rescale the drive
-components by (1 + alpha) and shift the third component by delta before
-stepping.  One kernel composes the steps by the Hamilton product, in a
-prefix scan for paths and a pairwise reduction for final propagators,
-and reads rotation matrices, spinors q0 - i (q1, q2, q3) . sigma and
-Bloch vectors out of the accumulated quaternions.
+average of the endpoint samples and exponentiated exactly, as the
+Cayley-Klein pair (a, c) of its rotation by phi about n: the SU(2)
+element U = [[a, -c*], [c, a*]] with a = cos(phi/2) - i sin(phi/2) n3
+and c = sin(phi/2) (n2 - i n1).  Every step is therefore an exact
+rotation and the trajectory error is second order in the sample
+spacing.  Static errors rescale the drive components by (1 + alpha) and
+shift the third component by delta before stepping.  One kernel composes
+the steps by the product of pairs, a = a_p a_q - c_p* c_q and
+c = c_p a_q + a_p* c_q, in a prefix scan for paths and a pairwise
+reduction for final propagators, and reads rotation matrices, spinors
+and Bloch vectors out of the accumulated pairs.
 
 The kernel is batched: steps, scan and reduction carry a leading axis of
-error pairs (alpha, delta).  The reduction pairs steps from the last one
-down, which is the product tree of the scan's last element, so a final
-propagator equals the endpoint of its path bit for bit, whether it is
-computed alone or inside a batch.
+error pairs (alpha, delta), the sample axis at -2 and the pair (a, c)
+last, with a and c each stored as one contiguous complex plane along the
+sample axis.  The reduction pairs steps from the last one down, which is
+the product tree of the scan's last element, so a final propagator
+equals the endpoint of its path bit for bit, whether it is computed
+alone or inside a batch.  Every product and norm runs on arrays that
+keep the sample axis, even a final one of length 1: numpy rounds scalar
+arithmetic differently from its array loops.
 
 A private mirror route (_mirror_final) serves gate design: the fields of
 an unrotated transfer or loop pulse on its own grid are mirror-symmetric
 about the midpoint, so the final propagator follows from the product of
-the first half's steps, a sign flip and the middle step.  It takes no
+the first half's steps, a conjugation and the middle step.  It takes no
 error parameters.  The public propagators never use it and compose every
 step of whatever pulse they are given.
 """
@@ -43,7 +49,6 @@ _SIGMA = np.array([
     [[0.0, -1.0j], [1.0j, 0.0]],
     [[1.0, 0.0], [0.0, -1.0]],
 ], dtype=complex)
-_ONE = np.array([1.0, 0.0, 0.0, 0.0])  # identity quaternion
 
 
 @dataclass(frozen=True)
@@ -92,106 +97,140 @@ class AxisAnglePath:
     degenerate: np.ndarray
 
 
+def _pairs(S):
+    """Pairs (..., m, 2) read from planes S (2, ..., m): S[0] holds a and
+    S[1] holds c, each contiguous along the sample axis."""
+    return np.moveaxis(S, 0, -1)
+
+
 def _steps(pulse, alpha, delta):
-    """Quaternions (B, n - 1, 4) of every sampling interval, one row per
-    error pair (alpha[b], delta[b]): the rotation by the endpoint-averaged
+    """Pairs (B, n - 1, 2) of every sampling interval, one row per error
+    pair (alpha[b], delta[b]): the rotation by the endpoint-averaged
     effective field times the interval length."""
-    alpha = np.asarray(alpha, dtype=float)[:, None, None]
+    gain = 1.0 + np.asarray(alpha, dtype=float)[:, None]
     delta = np.asarray(delta, dtype=float)[:, None]
-    gain = np.ones((len(alpha), 1, 3))
-    gain[..., :2] = 1.0 + alpha
-    shift = np.zeros((len(delta), 1, 3))
-    shift[..., 2] = delta
-    w = pulse.fields * gain + shift
-    phi_vec = 0.5 * (w[:, 1:] + w[:, :-1]) * np.diff(pulse.times)[:, None]
-    phi = _norm(phi_vec)
-    scale = np.sin(0.5 * phi) / np.where(phi == 0.0, 1.0, phi)
-    return np.concatenate([np.cos(0.5 * phi)[..., None],
-                           phi_vec * scale[..., None]], axis=-1)
+    dt = np.diff(pulse.times)
+
+    def interval(w):
+        return 0.5 * (w[:, 1:] + w[:, :-1]) * dt
+
+    v1 = interval(pulse.omega1 * gain)
+    v2 = interval(pulse.omega2 * gain)
+    v3 = interval(pulse.omega3 + delta)
+    phi = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+    half = 0.5 * phi
+    s = np.sin(half) / np.where(phi == 0.0, 1.0, phi)
+    S = np.empty((2,) + phi.shape, dtype=complex)
+    np.cos(half, out=S[0].real)
+    np.multiply(s, v2, out=S[1].real)
+    np.negative(s, out=s)
+    np.multiply(s, v3, out=S[0].imag)
+    np.multiply(s, v1, out=S[1].imag)
+    return _pairs(S)
 
 
-def _qmul(p, q):
-    """Hamilton product p q of quaternion arrays (..., 4); q acts first."""
-    pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    out = np.empty_like(p)
-    out[..., 0] = pw * qw - px * qx - py * qy - pz * qz
-    out[..., 1] = pw * qx + px * qw + py * qz - pz * qy
-    out[..., 2] = pw * qy - px * qz + py * qw + pz * qx
-    out[..., 3] = pw * qz + px * qy - py * qx + pz * qw
+def _mul(p, q, out):
+    """Product p q of pair planes (2, ..., m) into out; q acts first.  out
+    may share memory with p or q."""
+    (pa, pc), (qa, qc) = p, q
+    # no complex product is taken in place: numpy runs an in-place product
+    # of one element through its reduction loop, which rounds differently
+    x = np.conj(pc) * qc
+    y = np.conj(pa) * qc
+    z = pc * qa
+    np.subtract(pa * qa, x, out=out[0])
+    np.add(z, y, out=out[1])
     return out
 
 
-def _norm(v):
-    return np.sqrt(np.einsum("...i,...i->...", v, v))
-
-
-def _unit(P):
+def _unit(S):
+    """Pair planes S (2, ..., m) rescaled in place to unit norm."""
     # rounding moves products off the unit sphere, under a nearly constant
-    # drive the same way at every step: rescale once at the end
-    return P / _norm(P)[..., None]
+    # drive the same way at every step: rescale once at the end.  The
+    # real and imaginary planes are divided by the real norm, since complex
+    # division rounds differently
+    x = S.view(float).reshape(S.shape + (2,))
+    sq = np.square(x)
+    x /= np.sqrt((sq[0, ..., 0] + sq[0, ..., 1])
+                 + (sq[1, ..., 0] + sq[1, ..., 1]))[..., None]
+    return S
 
 
-def _with_identity(steps):
-    P = np.empty(steps.shape[:-2] + (steps.shape[-2] + 1, 4))
-    P[..., 0, :] = _ONE
-    P[..., 1:, :] = steps
-    return P
+def _planes(steps):
+    """Planes (2, ..., n) of the identity followed by the pairs steps
+    (..., n - 1, 2)."""
+    S = np.empty((2,) + steps.shape[:-2] + (steps.shape[-2] + 1,), dtype=complex)
+    S[0, ..., 0] = 1.0
+    S[1, ..., 0] = 0.0
+    S[..., 1:] = np.moveaxis(steps, -1, 0)
+    return S
 
 
 def _scan(steps):
     """All left-accumulated products along axis -2: out[..., i, :] =
-    steps[i-1] ... steps[0], with out[..., 0, :] = 1.  Logarithmic number
-    of vectorized passes."""
-    P = _with_identity(steps)
+    steps[i-1] ... steps[0], with out[..., 0, :] the identity.
+    Logarithmic number of vectorized passes."""
+    S = _planes(steps)
     s = 1
-    while s < P.shape[-2]:
-        P[..., s:, :] = _qmul(P[..., s:, :], P[..., :-s, :])
+    while s < S.shape[-1]:
+        _mul(S[..., s:], S[..., :-s], S[..., s:])
         s *= 2
-    return _unit(P)
+    return _pairs(_unit(S))
+
+
+def _fold(S):
+    """Planes (2, ..., 1) of the product S[..., -1] ... S[..., 0].  Pairs
+    are anchored at the last element and an odd leading element is
+    carried, which is the product tree of the last entry of _scan."""
+    while S.shape[-1] > 1:
+        odd = S.shape[-1] % 2
+        T = np.empty(S.shape[:-1] + (S.shape[-1] // 2 + odd,), dtype=complex)
+        T[..., :odd] = S[..., :odd]
+        _mul(S[..., 1 + odd::2], S[..., odd::2], T[..., odd:])
+        S = T
+    return S
 
 
 def _reduce(steps):
     """Final products steps[-1] ... steps[0] along axis -2 by pairwise
-    reduction.  Pairs are anchored at the last step and an odd leading
-    element is carried, which is the product tree of the last entry of
-    _scan, so the result equals _scan(steps)[..., -1, :] bit for bit."""
-    P = _with_identity(steps)
-    while P.shape[-2] > 1:
-        odd = P.shape[-2] % 2
-        half = _qmul(P[..., 1 + odd::2, :], P[..., odd::2, :])
-        P = np.concatenate([P[..., :1, :], half], axis=-2) if odd else half
-    return _unit(P)[..., 0, :]
+    reduction; equals _scan(steps)[..., -1, :] bit for bit."""
+    return _pairs(_unit(_fold(_planes(steps))))[..., 0, :]
 
 
 def _rotations(q):
-    """Rotation matrices (..., 3, 3) of unit quaternions (..., 4)."""
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    """Rotation matrices (..., 3, 3) of unit pairs (..., 2)."""
+    a, c = q[..., 0], q[..., 1]
+    ar, ai, cr, ci = a.real, a.imag, c.real, c.imag
     R = np.empty(q.shape[:-1] + (3, 3))
-    R[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    R[..., 0, 1] = 2.0 * (x * y - w * z)
-    R[..., 0, 2] = 2.0 * (x * z + w * y)
-    R[..., 1, 0] = 2.0 * (x * y + w * z)
-    R[..., 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    R[..., 1, 2] = 2.0 * (y * z - w * x)
-    R[..., 2, 0] = 2.0 * (x * z - w * y)
-    R[..., 2, 1] = 2.0 * (y * z + w * x)
-    R[..., 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+    R[..., 0, 0] = 1.0 - 2.0 * (cr * cr + ai * ai)
+    R[..., 0, 1] = 2.0 * (ar * ai - ci * cr)
+    R[..., 0, 2] = 2.0 * (ci * ai + ar * cr)
+    R[..., 1, 0] = -2.0 * (ci * cr + ar * ai)
+    R[..., 1, 1] = 1.0 - 2.0 * (ci * ci + ai * ai)
+    R[..., 1, 2] = 2.0 * (ar * ci - cr * ai)
+    R[..., 2, 0] = 2.0 * (ci * ai - ar * cr)
+    R[..., 2, 1] = -2.0 * (cr * ai + ar * ci)
+    R[..., 2, 2] = 1.0 - 2.0 * (ci * ci + cr * cr)
     return R
 
 
 def _spinors(q):
-    """SU(2) matrices q0 - i (q1, q2, q3) . sigma of quaternions (..., 4)."""
-    shape = q.shape[:-1] + (2, 2)
-    U = (q[..., 1:] @ _SIGMA.reshape(3, 4)).reshape(shape)
-    # in place: complex (n, 2, 2) temporaries set the peak memory of a path
-    np.multiply(1j, U, out=U)
-    return np.subtract(q[..., :1, None] * np.eye(2), U, out=U)
+    """SU(2) matrices [[a, -c*], [c, a*]] of pairs (..., 2)."""
+    a, c = q[..., 0], q[..., 1]
+    # written in place: complex (n, 2, 2) temporaries set the peak memory
+    # of a path
+    U = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
+    U[..., 0, 0] = a
+    np.negative(np.conj(c, out=U[..., 0, 1]), out=U[..., 0, 1])
+    U[..., 1, 0] = c
+    np.conj(a, out=U[..., 1, 1])
+    return U
 
 
 def spinor_quaternion(U):
-    """Quaternions (..., 4) of SU(2) elements (..., 2, 2); inverts the
-    spinor read-out of the propagators exactly."""
+    """Quaternions (..., 4) of SU(2) elements (..., 2, 2), the q of
+    U = q0 - i (q1, q2, q3) . sigma; inverts the spinor read-out of the
+    propagators exactly."""
     U = np.asarray(U, dtype=complex)
     q = np.empty(U.shape[:-2] + (4,))
     q[..., 0] = 0.5 * np.real(U[..., 0, 0] + U[..., 1, 1])
@@ -208,8 +247,6 @@ def _state(M0):
     return M0
 
 
-# a single pair drops the batch axis before composing: numpy's loops run
-# measurably slower on (1, n, 4) slices than on (n, 4) ones
 def _path(pulse, err: ErrorParams):
     return _scan(_steps(pulse, [err.alpha], [err.delta])[0])
 
@@ -219,21 +256,29 @@ def _final(pulse, err: ErrorParams):
 
 
 def _mirror_final(half):
-    """Final quaternion of a mirror-symmetric field table from its first
-    half (a pulsegen._MirrorHalf), with no error parameters.
+    """Final pair of a mirror-symmetric field table from its first half
+    (a pulsegen._MirrorHalf), with no error parameters.
 
     Mirrored intervals carry the fields phi and -J phi, J the pi rotation
     about e_axis, so their steps are q and J q^-1 J^-1.  With A the
     product of the first-half steps and M the middle step (n even only),
-    the whole table propagates by J A^-1 J^-1 . M . A, and J A^-1 J^-1 is
-    A with the sign of its component along e_axis flipped.
+    the whole table propagates by J A^-1 J^-1 . M . A.  J A^-1 J^-1 is A
+    with its component along e_axis negated: a -> a* about e3, c -> c*
+    about e1 and c -> -c* about e2.
     """
     steps = _steps(half, [0.0], [0.0])[0]
-    A = _reduce(steps[:-1] if half.middle else steps)
+    A = _unit(_fold(_planes(steps[:-1] if half.middle else steps)))
     mirror = A.copy()  # J A^-1 J^-1
-    mirror[half.axis] = -mirror[half.axis]
-    MA = _qmul(steps[-1], A) if half.middle else A
-    return _unit(_qmul(mirror, MA))
+    if half.axis == 3:
+        np.conj(mirror[0], out=mirror[0])
+    else:
+        np.conj(mirror[1], out=mirror[1])
+        if half.axis == 2:
+            np.negative(mirror[1], out=mirror[1])
+    if half.middle:
+        # the middle step keeps its sample axis of length 1
+        A = _mul(np.moveaxis(steps[-1:], -1, 0), A, np.empty_like(A))
+    return _pairs(_unit(_mul(mirror, A, np.empty_like(A))))[0]
 
 
 def bloch_propagate(pulse, M0, err: ErrorParams = ErrorParams()) -> Trajectory:
@@ -308,8 +353,8 @@ def axis_angle_path(upath: PropagatorPath, tol: float = 1e-12) -> AxisAnglePath:
 
 def _trajectory_and_axis_angle(pulse, M0, err: ErrorParams):
     """bloch_propagate(pulse, M0, err) and axis_angle_path(su2_propagate(
-    pulse, err)) from one scan.  Both read the same quaternions through
-    the same formulas as the public pair, so the bits are theirs."""
+    pulse, err)) from one scan.  Both read the same pairs through the
+    same formulas as the public pair of calls, so the bits are theirs."""
     q = _path(pulse, err)
     traj = Trajectory(pulse.times, _rotations(q) @ _state(M0))
     return traj, axis_angle_path(PropagatorPath(pulse.times, U=_spinors(q)))

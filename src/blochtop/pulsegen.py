@@ -114,13 +114,16 @@ def tre_loop_pulse(p: TopParameters, eps: float, family: Family, n: int = 2048,
 
 class _MirrorHalf(NamedTuple):
     """First half of a field table that is mirror-symmetric about its
-    midpoint: samples 0 .. n // 2 of the n-sample grid.  middle marks
-    that the last interval is the middle one (n even), and the pi
-    rotation about e_axis maps each field step of the first half onto
-    the negative of its mirror step in the second."""
+    midpoint: samples 0 .. n // 2 of the n-sample grid, with the field
+    components named as on a ControlPulse.  middle marks that the last
+    interval is the middle one (n even), and the pi rotation about
+    e_axis maps each field step of the first half onto the negative of
+    its mirror step in the second."""
 
     times: np.ndarray
-    fields: np.ndarray
+    omega1: np.ndarray
+    omega2: np.ndarray
+    omega3: np.ndarray
     middle: bool
     axis: int
 
@@ -140,13 +143,12 @@ def _mirror_half(p: TopParameters, eps: float, family: Family, n: int,
     oc = orbit_constants(p, eps, family)
     times = np.linspace(0.0, (4.0 if loop else 2.0) * oc.K / oc.omega, n)
     times = times[:n // 2 + 1]
-    fields = np.stack(_top_fields(p, analytic_trajectory(p, eps, family, times)),
-                      axis=-1)
+    fields = _top_fields(p, analytic_trajectory(p, eps, family, times))
     if not loop:
         axis = 3
     else:
         axis = 2 if family is Family.ROTATING else 1
-    return _MirrorHalf(times, fields, n % 2 == 0, axis)
+    return _MirrorHalf(times, *fields, n % 2 == 0, axis)
 
 
 def allen_eberly_pulse(p: TopParameters, t0: float = 0.0, half_width: float = 12.0,

@@ -13,6 +13,7 @@ from blochtop import robustness
 from blochtop.propagate import (
     ErrorParams,
     _final,
+    _final_states,
     _mirror_final,
     _reduce,
     _rotations,
@@ -441,6 +442,36 @@ def test_reduce_is_last_scan_entry_bit_for_bit(pulse, pairs):
 def test_finals_are_path_endpoints_bit_for_bit(pulse, err):
     assert np.array_equal(so3_final(pulse, err), so3_propagate(pulse, err).R[-1])
     assert np.array_equal(su2_final(pulse, err), su2_propagate(pulse, err).U[-1])
+
+
+def short_table(n):
+    """A fixed random field table of n samples, with zero-width samples
+    once there are at least three intervals."""
+    rng = np.random.default_rng(n)
+    dts = rng.uniform(0.0, 0.5, n - 1)
+    dts[rng.integers(0, n - 1, size=(n - 1) // 3)] = 0.0
+    w = rng.uniform(-3.0, 3.0, (3, n))
+    return ControlPulse(np.concatenate([[0.0], np.cumsum(dts)]), *w)
+
+
+# n = 2..17 reaches every reduction depth up to five levels, with and
+# without an odd carry; the last products have one element and must round
+# like the long ones
+@pytest.mark.parametrize("n", range(2, 18))
+def test_short_finals_are_path_endpoints_bit_for_bit(n):
+    pulse = short_table(n)
+    err = ErrorParams(alpha=0.3, delta=-0.7)
+    assert np.array_equal(so3_final(pulse, err), so3_propagate(pulse, err).R[-1])
+    assert np.array_equal(su2_final(pulse, err), su2_propagate(pulse, err).U[-1])
+    alpha = np.array([-0.4, -0.1, 0.0, 0.2, 0.5])
+    delta = np.array([0.9, -0.3, 0.0, 0.6, -1.0])
+    M0 = np.array([0.6, 0.0, 0.8])
+    batch = _final_states(pulse, M0, alpha, delta)
+    for b in range(5):
+        alone = _final_states(pulse, M0, alpha[b:b + 1], delta[b:b + 1])
+        assert np.array_equal(batch[b], alone[0])
+        err = ErrorParams(alpha=alpha[b], delta=delta[b])
+        assert np.array_equal(batch[b], bloch_propagate(pulse, M0, err).M[-1])
 
 
 # odd and even n, and n - 1 a multiple of 4 (the orbit-geometric grids)
