@@ -5,16 +5,22 @@ gate, BIR-style composite NOT pulses, two-orbit geometric phase gates
 with dynamical-phase cancellation, and one-qubit synthesis over those
 primitives.
 
+Each design scans its free parameter on a grid and solves the chosen
+sign change with one Brent solver (_solve_scanned over
+_solve_bracketed), started from the scanned values at the bracket ends.
+
 Transfer and loop pulses are read off free-top orbits, which are
 mirror-symmetric about their midpoints.  Every scan point and solver
 step of the NOT, composite-NOT and loop-gate searches, and the loop
 propagator of the Montgomery budget, therefore sample and propagate only
 the first half of the orbit (pulsegen._mirror_half,
 propagate._mirror_final), and orbit solid angles sum half the geodesic
-fan and double it.  The pulse a designer returns, and the fidelity and
-residuals of its report, are computed from the full pulse through the
-public propagators; rotated, offset, concatenated and user pulses never
-take the mirror route.
+fan and double it.  A scan samples each point's half on its own and
+stacks the halves in chunks of rows, one _mirror_final call per chunk,
+with the bits of the point-by-point calls.  The pulse a designer
+returns, and the fidelity and residuals of its report, are computed
+from the full pulse through the public propagators; rotated, offset,
+concatenated and user pulses never take the mirror route.
 
 Sign conventions frozen here (and locked by regression tests):
 the geometric term is minus the line integral of (1 - M3) dphi along
@@ -30,12 +36,14 @@ outside the sphere, has positive geometric phase.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _util
 from .propagate import (
+    _CHUNK_SAMPLES,
     _mirror_final,
     _rotations,
     gate_fidelity,
@@ -61,6 +69,12 @@ from .topdyn import (
     orbit_period,
     tre_initial,
 )
+
+_EPS = sys.float_info.epsilon
+# Brent's method takes at most about (log2(width / xtol))**2 steps, under
+# 2,000 for the brackets and tolerances of gate design; the cap only
+# stops a solve whose f is not finite
+_BRENT_STEPS = 10_000
 
 _E1 = np.array([1.0, 0.0, 0.0])
 _E3 = np.array([0.0, 0.0, 1.0])
@@ -222,13 +236,18 @@ def _pi_axis(P) -> np.ndarray:
 
 def _solve_bracketed(f, lo: float, hi: float, xtol: float = 1e-10,
                      flo: float | None = None, fhi: float | None = None):
-    """Root of f on a sign-change bracket: bisection, then secant polish.
+    """Root of f on a sign-change bracket by Brent's method (Brent 1973,
+    ch. 4): inverse quadratic or secant steps, with a bisection whenever
+    they fail to shrink the bracket fast enough.
 
     The bracket may come in either order; flo and fhi, when given, are
     f(lo) and f(hi) as passed, and f is then never evaluated at lo or hi.
-    Returns (x, f(x), converged).  Without a sign change the endpoint
-    with the smaller |f| is returned unconverged, and so is the last secant
-    iterate when the polish stalls or ends with the bracket wider than xtol.
+    Returns (x, f(x), converged), x the end of the final bracket with the
+    smaller |f|.  converged holds when f(x) == 0, or when the final
+    bracket is at most xtol + 4 eps |x| wide and |f(x)| is at most
+    1e3 xtol times the secant slope |fhi - flo| / |hi - lo| of the bracket
+    as given, so a jump in f is never reported as a root.  Without a
+    sign change the endpoint with the smaller |f| is returned unconverged.
     """
     if lo > hi:
         lo, hi, flo, fhi = hi, lo, fhi, flo
@@ -240,31 +259,44 @@ def _solve_bracketed(f, lo: float, hi: float, xtol: float = 1e-10,
         return hi, 0.0, True
     if flo * fhi > 0.0:
         return (lo, flo, False) if abs(flo) <= abs(fhi) else (hi, fhi, False)
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid, 0.0, True
-        if flo * fmid < 0.0:
-            hi, fhi = mid, fmid
+    ftol = 1e3 * xtol * abs(fhi - flo) / (hi - lo)
+    # b is the best iterate, c the other end of the bracket [b, c] and a
+    # the previous b; d is the last step and e the one before it
+    a, fa, b, fb = lo, flo, hi, fhi
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(_BRENT_STEPS):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        tol = 2.0 * _EPS * abs(b) + 0.5 * xtol
+        m = 0.5 * (c - b)
+        if fb == 0.0 or abs(m) <= tol or math.isnan(fb):
+            return b, fb, fb == 0.0 or abs(fb) <= ftol
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
         else:
-            lo, flo = mid, fmid
-    x0, f0, x1, f1 = lo, flo, hi, fhi
-    for _ in range(40):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not lo < x2 < hi:
-            x2 = 0.5 * (lo + hi)
-        f2 = f(x2)
-        if f2 == 0.0 or abs(x2 - x1) <= xtol:
-            return x2, f2, True
-        if flo * f2 < 0.0:
-            hi, fhi = x2, f2
-        else:
-            lo, flo = x2, f2
-        x0, f0, x1, f1 = x1, f1, x2, f2
-    return x1, f1, hi - lo <= xtol
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                d, e = p / q, d
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+    return b, fb, False
 
 
 def _sign_changes(fs) -> list[int]:
@@ -276,14 +308,16 @@ def _sign_changes(fs) -> list[int]:
 def _solve_scanned(f, xs, fs, i):
     """(x, converged): root of f on the scanned bracket xs[i], xs[i + 1].
 
-    The solve starts from the scanned values fs = f(xs), so f is never
-    evaluated at a grid point.  With i None the grid point of smallest
-    |fs| comes back unconverged, and f is not called.
+    A Brent solve (_solve_bracketed) to xtol 1e-13 that starts from the
+    scanned values fs = f(xs), so f is never evaluated at a grid point;
+    converged carries the solver's check on bracket width and residual.
+    With i None the grid point of smallest |fs| comes back unconverged,
+    and f is not called.
     """
     if i is None:
         return float(xs[int(np.argmin(np.abs(fs)))]), False
     x, _, converged = _solve_bracketed(f, float(xs[i]), float(xs[i + 1]),
-                                       xtol=1e-10, flo=fs[i], fhi=fs[i + 1])
+                                       xtol=1e-13, flo=fs[i], fhi=fs[i + 1])
     return x, converged
 
 
@@ -334,6 +368,33 @@ def _coupling_defect(so3_residual: float, fidelity: float) -> float:
 # tuned NOT gate
 
 
+def _scan_finals(p: TopParameters, xs, family: Family, n: int,
+                 loop: bool) -> np.ndarray:
+    """Mirror-route final pairs (len(xs), 2) at the scan points xs.
+
+    Each point is sampled by its own _mirror_half call; the halves are
+    stacked in chunks of _CHUNK_SAMPLES // (n // 2 + 1) rows, and each
+    chunk propagates in one _mirror_final call.  Row j has the bits of
+    the single-point call at xs[j].
+    """
+    rows = max(1, _CHUNK_SAMPLES // (n // 2 + 1))
+    finals = []
+    for start in range(0, len(xs), rows):
+        halves = [_mirror_half(p, float(e), family, n, loop=loop)
+                  for e in xs[start:start + rows]]
+        finals.append(_mirror_final(halves[0]._replace(**{
+            name: np.stack([getattr(h, name) for h in halves])
+            for name in ("times", "omega1", "omega2", "omega3")})))
+    return np.concatenate(finals)
+
+
+def _involution_axis(q) -> np.ndarray:
+    """Unit axis (Re c, Im c, Re a) of P Z3, from the transfer pair (a, c)."""
+    a, c = q
+    axis = np.array([c.real, c.imag, a.real])
+    return axis / np.linalg.norm(axis)
+
+
 def _transfer_involution(p: TopParameters, eps: float, family: Family,
                          n: int) -> np.ndarray:
     """Axis of the involutive part P Z3 of the transfer propagator P.
@@ -342,18 +403,25 @@ def _transfer_involution(p: TopParameters, eps: float, family: Family,
     diag(-1,-1,1), so (P Z3)^2 = 1 holds by construction: exactly for
     odd n, and up to the rounding of the middle step's omega3 (zero in
     exact arithmetic) for even n.  P Z3 is therefore a pi rotation.  The
-    mirror route returns the Cayley-Klein pair (a, b) of P, its SU(2)
-    element [[a, -b*], [b, a*]], and the axis of P Z3 is (Re b, Im b,
+    mirror route returns the Cayley-Klein pair (a, c) of P, its SU(2)
+    element [[a, -c*], [c, a*]], and the axis of P Z3 is (Re c, Im c,
     Re a), the vector part (q2, -q1, q0) of the quaternion q z3 with
-    (q0, q1, q2) = (Re a, -Im b, Re b).  It lies in the plane spanned by
-    v1 = (c, 0, eps) and e2 (rotating family; swap the first two slots
-    for the oscillating one).  The axis sign is whatever P carries;
-    callers gauge it as needed.  The projection of the axis on v1 is the
-    NOT tuning objective.
+    (q0, q1, q2) = (Re a, -Im c, Re c).  It lies in the plane spanned by
+    v1 = (sqrt(1 - eps^2), 0, eps) and e2 (rotating family; swap the
+    first two slots for the oscillating one).  The axis sign is whatever
+    P carries; callers gauge it as needed.  The projection of the axis
+    on v1 is the NOT tuning objective.
     """
-    a, b = _mirror_final(_mirror_half(p, eps, family, n, loop=False))
-    axis = np.array([b.real, b.imag, a.real])
-    return axis / np.linalg.norm(axis)
+    return _involution_axis(
+        _mirror_final(_mirror_half(p, eps, family, n, loop=False)))
+
+
+def _involution_scan(p: TopParameters, xs, family: Family,
+                     n: int) -> list:
+    """_transfer_involution at every scan point, bit for bit, from one
+    _mirror_final call per chunk of points."""
+    return [_involution_axis(q)
+            for q in _scan_finals(p, xs, family, n, loop=False)]
 
 
 def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
@@ -380,8 +448,7 @@ def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
     axes = []
     fs = []
     ref = None
-    for x in xs:
-        ax = _transfer_involution(p, float(x), family, n)
+    for x, ax in zip(xs, _involution_scan(p, xs, family, n)):
         if ref is not None and float(ax @ ref) < 0.0:
             ax = -ax
         ref = ax
@@ -436,15 +503,18 @@ def composite_bir_not(p: TopParameters, eps: float, n: int = 4096,
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
 
-    def g_of(e: float) -> float:
+    def g(axis) -> float:
         # axis-sign free: only the e1 component's magnitude enters
-        a = float(_transfer_involution(p, e, Family.ROTATING, n)[0])
+        a = float(axis[0])
         return 2.0 * a * a - 1.0
+
+    def g_of(e: float) -> float:
+        return g(_transfer_involution(p, e, Family.ROTATING, n))
 
     lo = max(1e-3, eps / 4.0)
     hi = min(0.97, eps * 4.0)
     xs = np.geomspace(lo, hi, scan)
-    fs = [g_of(float(x)) for x in xs]
+    fs = [g(ax) for ax in _involution_scan(p, xs, Family.ROTATING, n)]
     # nearest log-midpoint to the seed; a tie keeps the first
     i = min(_sign_changes(fs),
             key=lambda j: abs(math.log(math.sqrt(xs[j] * xs[j + 1]) / eps)),
@@ -506,7 +576,8 @@ class PhaseGateDesign:
 
 
 def _match_dynamical(p_b: TopParameters, dyn_target: float):
-    """eps on the second orbit with the same dynamical phase per loop."""
+    """(eps, residual, converged): eps on the second orbit with the same
+    dynamical phase per loop, by a Brent solve to xtol 1e-13."""
 
     def h(e: float) -> float:
         return _orbit_dynamical(p_b, e, Family.ROTATING) - dyn_target
@@ -582,7 +653,7 @@ def design_phase_gate(target_phase: float, p_a: TopParameters, *,
 
     orientation, k_b, converged = solved
     p_b = TopParameters(k_b)
-    eps_b, _, _ = _match_dynamical(p_b, dyn_a)
+    eps_b, _, matched = _match_dynamical(p_b, dyn_a)
 
     base = tre_initial(p_a, eps_a, Family.ROTATING)
     loop_a = tre_loop_pulse(p_a, eps_a, Family.ROTATING, n=n)
@@ -594,7 +665,7 @@ def design_phase_gate(target_phase: float, p_a: TopParameters, *,
         comp = concat([loop_a, inverse_pulse(loop_b)])
     W = _rotation_between(base, _E3)
     return _finish_phase_gate(phi, p_a, eps_a, p_b, eps_b, base, orientation,
-                              comp, W, converged)
+                              comp, W, converged and matched)
 
 
 def _finish_phase_gate(phi, p_a, eps_a, p_b, eps_b, base, orientation, comp,
@@ -677,7 +748,11 @@ def _loop_scan(p: TopParameters, n: int, eps_lo: float = 5e-3,
     synthesis.
     """
     es = np.geomspace(eps_hi, eps_lo, scan)
-    raw = [_loop_angle(p, float(e), n) for e in es]
+    # _loop_angle at each point, bit for bit, one propagation per chunk
+    raw = [_frame_angle(_rotations(q),
+                        tre_initial(p, float(e), Family.ROTATING))
+           for e, q in zip(es, _scan_finals(p, es, Family.ROTATING, n,
+                                            loop=True))]
     tots = [raw[0]]
     for v in raw[1:]:
         tots.append(tots[-1] + _util.wrap_angle(v - tots[-1]))

@@ -32,8 +32,9 @@ A private mirror route (_mirror_final) serves gate design: the fields of
 an unrotated transfer or loop pulse on its own grid are mirror-symmetric
 about the midpoint, so the final propagator follows from the product of
 the first half's steps, a conjugation and the middle step.  It takes no
-error parameters.  The public propagators never use it and compose every
-step of whatever pulse they are given.
+error parameters, and a stack of halves on one grid length propagates in
+one call.  The public propagators never use it and compose every step of
+whatever pulse they are given.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _util
+
+# samples propagated per batch of sweep cells or gate scan points: large
+# enough to share the numpy call overhead over many rows, small enough to
+# keep peak memory flat
+_CHUNK_SAMPLES = 2 ** 14
 
 _SIGMA = np.array([
     [[0.0, 1.0], [1.0, 0.0]],
@@ -265,9 +271,13 @@ def _mirror_final(half):
     the whole table propagates by J A^-1 J^-1 . M . A.  J A^-1 J^-1 is A
     with its component along e_axis negated: a -> a* about e3, c -> c*
     about e1 and c -> -c* about e2.
+
+    A half whose arrays carry a leading row axis, (B, m) tables on grids
+    of one length with one middle flag and axis, returns the (B, 2) final
+    pairs in one pass; row b has the bits of the call on row b alone.
     """
-    steps = _steps(half, [0.0], [0.0])[0]
-    A = _unit(_fold(_planes(steps[:-1] if half.middle else steps)))
+    steps = _steps(half, [0.0], [0.0])
+    A = _unit(_fold(_planes(steps[..., :-1, :] if half.middle else steps)))
     mirror = A.copy()  # J A^-1 J^-1
     if half.axis == 3:
         np.conj(mirror[0], out=mirror[0])
@@ -277,8 +287,9 @@ def _mirror_final(half):
             np.negative(mirror[1], out=mirror[1])
     if half.middle:
         # the middle step keeps its sample axis of length 1
-        A = _mul(np.moveaxis(steps[-1:], -1, 0), A, np.empty_like(A))
-    return _pairs(_unit(_mul(mirror, A, np.empty_like(A))))[0]
+        A = _mul(np.moveaxis(steps[..., -1:, :], -1, 0), A, np.empty_like(A))
+    q = _pairs(_unit(_mul(mirror, A, np.empty_like(A))))[..., 0, :]
+    return q if np.ndim(half.times) > 1 else q[0]
 
 
 def bloch_propagate(pulse, M0, err: ErrorParams = ErrorParams()) -> Trajectory:

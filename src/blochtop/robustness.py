@@ -2,13 +2,14 @@
 
 Sweeps the miscalibration pair (alpha, delta) over a grid and records a
 scalar merit of the final state.  Cells are propagated in chunks of
-about _CHUNK_SAMPLES samples, one pairwise product reduction per chunk,
-and the merit is called once per cell, in grid order, on a one-sample
-Trajectory holding that cell's final state.  A cell's value has the same
-bits as the last sample of bloch_propagate under its error pair, so it
-does not depend on the rest of the grid or on the chunking.  A failing
-cell, or one whose error pair or merit is not finite, is flagged and set
-to NaN instead of aborting the grid, and its reason is recorded.
+about propagate._CHUNK_SAMPLES samples, the batch size that gate scans
+share, one pairwise product reduction per chunk, and the merit is called
+once per cell, in grid order, on a one-sample Trajectory holding that
+cell's final state.  A cell's value has the same bits as the last sample
+of bloch_propagate under its error pair, so it does not depend on the
+rest of the grid or on the chunking.  A failing cell, or one whose error
+pair or merit is not finite, is flagged and set to NaN instead of
+aborting the grid, and its reason is recorded.
 """
 
 from __future__ import annotations
@@ -19,13 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _util
-from .propagate import Trajectory, _final_states
+from .propagate import _CHUNK_SAMPLES, Trajectory, _final_states
 from .pulsegen import ControlPulse, pulse_sidecar_meta
 from .topdyn import Family, TopParameters, transfer_period
-
-# samples propagated per batch of cells: large enough to share the numpy
-# call overhead over many cells, small enough to keep peak memory flat
-_CHUNK_SAMPLES = 2 ** 14
 
 
 def merit_J3(traj: Trajectory) -> float:

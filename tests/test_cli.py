@@ -304,3 +304,24 @@ def test_sweep_warning_counts_failures_per_reason(tmp_path, capsys):
     assert side["map_meta"]["failed_cells"] == [
         {"index": [0, 0], "reason": "non-finite error parameter"},
         {"index": [0, 1], "reason": "non-finite error parameter"}]
+
+
+def test_gate_design_imports_numpy_only(tmp_path):
+    # scipy, mpmath and hypothesis are test references only; a gate run
+    # must not import them (a scipy import alone doubles start-up time)
+    code = (
+        "import sys\n"
+        "from blochtop import cli\n"
+        "out = sys.argv[1]\n"
+        "codes = [cli.main(['gate', 'not', '--n', '512', '--out', out]),\n"
+        "         cli.main(['gate', 'phase', '--target', '1.0', '--n', '512',\n"
+        "                   '--out', out]),\n"
+        "         cli.main(['gate', 'hadamard', '--n', '512', '--out', out])]\n"
+        "print(codes)\n"
+        "print(sorted({'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = proc.stdout.splitlines()[-2:]
+    assert codes == "[0, 0, 0]"
+    assert loaded == "[]"

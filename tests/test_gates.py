@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -433,3 +433,105 @@ def test_geometric_phase_input_validation():
         geometric_phase(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         geometric_phase(np.zeros((5, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Brent solver properties
+
+
+@st.composite
+def smooth_roots(draw):
+    """A smooth monotone f with its root r inside a bracket (lo, hi)."""
+    r = draw(st.floats(-10.0, 10.0))
+    width = draw(st.floats(1e-3, 10.0))
+    u = draw(st.floats(0.001, 0.999))
+    lo, hi = r - u * width, r + (1.0 - u) * width
+    kind = draw(st.sampled_from(["cubic", "exp", "atan"]))
+    # steepness s keeps s * width <= 20: smooth on the scale of the bracket
+    s = draw(st.floats(0.01, 20.0)) / width
+    amp = draw(st.floats(1e-3, 1e3)) * draw(st.sampled_from([-1.0, 1.0]))
+    if kind == "cubic":
+        def f(x):
+            return amp * (x - r) * (1.0 + (s * (x - r)) ** 2)
+    elif kind == "exp":
+        def f(x):
+            return amp * math.expm1(s * (x - r))
+    else:
+        def f(x):
+            return amp * math.atan(s * (x - r))
+    assume(f(lo) * f(hi) < 0.0)
+    return f, r, lo, hi
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(smooth_roots(), st.floats(1e-13, 1e-6), st.booleans())
+def test_brent_converges_on_smooth_monotone_roots(case, xtol, reverse):
+    f, r, lo, hi = case
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return f(x)
+
+    a, b = (hi, lo) if reverse else (lo, hi)
+    x, fx, converged = _solve_bracketed(g, a, b, xtol=xtol, flo=f(a), fhi=f(b))
+    assert converged
+    assert fx == f(x)
+    assert abs(x - r) <= xtol + 4.0 * np.finfo(float).eps * abs(r)
+    assert lo not in seen and hi not in seen
+    assert len(seen) <= 2 * math.ceil(math.log2((hi - lo) / xtol)) + 4
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.floats(-10.0, 10.0), st.floats(1e-3, 10.0), st.floats(0.001, 0.999),
+       st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.booleans())
+def test_brent_leaves_a_jump_unconverged(jump, width, u, below, above, rising):
+    lo, hi = jump - u * width, jump + (1.0 - u) * width
+    sign = 1.0 if rising else -1.0
+
+    def f(x):
+        return sign * (-below if x < jump else above)
+
+    assert f(lo) * f(hi) < 0.0
+    x, fx, converged = _solve_bracketed(f, lo, hi, flo=f(lo), fhi=f(hi))
+    assert converged is False
+    assert abs(x - jump) < 1e-6
+    assert fx == f(x)
+
+
+# ---------------------------------------------------------------------------
+# batched scans and the phase gate's solves
+
+
+@pytest.mark.parametrize("n", [511, 512])
+def test_scan_tables_equal_per_point_values_bit_for_bit(n):
+    p = TopParameters(0.6)
+    for family in Family:
+        xs = np.geomspace(0.001, 0.5, 64)
+        for x, axis in zip(xs, gates._involution_scan(p, xs, family, n)):
+            single = gates._transfer_involution(p, float(x), family, n)
+            assert axis.tobytes() == single.tobytes()
+    es, raw, _ = gates._loop_scan(p, n)
+    assert raw == [gates._loop_angle(p, float(e), n) for e in es]
+
+
+def test_phase_gate_reports_unconverged_inner_solve(monkeypatch):
+    p = TopParameters(0.5)
+    design, _, _ = design_phase_gate(math.pi / 2.0, p, n=2049)
+    assert design.converged
+    match = gates._match_dynamical
+
+    def unconverged(p_b, dyn_target):
+        return match(p_b, dyn_target)[:2] + (False,)
+
+    monkeypatch.setattr(gates, "_match_dynamical", unconverged)
+    design, _, _ = design_phase_gate(math.pi / 2.0, p, n=2049)
+    assert design.converged is False
+
+
+def test_phase_gate_outer_solve_lands_on_the_root():
+    # a solve that stops anywhere within 1e-10 of the root in k leaves a
+    # geometric mismatch near 6e-10 on this target
+    design, _, _ = design_phase_gate(1.45002, TopParameters(0.643546), n=4096)
+    assert design.converged
+    assert design.residuals["geometric_mismatch"] <= 1e-11

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from blochtop import robustness
+from blochtop import gates, robustness
 from blochtop.propagate import (
     ErrorParams,
     _final,
@@ -490,6 +490,44 @@ def test_mirror_final_matches_full_product(k, eps, n, family, loop):
         # the transfer involution (P Z3)^2 = 1
         PZ = _rotations(q) @ np.diag([-1.0, -1.0, 1.0])
         assert np.max(np.abs(PZ @ PZ - np.eye(3))) <= 1e-14
+
+
+def _stacked(halves):
+    return halves[0]._replace(**{
+        name: np.stack([getattr(h, name) for h in halves])
+        for name in ("times", "omega1", "omega2", "omega3")})
+
+
+@pytest.mark.parametrize("n", [257, 512])
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("loop", [False, True])
+def test_stacked_mirror_final_rows_are_single_calls_bit_for_bit(n, family,
+                                                                 loop):
+    p = TopParameters(0.55)
+    halves = [_mirror_half(p, eps, family, n, loop)
+              for eps in np.geomspace(2e-3, 0.7, 5)]
+    batch = _mirror_final(_stacked(halves))
+    assert batch.shape == (5, 2)
+    for row, half in zip(batch, halves):
+        assert row.tobytes() == _mirror_final(half).tobytes()
+    assert _mirror_final(_stacked(halves[:1]))[0].tobytes() == \
+        _mirror_final(halves[0]).tobytes()
+
+
+@pytest.mark.parametrize("n", [257, 512])
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("loop", [False, True])
+def test_scan_finals_in_short_chunks_are_single_calls_bit_for_bit(
+        monkeypatch, n, family, loop):
+    # 3 rows per chunk over 7 points: chunks of 3, 3 and 1
+    monkeypatch.setattr(gates, "_CHUNK_SAMPLES", 3 * (n // 2 + 1) + 2)
+    p = TopParameters(0.8)
+    xs = np.geomspace(1e-3, 0.6, 7)
+    finals = gates._scan_finals(p, xs, family, n, loop)
+    assert finals.shape == (7, 2)
+    for x, row in zip(xs, finals):
+        single = _mirror_final(_mirror_half(p, float(x), family, n, loop))
+        assert row.tobytes() == single.tobytes()
 
 
 @st.composite
