@@ -118,7 +118,7 @@ def _parse_grid(text):
     parts = [float(x) for x in str(text).split(",")]
     if len(parts) == 1:
         return np.array(parts)
-    if len(parts) == 3 and parts[2] >= 1 and parts[1] >= parts[0]:
+    if len(parts) == 3 and 1 <= parts[2] < math.inf and parts[1] >= parts[0]:
         return np.linspace(parts[0], parts[1], int(round(parts[2])))
     raise UsageError("grid must be 'value' or 'lo,hi,count'")
 
@@ -198,51 +198,45 @@ def _sweep_grids(cfg: dict, pulse: ControlPulse):
     return a, d
 
 
-def _cmd_sweep(cfg: dict, out: Path) -> int:
-    merits = {"J3": merit_J3, "J2": merit_J2}
-    if cfg["merit"] not in merits:
-        raise UsageError(f"unknown merit {cfg['merit']!r}")
+def _sweep_maps(cfg: dict, merit):
+    """(file name, sidecar extra, pulse, M0, grids, merit) of each map of
+    the sweep, each pulse built only when its map is due."""
     preset = cfg["preset"]
-    maps = []
-
     if preset == "experiment":
         k = float(cfg["k"]) if cfg["k"] is not None else 0.5
         eps = float(cfg["eps"]) if cfg["eps"] is not None else 0.01
         base = tre_pulse(TopParameters(k), eps, _parse_branch(cfg["branch"]),
                          n=int(cfg["n"]))
-        rmap = sweep(nmr_frame(base), (0.0, 1.0, 0.0),
-                     np.linspace(-0.5, 0.5, 11), np.array([0.0]),
-                     merit=merit_J2)
-        path = out / "sweep.csv"
-        write_map_csv(rmap, path, sidecar=False)
-        _finish(path, "sweep", cfg, {"map_meta": rmap.meta})
-        maps.append(rmap)
+        yield ("sweep.csv", {}, nmr_frame(base), (0.0, 1.0, 0.0),
+               (np.linspace(-0.5, 0.5, 11), np.array([0.0])), merit_J2)
     elif preset == "four-k":
         eps = float(cfg["eps"]) if cfg["eps"] is not None else 0.01
         branch = _parse_branch(cfg["branch"])
         for k in (0.2, 0.6, 0.9, 0.99):
             pulse = tre_pulse(TopParameters(k), eps, branch, n=int(cfg["n"]))
-            a, d = _sweep_grids(cfg, pulse)
-            rmap = sweep(pulse, (0.0, 0.0, 1.0), a, d,
-                         merit=merits[cfg["merit"]])
-            path = out / f"sweep_k{k}.csv"
-            write_map_csv(rmap, path, sidecar=False)
-            _finish(path, "sweep", cfg, {"k": k, "map_meta": rmap.meta})
-            maps.append(rmap)
+            yield (f"sweep_k{k}.csv", {"k": k}, pulse, (0.0, 0.0, 1.0),
+                   _sweep_grids(cfg, pulse), merit)
     elif preset is None:
         pulse = _build_pulse(cfg)
         m0 = _parse_vec3(cfg["m0"]) if cfg["m0"] is not None else (0.0, 0.0, 1.0)
-        a, d = _sweep_grids(cfg, pulse)
-        rmap = sweep(pulse, m0, a, d, merit=merits[cfg["merit"]])
-        path = out / "sweep.csv"
-        write_map_csv(rmap, path, sidecar=False)
-        _finish(path, "sweep", cfg, {"map_meta": rmap.meta})
-        maps.append(rmap)
+        yield "sweep.csv", {}, pulse, m0, _sweep_grids(cfg, pulse), merit
     else:
         raise UsageError(f"unknown preset {preset!r}")
 
-    reasons = Counter(cell["reason"] for rmap in maps
-                      for cell in rmap.meta.get("failed_cells", ()))
+
+def _cmd_sweep(cfg: dict, out: Path) -> int:
+    merits = {"J3": merit_J3, "J2": merit_J2}
+    if cfg["merit"] not in merits:
+        raise UsageError(f"unknown merit {cfg['merit']!r}")
+    reasons = Counter()
+    for name, extra, pulse, m0, grids, merit in _sweep_maps(
+            cfg, merits[cfg["merit"]]):
+        rmap = sweep(pulse, m0, *grids, merit=merit)
+        path = out / name
+        write_map_csv(rmap, path, sidecar=False)
+        _finish(path, "sweep", cfg, dict(extra, map_meta=rmap.meta))
+        reasons.update(cell["reason"]
+                       for cell in rmap.meta.get("failed_cells", ()))
     if reasons:
         counts = ", ".join(f"{r}: {c}" for r, c in sorted(reasons.items()))
         print(f"warning: {sum(reasons.values())} sweep cells failed ({counts})",
@@ -437,6 +431,8 @@ def main(argv=None) -> int:
         spec = dict(_SPECS[args.command])
         spec.update(_GLOBAL)
         cfg = _effective(args, file_cfg, spec)
+        if not 0.0 < float(cfg["time_scale"]) < math.inf:
+            raise UsageError("--time-scale must be finite and positive")
         out = Path(args.out or file_cfg.get("out") or ".")
         out.mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](cfg, out)

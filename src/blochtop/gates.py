@@ -13,14 +13,15 @@ Transfer and loop pulses are read off free-top orbits, which are
 mirror-symmetric about their midpoints.  Every scan point and solver
 step of the NOT, composite-NOT and loop-gate searches, and the loop
 propagator of the Montgomery budget, therefore sample and propagate only
-the first half of the orbit (pulsegen._mirror_half,
-propagate._mirror_final), and orbit solid angles sum half the geodesic
-fan and double it.  A scan samples each point's half on its own and
-stacks the halves in chunks of rows, one _mirror_final call per chunk,
-with the bits of the point-by-point calls.  The pulse a designer
-returns, and the fidelity and residuals of its report, are computed
-from the full pulse through the public propagators; rotated, offset,
-concatenated and user pulses never take the mirror route.
+the first half of the orbit, and orbit solid angles sum half the
+geodesic fan and double it.  One evaluator, _scan_finals, serves them
+all: it samples each point's half (pulsegen._mirror_half) and stacks
+the halves in chunks of rows, one propagate._mirror_final call per
+chunk, with the bits of the 1-D calls; a solver step or the Montgomery
+loop is a chunk of one row.  The pulse a designer returns, and the
+fidelity and residuals of its report, are computed from the full pulse
+through the public propagators; rotated, offset, concatenated and user
+pulses never take the mirror route.
 
 Sign conventions frozen here (and locked by regression tests):
 the geometric term is minus the line integral of (1 - M3) dphi along
@@ -170,7 +171,7 @@ def montgomery_phase(p: TopParameters, eps: float, family: Family,
     the orbit.
     """
     base = tre_initial(p, eps, family)
-    R = _rotations(_mirror_final(_mirror_half(p, eps, family, n, loop=True)))
+    R = _rotations(_scan_finals(p, [eps], family, n, loop=True)[0])
     if np.linalg.norm(R @ base - base) > closure_tol:
         raise ValueError(
             "loop does not close at this resolution; raise n or closure_tol")
@@ -370,34 +371,38 @@ def _coupling_defect(so3_residual: float, fidelity: float) -> float:
 
 def _scan_finals(p: TopParameters, xs, family: Family, n: int,
                  loop: bool) -> np.ndarray:
-    """Mirror-route final pairs (len(xs), 2) at the scan points xs.
-
-    Each point is sampled by its own _mirror_half call; the halves are
-    stacked in chunks of _CHUNK_SAMPLES // (n // 2 + 1) rows, and each
-    chunk propagates in one _mirror_final call.  Row j has the bits of
-    the single-point call at xs[j].
+    """Mirror-route final pairs (len(xs), 2) at the scan points xs: the
+    one orbit evaluator of gate design, for whole scans, solver steps and
+    the Montgomery loop alike (chunks of one row).  Each point is sampled
+    by its own _mirror_half call; the halves are stacked in chunks of
+    _CHUNK_SAMPLES // (n // 2 + 1) rows, and each chunk propagates in one
+    _mirror_final call.  Row j has the bits of the 1-D call at xs[j].
     """
     rows = max(1, _CHUNK_SAMPLES // (n // 2 + 1))
-    finals = []
-    for start in range(0, len(xs), rows):
+
+    def stacked(chunk):
+        # each point's fields are views of its whole sampled orbit; only
+        # the stacked copy outlives this call, so those are freed early
         halves = [_mirror_half(p, float(e), family, n, loop=loop)
-                  for e in xs[start:start + rows]]
-        finals.append(_mirror_final(halves[0]._replace(**{
+                  for e in chunk]
+        return halves[0]._replace(**{
             name: np.stack([getattr(h, name) for h in halves])
-            for name in ("times", "omega1", "omega2", "omega3")})))
-    return np.concatenate(finals)
+            for name in ("times", "omega1", "omega2", "omega3")})
 
-
-def _involution_axis(q) -> np.ndarray:
-    """Unit axis (Re c, Im c, Re a) of P Z3, from the transfer pair (a, c)."""
-    a, c = q
-    axis = np.array([c.real, c.imag, a.real])
-    return axis / np.linalg.norm(axis)
+    return np.concatenate([_mirror_final(stacked(xs[start:start + rows]))
+                           for start in range(0, len(xs), rows)])
 
 
 def _transfer_involution(p: TopParameters, eps: float, family: Family,
                          n: int) -> np.ndarray:
-    """Axis of the involutive part P Z3 of the transfer propagator P.
+    """_involution_scan at the single point eps."""
+    return _involution_scan(p, [eps], family, n)[0]
+
+
+def _involution_scan(p: TopParameters, xs, family: Family,
+                     n: int) -> list:
+    """Axis of the involutive part P Z3 of the transfer propagator P at
+    each scan point.
 
     P comes from the mirror route, P = J A^-1 J^-1 . M . A with J = Z3 =
     diag(-1,-1,1), so (P Z3)^2 = 1 holds by construction: exactly for
@@ -412,16 +417,11 @@ def _transfer_involution(p: TopParameters, eps: float, family: Family,
     P carries; callers gauge it as needed.  The projection of the axis
     on v1 is the NOT tuning objective.
     """
-    return _involution_axis(
-        _mirror_final(_mirror_half(p, eps, family, n, loop=False)))
-
-
-def _involution_scan(p: TopParameters, xs, family: Family,
-                     n: int) -> list:
-    """_transfer_involution at every scan point, bit for bit, from one
-    _mirror_final call per chunk of points."""
-    return [_involution_axis(q)
-            for q in _scan_finals(p, xs, family, n, loop=False)]
+    axes = []
+    for a, c in _scan_finals(p, xs, family, n, loop=False):
+        axis = np.array([c.real, c.imag, a.real])
+        axes.append(axis / np.linalg.norm(axis))
+    return axes
 
 
 def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
@@ -732,14 +732,20 @@ class SynthesisProgram:
         return concat(list(self.segments))
 
 
+def _loop_angles(p: TopParameters, es, n: int) -> list:
+    """Rotation angle of each closed loop about its own base point."""
+    return [_frame_angle(_rotations(q),
+                         tre_initial(p, float(e), Family.ROTATING))
+            for e, q in zip(es, _scan_finals(p, es, Family.ROTATING, n,
+                                             loop=True))]
+
+
 def _loop_angle(p: TopParameters, eps: float, n: int) -> float:
-    """Rotation angle of one closed loop about its own base point."""
-    q = _mirror_final(_mirror_half(p, eps, Family.ROTATING, n, loop=True))
-    return _frame_angle(_rotations(q), tre_initial(p, eps, Family.ROTATING))
+    """_loop_angles at the single point eps."""
+    return _loop_angles(p, [eps], n)[0]
 
 
-def _loop_scan(p: TopParameters, n: int, eps_lo: float = 5e-3,
-               eps_hi: float = 0.9, scan: int = 96):
+def _loop_scan(p: TopParameters, n: int):
     """Loop angle on a descending log grid of eps, unwrapped by continuity.
 
     Returns (es, raw, tots): the grid, the angles as measured in
@@ -747,12 +753,8 @@ def _loop_scan(p: TopParameters, n: int, eps_lo: float = 5e-3,
     depend on the target angle, so one scan serves every loop gate of a
     synthesis.
     """
-    es = np.geomspace(eps_hi, eps_lo, scan)
-    # _loop_angle at each point, bit for bit, one propagation per chunk
-    raw = [_frame_angle(_rotations(q),
-                        tre_initial(p, float(e), Family.ROTATING))
-           for e, q in zip(es, _scan_finals(p, es, Family.ROTATING, n,
-                                            loop=True))]
+    es = np.geomspace(0.9, 5e-3, 96)
+    raw = _loop_angles(p, es, n)
     tots = [raw[0]]
     for v in raw[1:]:
         tots.append(tots[-1] + _util.wrap_angle(v - tots[-1]))
@@ -846,12 +848,9 @@ def synthesize_one_qubit(U_target, p: TopParameters | None = None,
         else:
             segments.append(_loop_gate(p, axis, angle, table, n=n))
 
-    if segments:
-        comp = np.eye(2, dtype=complex)
-        for seg in segments:
-            comp = su2_final(seg) @ comp
-        fid = gate_fidelity(comp, U)
-    else:
-        fid = gate_fidelity(np.eye(2, dtype=complex), U)
+    comp = np.eye(2, dtype=complex)
+    for seg in segments:
+        comp = su2_final(seg) @ comp
+    fid = gate_fidelity(comp, U)
     return SynthesisProgram(target=U, segments=tuple(segments),
                             labels=tuple(labels), fidelity=fid)

@@ -248,8 +248,8 @@ def spinor_quaternion(U):
 
 def _state(M0):
     M0 = np.asarray(M0, dtype=float)
-    if M0.shape != (3,):
-        raise ValueError("M0 must be a vector of shape (3,)")
+    if M0.shape != (3,) or not np.all(np.isfinite(M0)):
+        raise ValueError("M0 must be a finite vector of shape (3,)")
     return M0
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _util
-from .propagate import _CHUNK_SAMPLES, Trajectory, _final_states
+from .propagate import _CHUNK_SAMPLES, Trajectory, _final_states, _state
 from .pulsegen import ControlPulse, pulse_sidecar_meta
 from .topdyn import Family, TopParameters, transfer_period
 
@@ -73,6 +73,7 @@ def sweep(pulse: ControlPulse, M0, alpha_grid=None, delta_grid=None,
     pair is not finite, whose propagation or merit raises, or whose merit
     is not finite is recorded as NaN with its flag set; meta then lists
     each such cell under "failed_cells" as its [i, j] index and reason.
+    An M0 that is not a finite 3-vector raises ValueError up front.
     """
     alpha = (default_alpha_grid() if alpha_grid is None
              else np.asarray(alpha_grid, dtype=float))
@@ -80,7 +81,7 @@ def sweep(pulse: ControlPulse, M0, alpha_grid=None, delta_grid=None,
              else np.asarray(delta_grid, dtype=float))
     if alpha.ndim != 1 or delta.ndim != 1 or not len(alpha) or not len(delta):
         raise ValueError("alpha_grid and delta_grid must be non-empty 1-d")
-    M0 = np.asarray(M0, dtype=float)
+    M0 = _state(M0)
 
     a_cells = np.repeat(alpha, len(delta))
     d_cells = np.tile(delta, len(alpha))

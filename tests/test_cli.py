@@ -193,6 +193,40 @@ def test_simulate_nan_error_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("m0", ["nan,0,1", "0,-inf,1"])
+def test_non_finite_m0_is_usage_error_and_writes_nothing(tmp_path, capsys,
+                                                         command, m0):
+    assert run([command, "--family", "rect", "--n", 33, "--m0", m0,
+                "--out", tmp_path]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [["simulate", "--family", "rect"],
+                                     ["gate", "not", "--n", 512]])
+@pytest.mark.parametrize("scale", ["nan", "-1", "0", "inf"])
+def test_bad_time_scale_is_usage_error_and_writes_nothing(tmp_path, capsys,
+                                                          command, scale):
+    assert run(command + [f"--time-scale={scale}", "--out", tmp_path]) == 2
+    assert "--time-scale" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_bad_time_scale_from_config_is_usage_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "rect", "time_scale": -1.0}))
+    assert run(["pulse", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_infinite_grid_count_is_usage_error(tmp_path, capsys):
+    assert run(["sweep", "--family", "rect", "--n", 33,
+                "--alpha-grid=0,1,inf", "--out", tmp_path]) == 2
+    assert "lo,hi,count" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_sweep_four_k_preset_emits_four_maps(tmp_path):
     assert run(["sweep", "--preset", "four-k", "--n", 129,
                 "--alpha-grid=-0.2,0.2,3", "--delta-grid", "0",

@@ -199,6 +199,13 @@ def test_bloch_rejects_bad_m0():
         bloch_propagate(rect_pi_pulse(1.0, n=8), np.zeros(4))
 
 
+@pytest.mark.parametrize("M0", [(math.nan, 0.0, 1.0), (0.0, math.inf, 1.0),
+                                (0.0, 0.0, -math.inf)])
+def test_bloch_rejects_non_finite_m0(M0):
+    with pytest.raises(ValueError, match="finite"):
+        bloch_propagate(rect_pi_pulse(1.0, n=8), M0)
+
+
 def test_axis_angle_path_rect_pulse():
     pulse = rect_pi_pulse(2.0, n=2001)
     ap = axis_angle_path(su2_propagate(pulse))

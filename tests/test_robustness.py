@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from blochtop import robustness
 from blochtop.propagate import ErrorParams, bloch_propagate
 from blochtop.pulsegen import ControlPulse, rect_pi_pulse, tre_pulse
 from blochtop.robustness import (
@@ -180,6 +181,18 @@ def test_sweep_rejects_empty_grid():
     pulse = rect_pi_pulse(1.0, n=11)
     with pytest.raises(ValueError):
         sweep(pulse, (0.0, 0.0, 1.0), alpha_grid=np.array([]),
+              delta_grid=np.array([0.0]))
+
+
+@pytest.mark.parametrize("M0", [(0.0, 1.0), (math.nan, 0.0, 1.0),
+                                (0.0, 0.0, math.inf)])
+def test_sweep_rejects_bad_m0_before_propagating(M0, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a cell was propagated")
+
+    monkeypatch.setattr(robustness, "_final_states", unreachable)
+    with pytest.raises(ValueError, match="M0"):
+        sweep(rect_pi_pulse(1.0, n=11), M0, alpha_grid=np.array([0.0]),
               delta_grid=np.array([0.0]))
 
 
