@@ -7,6 +7,11 @@ name, the effective configuration, and a sha256 digest of the file
 bytes; feeding that sidecar back through --config reproduces the file
 exactly.  Exit codes: 0 success, 2 usage or configuration error,
 3 numerical non-convergence (artifacts are still written).
+
+Each option's type and legal values are declared once, below, and a
+config value is checked like its flag (exit 2 naming the key).  A sweep
+preset rejects keys it does not read unless they hold their defaults;
+an unreadable --pulse file is exit 2.
 """
 
 from __future__ import annotations
@@ -58,6 +63,43 @@ _SPECS = {
                    "branch": "rotating"},
 }
 
+# Per key, unless a (command, key) entry overrides it.  A key not typed
+# here is a string.
+_TYPES = {"workers": int, "time_scale": float, "k": float, "eps": float,
+          "n": int, "t0": float, "half_width": float, "amplitude": float,
+          "alpha": float, "delta": float, "eps_lo": float, "eps_hi": float,
+          "target": float, "eps_a": float, ("fit-period", "eps"): str}
+
+_CHOICES = {"family": ("tre", "tre-loop", "allen-eberly", "rect"),
+            "branch": ("rotating", "oscillating"),
+            "emit": ("trajectory", "axis-angle"),
+            "preset": ("experiment", "four-k"),
+            "merit": ("J3", "J2"),
+            "name": ("not", "phase", "hadamard")}
+
+_HELP = {"workers": "accepted; has no effect",
+         "time_scale": "seconds per body time unit for exported t columns",
+         "pulse": "read the drive from a CSV instead",
+         "m0": "initial state, e.g. 0,0,1",
+         "alpha_grid": "'value' or 'lo,hi,count'",
+         "target": "relative phase in (0, 2 pi)",
+         ("fit-period", "eps"): "comma-separated offsets"}
+
+# the sweep keys each preset reads; every other one must keep its default
+_PRESET_KEYS = {
+    "experiment": ("preset", "k", "eps", "branch", "n"),
+    "four-k": ("preset", "eps", "branch", "n", "merit", "alpha_grid",
+               "delta_grid"),
+}
+
+
+def _lookup(table: dict, command: str, key: str, default=None):
+    return table.get((command, key), table.get(key, default))
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
 
 def _load_config(path) -> dict:
     try:
@@ -71,16 +113,33 @@ def _load_config(path) -> dict:
     return obj
 
 
-def _effective(args, file_cfg: dict, spec: dict) -> dict:
+def _typed(command: str, key: str, value):
+    """A flag or config value in its key's type, checked against choices."""
+    typ = _lookup(_TYPES, command, key, str)
+    try:
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise TypeError
+        typed = typ(value)
+        if typ is int and typed != float(value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{key} must be {typ.__name__}, got {value!r}")
+    choices = _CHOICES.get(key)
+    if choices and typed not in choices:
+        raise UsageError(f"{key} must be one of {', '.join(choices)}, "
+                         f"got {value!r}")
+    return typed
+
+
+def _effective(args, file_cfg: dict) -> dict:
+    """Flag over file value over default, for every key of the command."""
     cfg = {}
-    for key, default in spec.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-        elif file_cfg.get(key) is not None:
-            cfg[key] = file_cfg[key]
-        else:
-            cfg[key] = default
+    for key, default in dict(_SPECS[args.command], **_GLOBAL).items():
+        value = getattr(args, key)
+        if value is None:
+            value = file_cfg.get(key)
+        cfg[key] = default if value is None else \
+            _typed(args.command, key, value)
     return cfg
 
 
@@ -97,25 +156,18 @@ def _need(cfg: dict, key: str) -> float:
     v = cfg.get(key)
     if v is None:
         raise UsageError(f"--{key} is required here")
-    return float(v)
-
-
-def _parse_branch(text) -> Family:
-    try:
-        return Family(str(text))
-    except ValueError:
-        raise UsageError(f"unknown branch {text!r}")
+    return v
 
 
 def _parse_vec3(text):
-    parts = str(text).split(",")
+    parts = text.split(",")
     if len(parts) != 3:
         raise UsageError("state must be three comma-separated numbers")
     return tuple(float(x) for x in parts)
 
 
 def _parse_grid(text):
-    parts = [float(x) for x in str(text).split(",")]
+    parts = [float(x) for x in text.split(",")]
     if len(parts) == 1:
         return np.array(parts)
     if len(parts) == 3 and 1 <= parts[2] < math.inf and parts[1] >= parts[0]:
@@ -125,28 +177,27 @@ def _parse_grid(text):
 
 def _build_pulse(cfg: dict) -> ControlPulse:
     if cfg.get("pulse"):
-        return read_pulse_csv(cfg["pulse"])
+        try:
+            return read_pulse_csv(cfg["pulse"])
+        except OSError as exc:
+            raise UsageError(f"cannot read pulse {cfg['pulse']}: {exc}")
     fam = cfg["family"]
     if fam is None:
         raise UsageError("--family (or --pulse <csv>) is required")
-    n = int(cfg["n"])
+    n = cfg["n"]
     if n < 1:
         raise UsageError("--n must be at least 1")
-    branch = _parse_branch(cfg["branch"])
     build_n = max(n, 2)
     if fam in ("tre", "tre-loop"):
         maker = tre_pulse if fam == "tre" else tre_loop_pulse
         pulse = maker(TopParameters(_need(cfg, "k")), _need(cfg, "eps"),
-                      branch, n=build_n)
+                      Family(cfg["branch"]), n=build_n)
     elif fam == "allen-eberly":
         pulse = allen_eberly_pulse(TopParameters(_need(cfg, "k")),
-                                   t0=float(cfg["t0"]),
-                                   half_width=float(cfg["half_width"]),
+                                   t0=cfg["t0"], half_width=cfg["half_width"],
                                    n=build_n)
-    elif fam == "rect":
-        pulse = rect_pi_pulse(float(cfg["amplitude"]), n=build_n)
     else:
-        raise UsageError(f"unknown family {fam!r}")
+        pulse = rect_pi_pulse(cfg["amplitude"], n=build_n)
     if n == 1:
         pulse = ControlPulse(pulse.times[:1], pulse.omega1[:1],
                              pulse.omega2[:1], pulse.omega3[:1],
@@ -160,19 +211,19 @@ def _export_pulse(pulse: ControlPulse, path: Path, scale: float):
 
 
 def _cmd_pulse(cfg: dict, out: Path) -> int:
+    """export a sampled drive as CSV"""
     pulse = _build_pulse(cfg)
     path = out / "pulse.csv"
-    _export_pulse(pulse, path, float(cfg["time_scale"]))
+    _export_pulse(pulse, path, cfg["time_scale"])
     _finish(path, "pulse", cfg, {"pulse": pulse_sidecar_meta(pulse)})
     return 0
 
 
 def _cmd_simulate(cfg: dict, out: Path) -> int:
+    """propagate a state under a drive"""
     pulse = _build_pulse(cfg)
-    if cfg["emit"] not in ("trajectory", "axis-angle"):
-        raise UsageError(f"unknown emit mode {cfg['emit']!r}")
-    err = ErrorParams(alpha=float(cfg["alpha"]), delta=float(cfg["delta"]))
-    scale = float(cfg["time_scale"])
+    err = ErrorParams(alpha=cfg["alpha"], delta=cfg["delta"])
+    scale = cfg["time_scale"]
     M0 = _parse_vec3(cfg["m0"])
     if cfg["emit"] == "axis-angle":
         # one scan feeds both read-outs
@@ -202,35 +253,37 @@ def _sweep_maps(cfg: dict, merit):
     """(file name, sidecar extra, pulse, M0, grids, merit) of each map of
     the sweep, each pulse built only when its map is due."""
     preset = cfg["preset"]
+    eps = cfg["eps"] if cfg["eps"] is not None else 0.01
     if preset == "experiment":
-        k = float(cfg["k"]) if cfg["k"] is not None else 0.5
-        eps = float(cfg["eps"]) if cfg["eps"] is not None else 0.01
-        base = tre_pulse(TopParameters(k), eps, _parse_branch(cfg["branch"]),
-                         n=int(cfg["n"]))
+        k = cfg["k"] if cfg["k"] is not None else 0.5
+        base = tre_pulse(TopParameters(k), eps, Family(cfg["branch"]),
+                         n=cfg["n"])
         yield ("sweep.csv", {}, nmr_frame(base), (0.0, 1.0, 0.0),
                (np.linspace(-0.5, 0.5, 11), np.array([0.0])), merit_J2)
     elif preset == "four-k":
-        eps = float(cfg["eps"]) if cfg["eps"] is not None else 0.01
-        branch = _parse_branch(cfg["branch"])
         for k in (0.2, 0.6, 0.9, 0.99):
-            pulse = tre_pulse(TopParameters(k), eps, branch, n=int(cfg["n"]))
+            pulse = tre_pulse(TopParameters(k), eps, Family(cfg["branch"]),
+                              n=cfg["n"])
             yield (f"sweep_k{k}.csv", {"k": k}, pulse, (0.0, 0.0, 1.0),
                    _sweep_grids(cfg, pulse), merit)
-    elif preset is None:
+    else:
         pulse = _build_pulse(cfg)
         m0 = _parse_vec3(cfg["m0"]) if cfg["m0"] is not None else (0.0, 0.0, 1.0)
         yield "sweep.csv", {}, pulse, m0, _sweep_grids(cfg, pulse), merit
-    else:
-        raise UsageError(f"unknown preset {preset!r}")
 
 
 def _cmd_sweep(cfg: dict, out: Path) -> int:
-    merits = {"J3": merit_J3, "J2": merit_J2}
-    if cfg["merit"] not in merits:
-        raise UsageError(f"unknown merit {cfg['merit']!r}")
+    """map a merit over error parameters"""
+    if cfg["preset"] is not None:
+        unread = [_flag(key) for key, default in _SPECS["sweep"].items()
+                  if key not in _PRESET_KEYS[cfg["preset"]]
+                  and cfg[key] != default]
+        if unread:
+            raise UsageError(f"--preset {cfg['preset']} does not read "
+                             + ", ".join(unread))
+    merit = {"J3": merit_J3, "J2": merit_J2}[cfg["merit"]]
     reasons = Counter()
-    for name, extra, pulse, m0, grids, merit in _sweep_maps(
-            cfg, merits[cfg["merit"]]):
+    for name, extra, pulse, m0, grids, merit in _sweep_maps(cfg, merit):
         rmap = sweep(pulse, m0, *grids, merit=merit)
         path = out / name
         write_map_csv(rmap, path, sidecar=False)
@@ -249,23 +302,24 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
 def _cmd_gate(cfg: dict, out: Path) -> int:
+    """design a gate and write its report"""
     name = cfg["name"]
-    p = TopParameters(float(cfg["k"]))
-    n = int(cfg["n"])
+    p = TopParameters(cfg["k"])
+    n = cfg["n"]
     if name == "not":
-        _, pulse, report = tune_not_gate(
-            p, (float(cfg["eps_lo"]), float(cfg["eps_hi"])), n=n)
+        _, pulse, report = tune_not_gate(p, (cfg["eps_lo"], cfg["eps_hi"]),
+                                         n=n)
     elif name == "phase":
         if cfg["target"] is None:
             raise UsageError("--target is required for the phase gate")
         design, pulse, budget = design_phase_gate(
-            float(cfg["target"]), p, eps_a=float(cfg["eps_a"]), n=n)
+            cfg["target"], p, eps_a=cfg["eps_a"], n=n)
         params = design.as_dict()
         params.pop("residuals", None)
         report = GateReport("phase", params, design.fidelity,
                             budget.as_dict(), design.residuals,
                             design.converged)
-    elif name == "hadamard":
+    else:
         prog = synthesize_one_qubit(_HADAMARD, p, n=n)
         infidelity = 1.0 - prog.fidelity
         converged = (all(seg.meta["converged"] for seg in prog.segments)
@@ -275,15 +329,13 @@ def _cmd_gate(cfg: dict, out: Path) -> int:
                             prog.fidelity, None,
                             {"infidelity": infidelity}, converged)
         pulse = prog.pulse
-    else:
-        raise UsageError(f"unknown gate {name!r}")
 
     rpath = out / f"gate_{name}.json"
     write_gate_report(report, rpath)
     _finish(rpath, "gate", cfg)
     if pulse is not None:
         ppath = out / f"gate_{name}_pulse.csv"
-        _export_pulse(pulse, ppath, float(cfg["time_scale"]))
+        _export_pulse(pulse, ppath, cfg["time_scale"])
         _finish(ppath, "gate", cfg, {"pulse": pulse_sidecar_meta(pulse)})
     if not report.converged:
         print("warning: gate design did not converge", file=sys.stderr)
@@ -292,12 +344,12 @@ def _cmd_gate(cfg: dict, out: Path) -> int:
 
 
 def _cmd_montgomery(cfg: dict, out: Path) -> int:
+    """phase budget of one closed orbit"""
     budget = montgomery_phase(TopParameters(_need(cfg, "k")),
-                              _need(cfg, "eps"), _parse_branch(cfg["branch"]),
-                              n=int(cfg["n"]))
-    payload = dict(k=float(cfg["k"]), eps=float(cfg["eps"]),
-                   branch=str(cfg["branch"]), **budget.as_dict(),
-                   defect=budget_defect(budget))
+                              _need(cfg, "eps"), Family(cfg["branch"]),
+                              n=cfg["n"])
+    payload = dict(k=cfg["k"], eps=cfg["eps"], branch=cfg["branch"],
+                   **budget.as_dict(), defect=budget_defect(budget))
     path = out / "montgomery.json"
     _util.dump_json(payload, path)
     _finish(path, "montgomery", cfg)
@@ -305,37 +357,16 @@ def _cmd_montgomery(cfg: dict, out: Path) -> int:
 
 
 def _cmd_fit_period(cfg: dict, out: Path) -> int:
-    eps = np.array([float(x) for x in str(cfg["eps"]).split(",")])
+    """duration vs log precision fit"""
+    eps = np.array([float(x) for x in cfg["eps"].split(",")])
     a, b, r2 = fit_log_period(TopParameters(_need(cfg, "k")), eps,
-                              _parse_branch(cfg["branch"]))
-    payload = {"k": float(cfg["k"]), "branch": str(cfg["branch"]),
-               "eps": eps.tolist(), "slope": a, "intercept": b,
-               "r_squared": r2}
+                              Family(cfg["branch"]))
+    payload = {"k": cfg["k"], "branch": cfg["branch"], "eps": eps.tolist(),
+               "slope": a, "intercept": b, "r_squared": r2}
     path = out / "fit_period.json"
     _util.dump_json(payload, path)
     _finish(path, "fit-period", cfg)
     return 0
-
-
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON config or sidecar; flags override")
-    sp.add_argument("--out", help="output directory (default .)")
-    sp.add_argument("--workers", type=int, help="accepted; has no effect")
-    sp.add_argument("--time-scale", type=float, dest="time_scale",
-                    help="seconds per body time unit for exported t columns")
-
-
-def _add_pulse_flags(sp):
-    sp.add_argument("--family",
-                    choices=("tre", "tre-loop", "allen-eberly", "rect"))
-    sp.add_argument("--pulse", help="read the drive from a CSV instead")
-    sp.add_argument("--k", type=float)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--branch", choices=("rotating", "oscillating"))
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--t0", type=float)
-    sp.add_argument("--half-width", type=float, dest="half_width")
-    sp.add_argument("--amplitude", type=float)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -344,52 +375,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="pulse design and simulation for driven two-level "
                     "systems built on free rigid-body orbits")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("pulse", help="export a sampled drive as CSV")
-    _add_common(sp)
-    _add_pulse_flags(sp)
-
-    sp = sub.add_parser("simulate", help="propagate a state under a drive")
-    _add_common(sp)
-    _add_pulse_flags(sp)
-    sp.add_argument("--m0", help="initial state, e.g. 0,0,1")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--emit", choices=("trajectory", "axis-angle"))
-
-    sp = sub.add_parser("sweep", help="map a merit over error parameters")
-    _add_common(sp)
-    _add_pulse_flags(sp)
-    sp.add_argument("--preset", choices=("experiment", "four-k"))
-    sp.add_argument("--m0")
-    sp.add_argument("--merit", choices=("J3", "J2"))
-    sp.add_argument("--alpha-grid", dest="alpha_grid",
-                    help="'value' or 'lo,hi,count'")
-    sp.add_argument("--delta-grid", dest="delta_grid")
-
-    sp = sub.add_parser("gate", help="design a gate and write its report")
-    _add_common(sp)
-    sp.add_argument("name", choices=("not", "phase", "hadamard"))
-    sp.add_argument("--k", type=float)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--eps-lo", type=float, dest="eps_lo")
-    sp.add_argument("--eps-hi", type=float, dest="eps_hi")
-    sp.add_argument("--target", type=float, help="relative phase in (0, 2 pi)")
-    sp.add_argument("--eps-a", type=float, dest="eps_a")
-
-    sp = sub.add_parser("montgomery", help="phase budget of one closed orbit")
-    _add_common(sp)
-    sp.add_argument("--k", type=float)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--branch", choices=("rotating", "oscillating"))
-    sp.add_argument("--n", type=int)
-
-    sp = sub.add_parser("fit-period", help="duration vs log precision fit")
-    _add_common(sp)
-    sp.add_argument("--k", type=float)
-    sp.add_argument("--eps", help="comma-separated offsets")
-    sp.add_argument("--branch", choices=("rotating", "oscillating"))
-
+    for command, spec in _SPECS.items():
+        sp = sub.add_parser(command, help=_HANDLERS[command].__doc__)
+        sp.add_argument("--config", help="JSON config or sidecar; flags override")
+        sp.add_argument("--out", help="output directory (default .)")
+        for key in dict(_GLOBAL, **spec):
+            # the gate name is positional; argparse derives the flags' dest
+            sp.add_argument(key if key == "name" else _flag(key),
+                            type=_lookup(_TYPES, command, key, str),
+                            choices=_CHOICES.get(key),
+                            help=_lookup(_HELP, command, key))
     return parser
 
 
@@ -428,10 +423,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         file_cfg = _load_config(args.config) if args.config else {}
-        spec = dict(_SPECS[args.command])
-        spec.update(_GLOBAL)
-        cfg = _effective(args, file_cfg, spec)
-        if not 0.0 < float(cfg["time_scale"]) < math.inf:
+        cfg = _effective(args, file_cfg)
+        if not 0.0 < cfg["time_scale"] < math.inf:
             raise UsageError("--time-scale must be finite and positive")
         out = Path(args.out or file_cfg.get("out") or ".")
         out.mkdir(parents=True, exist_ok=True)

@@ -359,3 +359,83 @@ def test_gate_design_imports_numpy_only(tmp_path):
     codes, loaded = proc.stdout.splitlines()[-2:]
     assert codes == "[0, 0, 0]"
     assert loaded == "[]"
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["--preset", "experiment", "--n", 129, "--m0", "nan,0,1"], "--m0"),
+    (["--preset", "experiment", "--n", 129, "--merit", "J2"], "--merit"),
+    (["--preset", "four-k", "--n", 129, "--family", "tre"], "--family"),
+])
+def test_preset_rejects_flags_it_does_not_read(tmp_path, capsys, argv,
+                                                unread):
+    assert run(["sweep", *argv, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert "does not read" in err and unread in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_unreadable_pulse_is_usage_error_and_writes_nothing(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    out = tmp_path / "out"
+    assert run(["simulate", "--pulse", missing, "--out", out]) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["pulse"], {"n": [5]}),
+    (["pulse"], {"time_scale": [1]}),
+    (["pulse", "--family", "tre"], {"k": "abc"}),
+    (["pulse"], {"branch": "sideways"}),
+    (["simulate"], {"emit": "movie"}),
+])
+def test_bad_config_value_is_usage_error_and_writes_nothing(tmp_path, capsys,
+                                                            argv, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run(argv + ["--config", path, "--out", out]) == 2
+    key, = cfg
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_values_are_recorded_in_their_type(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": "rect", "n": 11.0,
+                                "amplitude": "0.5"}))
+    assert run(["pulse", "--config", path, "--out", tmp_path / "a"]) == 0
+    assert run(["pulse", "--family", "rect", "--n", 11, "--amplitude", 0.5,
+                "--out", tmp_path / "b"]) == 0
+    for name in ("pulse.csv", "pulse.csv.json"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+    path.write_text(json.dumps({"family": "rect", "n": 11.5}))
+    assert run(["pulse", "--config", path, "--out", tmp_path / "c"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--family", "tre", "--k", 0.6, "--eps", 0.01, "--n", 257,
+     "--emit", "axis-angle"],
+    ["gate", "not", "--n", 512],
+    ["montgomery", "--k", 0.5, "--eps", 0.1, "--n", 2049],
+    ["fit-period", "--k", 0.5],
+    ["sweep", "--preset", "four-k", "--n", 129, "--alpha-grid=-0.2,0.2,3",
+     "--delta-grid", "0"],
+])
+def test_sidecar_replay_reproduces_every_command(tmp_path, argv):
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    assert run(argv + ["--out", a]) == 0
+    sidecars = sorted(p for p in a.iterdir() if p.with_suffix("").is_file())
+    assert sidecars
+    # the gate name is positional, so a replay names it again
+    command = argv[:2] if argv[0] == "gate" else argv[:1]
+    assert run(command + ["--config", sidecars[0], "--out", b]) == 0
+    assert sorted(p.name for p in b.iterdir()) == \
+        sorted(p.name for p in a.iterdir())
+    for path in a.iterdir():
+        assert (b / path.name).read_bytes() == path.read_bytes(), path.name
+    for side in sidecars:
+        assert json.loads((b / side.name).read_text())["config"] == \
+            json.loads(side.read_text())["config"]
