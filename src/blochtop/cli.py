@@ -6,7 +6,9 @@ Every artifact is written next to a JSON sidecar holding the command
 name, the effective configuration, and a sha256 digest of the file
 bytes; feeding that sidecar back through --config reproduces the file
 exactly.  Exit codes: 0 success, 2 usage or configuration error,
-3 numerical non-convergence (artifacts are still written).
+3 numerical non-convergence (artifacts are still written).  The output
+directory is made when the first artifact is written, so a command that
+fails before that leaves none behind.
 
 Each option's type and legal values are declared once, below, and a
 config value is checked like its flag (exit 2 naming the key).  A sweep
@@ -143,6 +145,13 @@ def _effective(args, file_cfg: dict) -> dict:
     return cfg
 
 
+def _artifact(out: Path, name: str) -> Path:
+    """out / name, making out first: a command that fails before it
+    writes anything leaves no directory behind."""
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
+
+
 def _finish(path: Path, command: str, cfg: dict, extra: dict | None = None):
     side = {"command": command, "config": cfg,
             "sha256": _util.sha256_hex(path.read_bytes())}
@@ -213,7 +222,7 @@ def _export_pulse(pulse: ControlPulse, path: Path, scale: float):
 def _cmd_pulse(cfg: dict, out: Path) -> int:
     """export a sampled drive as CSV"""
     pulse = _build_pulse(cfg)
-    path = out / "pulse.csv"
+    path = _artifact(out, "pulse.csv")
     _export_pulse(pulse, path, cfg["time_scale"])
     _finish(path, "pulse", cfg, {"pulse": pulse_sidecar_meta(pulse)})
     return 0
@@ -230,12 +239,12 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
         traj, aap = _trajectory_and_axis_angle(pulse, M0, err)
     else:
         traj, aap = bloch_propagate(pulse, M0, err), None
-    path = out / "trajectory.csv"
+    path = _artifact(out, "trajectory.csv")
     write_trajectory_csv(Trajectory(traj.times * scale, traj.M), path)
     _finish(path, "simulate", cfg,
             {"final_state": [float(x) for x in traj.M[-1]]})
     if aap is not None:
-        path2 = out / "axis_angle.csv"
+        path2 = _artifact(out, "axis_angle.csv")
         write_axis_angle_csv(aap, path2, scale)
         _finish(path2, "simulate", cfg)
     return 0
@@ -285,7 +294,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
     reasons = Counter()
     for name, extra, pulse, m0, grids, merit in _sweep_maps(cfg, merit):
         rmap = sweep(pulse, m0, *grids, merit=merit)
-        path = out / name
+        path = _artifact(out, name)
         write_map_csv(rmap, path, sidecar=False)
         _finish(path, "sweep", cfg, dict(extra, map_meta=rmap.meta))
         reasons.update(cell["reason"]
@@ -330,11 +339,11 @@ def _cmd_gate(cfg: dict, out: Path) -> int:
                             {"infidelity": infidelity}, converged)
         pulse = prog.pulse
 
-    rpath = out / f"gate_{name}.json"
+    rpath = _artifact(out, f"gate_{name}.json")
     write_gate_report(report, rpath)
     _finish(rpath, "gate", cfg)
     if pulse is not None:
-        ppath = out / f"gate_{name}_pulse.csv"
+        ppath = _artifact(out, f"gate_{name}_pulse.csv")
         _export_pulse(pulse, ppath, cfg["time_scale"])
         _finish(ppath, "gate", cfg, {"pulse": pulse_sidecar_meta(pulse)})
     if not report.converged:
@@ -350,7 +359,7 @@ def _cmd_montgomery(cfg: dict, out: Path) -> int:
                               n=cfg["n"])
     payload = dict(k=cfg["k"], eps=cfg["eps"], branch=cfg["branch"],
                    **budget.as_dict(), defect=budget_defect(budget))
-    path = out / "montgomery.json"
+    path = _artifact(out, "montgomery.json")
     _util.dump_json(payload, path)
     _finish(path, "montgomery", cfg)
     return 0
@@ -363,7 +372,7 @@ def _cmd_fit_period(cfg: dict, out: Path) -> int:
                               Family(cfg["branch"]))
     payload = {"k": cfg["k"], "branch": cfg["branch"], "eps": eps.tolist(),
                "slope": a, "intercept": b, "r_squared": r2}
-    path = out / "fit_period.json"
+    path = _artifact(out, "fit_period.json")
     _util.dump_json(payload, path)
     _finish(path, "fit-period", cfg)
     return 0
@@ -427,7 +436,6 @@ def main(argv=None) -> int:
         if not 0.0 < cfg["time_scale"] < math.inf:
             raise UsageError("--time-scale must be finite and positive")
         out = Path(args.out or file_cfg.get("out") or ".")
-        out.mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](cfg, out)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,10 +29,8 @@ _HYPERBOLIC_SWITCH = 1e-12
 def complete_K(m: float) -> float:
     """Complete elliptic integral of the first kind K(m)."""
     m = float(m)
-    if m < 0.0:
+    if not 0.0 <= m < 1.0:
         raise ValueError(f"m must lie in [0, 1), got {m}")
-    if m >= 1.0:
-        raise ValueError(f"K(m) diverges as m -> 1, got m = {m}")
     a, b = 1.0, math.sqrt(1.0 - m)
     for _ in range(_AGM_MAX):
         if abs(a - b) <= _AGM_TOL * a:
@@ -48,6 +46,16 @@ def complete_E(m: float) -> float:
         raise ValueError(f"m must lie in [0, 1], got {m}")
     if m == 1.0:
         return 1.0
+    return _complete_KE(m)[1]
+
+
+def _complete_KE(m: float):
+    """(K(m), E(m)) from one AGM pass, for 0 <= m < 1 (unchecked).
+
+    E carries the bits of complete_E, and K is pi / (2 a) of the same
+    pass; complete_K stops its AGM one step earlier, so the two K may
+    differ in the last bit.
+    """
     a, b = 1.0, math.sqrt(1.0 - m)
     c2sum = 0.5 * m
     w = 0.5
@@ -58,7 +66,49 @@ def complete_E(m: float) -> float:
         c2sum += w * c * c
         if c <= _AGM_TOL * a:
             break
-    return math.pi / (2.0 * a) * (1.0 - c2sum)
+    K = math.pi / (2.0 * a)
+    return K, K * (1.0 - c2sum)
+
+
+def complete_Pi(nu: float, m: float) -> float:
+    """Complete elliptic integral of the third kind Pi(nu | m).
+
+    Pi(nu | m) = int_0^{pi/2} dt / ((1 - nu sin^2 t) sqrt(1 - m sin^2 t)),
+    for finite nu < 1 and 0 <= m < 1, by the AGM recurrence of DLMF
+    19.8.6-19.8.8: alongside a_j, g_j run p_j (p_0 = sqrt(1 - nu)) and
+    Q_j (Q_0 = 1), with e_j = (p_j^2 - a_j g_j) / (p_j^2 + a_j g_j),
+    p_{j+1} = (p_j^2 + a_j g_j) / (2 p_j) and Q_{j+1} = Q_j e_j / 2; then
+    Pi = pi / (4 M) (2 + nu / (1 - nu) S), S = sum_j Q_j, M the AGM limit.
+
+    The bracket is summed as D + S / (1 - nu), D = 2 - S: for nu << 0 it
+    is a small difference of terms near 2.  With P_j = e_0 ... e_{j-1},
+    Q_j = P_j / 2^j and D = sum_{j>=1} (1 - P_j) / 2^j, and 1 - P_j
+    accumulates the terms P_i (1 - e_i), which are >= 0 up to rounding
+    for nu <= 0.
+    """
+    nu, m = float(nu), float(m)
+    if not -math.inf < nu < 1.0:
+        raise ValueError(f"nu must be finite and below 1, got {nu}")
+    if not 0.0 <= m < 1.0:
+        raise ValueError(f"m must lie in [0, 1), got {m}")
+    a, g = 1.0, math.sqrt(1.0 - m)
+    p = math.sqrt(1.0 - nu)
+    P, one_minus_P = 1.0, 0.0
+    S, D, w = 1.0, 0.0, 1.0
+    for _ in range(_AGM_MAX):
+        if abs(a - g) <= _AGM_TOL * a and abs(w * P) <= _AGM_TOL * S:
+            break
+        p2, ag = p * p, a * g
+        q = p2 + ag
+        one_minus_P += P * (2.0 * ag / q)
+        P *= (p2 - ag) / q
+        w *= 0.5
+        S += w * P
+        D += w * one_minus_P
+        p = 0.5 * q / p
+        a, g = 0.5 * (a + g), math.sqrt(ag)
+    # the terms past the last, (1 - P_j) / 2^j with P_j ~ 0, sum to w
+    return math.pi / (4.0 * a) * (D + w + S / (1.0 - nu))
 
 
 def jacobi_sn_cn_dn(u, m: float):

@@ -9,12 +9,19 @@ Each design scans its free parameter on a grid and solves the chosen
 sign change with one Brent solver (_solve_scanned over
 _solve_bracketed), started from the scanned values at the bracket ends.
 
+The geometric term of a budget is the orbit's solid angle in closed
+form (_orbit_solid_angle, Montgomery 1991, from complete K and Pi); the
+Richardson-polished polygon of the sampled orbit, _orbit_geometric, is
+kept as its reference.  The phase gate's spread and its inner solve
+(_match_dynamical, a Newton solve of 2 E T) are closed forms too, so
+its k scan and solver steps sample no orbit.
+
 Transfer and loop pulses are read off free-top orbits, which are
 mirror-symmetric about their midpoints.  Every scan point and solver
 step of the NOT, composite-NOT and loop-gate searches, and the loop
 propagator of the Montgomery budget, therefore sample and propagate only
-the first half of the orbit, and orbit solid angles sum half the
-geodesic fan and double it.  One evaluator, _scan_finals, serves them
+the first half of the orbit, and the reference polygon sums half the
+geodesic fan and doubles it.  One evaluator, _scan_finals, serves them
 all: it samples each point's half (pulsegen._mirror_half) and stacks
 the halves in chunks of rows, one propagate._mirror_final call per
 chunk, with the bits of the 1-D calls; a solver step or the Montgomery
@@ -43,6 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _util
+from .elliptic import _complete_KE, complete_Pi
 from .propagate import (
     _CHUNK_SAMPLES,
     _mirror_final,
@@ -67,6 +75,7 @@ from .topdyn import (
     TopParameters,
     analytic_trajectory,
     energy,
+    orbit_constants,
     orbit_period,
     tre_initial,
 )
@@ -139,7 +148,7 @@ def dynamical_phase(pulse: ControlPulse, M) -> float:
 
 def _orbit_geometric(p: TopParameters, eps: float, family: Family,
                      n: int = 4097) -> float:
-    # Richardson pair on uniform samples kills the h^2 polygon deficit.
+    # Polygon reference for _orbit_solid_angle.  Richardson pair on uniform samples kills the h^2 polygon deficit.
     # The orbit is symmetric about its midpoint under the reflection in a
     # vertical plane through e3 (L2 -> -L2 rotating, L1 -> -L1 oscillating),
     # which maps each edge of the second half onto a reversed edge of the
@@ -156,6 +165,33 @@ def _orbit_geometric(p: TopParameters, eps: float, family: Family,
     return (4.0 * fine - coarse) / 3.0
 
 
+def _orbit_solid_angle(p: TopParameters, eps: float, family: Family) -> float:
+    """_orbit_geometric in closed form: the orbit's solid angle.
+
+    With (a, b, c) the amplitudes on (dn, cn, sn), axes (1, 2, 3) on the
+    rotating family and (2, 1, 3) on the oscillating one, the azimuth
+    about the dn axis turns at b c dn / (1 - a^2 dn^2) per unit u, and
+    Montgomery's enclosed solid angle is
+
+        Omega = (b c / a) [4 K - 4 Pi(nu | m) / (1 - a^2)
+                           + 2 pi a / sqrt((1 - a^2)(1 - a^2 + a^2 m))]
+
+    with nu = -a^2 m / (1 - a^2).  At u = 0 and u = K the unit vector
+    gives a^2 + b^2 = 1 and a^2 (1 - m) + c^2 = 1, so 1 - a^2 = b^2 and
+    the square root is b c; the last term is then 2 pi.  Returns -Omega
+    on rotating orbits and +Omega on oscillating ones.
+    """
+    oc = orbit_constants(p, eps, family)
+    if family is Family.ROTATING:
+        a, b, c = oc.amp1, oc.amp2, oc.amp3
+    else:
+        a, b, c = oc.amp2, oc.amp1, oc.amp3
+    nu = -(a / b) ** 2 * oc.m
+    omega = 2.0 * math.pi + 4.0 * c / a * (b * oc.K
+                                           - complete_Pi(nu, oc.m) / b)
+    return -omega if family is Family.ROTATING else omega
+
+
 def _orbit_dynamical(p: TopParameters, eps: float, family: Family) -> float:
     base = tre_initial(p, eps, family)
     return float(2.0 * energy(base, p) * orbit_period(p, eps, family))
@@ -168,7 +204,9 @@ def montgomery_phase(p: TopParameters, eps: float, family: Family,
     total is read off the propagator of the full-period loop pulse (by
     the mirror route) as the signed rotation angle about the starting
     point, dynamical is 2 E T, geometric is the signed solid angle of
-    the orbit.
+    the orbit in closed form (_orbit_solid_angle; the sampled polygon,
+    _orbit_geometric, is its reference), so the budget defect measures
+    the propagator alone.
     """
     base = tre_initial(p, eps, family)
     R = _rotations(_scan_finals(p, [eps], family, n, loop=True)[0])
@@ -177,7 +215,7 @@ def montgomery_phase(p: TopParameters, eps: float, family: Family,
             "loop does not close at this resolution; raise n or closure_tol")
     total = _frame_angle(R, base)
     dyn = _orbit_dynamical(p, eps, family)
-    geo = _orbit_geometric(p, eps, family, n=32769)
+    geo = _orbit_solid_angle(p, eps, family)
     return PhaseBudget(total=total, dynamical=dyn, geometric=geo)
 
 
@@ -576,13 +614,55 @@ class PhaseGateDesign:
 
 
 def _match_dynamical(p_b: TopParameters, dyn_target: float):
-    """(eps, residual, converged): eps on the second orbit with the same
-    dynamical phase per loop, by a Brent solve to xtol 1e-13."""
+    """(eps, residual, converged): eps on the second (rotating) orbit with
+    the same dynamical phase per loop, by a safeguarded Newton solve.
 
-    def h(e: float) -> float:
-        return _orbit_dynamical(p_b, e, Family.ROTATING) - dyn_target
+    The phase is D(eps) = 2 E T = 4 A K(m) / k' with A^2 = k^2 + eps^2
+    k'^2 and m = (k C / A)^2, C^2 = 1 - eps^2 (topdyn.orbit_constants),
+    so 1 - m = eps^2 / A^2, dm/deps = -2 eps k^2 / A^4, and DLMF 19.4.1
+    gives dK/dm = (E - (1 - m) K) / (2 m (1 - m)); one AGM pass yields D
+    and D'.  D runs from +inf at eps = 0 to 2 pi / k' at eps = 1, falling
+    where a phase design matches it (small k dips below 2 pi / k' first),
+    so the sign of each residual moves one end of the bracket [1e-6,
+    0.999999], and a step that leaves the bracket bisects it instead.  The start is
+    the small-eps asymptote D ~ (4 k / k') log(4 k / eps).  converged
+    follows _solve_bracketed: the last step is at most xtol + 4 eps |x|
+    (xtol 1e-13) and |residual| is at most 1e3 xtol |D'|.  A target
+    outside D's range is never converged.
+    """
+    k = p_b.k
+    kp2 = 1.0 - k**2
+    kp = math.sqrt(kp2)
+    xtol = 1e-13
 
-    return _solve_bracketed(h, 1e-6, 0.999999, xtol=1e-13)
+    def residual_and_slope(e: float):
+        # A and m round as in orbit_constants, so D tracks _orbit_dynamical
+        A = math.sqrt(k**2 + e**2 * kp2)
+        C2 = 1.0 - e**2
+        K, E = _complete_KE((k * math.sqrt(C2) / A) ** 2)
+        # dK/deps = dK/dm dm/deps, which k^2 / (A^2 m) = 1 / C^2 reduces
+        # to -(E - (1 - m) K) / (eps C^2)
+        dK = -(E - (e / A) ** 2 * K) / (e * C2)
+        return (4.0 * A * K / kp - dyn_target,
+                4.0 * (e * kp2 / A * K + A * dK) / kp)
+
+    lo, hi = 1e-6, 0.999999
+    x = min(max(4.0 * k * math.exp(-dyn_target * kp / (4.0 * k)), lo), hi)
+    h, dh = residual_and_slope(x)
+    for _ in range(_BRENT_STEPS):
+        if h == 0.0:
+            return x, 0.0, True
+        if h > 0.0:
+            lo = x
+        else:
+            hi = x
+        step = -h / dh
+        x_new = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+        step, x = x_new - x, x_new
+        h, dh = residual_and_slope(x)
+        if abs(step) <= xtol + 4.0 * _EPS * abs(x):
+            return x, h, abs(h) <= 1e3 * xtol * abs(dh)
+    return x, h, False
 
 
 def design_phase_gate(target_phase: float, p_a: TopParameters, *,
@@ -615,7 +695,7 @@ def design_phase_gate(target_phase: float, p_a: TopParameters, *,
                                   "degenerate", comp, np.eye(3), True)
 
     dyn_a = _orbit_dynamical(p_a, eps_a, Family.ROTATING)
-    area_a = -_orbit_geometric(p_a, eps_a, Family.ROTATING)
+    area_a = -_orbit_solid_angle(p_a, eps_a, Family.ROTATING)
     kp_min = 2.0 * math.pi / dyn_a
     if kp_min >= 1.0:
         raise ValueError("eps_a leaves no dynamical headroom; reduce it")
@@ -627,7 +707,7 @@ def design_phase_gate(target_phase: float, p_a: TopParameters, *,
     def spread(kb: float) -> float:
         pb = TopParameters(kb)
         eb, _, _ = _match_dynamical(pb, dyn_a)
-        return area_a + _orbit_geometric(pb, eb, Family.ROTATING)
+        return area_a + _orbit_solid_angle(pb, eb, Family.ROTATING)
 
     ks = np.linspace(k_a + k_margin, k_max, 33)
     ds = [spread(float(x)) for x in ks]

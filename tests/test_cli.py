@@ -379,7 +379,20 @@ def test_unreadable_pulse_is_usage_error_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["simulate", "--pulse", missing, "--out", out]) == 2
     assert str(missing) in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["pulse", "--family", "tre", "--eps", 0.01],
+    ["sweep", "--preset", "experiment", "--n", 129, "--merit", "J2"],
+    ["pulse", "--pulse", "missing.csv"],
+    ["gate", "phase", "--n", 512],
+])
+def test_failed_command_leaves_no_output_directory(tmp_path, monkeypatch,
+                                                  argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--out", "new/dir"]) == 2
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv, cfg", [

@@ -8,7 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from blochtop.elliptic import complete_E, complete_K, jacobi_sn_cn_dn
+from blochtop.elliptic import _complete_KE, complete_E, complete_K, \
+    complete_Pi, jacobi_sn_cn_dn
 
 M_GRID = [0.0, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999999]
 
@@ -70,6 +71,42 @@ def test_K_domain_errors():
         complete_K(1.0)
     with pytest.raises(ValueError):
         complete_E(1.2)
+
+
+@pytest.mark.parametrize("f, args", [
+    (complete_K, (math.nan,)), (complete_K, (math.inf,)),
+    (complete_K, (-math.inf,)), (complete_K, (1.5,)),
+    (complete_E, (math.nan,)), (complete_E, (math.inf,)),
+    (complete_E, (-0.1,)),
+    (complete_Pi, (math.nan, 0.5)), (complete_Pi, (-math.inf, 0.5)),
+    (complete_Pi, (math.inf, 0.5)), (complete_Pi, (1.0, 0.5)),
+    (complete_Pi, (-1.0, math.nan)), (complete_Pi, (-1.0, 1.0)),
+    (complete_Pi, (-1.0, -0.1)), (complete_Pi, (-1.0, math.inf)),
+])
+def test_complete_integrals_reject_nan_inf_and_out_of_range(f, args):
+    with pytest.raises(ValueError):
+        f(*args)
+
+
+@pytest.mark.parametrize("nu", [-1e4, -3e3, -100.0, -9.0, -1.0, -0.3, -1e-9,
+                                0.0, 1e-3, 0.3, 0.9])
+@pytest.mark.parametrize("m", [0.0, 1e-6, 0.1, 0.5, 0.9, 0.99, 0.999,
+                               0.99999])
+def test_complete_Pi_matches_mpmath(nu, m):
+    assert_allclose(complete_Pi(nu, m), float(mpmath.ellippi(nu, m)),
+                    rtol=1e-14)
+
+
+@pytest.mark.parametrize("m", M_GRID)
+def test_complete_Pi_at_zero_nu_is_K(m):
+    assert_allclose(complete_Pi(0.0, m), complete_K(m), rtol=1e-15)
+
+
+@pytest.mark.parametrize("m", M_GRID)
+def test_one_pass_K_and_E(m):
+    K, E = _complete_KE(m)
+    assert E == complete_E(m)
+    assert abs(K - complete_K(m)) <= 2.0 * np.spacing(complete_K(m))
 
 
 @pytest.mark.parametrize("m", [0.0, 0.1, 0.5, 0.9, 0.99, 0.999999])

@@ -535,3 +535,68 @@ def test_phase_gate_outer_solve_lands_on_the_root():
     design, _, _ = design_phase_gate(1.45002, TopParameters(0.643546), n=4096)
     assert design.converged
     assert design.residuals["geometric_mismatch"] <= 1e-11
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(list(Family)), st.floats(0.2, 0.95),
+       st.floats(math.log(1e-3), math.log(0.9)))
+def test_closed_form_solid_angle_matches_polygon(family, k, log_eps):
+    p, eps = TopParameters(k), math.exp(log_eps)
+    assert abs(gates._orbit_solid_angle(p, eps, family)
+               - gates._orbit_geometric(p, eps, family, n=32769)) <= 1e-10
+
+
+@pytest.mark.parametrize("k_a", [0.4, 0.5, 0.6, 0.7, 0.8])
+def test_match_dynamical_newton_agrees_with_brent(k_a):
+    # k_b over the range a phase design scans: above k_a, and below the
+    # k where a loop at eps -> 1 still carries the target phase
+    target = gates._orbit_dynamical(TopParameters(k_a), 0.01, Family.ROTATING)
+    k_max = math.sqrt(1.0 - (2.0 * math.pi / target) ** 2)
+    for k_b in np.linspace(k_a + 0.015, k_max - 0.015, 9):
+        p_b = TopParameters(float(k_b))
+
+        def h(e):
+            return gates._orbit_dynamical(p_b, e, Family.ROTATING) - target
+
+        ref, _, _ = _solve_bracketed(h, 1e-6, 0.999999, xtol=1e-16)
+        eps, residual, converged = gates._match_dynamical(p_b, target)
+        assert converged
+        assert abs(eps - ref) <= 1e-12 * ref
+        assert abs(residual) <= 1e-9
+
+
+def test_match_dynamical_infeasible_target_is_unconverged():
+    target = gates._orbit_dynamical(TopParameters(0.4526), 0.01,
+                                    Family.ROTATING)
+    eps, residual, converged = gates._match_dynamical(TopParameters(0.8716),
+                                                      target)
+    assert converged is False
+    assert abs(residual) > 1.0
+
+
+def test_phase_design_samples_no_orbit(monkeypatch):
+    calls = {"_orbit_geometric": 0, "analytic_trajectory": 0}
+    passes = []
+    for name in calls:
+        def counting(*args, _f=getattr(gates, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(gates, name, counting)
+    ke, match = gates._complete_KE, gates._match_dynamical
+
+    def counting_ke(m):
+        passes[-1] += 1
+        return ke(m)
+
+    def counting_match(p_b, dyn_target):
+        passes.append(0)
+        return match(p_b, dyn_target)
+
+    monkeypatch.setattr(gates, "_complete_KE", counting_ke)
+    monkeypatch.setattr(gates, "_match_dynamical", counting_match)
+    design, _, _ = design_phase_gate(1.45002, TopParameters(0.643546), n=4096)
+    assert design.converged
+    assert calls == {"_orbit_geometric": 0, "analytic_trajectory": 0}
+    # a 33-point k scan, its Brent steps and the final match
+    assert 34 <= len(passes) <= 80
+    assert max(passes) <= 8
