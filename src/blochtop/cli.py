@@ -13,12 +13,14 @@ fails before that leaves none behind.
 Each option's type and legal values are declared once, below, and a
 config value is checked like its flag (exit 2 naming the key).  A sweep
 preset rejects keys it does not read unless they hold their defaults;
-an unreadable --pulse file is exit 2.
+an unreadable --pulse file is exit 2.  The parser is built once per
+process, so repeated in-process calls of main pay only for parsing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from collections import Counter
@@ -378,6 +380,9 @@ def _cmd_fit_period(cfg: dict, out: Path) -> int:
     return 0
 
 
+# built once per process: no option has a default or a stateful action,
+# and every parse_args returns a fresh Namespace
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blochtop",
@@ -424,10 +429,9 @@ def _bind_grid_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(_bind_grid_values(argv))
+        args = _build_parser().parse_args(_bind_grid_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -134,9 +134,18 @@ def geometric_phase(M) -> float:
 
 
 def _fan(a, b) -> float:
-    """Sum of the half-angle fan terms of the geodesic edges a[i] -> b[i]."""
+    """Sum of the half-angle fan terms of the geodesic edges a[i] -> b[i].
+
+    The denominator 1 + a3 + b3 + a . b is (1 + a3)(1 + b3) + a1 b1 + a2 b2,
+    and on the unit sphere 1 + x3 is (x1^2 + x2^2) / (1 - x3), which does
+    not cancel for points near -e3."""
+    def u(x):
+        x3 = x[:, 2]
+        return np.where(x3 < 0.0, (x[:, 0] ** 2 + x[:, 1] ** 2)
+                        / (1.0 - np.minimum(x3, 0.0)), 1.0 + x3)
+
     num = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    den = 1.0 + a[:, 2] + b[:, 2] + np.sum(a * b, axis=1)
+    den = u(a) * u(b) + (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1])
     return float(np.sum(np.arctan2(num, den)))
 
 

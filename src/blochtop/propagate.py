@@ -21,12 +21,16 @@ and Bloch vectors out of the accumulated pairs.
 The kernel is batched: steps, scan and reduction carry a leading axis of
 error pairs (alpha, delta), the sample axis at -2 and the pair (a, c)
 last, with a and c each stored as one contiguous complex plane along the
-sample axis.  The reduction pairs steps from the last one down, which is
-the product tree of the scan's last element, so a final propagator
-equals the endpoint of its path bit for bit, whether it is computed
-alone or inside a batch.  Every product and norm runs on arrays that
-keep the sample axis, even a final one of length 1: numpy rounds scalar
-arithmetic differently from its array loops.
+sample axis.  Steps are made in two stages: an effective-field stage
+gives each interval's rotation vector, and one builder writes the pairs
+of those rotations straight into the planes (2, B, n) that the scan and
+the reduction consume, behind the identity in slot 0, so no step is
+copied on its way into the products.  The reduction pairs steps from the
+last one down, which is the product tree of the scan's last element, so
+a final propagator equals the endpoint of its path bit for bit, whether
+it is computed alone or inside a batch.  Every product and norm runs on
+arrays that keep the sample axis, even a final one of length 1: numpy
+rounds scalar arithmetic differently from its array loops.
 
 A private mirror route (_mirror_final) serves gate design: the fields of
 an unrotated transfer or loop pulse on its own grid are mirror-symmetric
@@ -109,10 +113,12 @@ def _pairs(S):
     return np.moveaxis(S, 0, -1)
 
 
-def _steps(pulse, alpha, delta):
-    """Pairs (B, n - 1, 2) of every sampling interval, one row per error
-    pair (alpha[b], delta[b]): the rotation by the endpoint-averaged
-    effective field times the interval length."""
+def _fields(pulse, alpha, delta):
+    """Effective-field stage: the rotation vectors (v1, v2, v3), each
+    (B, n - 1), of every sampling interval, one row per error pair
+    (alpha[b], delta[b]): the endpoint-averaged field, drive rescaled by
+    1 + alpha and third component shifted by delta, times the interval
+    length."""
     gain = 1.0 + np.asarray(alpha, dtype=float)[:, None]
     delta = np.asarray(delta, dtype=float)[:, None]
     dt = np.diff(pulse.times)
@@ -120,19 +126,54 @@ def _steps(pulse, alpha, delta):
     def interval(w):
         return 0.5 * (w[:, 1:] + w[:, :-1]) * dt
 
-    v1 = interval(pulse.omega1 * gain)
-    v2 = interval(pulse.omega2 * gain)
-    v3 = interval(pulse.omega3 + delta)
+    return (interval(pulse.omega1 * gain), interval(pulse.omega2 * gain),
+            interval(pulse.omega3 + delta))
+
+
+def _exp_pairs(v1, v2, v3):
+    """Planes (2, ..., n) of the identity followed by the pairs of the
+    rotations by the vectors (v1, v2, v3), each (..., n - 1): the planes
+    the scan and the fold consume, written in place."""
     phi = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
     half = 0.5 * phi
     s = np.sin(half) / np.where(phi == 0.0, 1.0, phi)
-    S = np.empty((2,) + phi.shape, dtype=complex)
-    np.cos(half, out=S[0].real)
-    np.multiply(s, v2, out=S[1].real)
+    S = np.empty((2,) + phi.shape[:-1] + (phi.shape[-1] + 1,), dtype=complex)
+    S[0, ..., 0] = 1.0
+    S[1, ..., 0] = 0.0
+    a, c = S[0, ..., 1:], S[1, ..., 1:]
+    np.cos(half, out=a.real)
+    np.multiply(s, v2, out=c.real)
     np.negative(s, out=s)
-    np.multiply(s, v3, out=S[0].imag)
-    np.multiply(s, v1, out=S[1].imag)
-    return _pairs(S)
+    np.multiply(s, v3, out=a.imag)
+    np.multiply(s, v1, out=c.imag)
+    return S
+
+
+def _step_planes(pulse, alpha, delta):
+    """Planes (2, B, n) of the identity and every step of the pulse, one
+    row per error pair."""
+    return _exp_pairs(*_fields(pulse, alpha, delta))
+
+
+def _steps(pulse, alpha, delta):
+    """Pairs (B, n - 1, 2) of every sampling interval, one row per error
+    pair (alpha[b], delta[b]): the rotation by the endpoint-averaged
+    effective field times the interval length.  A view of the planes
+    _step_planes writes them in, behind the identity."""
+    return _pairs(_step_planes(pulse, alpha, delta))[..., 1:, :]
+
+
+def _planes_of(steps):
+    """The planes (2, ..., n) behind pairs steps (..., n - 1, 2): the
+    planes _steps built them in, or else a copy by _planes."""
+    S = steps.base
+    if isinstance(S, np.ndarray) and S.dtype == complex and \
+            S.shape == (2,) + steps.shape[:-2] + (steps.shape[-2] + 1,):
+        tail = _pairs(S)[..., 1:, :]
+        if tail.strides == steps.strides and \
+                tail.ctypes.data == steps.ctypes.data:
+            return S
+    return _planes(steps)
 
 
 def _mul(p, q, out):
@@ -175,8 +216,9 @@ def _planes(steps):
 def _scan(steps):
     """All left-accumulated products along axis -2: out[..., i, :] =
     steps[i-1] ... steps[0], with out[..., 0, :] the identity.
-    Logarithmic number of vectorized passes."""
-    S = _planes(steps)
+    Logarithmic number of vectorized passes, in place in the planes
+    behind steps (_planes_of): pairs from _steps are spent."""
+    S = _planes_of(steps)
     s = 1
     while s < S.shape[-1]:
         _mul(S[..., s:], S[..., :-s], S[..., s:])
@@ -197,10 +239,17 @@ def _fold(S):
     return S
 
 
+def _last(S):
+    """Final pairs (..., 2) of the planes S (2, ..., n) of the identity
+    and the steps.  When n is 1, _fold hands S back and _unit rescales
+    it in place, so S must not be read after this."""
+    return _pairs(_unit(_fold(S)))[..., 0, :]
+
+
 def _reduce(steps):
     """Final products steps[-1] ... steps[0] along axis -2 by pairwise
     reduction; equals _scan(steps)[..., -1, :] bit for bit."""
-    return _pairs(_unit(_fold(_planes(steps))))[..., 0, :]
+    return _last(_planes_of(steps))
 
 
 def _rotations(q):
@@ -254,11 +303,11 @@ def _state(M0):
 
 
 def _path(pulse, err: ErrorParams):
-    return _scan(_steps(pulse, [err.alpha], [err.delta])[0])
+    return _scan(_steps(pulse, [err.alpha], [err.delta]))[0]
 
 
 def _final(pulse, err: ErrorParams):
-    return _reduce(_steps(pulse, [err.alpha], [err.delta])[0])
+    return _last(_step_planes(pulse, [err.alpha], [err.delta]))[0]
 
 
 def _mirror_final(half):
@@ -276,8 +325,10 @@ def _mirror_final(half):
     of one length with one middle flag and axis, returns the (B, 2) final
     pairs in one pass; row b has the bits of the call on row b alone.
     """
-    steps = _steps(half, [0.0], [0.0])
-    A = _unit(_fold(_planes(steps[..., :-1, :] if half.middle else steps)))
+    S = _step_planes(half, [0.0], [0.0])
+    # a one-slot fold is rescaled in place, which leaves the middle step
+    # in S[..., -1:] untouched
+    A = _unit(_fold(S[..., :-1] if half.middle else S))
     mirror = A.copy()  # J A^-1 J^-1
     if half.axis == 3:
         np.conj(mirror[0], out=mirror[0])
@@ -287,7 +338,7 @@ def _mirror_final(half):
             np.negative(mirror[1], out=mirror[1])
     if half.middle:
         # the middle step keeps its sample axis of length 1
-        A = _mul(np.moveaxis(steps[..., -1:, :], -1, 0), A, np.empty_like(A))
+        A = _mul(S[..., -1:], A, np.empty_like(A))
     q = _pairs(_unit(_mul(mirror, A, np.empty_like(A))))[..., 0, :]
     return q if np.ndim(half.times) > 1 else q[0]
 
@@ -301,7 +352,7 @@ def _final_states(pulse, M0, alpha, delta):
     """Final Bloch vectors (B, 3) of M0 under the pulse, one per error
     pair (alpha[b], delta[b]).  Row b has the bits of the last sample of
     bloch_propagate under that pair, whatever the rest of the batch."""
-    return _rotations(_reduce(_steps(pulse, alpha, delta))) @ _state(M0)
+    return _rotations(_last(_step_planes(pulse, alpha, delta))) @ _state(M0)
 
 
 def so3_propagate(pulse, err: ErrorParams = ErrorParams()) -> PropagatorPath:
@@ -346,7 +397,19 @@ def axis_angle_path(upath: PropagatorPath, tol: float = 1e-12) -> AxisAnglePath:
     """Axis-angle reading of an SU(2) propagator path."""
     if upath.U is None:
         raise ValueError("axis_angle_path needs an SU(2) path")
-    q = spinor_quaternion(upath.U)
+    return _axis_angle(upath.times, spinor_quaternion(upath.U), tol)
+
+
+def _pair_quaternion(q):
+    """spinor_quaternion(_spinors(q)) of pairs (n, 2), read straight from
+    (a, c) with its bits: 0.0 - x, not -x, keeps the spinor route's +0.0."""
+    a, c = q[:, 0], q[:, 1]
+    return np.column_stack([a.real, 0.0 - c.imag, c.real, 0.0 - a.imag])
+
+
+def _axis_angle(times, q, tol):
+    """AxisAnglePath of the quaternions q (n, 4), which it reorients in
+    place."""
     # keep the double cover continuous in time
     flips = np.cumprod(np.where(np.sum(q[1:] * q[:-1], axis=1) < 0.0, -1.0, 1.0))
     q[1:] *= flips[:, None]
@@ -359,16 +422,17 @@ def axis_angle_path(upath: PropagatorPath, tol: float = 1e-12) -> AxisAnglePath:
     # each degenerate sample takes the axis of the last live one
     live = np.maximum.accumulate(np.where(degenerate, 0, np.arange(len(q))))
     axis = axis[live]
-    return AxisAnglePath(upath.times, axis, angle, degenerate)
+    return AxisAnglePath(times, axis, angle, degenerate)
 
 
 def _trajectory_and_axis_angle(pulse, M0, err: ErrorParams):
     """bloch_propagate(pulse, M0, err) and axis_angle_path(su2_propagate(
-    pulse, err)) from one scan.  Both read the same pairs through the
-    same formulas as the public pair of calls, so the bits are theirs."""
+    pulse, err)) from one scan.  Both read the same pairs, and the
+    quaternions come straight from them with the spinor route's bits, so
+    the bits are those of the public pair of calls."""
     q = _path(pulse, err)
     traj = Trajectory(pulse.times, _rotations(q) @ _state(M0))
-    return traj, axis_angle_path(PropagatorPath(pulse.times, U=_spinors(q)))
+    return traj, _axis_angle(pulse.times, _pair_quaternion(q), 1e-12)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -314,6 +314,25 @@ def test_help_exits_cleanly():
     assert run([]) == 2
 
 
+def test_cached_parser_holds_no_state_between_calls(tmp_path, capsys):
+    cli._build_parser.cache_clear()
+    tre = ["pulse", "--family", "tre", "--k", 0.6, "--eps", 0.01]
+    assert run([*tre, "--out", tmp_path / "first"]) == 0
+    assert run(["pulse", "--family", "sinc", "--out", tmp_path / "bad"]) == 2
+    assert run(["--help"]) == 0
+    assert run(["pulse", "--family", "rect", "--out", tmp_path / "rect"]) == 0
+    assert run([*tre, "--out", tmp_path / "last"]) == 0
+    # one parser served all five calls
+    assert cli._build_parser.cache_info().misses == 1
+    for name in ("pulse.csv", "pulse.csv.json"):
+        assert (tmp_path / "first" / name).read_bytes() == \
+            (tmp_path / "last" / name).read_bytes()
+    side = json.loads((tmp_path / "rect" / "pulse.csv.json").read_text())
+    assert side["config"]["k"] is None
+    assert side["config"]["eps"] is None
+    assert not (tmp_path / "bad").exists()
+
+
 def test_sweep_grid_flags_take_space_or_equals_form(tmp_path):
     base = ["sweep", "--family", "rect", "--n", 65]
     spaced = tmp_path / "spaced"

@@ -546,6 +546,37 @@ def test_closed_form_solid_angle_matches_polygon(family, k, log_eps):
                - gates._orbit_geometric(p, eps, family, n=32769)) <= 1e-10
 
 
+# near eps -> 0 the rotating orbit runs close to -e3, where the fan's
+# denominator 1 + a3 + b3 + a . b cancels
+@pytest.mark.parametrize("k", [0.2, 0.9])
+def test_orbit_geometric_near_minus_e3_matches_closed_form(k):
+    p = TopParameters(k)
+    assert abs(gates._orbit_geometric(p, 1e-4, Family.ROTATING, n=32769)
+               - gates._orbit_solid_angle(p, 1e-4, Family.ROTATING)) <= 1e-12
+
+
+def test_geometric_phase_near_minus_e3_is_rotation_invariant():
+    # a small loop 1e-3 from -e3, not around it, and the same loop turned
+    # towards the equator: the geodesic polygon's area is the same
+    t = np.linspace(0.0, 2.0 * math.pi, 257)[:-1]
+    r, theta = 4e-4, math.pi - 1e-3
+    loop = np.column_stack([r * np.cos(t), r * np.sin(t),
+                            np.full_like(t, math.sqrt(1.0 - r * r))])
+    tilt = np.array([[math.cos(theta), 0.0, math.sin(theta)],
+                     [0.0, 1.0, 0.0],
+                     [-math.sin(theta), 0.0, math.cos(theta)]])
+    near = loop @ tilt.T
+    beta = 1.2
+    turn = np.array([[1.0, 0.0, 0.0],
+                     [0.0, math.cos(beta), -math.sin(beta)],
+                     [0.0, math.sin(beta), math.cos(beta)]])
+    assert near[:, 2].max() < -1.0 + 2e-6
+    away = near @ turn.T
+    assert abs(geometric_phase(near) - geometric_phase(away)) <= 1e-12
+    # the loop encloses about a cap of area pi r^2, with the fan's sign
+    assert abs(abs(geometric_phase(away)) - math.pi * r * r) <= 1e-9
+
+
 @pytest.mark.parametrize("k_a", [0.4, 0.5, 0.6, 0.7, 0.8])
 def test_match_dynamical_newton_agrees_with_brent(k_a):
     # k_b over the range a phase design scans: above k_a, and below the

@@ -14,11 +14,17 @@ from blochtop.propagate import (
     ErrorParams,
     _final,
     _final_states,
+    _fold,
     _mirror_final,
+    _mul,
+    _pairs,
+    _planes,
     _reduce,
     _rotations,
     _scan,
+    _step_planes,
     _steps,
+    _unit,
     adjoint_map,
     axis_angle_path,
     bloch_propagate,
@@ -30,6 +36,7 @@ from blochtop.propagate import (
 )
 from blochtop.pulsegen import (
     ControlPulse,
+    _MirrorHalf,
     _mirror_half,
     concat,
     inverse_pulse,
@@ -442,6 +449,87 @@ def test_reduce_is_last_scan_entry_bit_for_bit(pulse, pairs):
     alpha, delta = np.array(pairs).T
     steps = _steps(pulse, alpha, delta)
     assert np.array_equal(_reduce(steps), _scan(steps)[:, -1])
+
+
+def contiguous_step_planes(pulse, alpha, delta):
+    """Step planes built apart, as contiguous (2, B, n - 1) planes, and
+    copied behind the identity by _planes."""
+    gain = 1.0 + np.asarray(alpha, dtype=float)[:, None]
+    delta = np.asarray(delta, dtype=float)[:, None]
+    dt = np.diff(pulse.times)
+
+    def interval(w):
+        return 0.5 * (w[:, 1:] + w[:, :-1]) * dt
+
+    v1 = interval(pulse.omega1 * gain)
+    v2 = interval(pulse.omega2 * gain)
+    v3 = interval(pulse.omega3 + delta)
+    phi = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+    half = 0.5 * phi
+    s = np.sin(half) / np.where(phi == 0.0, 1.0, phi)
+    S = np.empty((2,) + phi.shape, dtype=complex)
+    np.cos(half, out=S[0].real)
+    np.multiply(s, v2, out=S[1].real)
+    np.negative(s, out=s)
+    np.multiply(s, v3, out=S[0].imag)
+    np.multiply(s, v1, out=S[1].imag)
+    return _planes(np.moveaxis(S, 0, -1))
+
+
+@PROPERTY
+@given(pulses(), _offsets)
+def test_step_planes_are_built_in_place_bit_for_bit(pulse, pairs):
+    alpha, delta = np.array(pairs).T
+    S = _step_planes(pulse, alpha, delta)
+    assert S.shape == (2, len(alpha), pulse.n_samples)
+    assert S.tobytes() == _planes(_steps(pulse, alpha, delta)).tobytes()
+    assert S.tobytes() == contiguous_step_planes(pulse, alpha, delta).tobytes()
+
+
+def mirror_final_reference(half):
+    """_mirror_final of one unstacked half, composed from steps copied
+    into planes by _planes."""
+    steps = _steps(half, [0.0], [0.0])[0]
+    A = _unit(_fold(_planes(steps[:-1] if half.middle else steps)))
+    mirror = A.copy()
+    if half.axis == 3:
+        np.conj(mirror[0], out=mirror[0])
+    else:
+        np.conj(mirror[1], out=mirror[1])
+        if half.axis == 2:
+            np.negative(mirror[1], out=mirror[1])
+    if half.middle:
+        A = _mul(np.moveaxis(steps[-1:], -1, 0), A, np.empty_like(A))
+    return _pairs(_unit(_mul(mirror, A, np.empty_like(A))))[0]
+
+
+@st.composite
+def stacked_halves(draw):
+    """1..5 rows of random m-sample tables on one grid length m >= 2, so
+    a half may hold a single step, with zero-width samples and fields."""
+    rows = draw(st.integers(1, 5))
+    m = draw(st.integers(2, 12))
+
+    def table(elements, size):
+        return np.array(draw(st.lists(
+            st.lists(elements, min_size=size, max_size=size),
+            min_size=rows, max_size=rows)))
+
+    times = np.cumsum(table(_step, m - 1), axis=1)
+    w = table(_field, 3 * m).reshape(rows, 3, m)
+    return _MirrorHalf(np.column_stack([np.zeros(rows), times]),
+                       w[:, 0], w[:, 1], w[:, 2], draw(st.booleans()),
+                       draw(st.sampled_from([1, 2, 3])))
+
+
+@PROPERTY
+@given(stacked_halves())
+def test_stacked_mirror_final_matches_planes_reference_bit_for_bit(half):
+    batch = _mirror_final(half)
+    for b, row in enumerate(batch):
+        one = half._replace(times=half.times[b], omega1=half.omega1[b],
+                            omega2=half.omega2[b], omega3=half.omega3[b])
+        assert row.tobytes() == mirror_final_reference(one).tobytes()
 
 
 @PROPERTY
