@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -107,8 +107,7 @@ class PhaseBudget:
     geometric: float
 
     def as_dict(self) -> dict:
-        return {"total": self.total, "dynamical": self.dynamical,
-                "geometric": self.geometric}
+        return asdict(self)
 
 
 def budget_defect(budget: PhaseBudget) -> float:
@@ -130,6 +129,8 @@ def geometric_phase(M) -> float:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[1] != 3 or M.shape[0] < 3:
         raise ValueError("need a loop of at least 3 samples of shape (n, 3)")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("loop samples must be finite")
     return -2.0 * _fan(M, np.roll(M, -1, axis=0))
 
 
@@ -152,6 +153,8 @@ def _fan(a, b) -> float:
 def dynamical_phase(pulse: ControlPulse, M) -> float:
     """Trapezoid integral of Omega(t) . M(t) over the pulse grid."""
     M = np.asarray(M, dtype=float)
+    if M.shape != (pulse.n_samples, 3) or not np.all(np.isfinite(M)):
+        raise ValueError("M must be finite of shape (pulse.n_samples, 3)")
     return float(np.trapezoid(np.sum(pulse.fields * M, axis=1), pulse.times))
 
 
@@ -609,17 +612,7 @@ class PhaseGateDesign:
     converged: bool
 
     def as_dict(self) -> dict:
-        return {"target_phase": self.target_phase,
-                "achieved_phase": self.achieved_phase,
-                "k_a": self.k_a, "eps_a": self.eps_a,
-                "k_b": self.k_b, "eps_b": self.eps_b,
-                "base_point": list(self.base_point),
-                "orientation": self.orientation,
-                "budget_a": self.budget_a.as_dict(),
-                "budget_b": self.budget_b.as_dict(),
-                "fidelity": float(self.fidelity),
-                "residuals": {k: _plain(v) for k, v in self.residuals.items()},
-                "converged": bool(self.converged)}
+        return asdict(self)
 
 
 def _match_dynamical(p_b: TopParameters, dyn_target: float):

@@ -18,19 +18,21 @@ c = c_p a_q + a_p* c_q, in a prefix scan for paths and a pairwise
 reduction for final propagators, and reads rotation matrices, spinors
 and Bloch vectors out of the accumulated pairs.
 
-The kernel is batched: steps, scan and reduction carry a leading axis of
-error pairs (alpha, delta), the sample axis at -2 and the pair (a, c)
-last, with a and c each stored as one contiguous complex plane along the
-sample axis.  Steps are made in two stages: an effective-field stage
+The kernel is batched and has one step layout: planes (2, B, n), a and
+c each one contiguous complex plane along the sample axis, a leading
+axis of error pairs (alpha, delta), and the identity in slot 0 ahead of
+the n - 1 steps.  Steps are made in two stages: an effective-field stage
 gives each interval's rotation vector, and one builder writes the pairs
-of those rotations straight into the planes (2, B, n) that the scan and
-the reduction consume, behind the identity in slot 0, so no step is
-copied on its way into the products.  The reduction pairs steps from the
-last one down, which is the product tree of the scan's last element, so
-a final propagator equals the endpoint of its path bit for bit, whether
-it is computed alone or inside a batch.  Every product and norm runs on
-arrays that keep the sample axis, even a final one of length 1: numpy
-rounds scalar arithmetic differently from its array loops.
+of those rotations straight into the planes, so no step is copied on
+its way into the products.  The scan takes the planes it is given and
+accumulates the products in place in them, the reduction folds them
+pairwise, and both read pairs (..., 2) out only at the end.  The
+reduction pairs steps from the last one down, which is the product tree
+of the scan's last element, so a final propagator equals the endpoint
+of its path bit for bit, whether it is computed alone or inside a
+batch.  Every product and norm runs on arrays that keep the sample
+axis, even a final one of length 1: numpy rounds scalar arithmetic
+differently from its array loops.
 
 A private mirror route (_mirror_final) serves gate design: the fields of
 an unrotated transfer or loop pulse on its own grid are mirror-symmetric
@@ -155,27 +157,6 @@ def _step_planes(pulse, alpha, delta):
     return _exp_pairs(*_fields(pulse, alpha, delta))
 
 
-def _steps(pulse, alpha, delta):
-    """Pairs (B, n - 1, 2) of every sampling interval, one row per error
-    pair (alpha[b], delta[b]): the rotation by the endpoint-averaged
-    effective field times the interval length.  A view of the planes
-    _step_planes writes them in, behind the identity."""
-    return _pairs(_step_planes(pulse, alpha, delta))[..., 1:, :]
-
-
-def _planes_of(steps):
-    """The planes (2, ..., n) behind pairs steps (..., n - 1, 2): the
-    planes _steps built them in, or else a copy by _planes."""
-    S = steps.base
-    if isinstance(S, np.ndarray) and S.dtype == complex and \
-            S.shape == (2,) + steps.shape[:-2] + (steps.shape[-2] + 1,):
-        tail = _pairs(S)[..., 1:, :]
-        if tail.strides == steps.strides and \
-                tail.ctypes.data == steps.ctypes.data:
-            return S
-    return _planes(steps)
-
-
 def _mul(p, q, out):
     """Product p q of pair planes (2, ..., m) into out; q acts first.  out
     may share memory with p or q."""
@@ -203,22 +184,11 @@ def _unit(S):
     return S
 
 
-def _planes(steps):
-    """Planes (2, ..., n) of the identity followed by the pairs steps
-    (..., n - 1, 2)."""
-    S = np.empty((2,) + steps.shape[:-2] + (steps.shape[-2] + 1,), dtype=complex)
-    S[0, ..., 0] = 1.0
-    S[1, ..., 0] = 0.0
-    S[..., 1:] = np.moveaxis(steps, -1, 0)
-    return S
-
-
-def _scan(steps):
-    """All left-accumulated products along axis -2: out[..., i, :] =
-    steps[i-1] ... steps[0], with out[..., 0, :] the identity.
-    Logarithmic number of vectorized passes, in place in the planes
-    behind steps (_planes_of): pairs from _steps are spent."""
-    S = _planes_of(steps)
+def _scan(S):
+    """Left-accumulated products of the planes S (2, ..., n) of the
+    identity and the steps: entry i is S[..., i] ... S[..., 0].  A
+    logarithmic number of vectorized passes, in place in S, which holds
+    the scan afterwards; returns it as pairs (..., n, 2)."""
     s = 1
     while s < S.shape[-1]:
         _mul(S[..., s:], S[..., :-s], S[..., s:])
@@ -244,12 +214,6 @@ def _last(S):
     and the steps.  When n is 1, _fold hands S back and _unit rescales
     it in place, so S must not be read after this."""
     return _pairs(_unit(_fold(S)))[..., 0, :]
-
-
-def _reduce(steps):
-    """Final products steps[-1] ... steps[0] along axis -2 by pairwise
-    reduction; equals _scan(steps)[..., -1, :] bit for bit."""
-    return _last(_planes_of(steps))
 
 
 def _rotations(q):
@@ -303,7 +267,7 @@ def _state(M0):
 
 
 def _path(pulse, err: ErrorParams):
-    return _scan(_steps(pulse, [err.alpha], [err.delta]))[0]
+    return _scan(_step_planes(pulse, [err.alpha], [err.delta]))[0]
 
 
 def _final(pulse, err: ErrorParams):

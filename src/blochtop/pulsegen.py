@@ -241,7 +241,8 @@ def inverse_pulse(pulse: ControlPulse) -> ControlPulse:
 def rotate_pulse(pulse: ControlPulse, R) -> ControlPulse:
     """Apply a fixed proper rotation R to every field sample."""
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3) or np.max(np.abs(R.T @ R - np.eye(3))) > 1e-10 \
+    if R.shape != (3, 3) or not np.all(np.isfinite(R)) \
+            or np.max(np.abs(R.T @ R - np.eye(3))) > 1e-10 \
             or np.linalg.det(R) < 0.0:
         raise ValueError("R must be a proper rotation matrix")
     w = pulse.fields @ R.T

@@ -26,7 +26,7 @@ from blochtop.gates import (
 from blochtop.propagate import ErrorParams, bloch_propagate, gate_fidelity, \
     so3_final, su2_final
 from blochtop.pulsegen import ControlPulse, concat, inverse_pulse, nmr_frame, \
-    tre_loop_pulse
+    rect_pi_pulse, tre_loop_pulse
 from blochtop.topdyn import Family, TopParameters, analytic_trajectory, \
     energy, orbit_period, tre_initial
 
@@ -433,6 +433,20 @@ def test_geometric_phase_input_validation():
         geometric_phase(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         geometric_phase(np.zeros((5, 2)))
+    loop = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for bad in (np.nan, np.inf):
+        loop[1, 2] = bad
+        with pytest.raises(ValueError):
+            geometric_phase(loop)
+
+
+def test_dynamical_phase_input_validation():
+    pulse = rect_pi_pulse(1.0, n=5)
+    M = np.tile([1.0, 0.0, 0.0], (5, 1))
+    assert_allclose(dynamical_phase(pulse, M), math.pi, rtol=1e-12)
+    for bad in (M[0], M[:4], np.full((5, 3), np.nan)):
+        with pytest.raises(ValueError):
+            dynamical_phase(pulse, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,13 @@ from blochtop.propagate import (
     _final,
     _final_states,
     _fold,
+    _last,
     _mirror_final,
     _mul,
     _pairs,
-    _planes,
-    _reduce,
     _rotations,
     _scan,
     _step_planes,
-    _steps,
     _unit,
     adjoint_map,
     axis_angle_path,
@@ -447,13 +445,13 @@ _offsets = st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-1.0, 1.0)),
 @given(pulses(), _offsets)
 def test_reduce_is_last_scan_entry_bit_for_bit(pulse, pairs):
     alpha, delta = np.array(pairs).T
-    steps = _steps(pulse, alpha, delta)
-    assert np.array_equal(_reduce(steps), _scan(steps)[:, -1])
+    assert np.array_equal(_last(_step_planes(pulse, alpha, delta)),
+                          _scan(_step_planes(pulse, alpha, delta))[:, -1])
 
 
 def contiguous_step_planes(pulse, alpha, delta):
     """Step planes built apart, as contiguous (2, B, n - 1) planes, and
-    copied behind the identity by _planes."""
+    copied behind the identity."""
     gain = 1.0 + np.asarray(alpha, dtype=float)[:, None]
     delta = np.asarray(delta, dtype=float)[:, None]
     dt = np.diff(pulse.times)
@@ -473,7 +471,11 @@ def contiguous_step_planes(pulse, alpha, delta):
     np.negative(s, out=s)
     np.multiply(s, v3, out=S[0].imag)
     np.multiply(s, v1, out=S[1].imag)
-    return _planes(np.moveaxis(S, 0, -1))
+    P = np.empty(S.shape[:-1] + (S.shape[-1] + 1,), dtype=complex)
+    P[0, ..., 0] = 1.0
+    P[1, ..., 0] = 0.0
+    P[..., 1:] = S
+    return P
 
 
 @PROPERTY
@@ -482,15 +484,14 @@ def test_step_planes_are_built_in_place_bit_for_bit(pulse, pairs):
     alpha, delta = np.array(pairs).T
     S = _step_planes(pulse, alpha, delta)
     assert S.shape == (2, len(alpha), pulse.n_samples)
-    assert S.tobytes() == _planes(_steps(pulse, alpha, delta)).tobytes()
     assert S.tobytes() == contiguous_step_planes(pulse, alpha, delta).tobytes()
 
 
 def mirror_final_reference(half):
-    """_mirror_final of one unstacked half, composed from steps copied
-    into planes by _planes."""
-    steps = _steps(half, [0.0], [0.0])[0]
-    A = _unit(_fold(_planes(steps[:-1] if half.middle else steps)))
+    """_mirror_final of one unstacked half, composed from the contiguous
+    reference planes."""
+    S = contiguous_step_planes(half, [0.0], [0.0])[:, 0]
+    A = _unit(_fold(S[..., :-1] if half.middle else S))
     mirror = A.copy()
     if half.axis == 3:
         np.conj(mirror[0], out=mirror[0])
@@ -499,7 +500,7 @@ def mirror_final_reference(half):
         if half.axis == 2:
             np.negative(mirror[1], out=mirror[1])
     if half.middle:
-        A = _mul(np.moveaxis(steps[-1:], -1, 0), A, np.empty_like(A))
+        A = _mul(S[..., -1:], A, np.empty_like(A))
     return _pairs(_unit(_mul(mirror, A, np.empty_like(A))))[0]
 
 

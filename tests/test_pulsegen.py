@@ -233,6 +233,8 @@ def test_rotate_pulse_validation_and_action():
         rotate_pulse(pulse, np.diag([1.0, 1.0, -1.0]))
     with pytest.raises(ValueError):
         rotate_pulse(pulse, np.ones((3, 3)))
+    with pytest.raises(ValueError, match="proper rotation"):
+        rotate_pulse(pulse, np.full((3, 3), np.nan))
     Rz90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     rot = rotate_pulse(pulse, Rz90)
     assert_allclose(rot.omega2, pulse.omega1, atol=1e-15)
