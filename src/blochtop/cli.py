@@ -12,9 +12,10 @@ fails before that leaves none behind.
 
 Each option's type and legal values are declared once, below, and a
 config value is checked like its flag (exit 2 naming the key).  A sweep
-preset rejects keys it does not read unless they hold their defaults;
-an unreadable --pulse file is exit 2.  The parser is built once per
-process, so repeated in-process calls of main pay only for parsing.
+preset or a gate rejects keys it does not read unless they hold their
+defaults; an unreadable --pulse file is exit 2.  The parser is built
+once per process, so repeated in-process calls of main pay only for
+parsing.
 """
 
 from __future__ import annotations
@@ -89,11 +90,16 @@ _HELP = {"workers": "accepted; has no effect",
          "target": "relative phase in (0, 2 pi)",
          ("fit-period", "eps"): "comma-separated offsets"}
 
-# the sweep keys each preset reads; every other one must keep its default
-_PRESET_KEYS = {
-    "experiment": ("preset", "k", "eps", "branch", "n"),
-    "four-k": ("preset", "eps", "branch", "n", "merit", "alpha_grid",
-               "delta_grid"),
+# The keys that each sweep preset and each gate reads; every other key of
+# the command must keep its default (the global keys are exempt).
+_MODE = {"sweep": "preset", "gate": "name"}
+_READS = {
+    ("sweep", "experiment"): ("preset", "k", "eps", "branch", "n"),
+    ("sweep", "four-k"): ("preset", "eps", "branch", "n", "merit",
+                          "alpha_grid", "delta_grid"),
+    ("gate", "not"): ("name", "k", "n", "eps_lo", "eps_hi"),
+    ("gate", "phase"): ("name", "k", "n", "target", "eps_a"),
+    ("gate", "hadamard"): ("name", "k", "n"),
 }
 
 
@@ -145,6 +151,17 @@ def _effective(args, file_cfg: dict) -> dict:
         cfg[key] = default if value is None else \
             _typed(args.command, key, value)
     return cfg
+
+
+def _check_reads(command: str, cfg: dict):
+    """Reject a key that the command's preset or gate does not read."""
+    mode = cfg.get(_MODE.get(command))
+    reads = _READS.get((command, mode), _SPECS[command])
+    unread = [_flag(key) for key, default in _SPECS[command].items()
+              if key not in reads and cfg[key] != default]
+    if unread:
+        what = "--preset" if command == "sweep" else command
+        raise UsageError(f"{what} {mode} does not read " + ", ".join(unread))
 
 
 def _artifact(out: Path, name: str) -> Path:
@@ -285,13 +302,6 @@ def _sweep_maps(cfg: dict, merit):
 
 def _cmd_sweep(cfg: dict, out: Path) -> int:
     """map a merit over error parameters"""
-    if cfg["preset"] is not None:
-        unread = [_flag(key) for key, default in _SPECS["sweep"].items()
-                  if key not in _PRESET_KEYS[cfg["preset"]]
-                  and cfg[key] != default]
-        if unread:
-            raise UsageError(f"--preset {cfg['preset']} does not read "
-                             + ", ".join(unread))
     merit = {"J3": merit_J3, "J2": merit_J2}[cfg["merit"]]
     reasons = Counter()
     for name, extra, pulse, m0, grids, merit in _sweep_maps(cfg, merit):
@@ -321,10 +331,8 @@ def _cmd_gate(cfg: dict, out: Path) -> int:
         _, pulse, report = tune_not_gate(p, (cfg["eps_lo"], cfg["eps_hi"]),
                                          n=n)
     elif name == "phase":
-        if cfg["target"] is None:
-            raise UsageError("--target is required for the phase gate")
         design, pulse, budget = design_phase_gate(
-            cfg["target"], p, eps_a=cfg["eps_a"], n=n)
+            _need(cfg, "target"), p, eps_a=cfg["eps_a"], n=n)
         params = design.as_dict()
         params.pop("residuals", None)
         report = GateReport("phase", params, design.fidelity,
@@ -439,6 +447,7 @@ def main(argv=None) -> int:
         cfg = _effective(args, file_cfg)
         if not 0.0 < cfg["time_scale"] < math.inf:
             raise UsageError("--time-scale must be finite and positive")
+        _check_reads(args.command, cfg)
         out = Path(args.out or file_cfg.get("out") or ".")
         return _HANDLERS[args.command](cfg, out)
     except (UsageError, ValueError) as exc:

@@ -1,10 +1,11 @@
 """Complete elliptic integrals and Jacobi elliptic functions.
 
 Everything here uses the parameter convention m = k**2, so sn(u, m)
-has real quarter period K(m) and the m -> 1 limit is hyperbolic.
-The integrals come from the arithmetic-geometric mean, the functions
-from a descending Landen transformation; both converge quadratically,
-so a handful of iterations reaches double precision.
+has real quarter period K(m); m = 1 exactly takes the hyperbolic forms.
+One arithmetic-geometric mean sequence, _agm, feeds the integrals and
+the descending Landen transformation of the functions, each stopping
+it at its own test; it converges quadratically, so a handful of
+iterations reaches double precision for any m < 1.
 """
 
 from __future__ import annotations
@@ -16,14 +17,17 @@ import numpy as np
 _AGM_TOL = 1e-16
 _AGM_MAX = 64
 
-# Forward Landen chain stops at |a - b| <= tol * a; the truncation
-# error in the results scales like tol**2.
+# The Landen chain stops at |a - b| <= tol * a; the truncation error in
+# the results scales like tol**2.
 _LANDEN_TOL = 1e-8
-_LANDEN_MAX = 16
 
-# Below this distance from m = 1 the chain cannot resolve the modulus
-# and the exact m = 1 hyperbolic forms are used instead.
-_HYPERBOLIC_SWITCH = 1e-12
+
+def _agm(m: float):
+    """The AGM pairs (a_j, b_j) from (1, sqrt(1 - m)), at most _AGM_MAX."""
+    a, b = 1.0, math.sqrt(1.0 - m)
+    for _ in range(_AGM_MAX):
+        yield a, b
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
 
 
 def complete_K(m: float) -> float:
@@ -31,12 +35,7 @@ def complete_K(m: float) -> float:
     m = float(m)
     if not 0.0 <= m < 1.0:
         raise ValueError(f"m must lie in [0, 1), got {m}")
-    a, b = 1.0, math.sqrt(1.0 - m)
-    for _ in range(_AGM_MAX):
-        if abs(a - b) <= _AGM_TOL * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return _complete_KE(m)[0]
 
 
 def complete_E(m: float) -> float:
@@ -50,18 +49,13 @@ def complete_E(m: float) -> float:
 
 
 def _complete_KE(m: float):
-    """(K(m), E(m)) from one AGM pass, for 0 <= m < 1 (unchecked).
-
-    E carries the bits of complete_E, and K is pi / (2 a) of the same
-    pass; complete_K stops its AGM one step earlier, so the two K may
-    differ in the last bit.
-    """
-    a, b = 1.0, math.sqrt(1.0 - m)
+    """(K(m), E(m)) from one AGM pass, for 0 <= m < 1 (unchecked);
+    K is complete_K's value."""
     c2sum = 0.5 * m
     w = 0.5
-    for _ in range(_AGM_MAX):
+    for a, b in _agm(m):
         c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        a = 0.5 * (a + b)
         w *= 2.0
         c2sum += w * c * c
         if c <= _AGM_TOL * a:
@@ -91,11 +85,10 @@ def complete_Pi(nu: float, m: float) -> float:
         raise ValueError(f"nu must be finite and below 1, got {nu}")
     if not 0.0 <= m < 1.0:
         raise ValueError(f"m must lie in [0, 1), got {m}")
-    a, g = 1.0, math.sqrt(1.0 - m)
     p = math.sqrt(1.0 - nu)
     P, one_minus_P = 1.0, 0.0
     S, D, w = 1.0, 0.0, 1.0
-    for _ in range(_AGM_MAX):
+    for a, g in _agm(m):
         if abs(a - g) <= _AGM_TOL * a and abs(w * P) <= _AGM_TOL * S:
             break
         p2, ag = p * p, a * g
@@ -106,7 +99,8 @@ def complete_Pi(nu: float, m: float) -> float:
         S += w * P
         D += w * one_minus_P
         p = 0.5 * q / p
-        a, g = 0.5 * (a + g), math.sqrt(ag)
+    else:
+        a = 0.5 * (a + g)
     # the terms past the last, (1 - P_j) / 2^j with P_j ~ 0, sum to w
     return math.pi / (4.0 * a) * (D + w + S / (1.0 - nu))
 
@@ -122,49 +116,43 @@ def jacobi_sn_cn_dn(u, m: float):
     m = float(m)
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"m must lie in [0, 1], got {m}")
-    arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    if scalar:
-        arr = arr.reshape(1)
+    scalar = np.ndim(u) == 0
+    arr = np.atleast_1d(np.asarray(u, dtype=float))
 
-    if 1.0 - m < _HYPERBOLIC_SWITCH:
+    if m == 1.0:
         cn = 1.0 / np.cosh(arr)
         sn, dn = np.tanh(arr), cn.copy()
     else:
-        # Scalar descending Landen chain, shared by every element of u.
-        em: list[float] = []
-        en: list[float] = []
-        a, emc = 1.0, 1.0 - m
-        c = 0.5 * (a + math.sqrt(emc))
-        for _ in range(_LANDEN_MAX):
-            em.append(a)
-            emc = math.sqrt(emc)
-            en.append(emc)
-            c = 0.5 * (a + emc)
-            if abs(a - emc) <= _LANDEN_TOL * a:
+        # Descending Landen chain, shared by every element of u.
+        chain = []
+        for a, b in _agm(m):
+            chain.append((a, b))
+            if abs(a - b) <= _LANDEN_TOL * a:
                 break
-            emc *= a
-            a = c
+        c = 0.5 * (a + b)
 
         w = c * arr
         sn0 = np.sin(w)
-        cn0 = np.cos(w)
         zero = sn0 == 0.0
         safe = np.where(zero, 1.0, sn0)
-        aa = cn0 / safe
-        cc = aa * c
-        dd = np.ones_like(w)
-        for b_em, b_en in zip(reversed(em), reversed(en)):
-            t = aa * cc
-            cc = cc * dd
-            dd = (b_en + t) / (b_em + t)
-            aa = cc / b_em
-        amp = 1.0 / np.sqrt(cc * cc + 1.0)
-        sn = np.where(sn0 >= 0.0, amp, -amp)
-        cn = cc * sn
-        sn = np.where(zero, 0.0, sn)
-        cn = np.where(zero, cn0, cn)
-        dn = np.where(zero, 1.0, dd)
+        # cot(w)**2 overflows for 0 < |u| below about 1e-154 and leaves dd
+        # NaN; such finite u take the small-u limits sn = u, cn = dn = 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            aa = np.cos(w) / safe
+            cc = aa * c
+            dd = np.ones_like(w)
+            for b_em, b_en in reversed(chain):
+                t = aa * cc
+                cc = cc * dd
+                dd = (b_en + t) / (b_em + t)
+                aa = cc / b_em
+            amp = 1.0 / np.sqrt(cc * cc + 1.0)
+            sn = np.where(sn0 >= 0.0, amp, -amp)
+            cn = cc * sn
+        tiny = np.isnan(dd) & (np.abs(arr) < 1.0)
+        sn = np.where(zero, 0.0, np.where(tiny, arr, sn))
+        cn = np.where(zero | tiny, 1.0, cn)
+        dn = np.where(zero | tiny, 1.0, dd)
 
     if scalar:
         return float(sn[0]), float(cn[0]), float(dn[0])

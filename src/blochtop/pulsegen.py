@@ -163,15 +163,18 @@ def allen_eberly_pulse(p: TopParameters, t0: float = 0.0, half_width: float = 12
     rescaled time s = k*kp*t_body (amplitudes divided by the same factor).
     """
     _check_n(n)
-    if half_width <= 0.0:
-        raise ValueError("half_width must be positive")
+    if not 0.0 < 2.0 * half_width < math.inf:
+        raise ValueError("half_width must be positive with a finite span "
+                         f"2 * half_width, got {half_width}")
     if sign1 not in (-1, 1) or sign3 not in (-1, 1):
         raise ValueError("sign1 and sign3 must be +1 or -1")
     k = p.k
     kp = math.sqrt(1.0 - k**2)
     times = np.linspace(0.0, 2.0 * half_width, n)
     s = times - half_width + t0
-    w1 = sign1 / (kp * np.cosh(s))
+    # cosh overflows past |s| ~ 710, where the drive is 0 to double precision
+    with np.errstate(over="ignore"):
+        w1 = sign1 / (kp * np.cosh(s))
     w3 = sign3 * k * np.tanh(s) / kp
     meta = {"kind": "allen_eberly", "k": k, "t0": t0, "half_width": half_width,
             "n": n, "sign1": sign1, "sign3": sign3}
@@ -181,8 +184,9 @@ def allen_eberly_pulse(p: TopParameters, t0: float = 0.0, half_width: float = 12
 def rect_pi_pulse(amplitude: float, n: int = 2048) -> ControlPulse:
     """Constant drive on axis 1 with area pi."""
     _check_n(n)
-    if amplitude <= 0.0:
-        raise ValueError("amplitude must be positive")
+    if not (amplitude > 0.0 and math.pi / amplitude < math.inf):
+        raise ValueError("amplitude must be positive with a finite span "
+                         f"pi / amplitude, got {amplitude}")
     times = np.linspace(0.0, math.pi / amplitude, n)
     w1 = np.full(n, amplitude)
     meta = {"kind": "rect_pi", "amplitude": amplitude, "n": n}

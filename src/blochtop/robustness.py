@@ -94,7 +94,10 @@ def sweep(pulse: ControlPulse, M0, alpha_grid=None, delta_grid=None,
     for start in range(0, live.size, per_chunk):
         cells = live[start:start + per_chunk]
         try:
-            finals = _final_states(pulse, M0, a_cells[cells], d_cells[cells])
+            # an overflowing cell ends non-finite, and its merit flags it
+            with np.errstate(over="ignore", invalid="ignore"):
+                finals = _final_states(pulse, M0, a_cells[cells],
+                                       d_cells[cells])
         except Exception as exc:
             reasons.update(dict.fromkeys(cells, type(exc).__name__))
             continue

@@ -151,6 +151,9 @@ def orbit_constants(p: TopParameters, eps: float, family: Family) -> OrbitConsta
         omega = k * A
         E = 0.5 * (k * C) ** 2
         amps = (B, A, C)
+    if m >= 1.0:
+        raise ValueError(f"eps = {eps} is too close to the separatrix at "
+                         f"k = {k}: the orbit's parameter m rounds to 1")
     K = complete_K(m)
     return OrbitConstants(*amps, m=m, omega=omega, u0=K, energy=E, K=K)
 

@@ -393,6 +393,43 @@ def test_preset_rejects_flags_it_does_not_read(tmp_path, capsys, argv,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, unread", [
+    (["not", "--k", 0.6, "--target", 1.0, "--eps-a", 0.3],
+     "--target, --eps-a"),
+    (["hadamard", "--target", 2.0], "--target"),
+    (["hadamard", "--eps-lo", 0.01], "--eps-lo"),
+    (["phase", "--target", 1.0, "--eps-hi", 0.4], "--eps-hi"),
+])
+def test_gate_rejects_flags_it_does_not_read(tmp_path, capsys, argv, unread):
+    assert run(["gate", *argv, "--n", 64, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert f"gate {argv[0]} does not read {unread}" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_gate_sidecar_with_unread_defaults_replays(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["gate", "not", "--n", 512, "--out", a]) == 0
+    assert run(["gate", "not", "--config", a / "gate_not.json.json",
+                "--out", b]) == 0
+    for f in ("gate_not.json", "gate_not_pulse.csv"):
+        assert (a / f).read_bytes() == (b / f).read_bytes()
+
+
+def test_simulate_near_separatrix_reaches_the_far_pole(tmp_path):
+    assert run(["simulate", "--family", "tre", "--k", 0.5, "--eps", 3e-7,
+                "--n", 4097, "--out", tmp_path]) == 0
+    side = json.loads((tmp_path / "trajectory.csv.json").read_text())
+    assert side["final_state"][2] <= -0.9999
+
+
+def test_eps_whose_m_rounds_to_one_is_usage_error(tmp_path, capsys):
+    assert run(["simulate", "--family", "tre", "--k", 0.5, "--eps", 1e-9,
+                "--n", 65, "--out", tmp_path]) == 2
+    assert "eps = 1e-09" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_unreadable_pulse_is_usage_error_and_writes_nothing(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     out = tmp_path / "out"

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -106,7 +108,7 @@ def test_complete_Pi_at_zero_nu_is_K(m):
 def test_one_pass_K_and_E(m):
     K, E = _complete_KE(m)
     assert E == complete_E(m)
-    assert abs(K - complete_K(m)) <= 2.0 * np.spacing(complete_K(m))
+    assert K == complete_K(m)
 
 
 @pytest.mark.parametrize("m", [0.0, 0.1, 0.5, 0.9, 0.99, 0.999999])
@@ -157,9 +159,11 @@ def test_jacobi_hyperbolic_limit():
     assert_allclose(sn, np.tanh(u), rtol=1e-15)
     assert_allclose(cn, 1.0 / np.cosh(u), rtol=1e-15)
     assert_allclose(dn, cn, rtol=1e-15)
-    # just inside the switch the same closed form is used
+    # just below m = 1 the Landen chain still resolves the modulus
+    m = mpmath.mpf(1) - mpmath.mpf(1e-13)
     sn2, _, _ = jacobi_sn_cn_dn(u, 1.0 - 1e-13)
-    assert_allclose(sn2, np.tanh(u), rtol=1e-15)
+    ref = [float(mpmath.ellipfun("sn", ui, m=m)) for ui in u]
+    assert_allclose(sn2, ref, rtol=0, atol=1e-15)
 
 
 def test_jacobi_scalar_and_shape():
@@ -176,3 +180,25 @@ def test_jacobi_domain_errors():
         jacobi_sn_cn_dn(0.1, -0.2)
     with pytest.raises(ValueError):
         jacobi_sn_cn_dn(0.1, 1.0001)
+
+
+@pytest.mark.parametrize("u", [1e-300, -1e-200, 1e-160])
+@pytest.mark.parametrize("m", [0.0, 0.5, 0.999999])
+def test_jacobi_tiny_argument_matches_mpmath(u, m):
+    # cot(c u)**2 of the backward Landen step overflows below |u| ~ 1e-154
+    got = jacobi_sn_cn_dn(np.array([u, 0.0, 0.3]), m)
+    for f, g in zip(("sn", "cn", "dn"), got):
+        assert g[0] == float(mpmath.ellipfun(f, u, m=m))
+        assert g[1] == (0.0 if f == "sn" else 1.0)
+    alone = jacobi_sn_cn_dn(np.array([0.5, 0.0, 0.3]), m)
+    assert [g[2] for g in got] == [g[2] for g in alone]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.floats(math.log(1.1e-16), math.log(0.5)),
+       st.floats(-60.0, 60.0))
+def test_jacobi_identities_near_one(log_m1, u):
+    m = 1.0 - math.exp(log_m1)
+    sn, cn, dn = jacobi_sn_cn_dn(np.array([u, -u, 0.5 * u]), m)
+    assert_allclose(sn**2 + cn**2, 1.0, rtol=0, atol=1e-15)
+    assert_allclose(dn**2 + m * sn**2, 1.0, rtol=0, atol=1e-15)

@@ -141,6 +141,33 @@ def test_allen_eberly_shape_and_signs():
         allen_eberly_pulse(p, sign1=2)
 
 
+def test_allen_eberly_wide_window_is_quiet_and_exact():
+    # cosh overflows past |s| ~ 710; the drive there is 0 (RuntimeWarnings
+    # are errors under the test config)
+    k = 0.5
+    kp = math.sqrt(1.0 - k**2)
+    pulse = allen_eberly_pulse(TopParameters(k), half_width=800.0, n=5)
+    assert pulse.omega1[[0, 2, 4]].tolist() == [0.0, 1.0 / kp, 0.0]
+    assert_allclose(pulse.omega1[[1, 3]], 1.0 / (kp * math.cosh(400.0)),
+                    rtol=1e-15)
+    assert_allclose(pulse.omega3, [-k / kp, -k / kp, 0.0, k / kp, k / kp],
+                    rtol=1e-15)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: allen_eberly_pulse(TopParameters(0.5), half_width=1e308, n=5),
+     "half_width"),
+    (lambda: allen_eberly_pulse(TopParameters(0.5), half_width=math.nan,
+                                n=5), "half_width"),
+    (lambda: rect_pi_pulse(1e-310, n=5), "amplitude"),
+    (lambda: rect_pi_pulse(math.nan, n=5), "amplitude"),
+])
+def test_non_finite_time_span_is_refused_before_sampling(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be positive with a "
+                                         "finite span"):
+        build()
+
+
 def test_allen_eberly_center_offset():
     k = 0.8
     p = TopParameters(k)

@@ -106,6 +106,20 @@ def test_non_finite_cells_flagged():
     assert np.all(np.isnan(rmap.values))
 
 
+def test_overflowing_cell_does_not_poison_its_chunk():
+    # RuntimeWarnings are errors under the test config
+    rmap = sweep(rect_pi_pulse(1.0, n=65), (0.0, 0.0, 1.0),
+                 alpha_grid=[0.0, 0.1, 1e308], delta_grid=[0.0])
+    assert rmap.flags[:, 0].tolist() == [0, 0, 1]
+    assert_allclose(rmap.values[:2, 0], [1.0, math.cos(0.1 * math.pi)],
+                    rtol=1e-12)
+    alone = sweep(rect_pi_pulse(1.0, n=65), (0.0, 0.0, 1.0),
+                  alpha_grid=[0.0, 0.1], delta_grid=[0.0])
+    assert rmap.values[:2].tolist() == alone.values.tolist()
+    assert rmap.meta["failed_cells"] == [{"index": [2, 0],
+                                          "reason": "non-finite merit"}]
+
+
 def test_transfer_quality_across_k():
     for k in (0.2, 0.6, 0.9, 0.99):
         pulse = tre_pulse(TopParameters(k), 0.01, Family.ROTATING, n=2048)

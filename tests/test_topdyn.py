@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
@@ -170,6 +172,25 @@ def test_transfer_reaches_far_pole():
         T = transfer_period(p, eps, family)
         L = analytic_trajectory(p, eps, family, T)
         assert_allclose(L[2], -math.sqrt(1.0 - eps**2), atol=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.floats(math.log(1e-7), math.log(0.9)), st.floats(0.05, 0.95),
+       st.sampled_from(FAMILIES))
+def test_transfer_ends_at_turning_point_near_separatrix(log_eps, k, family):
+    eps = math.exp(log_eps)
+    p = TopParameters(k)
+    L = analytic_trajectory(p, eps, family, transfer_period(p, eps, family))
+    turn = [eps, 0.0, -math.sqrt(1.0 - eps**2)]
+    if family is Family.OSCILLATING:
+        turn[:2] = turn[1::-1]
+    assert_allclose(L, turn, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_eps_whose_m_rounds_to_one_is_refused(family):
+    with pytest.raises(ValueError, match="eps = 1e-09 .* k = 0.5"):
+        orbit_constants(TopParameters(0.5), 1e-9, family)
 
 
 def test_separatrix_exact_energy_and_limits():
