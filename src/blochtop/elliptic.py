@@ -53,7 +53,14 @@ def _complete_KE(m: float):
     K is complete_K's value."""
     c2sum = 0.5 * m
     w = 0.5
-    for a, b in _agm(m):
+    last = None
+    for pair in _agm(m):
+        # a pair that repeats is a one-ulp fixed point of the rounded AGM:
+        # its c never reaches the stop test, and w c^2 would only add junk
+        if pair == last:
+            break
+        last = pair
+        a, b = pair
         c = 0.5 * (a - b)
         a = 0.5 * (a + b)
         w *= 2.0
@@ -120,7 +127,9 @@ def jacobi_sn_cn_dn(u, m: float):
     arr = np.atleast_1d(np.asarray(u, dtype=float))
 
     if m == 1.0:
-        cn = 1.0 / np.cosh(arr)
+        # cosh overflows past |u| ~ 710, where sech is 0 to double precision
+        with np.errstate(over="ignore"):
+            cn = 1.0 / np.cosh(arr)
         sn, dn = np.tanh(arr), cn.copy()
     else:
         # Descending Landen chain, shared by every element of u.

@@ -22,10 +22,10 @@ step of the NOT, composite-NOT and loop-gate searches, and the loop
 propagator of the Montgomery budget, therefore sample and propagate only
 the first half of the orbit, and the reference polygon sums half the
 geodesic fan and doubles it.  One evaluator, _scan_finals, serves them
-all: it samples each point's half (pulsegen._mirror_half) and stacks
-the halves in chunks of rows, one propagate._mirror_final call per
-chunk, with the bits of the 1-D calls; a solver step or the Montgomery
-loop is a chunk of one row.  The pulse a designer returns, and the
+all: it samples the points' halves in chunks of rows, one table per
+chunk (pulsegen._mirror_half), and propagates each chunk in one
+propagate._mirror_final call; a solver step or the Montgomery loop is a
+scan of one point.  The pulse a designer returns, and the
 fidelity and residuals of its report, are computed from the full pulse
 through the public propagators; rotated, offset, concatenated and user
 pulses never take the mirror route.
@@ -423,30 +423,15 @@ def _scan_finals(p: TopParameters, xs, family: Family, n: int,
                  loop: bool) -> np.ndarray:
     """Mirror-route final pairs (len(xs), 2) at the scan points xs: the
     one orbit evaluator of gate design, for whole scans, solver steps and
-    the Montgomery loop alike (chunks of one row).  Each point is sampled
-    by its own _mirror_half call; the halves are stacked in chunks of
-    _CHUNK_SAMPLES // (n // 2 + 1) rows, and each chunk propagates in one
-    _mirror_final call.  Row j has the bits of the 1-D call at xs[j].
+    the Montgomery loop alike (scans of one point).  The points are
+    sampled in chunks of _CHUNK_SAMPLES // (n // 2 + 1) rows, one
+    _mirror_half table and one _mirror_final call per chunk.  Row j has
+    the bits of the one-point scan at xs[j].
     """
     rows = max(1, _CHUNK_SAMPLES // (n // 2 + 1))
-
-    def stacked(chunk):
-        # each point's fields are views of its whole sampled orbit; only
-        # the stacked copy outlives this call, so those are freed early
-        halves = [_mirror_half(p, float(e), family, n, loop=loop)
-                  for e in chunk]
-        return halves[0]._replace(**{
-            name: np.stack([getattr(h, name) for h in halves])
-            for name in ("times", "omega1", "omega2", "omega3")})
-
-    return np.concatenate([_mirror_final(stacked(xs[start:start + rows]))
-                           for start in range(0, len(xs), rows)])
-
-
-def _transfer_involution(p: TopParameters, eps: float, family: Family,
-                         n: int) -> np.ndarray:
-    """_involution_scan at the single point eps."""
-    return _involution_scan(p, [eps], family, n)[0]
+    return np.concatenate([
+        _mirror_final(_mirror_half(p, xs[start:start + rows], family, n, loop))
+        for start in range(0, len(xs), rows)])
 
 
 def _involution_scan(p: TopParameters, xs, family: Family,
@@ -509,7 +494,7 @@ def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
     i = changes[-1] if changes else None
 
     def s_of(e: float) -> float:
-        ax = _transfer_involution(p, e, family, n)
+        ax = _involution_scan(p, [e], family, n)[0]
         if float(ax @ axes[i]) < 0.0:
             ax = -ax
         return float(ax @ v1_of(e))
@@ -559,7 +544,7 @@ def composite_bir_not(p: TopParameters, eps: float, n: int = 4096,
         return 2.0 * a * a - 1.0
 
     def g_of(e: float) -> float:
-        return g(_transfer_involution(p, e, Family.ROTATING, n))
+        return g(_involution_scan(p, [e], Family.ROTATING, n)[0])
 
     lo = max(1e-3, eps / 4.0)
     hi = min(0.97, eps * 4.0)
@@ -822,11 +807,6 @@ def _loop_angles(p: TopParameters, es, n: int) -> list:
                                              loop=True))]
 
 
-def _loop_angle(p: TopParameters, eps: float, n: int) -> float:
-    """_loop_angles at the single point eps."""
-    return _loop_angles(p, [eps], n)[0]
-
-
 def _loop_scan(p: TopParameters, n: int):
     """Loop angle on a descending log grid of eps, unwrapped by continuity.
 
@@ -855,7 +835,7 @@ def _loop_gate(p: TopParameters, axis_target, angle: float, table, n: int):
     es, raw, tots = table
 
     def gap(e: float) -> float:
-        return _util.wrap_angle(_loop_angle(p, e, n) - want)
+        return _util.wrap_angle(_loop_angles(p, [e], n)[0] - want)
 
     # first interval whose unwrapped angles pass a level want + 2 pi m
     lv = [(t - want) / (2.0 * math.pi) for t in tots]

@@ -38,9 +38,9 @@ A private mirror route (_mirror_final) serves gate design: the fields of
 an unrotated transfer or loop pulse on its own grid are mirror-symmetric
 about the midpoint, so the final propagator follows from the product of
 the first half's steps, a conjugation and the middle step.  It takes no
-error parameters, and a stack of halves on one grid length propagates in
-one call.  The public propagators never use it and compose every step of
-whatever pulse they are given.
+error parameters and propagates a stack of halves on one grid length,
+one row per pulse, in one call.  The public propagators never use it
+and compose every step of whatever pulse they are given.
 """
 
 from __future__ import annotations
@@ -275,8 +275,10 @@ def _final(pulse, err: ErrorParams):
 
 
 def _mirror_final(half):
-    """Final pair of a mirror-symmetric field table from its first half
-    (a pulsegen._MirrorHalf), with no error parameters.
+    """Final pairs (B, 2) of mirror-symmetric field tables from their
+    first halves (a pulsegen._MirrorHalf of (B, m) tables on grids of one
+    length), with no error parameters; row b has the bits of a one-row
+    half of row b alone.
 
     Mirrored intervals carry the fields phi and -J phi, J the pi rotation
     about e_axis, so their steps are q and J q^-1 J^-1.  With A the
@@ -284,10 +286,6 @@ def _mirror_final(half):
     the whole table propagates by J A^-1 J^-1 . M . A.  J A^-1 J^-1 is A
     with its component along e_axis negated: a -> a* about e3, c -> c*
     about e1 and c -> -c* about e2.
-
-    A half whose arrays carry a leading row axis, (B, m) tables on grids
-    of one length with one middle flag and axis, returns the (B, 2) final
-    pairs in one pass; row b has the bits of the call on row b alone.
     """
     S = _step_planes(half, [0.0], [0.0])
     # a one-slot fold is rescaled in place, which leaves the middle step
@@ -303,8 +301,7 @@ def _mirror_final(half):
     if half.middle:
         # the middle step keeps its sample axis of length 1
         A = _mul(S[..., -1:], A, np.empty_like(A))
-    q = _pairs(_unit(_mul(mirror, A, np.empty_like(A))))[..., 0, :]
-    return q if np.ndim(half.times) > 1 else q[0]
+    return _pairs(_unit(_mul(mirror, A, np.empty_like(A))))[..., 0, :]
 
 
 def bloch_propagate(pulse, M0, err: ErrorParams = ErrorParams()) -> Trajectory:

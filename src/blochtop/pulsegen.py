@@ -84,41 +84,51 @@ def _check_n(n: int):
         raise ValueError(f"need at least 2 samples, got {n}")
 
 
-def _top_fields(p: TopParameters, L):
-    return L[..., 0], np.zeros(L.shape[:-1]), p.k**2 * L[..., 2]
+def _orbit_table(p: TopParameters, es, family: Family, n: int, quarters: int,
+                 m: int, u_offset: float = 0.0) -> np.ndarray:
+    """Field tables of the orbits through tre_initial(p, eps, family), eps
+    in es: the block (4, len(es), m) of (times, omega1, omega2, omega3),
+    one row per eps, over the first m samples of the n-point grid on
+    quarters quarter periods, with the elliptic argument started u_offset
+    past its near-pole point.  Every orbit pulse and mirror half is
+    sampled here, so a half has its full pulse's bits."""
+    _check_n(n)
+    table = np.zeros((4, len(es), m))
+    for row, eps in zip(table.transpose(1, 0, 2), map(float, es)):
+        oc = orbit_constants(p, eps, family)
+        row[0] = np.linspace(0.0, quarters * oc.K / oc.omega, n)[:m]
+        # the shifted times are staged in the omega1 row, which L then
+        # overwrites, so no times array beside the table is held
+        np.add(row[0], u_offset / oc.omega, out=row[1])
+        L = analytic_trajectory(p, eps, family, row[1])
+        row[1], row[3] = L[:, 0], p.k**2 * L[:, 2]
+    return table
 
 
 def tre_pulse(p: TopParameters, eps: float, family: Family, n: int = 2048) -> ControlPulse:
     """Pole-to-pole transfer pulse from a closed orbit passing eps from +e3."""
-    _check_n(n)
-    oc = orbit_constants(p, eps, family)
-    times = np.linspace(0.0, 2.0 * oc.K / oc.omega, n)
-    w1, w2, w3 = _top_fields(p, analytic_trajectory(p, eps, family, times))
+    table = _orbit_table(p, [eps], family, n, 2, n)
     meta = {"kind": "tre", "k": p.k, "eps": eps, "family": family.value, "n": n}
-    return ControlPulse(times, w1, w2, w3, meta)
+    return ControlPulse(*table[:, 0], meta)
 
 
 def tre_loop_pulse(p: TopParameters, eps: float, family: Family, n: int = 2048,
                    u_offset: float = 0.0) -> ControlPulse:
     """Full-orbit pulse; u_offset shifts the starting phase of the
     elliptic argument away from the near-pole point."""
-    _check_n(n)
-    oc = orbit_constants(p, eps, family)
-    times = np.linspace(0.0, 4.0 * oc.K / oc.omega, n)
-    L = analytic_trajectory(p, eps, family, times + u_offset / oc.omega)
-    w1, w2, w3 = _top_fields(p, L)
+    table = _orbit_table(p, [eps], family, n, 4, n, u_offset)
     meta = {"kind": "tre_loop", "k": p.k, "eps": eps, "family": family.value,
             "n": n, "u_offset": u_offset}
-    return ControlPulse(times, w1, w2, w3, meta)
+    return ControlPulse(*table[:, 0], meta)
 
 
 class _MirrorHalf(NamedTuple):
-    """First half of a field table that is mirror-symmetric about its
-    midpoint: samples 0 .. n // 2 of the n-sample grid, with the field
-    components named as on a ControlPulse.  middle marks that the last
-    interval is the middle one (n even), and the pi rotation about
-    e_axis maps each field step of the first half onto the negative of
-    its mirror step in the second."""
+    """First halves of field tables that are mirror-symmetric about their
+    midpoints: samples 0 .. n // 2 of n-sample grids, one row per table,
+    with the field components named as on a ControlPulse.  middle marks
+    that the last interval is the middle one (n even), and the pi
+    rotation about e_axis maps each field step of a first half onto the
+    negative of its mirror step in the second."""
 
     times: np.ndarray
     omega1: np.ndarray
@@ -128,10 +138,12 @@ class _MirrorHalf(NamedTuple):
     axis: int
 
 
-def _mirror_half(p: TopParameters, eps: float, family: Family, n: int,
+def _mirror_half(p: TopParameters, es, family: Family, n: int,
                  loop: bool) -> _MirrorHalf:
-    """First half of the unrotated tre_pulse (loop False) or
-    tre_loop_pulse (loop True, u_offset 0) grid, without a ControlPulse.
+    """First halves, one row per eps in es, of the unrotated tre_pulse
+    (loop False) or tre_loop_pulse (loop True, u_offset 0) grids, without
+    a ControlPulse; row j has the bits of the first n // 2 + 1 samples of
+    that pulse at es[j].
 
     About the midpoint of the transfer (u = 2K) omega1 is even and omega3
     odd, so J is the pi rotation about e3 in both families.  About the
@@ -139,16 +151,12 @@ def _mirror_half(p: TopParameters, eps: float, family: Family, n: int,
     about e2), while an oscillating orbit has omega1 odd and omega3 even
     (J about e1).
     """
-    _check_n(n)
-    oc = orbit_constants(p, eps, family)
-    times = np.linspace(0.0, (4.0 if loop else 2.0) * oc.K / oc.omega, n)
-    times = times[:n // 2 + 1]
-    fields = _top_fields(p, analytic_trajectory(p, eps, family, times))
+    table = _orbit_table(p, es, family, n, 4 if loop else 2, n // 2 + 1)
     if not loop:
         axis = 3
     else:
         axis = 2 if family is Family.ROTATING else 1
-    return _MirrorHalf(times, *fields, n % 2 == 0, axis)
+    return _MirrorHalf(*table, n % 2 == 0, axis)
 
 
 def allen_eberly_pulse(p: TopParameters, t0: float = 0.0, half_width: float = 12.0,

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochtop import cli, gates, propagate
 
@@ -508,3 +510,60 @@ def test_sidecar_replay_reproduces_every_command(tmp_path, argv):
     for side in sidecars:
         assert json.loads((b / side.name).read_text())["config"] == \
             json.loads(side.read_text())["config"]
+
+
+def _near(typical, lo, hi, **kwargs):
+    """Floats in [lo, hi], half of them from the typical range."""
+    return st.one_of(st.floats(*typical), st.floats(lo, hi, **kwargs))
+
+
+_open_unit = dict(exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def gate_argv(draw):
+    """A gate with the flags it reads, drawn across and beyond the region
+    where its design succeeds: eps-lo and eps-hi in either order, phase
+    targets on both sides of (0, 2 pi)."""
+    name = draw(st.sampled_from(["not", "phase", "hadamard"]))
+    argv = ["gate", name, f"--k={draw(_near((0.3, 0.9), 0.01, 0.999))}",
+            f"--n={draw(st.integers(2, 512))}"]
+    if name == "not":
+        lo = draw(_near((1e-4, 0.1), 0.0, 1.0, **_open_unit))
+        hi = draw(_near((0.1, 0.9), 0.0, 1.0, **_open_unit))
+        argv += [f"--eps-lo={lo}", f"--eps-hi={hi}"]
+    elif name == "phase":
+        target = draw(_near((0.05, 2.0 * math.pi - 0.05),
+                            -1.0, 2.0 * math.pi + 1.0))
+        eps_a = draw(_near((1e-3, 0.05), 0.0, 1.0, **_open_unit))
+        argv += [f"--target={target}", f"--eps-a={eps_a}"]
+    return argv
+
+
+def _numbers(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for v in obj for x in _numbers(v)]
+    return [obj] if isinstance(obj, (int, float)) else []
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(gate_argv())
+def test_gate_exit_code_matches_its_artifacts(tmp_path_factory, argv):
+    out = tmp_path_factory.mktemp("gate") / "out"
+    rc = run(argv + ["--out", out])
+    assert rc in (0, 2, 3)
+    if rc == 2:
+        assert not out.exists()
+        return
+    report = json.loads((out / f"gate_{argv[1]}.json").read_text())
+    assert report["converged"] is (rc == 0)
+    if rc == 0:
+        assert report["fidelity"] >= 1.0 - 1e-6
+        for path in out.iterdir():
+            if path.suffix == ".json":
+                values = _numbers(json.loads(path.read_text()))
+            else:
+                values = load_csv(path).ravel().tolist()
+            assert all(math.isfinite(v) for v in values), path.name

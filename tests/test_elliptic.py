@@ -111,6 +111,14 @@ def test_one_pass_K_and_E(m):
     assert K == complete_K(m)
 
 
+def test_complete_E_stops_at_a_repeated_agm_pair():
+    # the rounded AGM settles into a one-ulp fixed point here, (a, b) =
+    # (0.5120421265967223, 0.5120421265967222), whose c never passes the
+    # stop test; summing its w c^2 up to the step cap moved E by 1.7e-13
+    m = 0.9640377618364563
+    assert abs(complete_E(m) - float(mpmath.ellipe(m))) <= 1e-15
+
+
 @pytest.mark.parametrize("m", [0.0, 0.1, 0.5, 0.9, 0.99, 0.999999])
 def test_jacobi_matches_mpmath(m):
     K = complete_K(m) if m < 1.0 else 10.0
@@ -164,6 +172,14 @@ def test_jacobi_hyperbolic_limit():
     sn2, _, _ = jacobi_sn_cn_dn(u, 1.0 - 1e-13)
     ref = [float(mpmath.ellipfun("sn", ui, m=m)) for ui in u]
     assert_allclose(sn2, ref, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("u", [800.0, -800.0])
+def test_jacobi_hyperbolic_limit_is_quiet_past_cosh_overflow(u):
+    # cosh(u) overflows past |u| ~ 710, where sech is 0 to double precision
+    sn, cn, dn = jacobi_sn_cn_dn(np.array([u]), 1.0)
+    assert (sn[0], cn[0], dn[0]) == (math.copysign(1.0, u), 0.0, 0.0)
+    assert jacobi_sn_cn_dn(u, 1.0) == (math.copysign(1.0, u), 0.0, 0.0)
 
 
 def test_jacobi_scalar_and_shape():

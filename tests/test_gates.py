@@ -371,9 +371,9 @@ def test_synthesis_propagates_each_scan_point_once(monkeypatch):
     finals = []
     half, final = gates._mirror_half, gates._mirror_final
 
-    def counting_half(p, eps, *args, **kwargs):
-        built.append(eps)
-        return half(p, eps, *args, **kwargs)
+    def counting_half(p, es, *args, **kwargs):
+        built.extend(float(e) for e in es)
+        return half(p, es, *args, **kwargs)
 
     def counting_final(*args, **kwargs):
         finals.append(1)
@@ -523,10 +523,10 @@ def test_scan_tables_equal_per_point_values_bit_for_bit(n):
     for family in Family:
         xs = np.geomspace(0.001, 0.5, 64)
         for x, axis in zip(xs, gates._involution_scan(p, xs, family, n)):
-            single = gates._transfer_involution(p, float(x), family, n)
+            single = gates._involution_scan(p, [x], family, n)[0]
             assert axis.tobytes() == single.tobytes()
     es, raw, _ = gates._loop_scan(p, n)
-    assert raw == [gates._loop_angle(p, float(e), n) for e in es]
+    assert raw == [gates._loop_angles(p, [e], n)[0] for e in es]
 
 
 def test_phase_gate_reports_unconverged_inner_solve(monkeypatch):

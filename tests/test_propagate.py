@@ -579,7 +579,7 @@ _mirror_n = st.one_of(st.integers(16, 4097), st.sampled_from([513, 4096, 4097]))
        st.sampled_from(Family), st.booleans())
 def test_mirror_final_matches_full_product(k, eps, n, family, loop):
     p = TopParameters(k)
-    q = _mirror_final(_mirror_half(p, eps, family, n, loop))
+    q = _mirror_final(_mirror_half(p, [eps], family, n, loop))[0]
     pulse = (tre_loop_pulse if loop else tre_pulse)(p, eps, family, n=n)
     assert np.max(np.abs(q - _final(pulse, ErrorParams()))) <= 1e-13
     if not loop:
@@ -588,26 +588,18 @@ def test_mirror_final_matches_full_product(k, eps, n, family, loop):
         assert np.max(np.abs(PZ @ PZ - np.eye(3))) <= 1e-14
 
 
-def _stacked(halves):
-    return halves[0]._replace(**{
-        name: np.stack([getattr(h, name) for h in halves])
-        for name in ("times", "omega1", "omega2", "omega3")})
-
-
 @pytest.mark.parametrize("n", [257, 512])
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("loop", [False, True])
 def test_stacked_mirror_final_rows_are_single_calls_bit_for_bit(n, family,
                                                                  loop):
     p = TopParameters(0.55)
-    halves = [_mirror_half(p, eps, family, n, loop)
-              for eps in np.geomspace(2e-3, 0.7, 5)]
-    batch = _mirror_final(_stacked(halves))
+    es = np.geomspace(2e-3, 0.7, 5)
+    batch = _mirror_final(_mirror_half(p, es, family, n, loop))
     assert batch.shape == (5, 2)
-    for row, half in zip(batch, halves):
-        assert row.tobytes() == _mirror_final(half).tobytes()
-    assert _mirror_final(_stacked(halves[:1]))[0].tobytes() == \
-        _mirror_final(halves[0]).tobytes()
+    for row, eps in zip(batch, es):
+        single = _mirror_final(_mirror_half(p, [eps], family, n, loop))
+        assert row.tobytes() == single[0].tobytes()
 
 
 @pytest.mark.parametrize("n", [257, 512])
@@ -622,8 +614,8 @@ def test_scan_finals_in_short_chunks_are_single_calls_bit_for_bit(
     finals = gates._scan_finals(p, xs, family, n, loop)
     assert finals.shape == (7, 2)
     for x, row in zip(xs, finals):
-        single = _mirror_final(_mirror_half(p, float(x), family, n, loop))
-        assert row.tobytes() == single.tobytes()
+        single = _mirror_final(_mirror_half(p, [x], family, n, loop))
+        assert row.tobytes() == single[0].tobytes()
 
 
 @st.composite

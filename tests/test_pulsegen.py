@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from blochtop.pulsegen import (
     ControlPulse,
+    _mirror_half,
     allen_eberly_pulse,
     concat,
     inverse_pulse,
@@ -110,6 +111,39 @@ def test_tre_loop_pulse_closes():
     shifted = tre_loop_pulse(p, 0.2, Family.OSCILLATING, n=129, u_offset=1.3)
     assert shifted.meta["u_offset"] == 1.3
     assert not np.allclose(shifted.omega1[0], pulse.omega1[0])
+
+
+def test_shifted_loop_pulse_matches_direct_sampling_bit_for_bit():
+    # the reference samples the orbit as the loop pulse was first written
+    p = TopParameters(0.7)
+    for family in Family:
+        pulse = tre_loop_pulse(p, 0.2, family, n=129, u_offset=1.3)
+        oc = orbit_constants(p, 0.2, family)
+        times = np.linspace(0.0, 4.0 * oc.K / oc.omega, 129)
+        L = analytic_trajectory(p, 0.2, family, times + 1.3 / oc.omega)
+        assert pulse.times.tobytes() == times.tobytes()
+        assert pulse.omega1.tobytes() == L[:, 0].tobytes()
+        assert pulse.omega2.tobytes() == np.zeros(129).tobytes()
+        assert pulse.omega3.tobytes() == (p.k**2 * L[:, 2]).tobytes()
+
+
+# odd and even n, with the gate default 4096 and the Montgomery default
+# 65537 among them; k and eps across the gate design ranges
+@pytest.mark.parametrize("n", [2, 3, 513, 4096, 4097, 65537])
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("loop", [False, True])
+def test_mirror_half_rows_are_pulse_prefixes_bit_for_bit(n, family, loop):
+    es = [1e-3, 0.03, 0.5, 0.9]
+    for k in (0.2, 0.6, 0.95):
+        p = TopParameters(k)
+        half = _mirror_half(p, es, family, n, loop)
+        assert half.times.shape == (len(es), n // 2 + 1)
+        assert half.middle == (n % 2 == 0)
+        for j, eps in enumerate(es):
+            pulse = (tre_loop_pulse if loop else tre_pulse)(p, eps, family, n=n)
+            for name in ("times", "omega1", "omega2", "omega3"):
+                full = getattr(pulse, name)[:n // 2 + 1]
+                assert getattr(half, name)[j].tobytes() == full.tobytes()
 
 
 def test_allen_eberly_is_rescaled_separatrix():
