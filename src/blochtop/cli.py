@@ -233,16 +233,20 @@ def _build_pulse(cfg: dict) -> ControlPulse:
     return pulse
 
 
-def _export_pulse(pulse: ControlPulse, path: Path, scale: float):
-    write_pulse_csv(replace(pulse, times=pulse.times * scale), path,
-                    sidecar=False)
+def _seconds(times, scale: float):
+    """times * scale; a --time-scale under which a time overflows is
+    refused, so callers scale before they write anything."""
+    if not float(np.max(np.abs(times))) * scale < math.inf:
+        raise UsageError(f"--time-scale {scale} overflows the exported times")
+    return times * scale
 
 
 def _cmd_pulse(cfg: dict, out: Path) -> int:
     """export a sampled drive as CSV"""
     pulse = _build_pulse(cfg)
+    times = _seconds(pulse.times, cfg["time_scale"])
     path = _artifact(out, "pulse.csv")
-    _export_pulse(pulse, path, cfg["time_scale"])
+    write_pulse_csv(replace(pulse, times=times), path, sidecar=False)
     _finish(path, "pulse", cfg, {"pulse": pulse_sidecar_meta(pulse)})
     return 0
 
@@ -252,6 +256,7 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
     pulse = _build_pulse(cfg)
     err = ErrorParams(alpha=cfg["alpha"], delta=cfg["delta"])
     scale = cfg["time_scale"]
+    times = _seconds(pulse.times, scale)
     M0 = _parse_vec3(cfg["m0"])
     if cfg["emit"] == "axis-angle":
         # one scan feeds both read-outs
@@ -259,7 +264,7 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
     else:
         traj, aap = bloch_propagate(pulse, M0, err), None
     path = _artifact(out, "trajectory.csv")
-    write_trajectory_csv(Trajectory(traj.times * scale, traj.M), path)
+    write_trajectory_csv(Trajectory(times, traj.M), path)
     _finish(path, "simulate", cfg,
             {"final_state": [float(x) for x in traj.M[-1]]})
     if aap is not None:
@@ -349,12 +354,13 @@ def _cmd_gate(cfg: dict, out: Path) -> int:
                             {"infidelity": infidelity}, converged)
         pulse = prog.pulse
 
+    times = None if pulse is None else _seconds(pulse.times, cfg["time_scale"])
     rpath = _artifact(out, f"gate_{name}.json")
     write_gate_report(report, rpath)
     _finish(rpath, "gate", cfg)
     if pulse is not None:
         ppath = _artifact(out, f"gate_{name}_pulse.csv")
-        _export_pulse(pulse, ppath, cfg["time_scale"])
+        write_pulse_csv(replace(pulse, times=times), ppath, sidecar=False)
         _finish(ppath, "gate", cfg, {"pulse": pulse_sidecar_meta(pulse)})
     if not report.converged:
         print("warning: gate design did not converge", file=sys.stderr)

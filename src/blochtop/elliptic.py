@@ -95,9 +95,13 @@ def complete_Pi(nu: float, m: float) -> float:
     p = math.sqrt(1.0 - nu)
     P, one_minus_P = 1.0, 0.0
     S, D, w = 1.0, 0.0, 1.0
+    last = None
     for a, g in _agm(m):
-        if abs(a - g) <= _AGM_TOL * a and abs(w * P) <= _AGM_TOL * S:
+        # a repeated pair is a one-ulp fixed point that |a - g| may never pass
+        if ((abs(a - g) <= _AGM_TOL * a or (a, g) == last)
+                and abs(w * P) <= _AGM_TOL * S):
             break
+        last = a, g
         p2, ag = p * p, a * g
         q = p2 + ag
         one_minus_P += P * (2.0 * ag / q)

@@ -198,7 +198,11 @@ def _orbit_solid_angle(p: TopParameters, eps: float, family: Family) -> float:
         a, b, c = oc.amp1, oc.amp2, oc.amp3
     else:
         a, b, c = oc.amp2, oc.amp1, oc.amp3
-    nu = -(a / b) ** 2 * oc.m
+    try:
+        nu = -(a / b) ** 2 * oc.m
+    except OverflowError:
+        raise ValueError(f"k = {p.k} is too small for the solid angle at "
+                         f"eps = {eps}: nu = -(a / b)^2 m overflows") from None
     omega = 2.0 * math.pi + 4.0 * c / a * (b * oc.K
                                            - complete_Pi(nu, oc.m) / b)
     return -omega if family is Family.ROTATING else omega
@@ -448,9 +452,10 @@ def _involution_scan(p: TopParameters, xs, family: Family,
     Re a), the vector part (q2, -q1, q0) of the quaternion q z3 with
     (q0, q1, q2) = (Re a, -Im c, Re c).  It lies in the plane spanned by
     v1 = (sqrt(1 - eps^2), 0, eps) and e2 (rotating family; swap the
-    first two slots for the oscillating one).  The axis sign is whatever
-    P carries; callers gauge it as needed.  The projection of the axis
-    on v1 is the NOT tuning objective.
+    first two slots for the oscillating one).  Its sign needs no gauge:
+    SU(2) fixes it, and (a, c) is a product of step pairs continuous in
+    eps, so the axis turns continuously with eps and a sign change of its
+    projection on v1, the NOT tuning objective, is a root.
     """
     axes = []
     for a, c in _scan_finals(p, xs, family, n, loop=False):
@@ -463,11 +468,12 @@ def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
                   n: int = 4096, scan: int = 64):
     """Tune eps inside the bracket until one transfer is a NOT gate.
 
-    Scans the objective s(eps) on a log grid, gauging the involution
-    axis by continuity along the scan so sign changes are genuine roots,
-    and solves the last sign change (the largest eps, the shortest pulse)
-    with _solve_scanned.  Returns (eps, pulse, report); a missing sign
-    change is reported via report.converged, never raised.
+    The objective s(eps) is the projection of the involution axis
+    (_involution_scan) on v1; it is scanned on a log grid, and the last
+    sign change (the largest eps, the shortest pulse) is solved with
+    _solve_scanned, each solver step a one-point scan.  Returns (eps,
+    pulse, report); a missing sign change is reported via
+    report.converged, never raised.
     """
     lo, hi = float(eps_range[0]), float(eps_range[1])
     if not 0.0 < lo < hi < 1.0:
@@ -479,27 +485,15 @@ def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
             return np.array([c, 0.0, e])
         return np.array([0.0, c, e])
 
+    def s(es) -> list:
+        return [float(ax @ v1_of(float(e)))
+                for e, ax in zip(es, _involution_scan(p, es, family, n))]
+
     xs = np.geomspace(lo, hi, scan)
-    axes = []
-    fs = []
-    ref = None
-    for x, ax in zip(xs, _involution_scan(p, xs, family, n)):
-        if ref is not None and float(ax @ ref) < 0.0:
-            ax = -ax
-        ref = ax
-        axes.append(ax)
-        fs.append(float(ax @ v1_of(float(x))))
-
+    fs = s(xs)
     changes = _sign_changes(fs)
-    i = changes[-1] if changes else None
-
-    def s_of(e: float) -> float:
-        ax = _involution_scan(p, [e], family, n)[0]
-        if float(ax @ axes[i]) < 0.0:
-            ax = -ax
-        return float(ax @ v1_of(e))
-
-    eps_star, bracketed = _solve_scanned(s_of, xs, fs, i)
+    eps_star, bracketed = _solve_scanned(lambda e: s([e])[0], xs, fs,
+                                         changes[-1] if changes else None)
 
     pulse = tre_pulse(p, eps_star, family, n=n)
     R = so3_final(pulse)
@@ -538,23 +532,20 @@ def composite_bir_not(p: TopParameters, eps: float, n: int = 4096,
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
 
-    def g(axis) -> float:
+    def g(es) -> list:
         # axis-sign free: only the e1 component's magnitude enters
-        a = float(axis[0])
-        return 2.0 * a * a - 1.0
-
-    def g_of(e: float) -> float:
-        return g(_involution_scan(p, [e], Family.ROTATING, n)[0])
+        axes = _involution_scan(p, es, Family.ROTATING, n)
+        return [2.0 * a * a - 1.0 for a in (float(ax[0]) for ax in axes)]
 
     lo = max(1e-3, eps / 4.0)
     hi = min(0.97, eps * 4.0)
     xs = np.geomspace(lo, hi, scan)
-    fs = [g(ax) for ax in _involution_scan(p, xs, Family.ROTATING, n)]
+    fs = g(xs)
     # nearest log-midpoint to the seed; a tie keeps the first
     i = min(_sign_changes(fs),
             key=lambda j: abs(math.log(math.sqrt(xs[j] * xs[j + 1]) / eps)),
             default=None)
-    eps_star, converged = _solve_scanned(g_of, xs, fs, i)
+    eps_star, converged = _solve_scanned(lambda e: g([e])[0], xs, fs, i)
 
     seg = tre_pulse(p, eps_star, Family.ROTATING, n=n)
     mate = transform_pulse(seg, reverse=True, s1=-1)
@@ -663,95 +654,80 @@ def design_phase_gate(target_phase: float, p_a: TopParameters, *,
     knobs are k of the second orbit (the outer root, setting the
     geometric sum) and its eps (the inner root, cancelling the dynamical
     sum), solved by _solve_scanned at the first sign change of one k scan
-    of the spread, per orientation.  The composite is rotated so the base
-    point sits on e3, making the gate diagonal with relative phase equal
-    to the geometric sum.  Returns (design, pulse, budget); infeasible
-    targets come back with converged False and the achieved budget.
+    of the spread, per orientation.  The orientation is a sign s: +1 runs
+    loop a backwards ("reverse_first"), -1 loop b ("reverse_second"), and
+    0 is a target within identity_tol of 0 or 2 pi, one loop against
+    itself ("degenerate").  The budget sums are s b - s a of the loop
+    budgets.  The composite is rotated so the base point sits on e3,
+    making the gate diagonal with relative phase equal to the geometric
+    sum.  Returns (design, pulse, budget); infeasible targets come back
+    with converged False and the achieved budget.
     """
     phi = float(target_phase)
     if not 0.0 < phi < 2.0 * math.pi:
         raise ValueError("target_phase must lie in (0, 2 pi)")
 
     k_a = p_a.k
-    if phi <= identity_tol or 2.0 * math.pi - phi <= identity_tol:
-        # degenerate limit: one loop against itself cancels everything
-        loop = tre_loop_pulse(p_a, eps_a, Family.ROTATING, n=n)
-        comp = concat([inverse_pulse(loop), loop])
-        base = tre_initial(p_a, eps_a, Family.ROTATING)
-        return _finish_phase_gate(phi, p_a, eps_a, p_a, eps_a, base,
-                                  "degenerate", comp, np.eye(3), True)
-
-    dyn_a = _orbit_dynamical(p_a, eps_a, Family.ROTATING)
-    area_a = -_orbit_solid_angle(p_a, eps_a, Family.ROTATING)
-    kp_min = 2.0 * math.pi / dyn_a
-    if kp_min >= 1.0:
-        raise ValueError("eps_a leaves no dynamical headroom; reduce it")
-    k_max = math.sqrt(1.0 - kp_min**2) - k_margin
-    if k_max <= k_a + k_margin:
-        raise ValueError("no k range above k_a matches this dynamical phase; "
-                         "reduce eps_a")
-
-    def spread(kb: float) -> float:
-        pb = TopParameters(kb)
-        eb, _, _ = _match_dynamical(pb, dyn_a)
-        return area_a + _orbit_solid_angle(pb, eb, Family.ROTATING)
-
-    ks = np.linspace(k_a + k_margin, k_max, 33)
-    ds = [spread(float(x)) for x in ks]
-
-    solved = None
-    for orientation, phi_eff in (("reverse_first", phi),
-                                 ("reverse_second", 2.0 * math.pi - phi)):
-        fs = [d - phi_eff for d in ds]
-        changes = _sign_changes(fs)
-        if changes:
-            kb, ok = _solve_scanned(lambda x: spread(x) - phi_eff, ks, fs,
-                                    changes[0])
-            solved = (orientation, kb, ok)
-            break
-    if solved is None:
-        # report the closest achievable spread instead of failing
-        gaps = [min(abs(d - phi), abs(d - (2.0 * math.pi - phi))) for d in ds]
-        j = int(np.argmin(gaps))
-        orientation = ("reverse_first"
-                       if abs(ds[j] - phi) <= abs(ds[j] - (2.0 * math.pi - phi))
-                       else "reverse_second")
-        solved = (orientation, float(ks[j]), False)
-
-    orientation, k_b, converged = solved
-    p_b = TopParameters(k_b)
-    eps_b, _, matched = _match_dynamical(p_b, dyn_a)
-
     base = tre_initial(p_a, eps_a, Family.ROTATING)
     loop_a = tre_loop_pulse(p_a, eps_a, Family.ROTATING, n=n)
-    V = _rotation_between(tre_initial(p_b, eps_b, Family.ROTATING), base)
-    loop_b = rotate_pulse(tre_loop_pulse(p_b, eps_b, Family.ROTATING, n=n), V)
-    if orientation == "reverse_first":
-        comp = concat([inverse_pulse(loop_a), loop_b])
+    if phi <= identity_tol or 2.0 * math.pi - phi <= identity_tol:
+        s, p_b, eps_b, converged = 0, p_a, eps_a, True
+        comp, W = concat([inverse_pulse(loop_a), loop_a]), np.eye(3)
     else:
-        comp = concat([loop_a, inverse_pulse(loop_b)])
-    W = _rotation_between(base, _E3)
-    return _finish_phase_gate(phi, p_a, eps_a, p_b, eps_b, base, orientation,
-                              comp, W, converged and matched)
+        dyn_a = _orbit_dynamical(p_a, eps_a, Family.ROTATING)
+        area_a = -_orbit_solid_angle(p_a, eps_a, Family.ROTATING)
+        kp_min = 2.0 * math.pi / dyn_a
+        if kp_min >= 1.0:
+            raise ValueError("eps_a leaves no dynamical headroom; reduce it")
+        k_max = math.sqrt(1.0 - kp_min**2) - k_margin
+        if k_max <= k_a + k_margin:
+            raise ValueError("no k range above k_a matches this dynamical "
+                             "phase; reduce eps_a")
 
+        def spread(kb: float) -> float:
+            pb = TopParameters(kb)
+            eb, _, _ = _match_dynamical(pb, dyn_a)
+            return area_a + _orbit_solid_angle(pb, eb, Family.ROTATING)
 
-def _finish_phase_gate(phi, p_a, eps_a, p_b, eps_b, base, orientation, comp,
-                       W, converged):
+        ks = np.linspace(k_a + k_margin, k_max, 33)
+        ds = [spread(float(x)) for x in ks]
+        for s, phi_eff in ((1, phi), (-1, 2.0 * math.pi - phi)):
+            fs = [d - phi_eff for d in ds]
+            changes = _sign_changes(fs)
+            if changes:
+                k_b, converged = _solve_scanned(
+                    lambda x: spread(x) - phi_eff, ks, fs, changes[0])
+                break
+        else:
+            # report the closest achievable spread instead of failing
+            gaps = [min(abs(d - phi), abs(d - (2.0 * math.pi - phi)))
+                    for d in ds]
+            j = int(np.argmin(gaps))
+            s = 1 if abs(ds[j] - phi) <= abs(ds[j] - (2.0 * math.pi - phi)) \
+                else -1
+            k_b, converged = float(ks[j]), False
+
+        p_b = TopParameters(k_b)
+        eps_b, _, matched = _match_dynamical(p_b, dyn_a)
+        converged = converged and matched
+        V = _rotation_between(tre_initial(p_b, eps_b, Family.ROTATING), base)
+        loop_b = rotate_pulse(tre_loop_pulse(p_b, eps_b, Family.ROTATING, n=n),
+                              V)
+        comp = concat([inverse_pulse(loop_a), loop_b] if s > 0
+                      else [loop_a, inverse_pulse(loop_b)])
+        W = _rotation_between(base, _E3)
+
+    orientation = {1: "reverse_first", -1: "reverse_second",
+                   0: "degenerate"}[s]
     aligned = rotate_pulse(comp, W)
     U = su2_final(aligned)
     off_diag = float(max(abs(U[0, 1]), abs(U[1, 0])))
     achieved = float((np.angle(U[0, 0]) - np.angle(U[1, 1])) % (2.0 * math.pi))
     budget_a = montgomery_phase(p_a, eps_a, Family.ROTATING)
     budget_b = montgomery_phase(p_b, eps_b, Family.ROTATING)
-    if orientation == "reverse_first":
-        dyn_sum = -budget_a.dynamical + budget_b.dynamical
-        geo_sum = -budget_a.geometric + budget_b.geometric
-    elif orientation == "reverse_second":
-        dyn_sum = budget_a.dynamical - budget_b.dynamical
-        geo_sum = budget_a.geometric - budget_b.geometric
-    else:
-        dyn_sum = 0.0
-        geo_sum = 0.0
+    # s b - s a, not s (b - a): it keeps the signed zero of b - a or a - b
+    dyn_sum = s * budget_b.dynamical - s * budget_a.dynamical
+    geo_sum = s * budget_b.geometric - s * budget_a.geometric
     R = so3_final(aligned)
     total = _frame_angle(R, _E3)
     budget = PhaseBudget(total=total, dynamical=dyn_sum, geometric=geo_sum)
@@ -767,13 +743,13 @@ def _finish_phase_gate(phi, p_a, eps_a, p_b, eps_b, base, orientation, comp,
                  "coupling": _coupling_defect(resid, fid)}
     design = PhaseGateDesign(
         target_phase=phi, achieved_phase=achieved,
-        k_a=p_a.k, eps_a=eps_a, k_b=p_b.k, eps_b=eps_b,
+        k_a=k_a, eps_a=eps_a, k_b=p_b.k, eps_b=eps_b,
         base_point=tuple(float(x) for x in base), orientation=orientation,
         budget_a=budget_a, budget_b=budget_b, fidelity=fid,
         residuals=residuals,
         converged=bool(converged and phase_gap <= 1e-3
                        and abs(dyn_sum) <= 1e-4))
-    meta = {"kind": "phase_gate", "k": p_a.k, "eps": eps_a,
+    meta = {"kind": "phase_gate", "k": k_a, "eps": eps_a,
             "k_b": p_b.k, "eps_b": eps_b, "target_phase": phi,
             "orientation": orientation}
     return design, replace(aligned, meta=meta), budget
@@ -906,7 +882,9 @@ def synthesize_one_qubit(U_target, p: TopParameters | None = None,
     segments: list[ControlPulse] = []
     for label, axis, angle in steps:
         if label == "not":
-            segments.append(tune_not_gate(p, (0.001, 0.5), n=n)[1])
+            _, pulse, report = tune_not_gate(p, (0.001, 0.5), n=n)
+            segments.append(replace(pulse, meta=dict(
+                pulse.meta, converged=report.converged)))
         else:
             segments.append(_loop_gate(p, axis, angle, table, n=n))
 

@@ -267,7 +267,13 @@ def _state(M0):
 
 
 def _path(pulse, err: ErrorParams):
-    return _scan(_step_planes(pulse, [err.alpha], [err.delta]))[0]
+    # a step whose rotation angle overflows would leave the path NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = _step_planes(pulse, [err.alpha], [err.delta])
+    if not np.all(np.isfinite(S)):
+        raise ValueError(f"alpha = {err.alpha}, delta = {err.delta}: a "
+                         "step's rotation angle overflows")
+    return _scan(S)[0]
 
 
 def _final(pulse, err: ErrorParams):

@@ -146,8 +146,9 @@ def fit_log_period(p: TopParameters, eps_samples,
     eps = np.asarray(eps_samples, dtype=float)
     if eps.ndim != 1 or len(eps) < 3:
         raise ValueError("need at least 3 eps samples")
-    if np.any(eps <= 0.0) or np.any(eps >= 1.0):
-        raise ValueError("eps samples must lie in (0, 1)")
+    # a normal eps keeps 1 / eps and the span ratio finite
+    if not np.all((eps >= np.finfo(float).tiny) & (eps < 1.0)):
+        raise ValueError("eps samples must be normal floats in (0, 1)")
     if np.max(eps) / np.min(eps) < 100.0:
         raise ValueError("eps samples must span at least two decades")
     x = np.log(1.0 / eps)

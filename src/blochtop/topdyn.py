@@ -139,6 +139,8 @@ def orbit_constants(p: TopParameters, eps: float, family: Family) -> OrbitConsta
     C = math.sqrt(1.0 - eps**2)
     if family is Family.ROTATING:
         A = math.sqrt(k**2 + eps**2 * (1.0 - k**2))
+        if A == 0.0:
+            raise ValueError(f"k = {k}, eps = {eps}: the amplitude A is 0")
         B = C * math.sqrt(1.0 - k**2)
         m = (k * C / A) ** 2
         omega = A * math.sqrt(1.0 - k**2)
@@ -155,6 +157,8 @@ def orbit_constants(p: TopParameters, eps: float, family: Family) -> OrbitConsta
         raise ValueError(f"eps = {eps} is too close to the separatrix at "
                          f"k = {k}: the orbit's parameter m rounds to 1")
     K = complete_K(m)
+    if not 4.0 * K / omega < math.inf:
+        raise ValueError(f"k = {k}, eps = {eps}: the orbit's period overflows")
     return OrbitConstants(*amps, m=m, omega=omega, u0=K, energy=E, K=K)
 
 

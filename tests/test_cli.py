@@ -567,3 +567,132 @@ def test_gate_exit_code_matches_its_artifacts(tmp_path_factory, argv):
             else:
                 values = load_csv(path).ravel().tolist()
             assert all(math.isfinite(v) for v in values), path.name
+
+
+def _unit_interval(typical):
+    return _near(typical, 0.0, 1.0, **_open_unit)
+
+
+def _anywhere(typical):
+    return _near(typical, -1e308, 1e308)
+
+
+@st.composite
+def _pulse_flags(draw):
+    family = draw(st.sampled_from(cli._CHOICES["family"]))
+    argv = [f"--family={family}", f"--n={draw(st.integers(1, 65))}"]
+    if family in ("tre", "tre-loop", "allen-eberly"):
+        argv.append(f"--k={draw(_unit_interval((0.2, 0.95)))}")
+    if family in ("tre", "tre-loop"):
+        argv += [f"--eps={draw(_unit_interval((1e-3, 0.1)))}",
+                 f"--branch={draw(st.sampled_from(cli._CHOICES['branch']))}"]
+    elif family == "allen-eberly":
+        argv += [f"--t0={draw(_anywhere((-5.0, 5.0)))}",
+                 f"--half-width={draw(_anywhere((1.0, 20.0)))}"]
+    else:
+        argv.append(f"--amplitude={draw(_anywhere((0.5, 2.0)))}")
+    return argv
+
+
+@st.composite
+def _grid(draw):
+    lo, hi = sorted(draw(st.lists(_anywhere((-0.5, 0.5)), min_size=2,
+                                  max_size=2)))
+    return f"{lo},{hi},{draw(st.integers(1, 3))}"
+
+
+@st.composite
+def command_argv(draw):
+    """A pulse, simulate, sweep, montgomery or fit-period command with its
+    numbers drawn out to the extreme finite floats."""
+    command = draw(st.sampled_from(
+        ["pulse", "simulate", "sweep", "montgomery", "fit-period"]))
+    scale = draw(_near((0.5, 2.0), 0.0, 1e308, exclude_min=True))
+    argv = [command, f"--time-scale={scale}"]
+    if command in ("pulse", "simulate", "sweep"):
+        argv += draw(_pulse_flags())
+    if command == "simulate":
+        m0 = ",".join(str(draw(_anywhere((-1.0, 1.0)))) for _ in range(3))
+        argv += [f"--alpha={draw(_anywhere((-0.5, 0.5)))}",
+                 f"--delta={draw(_anywhere((-1.0, 1.0)))}", f"--m0={m0}",
+                 f"--emit={draw(st.sampled_from(cli._CHOICES['emit']))}"]
+    elif command == "sweep":
+        argv += [f"--alpha-grid={draw(_grid())}",
+                 f"--delta-grid={draw(_grid())}",
+                 f"--merit={draw(st.sampled_from(cli._CHOICES['merit']))}"]
+    elif command in ("montgomery", "fit-period"):
+        argv += [f"--k={draw(_unit_interval((0.2, 0.95)))}",
+                 f"--branch={draw(st.sampled_from(cli._CHOICES['branch']))}"]
+        if command == "montgomery":
+            # the loop closes to 1e-6 from about n = 2049
+            argv += [f"--eps={draw(_unit_interval((1e-3, 0.5)))}",
+                     f"--n={draw(st.integers(1, 8193))}"]
+        else:
+            eps = draw(st.lists(_unit_interval((1e-6, 1e-2)), min_size=1,
+                                max_size=4))
+            argv.append("--eps=" + ",".join(map(str, eps)))
+    return argv
+
+
+def _check_artifacts(out, rc):
+    """Each sidecar's sha256 matches its file; exit 0 means every number
+    written is finite."""
+    for path in out.iterdir():
+        if path.suffix == ".json" and path.with_suffix("").is_file():
+            side = json.loads(path.read_text())
+            assert side["sha256"] == hashlib.sha256(
+                path.with_suffix("").read_bytes()).hexdigest(), path.name
+        if rc == 0:
+            if path.suffix == ".json":
+                values = _numbers(json.loads(path.read_text()))
+            else:
+                values = load_csv(path).ravel().tolist()
+            assert all(math.isfinite(v) for v in values), path.name
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(command_argv())
+def test_command_exit_code_matches_its_artifacts(tmp_path_factory, argv):
+    out = tmp_path_factory.mktemp("cmd") / "out"
+    rc = run(argv + ["--out", out])
+    assert rc in (0, 2, 3)
+    if rc == 2:
+        assert not out.exists()
+    else:
+        _check_artifacts(out, rc)
+
+
+@pytest.mark.parametrize("argv, named", [
+    # A = sqrt(k^2 + eps^2 k'^2) underflows to 0
+    (["montgomery", "--k", 1e-300, "--eps", 1e-300, "--n", 3], "k = 1e-300"),
+    (["pulse", "--family", "tre-loop", "--k", 1e-308, "--eps", 5e-324,
+      "--n", 17], "k = 1e-308"),
+    # nu = -(a / b)^2 m of the solid angle overflows, b = k C
+    (["montgomery", "--k", 1e-170, "--eps", 0.5, "--branch", "oscillating",
+      "--n", 17], "k = 1e-170"),
+    # the oscillating period 4 K / (k A) overflows
+    (["pulse", "--family", "tre", "--k", 5e-324, "--eps", 0.5, "--branch",
+      "oscillating", "--n", 5], "k = 5e-324"),
+    # 1 / eps overflows
+    (["fit-period", "--k", 0.5, "--eps", "1e-2,1e-4,5e-324"], "eps samples"),
+    # a step's rotation angle overflows
+    (["simulate", "--family", "rect", "--n", 5, "--delta", 1e308],
+     "delta = 1e+308"),
+    (["simulate", "--family", "rect", "--n", 5, "--alpha", 1e308],
+     "alpha = 1e+308"),
+    (["simulate", "--family", "rect", "--n", 5, "--alpha", 1e308, "--emit",
+      "axis-angle"], "alpha = 1e+308"),
+    # an exported time overflows
+    (["simulate", "--family", "rect", "--n", 3, "--time-scale", 1e308],
+     "--time-scale"),
+    (["pulse", "--family", "rect", "--n", 3, "--time-scale", 1e308],
+     "--time-scale"),
+    (["gate", "not", "--k", 0.6, "--n", 64, "--time-scale", 1e308],
+     "--time-scale"),
+])
+def test_overflowing_input_is_usage_error_before_any_artifact(tmp_path, capsys,
+                                                              argv, named):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()

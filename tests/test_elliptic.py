@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from blochtop import elliptic
 from blochtop.elliptic import _complete_KE, complete_E, complete_K, \
     complete_Pi, jacobi_sn_cn_dn
 
@@ -117,6 +118,26 @@ def test_complete_E_stops_at_a_repeated_agm_pair():
     # stop test; summing its w c^2 up to the step cap moved E by 1.7e-13
     m = 0.9640377618364563
     assert abs(complete_E(m) - float(mpmath.ellipe(m))) <= 1e-15
+
+
+def test_complete_Pi_stops_at_a_repeated_agm_pair(monkeypatch):
+    # at m = 0.5 the rounded AGM settles into a one-ulp fixed point whose
+    # |a - g| never passes the stop test, which ran all _AGM_MAX steps
+    steps = []
+    agm = elliptic._agm
+
+    def counted(m):
+        for pair in agm(m):
+            steps.append(pair)
+            yield pair
+
+    monkeypatch.setattr(elliptic, "_agm", counted)
+    for nu in (-0.5, -3.0):
+        steps.clear()
+        value = complete_Pi(nu, 0.5)
+        assert len(steps) <= 12
+        ref = mpmath.ellippi(nu, 0.5)
+        assert abs(value - float(ref)) <= 1e-15 * abs(float(ref))
 
 
 @pytest.mark.parametrize("m", [0.0, 0.1, 0.5, 0.9, 0.99, 0.999999])

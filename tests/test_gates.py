@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -233,6 +234,35 @@ def test_sign_changes_zero_counts_at_left_end_only():
     assert gates._sign_changes([1.0]) == []
 
 
+@st.composite
+def not_scans(draw):
+    """(p, family, n, xs): the default 64-point NOT scan of a bracket
+    inside [1e-6, 0.999]."""
+    lo, hi = sorted(draw(st.lists(st.floats(math.log(1e-6), math.log(0.999)),
+                                  min_size=2, max_size=2, unique=True)))
+    return (TopParameters(draw(st.floats(0.02, 0.99))),
+            draw(st.sampled_from(list(Family))), draw(st.integers(2, 4096)),
+            np.geomspace(math.exp(lo), math.exp(hi), 64))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(not_scans())
+def test_involution_axis_is_unit_and_continuous_along_the_scan(case):
+    # the NOT objective needs no sign gauge: the SU(2) pair fixes the
+    # axis sign, and the axis turns by less than 90 degrees between scan
+    # points and between a point and its log-midpoint
+    p, family, n, xs = case
+    raw = np.array([[c.real, c.imag, a.real]
+                    for a, c in gates._scan_finals(p, xs, family, n, False)])
+    assert_allclose(np.linalg.norm(raw, axis=1), 1.0, rtol=0, atol=1e-15)
+    axes = gates._involution_scan(p, xs, family, n)
+    assert all(u @ v > 0.0 for u, v in zip(axes, axes[1:]))
+    for j in range(len(xs) - 1):
+        mid = gates._involution_scan(
+            p, [math.sqrt(xs[j] * xs[j + 1])], family, n)[0]
+        assert mid @ axes[j] > 0.0 and mid @ axes[j + 1] > 0.0
+
+
 def test_tune_not_rejects_bad_range():
     with pytest.raises(ValueError):
         tune_not_gate(TopParameters(0.5), (0.5, 0.1))
@@ -334,6 +364,38 @@ def test_phase_gate_tiny_target_collapses_to_identity():
     assert design.residuals["dynamical_cancellation"] <= 1e-4
 
 
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("target", [1e-7, 2.0 * math.pi - 1e-7])
+def test_phase_gate_degenerate_target_sums_are_plus_zero(target):
+    design, pulse, budget = design_phase_gate(target, TopParameters(0.5),
+                                              n=1025)
+    assert design.orientation == pulse.meta["orientation"] == "degenerate"
+    assert design.converged
+    assert _bits(budget.dynamical) == _bits(budget.geometric) == _bits(0.0)
+
+
+def test_phase_gate_budget_sums_keep_their_signed_bits():
+    # 3.3 at k = 0.45 cancels exactly: both loops carry a dynamical phase
+    # of 10.470492835275785, and a - b is +0.0, not -0.0
+    sums = {"reverse_first": lambda a, b: -a + b,
+            "reverse_second": lambda a, b: a - b}
+    seen = set()
+    for k in (0.45, 0.55):
+        for target in (1.3, 3.3):
+            design, pulse, budget = design_phase_gate(
+                target, TopParameters(k), n=1025)
+            seen.add(design.orientation)
+            total = sums[design.orientation]
+            for part in ("dynamical", "geometric"):
+                assert _bits(getattr(budget, part)) == _bits(total(
+                    getattr(design.budget_a, part),
+                    getattr(design.budget_b, part)))
+    assert seen == set(sums)
+
+
 def test_phase_gate_rejects_out_of_range_target():
     with pytest.raises(ValueError):
         design_phase_gate(0.0, TopParameters(0.5))
@@ -356,6 +418,15 @@ def test_synthesize_sigma_x_uses_not_primitive():
     prog = synthesize_one_qubit(SX)
     assert prog.labels == ("not",)
     assert prog.fidelity >= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("k, converged", [(0.3, False), (0.5, True)])
+def test_synthesized_not_segment_carries_its_convergence(k, converged):
+    # at k = 0.3 the NOT objective has no root in the bracket, and the
+    # segment reaches a fidelity of only 0.989
+    prog = synthesize_one_qubit(SX, TopParameters(k), n=1024)
+    assert prog.labels == ("not",)
+    assert prog.segments[0].meta["converged"] is converged
 
 
 def test_synthesize_hadamard():
