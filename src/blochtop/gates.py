@@ -5,9 +5,20 @@ gate, BIR-style composite NOT pulses, two-orbit geometric phase gates
 with dynamical-phase cancellation, and one-qubit synthesis over those
 primitives.
 
-Each design scans its free parameter on a grid and solves the chosen
-sign change with one Brent solver (_solve_scanned over
-_solve_bracketed), started from the scanned values at the bracket ends.
+Each design picks a sign change of its objective on a grid of its free
+parameter and solves it with one Brent solver (_solve_scanned over
+_solve_bracketed), started from the sampled values at the bracket ends.
+
+A transfer or loop pulse drives the qubit as the free top rotates, so
+its propagator is the top's attitude, which has a closed form
+(_orbit_phases: the loop turns by 2 E T less the solid angle about its
+base point, and the transfer's NOT objective is the cosine of a quarter
+of that angle).  The NOT, composite-NOT and loop-gate searches locate
+their bracket from it (_locate): the sampled objective lies within a
+known O(h^2) gap of the closed form, so only the bracket ends and the
+grid points that gap cannot settle are sampled, and the bracket and its
+end values keep the bits of the full sampled scan, which is taken
+whenever the closed form cannot decide.
 
 The geometric term of a budget is the orbit's solid angle in closed
 form (_orbit_solid_angle, Montgomery 1991, from complete K and Pi); the
@@ -17,13 +28,13 @@ kept as its reference.  The phase gate's spread and its inner solve
 its k scan and solver steps sample no orbit.
 
 Transfer and loop pulses are read off free-top orbits, which are
-mirror-symmetric about their midpoints.  Every scan point and solver
-step of the NOT, composite-NOT and loop-gate searches, and the loop
-propagator of the Montgomery budget, therefore sample and propagate only
-the first half of the orbit, and the reference polygon sums half the
-geodesic fan and doubles it.  One evaluator, _scan_finals, serves them
-all: it samples the points' halves in chunks of rows, one table per
-chunk (pulsegen._mirror_half), and propagates each chunk in one
+mirror-symmetric about their midpoints.  Every sampled scan point and
+solver step of the NOT, composite-NOT and loop-gate searches, and the
+loop propagator of the Montgomery budget, therefore sample and propagate
+only the first half of the orbit, and the reference polygon sums half
+the geodesic fan and doubles it.  One evaluator, _scan_finals, serves
+them all: it samples the points' halves in chunks of rows, one table
+per chunk (pulsegen._mirror_half), and propagates each chunk in one
 propagate._mirror_final call; a solver step or the Montgomery loop is a
 scan of one point.  The pulse a designer returns, and the
 fidelity and residuals of its report, are computed from the full pulse
@@ -85,6 +96,12 @@ _EPS = sys.float_info.epsilon
 # 2,000 for the brackets and tolerances of gate design; the cap only
 # stops a solve whose f is not finite
 _BRENT_STEPS = 10_000
+# the sampled NOT, composite-NOT and loop-angle objectives lie within
+# 0.3 h^2 of their closed forms, h the pulse length over n - 1, at every n
+# for k in [0.02, 0.999] and eps in [1e-6, 0.999] (a property test in
+# test_gates holds them to a tenth of _GAP); _locate trusts the closed
+# form beyond _GAP h^2
+_GAP = 4.0
 
 _E1 = np.array([1.0, 0.0, 0.0])
 _E3 = np.array([0.0, 0.0, 1.0])
@@ -177,7 +194,8 @@ def _orbit_geometric(p: TopParameters, eps: float, family: Family,
     return (4.0 * fine - coarse) / 3.0
 
 
-def _orbit_solid_angle(p: TopParameters, eps: float, family: Family) -> float:
+def _orbit_solid_angle(p: TopParameters, eps: float, family: Family,
+                       oc=None) -> float:
     """_orbit_geometric in closed form: the orbit's solid angle.
 
     With (a, b, c) the amplitudes on (dn, cn, sn), axes (1, 2, 3) on the
@@ -191,9 +209,10 @@ def _orbit_solid_angle(p: TopParameters, eps: float, family: Family) -> float:
     with nu = -a^2 m / (1 - a^2).  At u = 0 and u = K the unit vector
     gives a^2 + b^2 = 1 and a^2 (1 - m) + c^2 = 1, so 1 - a^2 = b^2 and
     the square root is b c; the last term is then 2 pi.  Returns -Omega
-    on rotating orbits and +Omega on oscillating ones.
+    on rotating orbits and +Omega on oscillating ones.  oc, when given,
+    is orbit_constants(p, eps, family).
     """
-    oc = orbit_constants(p, eps, family)
+    oc = orbit_constants(p, eps, family) if oc is None else oc
     if family is Family.ROTATING:
         a, b, c = oc.amp1, oc.amp2, oc.amp3
     else:
@@ -211,6 +230,41 @@ def _orbit_solid_angle(p: TopParameters, eps: float, family: Family) -> float:
 def _orbit_dynamical(p: TopParameters, eps: float, family: Family) -> float:
     base = tre_initial(p, eps, family)
     return float(2.0 * energy(base, p) * orbit_period(p, eps, family))
+
+
+def _orbit_phases(p: TopParameters, es, family: Family):
+    """(phis, periods): the closed-form rotation of each orbit pulse, one
+    orbit_constants per eps in es.
+
+    The drive is the top's own angular velocity, so a pulse's propagator
+    is the free top's attitude (Whittaker, Analytical Dynamics, sec. 69):
+    it carries L(0) to L(t) and turns about L by 2 E t less the frame's
+    connection integral.  Over the full loop that is the rotation about
+    the base point L(0) by phi = 2 E T - _orbit_solid_angle, unwrapped and
+    continuous in eps, with T the period 4 K / omega.  Over the transfer
+    it is P = R_L1(phi / 2 + pi) R_e(-pi), with L1 = L(T / 2) the turning
+    point (eps, 0, -C) and e = e1 on rotating orbits, (0, eps, -C) and
+    e2 on oscillating ones.  This is the frame product F(L1) R_e(phi / 2
+    + pi) F(L(0))^-1, F(L) = R_e(azimuth) R(polar angle), with both ends
+    at polar angle acos(eps) about e and azimuth +-pi / 2, and its SU(2)
+    lift is the mirror route's pair on both families.  The involution
+    axis of P Z3 (_involution_scan) is then (C c, -s, eps c) on rotating
+    orbits and (s, C c, eps c) on oscillating ones, c = cos(phi / 4) and
+    s = sin(phi / 4), so its projection on v1 is cos(phi / 4).  An eps
+    whose orbit has no closed form (orbit_constants or the solid angle
+    refuses it) gets nan.
+    """
+    phis, periods = [], []
+    for eps in map(float, es):
+        try:
+            oc = orbit_constants(p, eps, family)
+            T = 4.0 * oc.K / oc.omega
+            phi = 2.0 * oc.energy * T - _orbit_solid_angle(p, eps, family, oc)
+        except ValueError:
+            phi = T = math.nan
+        phis.append(phi)
+        periods.append(T)
+    return np.array(phis), np.array(periods)
 
 
 def montgomery_phase(p: TopParameters, eps: float, family: Family,
@@ -354,10 +408,23 @@ def _solve_bracketed(f, lo: float, hi: float, xtol: float = 1e-10,
     return b, fb, False
 
 
+def _sign_change(a: float, b: float) -> bool:
+    """The interval from a to b changes sign: a == 0 or a b < 0."""
+    return a == 0.0 or a * b < 0.0
+
+
+def _angle_crossing(a: float, b: float) -> bool:
+    """The interval between two wrapped gaps in (-pi, pi] passes through
+    zero: an end is 0, or the sign changes across a jump under pi (a jump
+    over pi crosses the cut at +-pi instead).  On a loop-angle scan this
+    is the unwrapped angle reaching a level want + 2 pi m."""
+    return (a == 0.0 or b == 0.0
+            or (a * b < 0.0 and abs(a - b) < math.pi))
+
+
 def _sign_changes(fs) -> list[int]:
     """Intervals i, in grid order, with fs[i] == 0 or fs[i] fs[i + 1] < 0."""
-    return [i for i in range(len(fs) - 1)
-            if fs[i] == 0.0 or fs[i] * fs[i + 1] < 0.0]
+    return [i for i in range(len(fs) - 1) if _sign_change(fs[i], fs[i + 1])]
 
 
 def _solve_scanned(f, xs, fs, i):
@@ -374,6 +441,62 @@ def _solve_scanned(f, xs, fs, i):
     x, _, converged = _solve_bracketed(f, float(xs[i]), float(xs[i + 1]),
                                        xtol=1e-13, flo=fs[i], fhi=fs[i + 1])
     return x, converged
+
+
+def _locate(approx, spans, n: int, sample, crosses, pick):
+    """(fs, i): the interval pick chooses among the crossings of a sampled
+    scan, found from the scan's closed form with few sampled points.
+
+    approx holds the closed-form objective at each grid point and spans
+    the length of the pulse sampled there; the sampled objective lies
+    within delta = _GAP (span / (n - 1))^2 of approx, wrapped.  sample(js)
+    returns the sampled objective at the grid indices js, and crosses(a,
+    b) says whether an interval with end values a and b holds a crossing.
+    An interval is settled when both ends lie more than their delta
+    inside (-pi, pi) and crosses answers alike at the four corners of the
+    delta box: every value the sampled scan can take there gets the
+    closed form's answer.  Only the ends of unsettled intervals are
+    sampled, then the ends of the picked interval, and each sampled value
+    is checked against its delta.  fs is approx with the sampled values
+    in place, so the crossings, the pick, fs[i] and fs[i + 1] have the
+    bits of the full scan.  The full scan, fs = sample(every index), is
+    taken instead when more than a quarter of the grid is unsettled, when
+    a sampled value leaves its delta, or when no interval is picked
+    (_solve_scanned then wants every sampled value).  A nan in approx
+    (no closed form) leaves its intervals unsettled and fails the check.
+    """
+    m = len(approx)
+    delta = [_GAP * (s / (n - 1)) ** 2 for s in spans]
+
+    def settled(j: int) -> bool:
+        a, b, da, db = approx[j], approx[j + 1], delta[j], delta[j + 1]
+        if not (abs(a) + da < math.pi and abs(b) + db < math.pi):
+            return False
+        return len({crosses(a + x, b + y)
+                    for x in (-da, da) for y in (-db, db)}) == 1
+
+    def picked(fs):
+        return pick([j for j in range(m - 1) if crosses(fs[j], fs[j + 1])])
+
+    def put(fs, js):
+        if js:
+            for j, f in zip(js, sample(js)):
+                fs[j] = f
+
+    unsettled = sorted({j + d for j in range(m - 1) if not settled(j)
+                        for d in (0, 1)})
+    if 4 * len(unsettled) <= m:
+        fs = list(approx)
+        put(fs, unsettled)
+        i = picked(fs)
+        if i is not None:
+            ends = [j for j in (i, i + 1) if j not in unsettled]
+            put(fs, ends)
+            if all(abs(_util.wrap_angle(fs[j] - approx[j])) <= delta[j]
+                   for j in unsettled + ends):
+                return fs, i
+    fs = sample(list(range(m)))
+    return fs, picked(fs)
 
 
 # ---------------------------------------------------------------------------
@@ -469,15 +592,19 @@ def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
     """Tune eps inside the bracket until one transfer is a NOT gate.
 
     The objective s(eps) is the projection of the involution axis
-    (_involution_scan) on v1; it is scanned on a log grid, and the last
-    sign change (the largest eps, the shortest pulse) is solved with
-    _solve_scanned, each solver step a one-point scan.  Returns (eps,
-    pulse, report); a missing sign change is reported via
-    report.converged, never raised.
+    (_involution_scan) on v1, cos(phi / 4) in closed form
+    (_orbit_phases).  On a log grid of scan points, _locate finds the last
+    sign change (the largest eps, the shortest pulse) of the sampled s
+    from that closed form, sampling only the bracket ends and any point
+    the closed form cannot settle; _solve_scanned solves it, each solver
+    step a one-point scan.  Returns (eps, pulse, report); a missing sign
+    change is reported via report.converged, never raised.
     """
     lo, hi = float(eps_range[0]), float(eps_range[1])
     if not 0.0 < lo < hi < 1.0:
         raise ValueError("eps_range must satisfy 0 < lo < hi < 1")
+    if scan < 2:
+        raise ValueError(f"scan must be at least 2, got {scan}")
 
     def v1_of(e: float) -> np.ndarray:
         c = math.sqrt(1.0 - e * e)
@@ -490,10 +617,11 @@ def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
                 for e, ax in zip(es, _involution_scan(p, es, family, n))]
 
     xs = np.geomspace(lo, hi, scan)
-    fs = s(xs)
-    changes = _sign_changes(fs)
-    eps_star, bracketed = _solve_scanned(lambda e: s([e])[0], xs, fs,
-                                         changes[-1] if changes else None)
+    phis, periods = _orbit_phases(p, xs, family)
+    fs, i = _locate(np.cos(0.25 * phis).tolist(), 0.5 * periods, n,
+                    lambda js: s(xs[js]), _sign_change,
+                    lambda changes: changes[-1] if changes else None)
+    eps_star, bracketed = _solve_scanned(lambda e: s([e])[0], xs, fs, i)
 
     pulse = tre_pulse(p, eps_star, family, n=n)
     R = so3_final(pulse)
@@ -524,27 +652,36 @@ def composite_bir_not(p: TopParameters, eps: float, n: int = 4096,
 
     The second segment runs the drive backwards with flipped sign, so the
     dynamical accumulation of the pair cancels identically.  eps seeds a
-    log scan, and _solve_scanned takes the sign change nearest eps to
-    where the pair closes into an exact pi rotation; the composite is
-    then rotated as a whole to put that axis on e1.  Search diagnostics
-    land in the returned pulse's meta.
+    log scan of g = 2 a1^2 - 1, a1 the e1 component of the involution
+    axis; _locate finds the sign change nearest eps from g's closed form
+    2 (1 - eps^2) cos(phi / 4)^2 - 1 (_orbit_phases), sampling only the
+    bracket ends and any point the closed form cannot settle, and
+    _solve_scanned solves it to where the pair closes into an exact pi
+    rotation.  The composite is then rotated as a whole to put that axis
+    on e1.  Search diagnostics land in the returned pulse's meta.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
+    if scan < 2:
+        raise ValueError(f"scan must be at least 2, got {scan}")
 
     def g(es) -> list:
         # axis-sign free: only the e1 component's magnitude enters
         axes = _involution_scan(p, es, Family.ROTATING, n)
         return [2.0 * a * a - 1.0 for a in (float(ax[0]) for ax in axes)]
 
+    def nearest(changes):
+        # nearest log-midpoint to the seed; a tie keeps the first
+        return min(changes, default=None, key=lambda j: abs(
+            math.log(math.sqrt(xs[j] * xs[j + 1]) / eps)))
+
     lo = max(1e-3, eps / 4.0)
     hi = min(0.97, eps * 4.0)
     xs = np.geomspace(lo, hi, scan)
-    fs = g(xs)
-    # nearest log-midpoint to the seed; a tie keeps the first
-    i = min(_sign_changes(fs),
-            key=lambda j: abs(math.log(math.sqrt(xs[j] * xs[j + 1]) / eps)),
-            default=None)
+    phis, periods = _orbit_phases(p, xs, Family.ROTATING)
+    approx = 2.0 * (1.0 - xs * xs) * np.cos(0.25 * phis) ** 2 - 1.0
+    fs, i = _locate(approx.tolist(), 0.5 * periods, n, lambda js: g(xs[js]),
+                    _sign_change, nearest)
     eps_star, converged = _solve_scanned(lambda e: g([e])[0], xs, fs, i)
 
     seg = tre_pulse(p, eps_star, Family.ROTATING, n=n)
@@ -783,42 +920,39 @@ def _loop_angles(p: TopParameters, es, n: int) -> list:
                                              loop=True))]
 
 
-def _loop_scan(p: TopParameters, n: int):
-    """Loop angle on a descending log grid of eps, unwrapped by continuity.
+def _loop_scan(p: TopParameters):
+    """The loop angle in closed form on a descending log grid of eps.
 
-    Returns (es, raw, tots): the grid, the angles as measured in
-    (-pi, pi], and the same angles unwrapped along the grid.  It does not
-    depend on the target angle, so one scan serves every loop gate of a
-    synthesis.
+    Returns (es, phis, periods): the grid and the _orbit_phases of its
+    rotating loops, phis unwrapped and continuous in eps.  It depends on
+    neither the target angle nor n, so one table serves every loop gate
+    of a synthesis.
     """
     es = np.geomspace(0.9, 5e-3, 96)
-    raw = _loop_angles(p, es, n)
-    tots = [raw[0]]
-    for v in raw[1:]:
-        tots.append(tots[-1] + _util.wrap_angle(v - tots[-1]))
-    return es, raw, tots
+    return (es, *_orbit_phases(p, es, Family.ROTATING))
 
 
-def _loop_gate(p: TopParameters, axis_target, angle: float, table, n: int):
-    """Single orbit loop tuned to act as rot(axis_target, angle).
+def _solve_loop(p: TopParameters, want: float, table, n: int):
+    """(eps, converged, loop, axis): the orbit loop whose rotation angle is
+    want, a wrapped angle, and the axis that rotation turns about.
 
-    table is the _loop_scan of (p, n).  The first interval whose unwrapped
-    loop angles cross the requested angle mod 2 pi is solved on the
-    wrapped gaps by _solve_scanned; the loop is then rigidly rotated so
-    its measured axis matches.
+    table is the _loop_scan of p.  The objective is the wrapped gap
+    between the sampled loop angle (_loop_angles) and want; _locate finds
+    the first interval of the grid where it passes through zero
+    (_angle_crossing), where the unwrapped angle reaches a level want +
+    2 pi m, from the closed-form gaps wrap(phi - want), and
+    _solve_scanned solves it.  The axis is signed so that the loop turns
+    by want about it.
     """
-    want = _util.wrap_angle(angle)
-    es, raw, tots = table
+    es, phis, periods = table
 
-    def gap(e: float) -> float:
-        return _util.wrap_angle(_loop_angles(p, [e], n)[0] - want)
+    def gap(xs) -> list:
+        return [_util.wrap_angle(v - want) for v in _loop_angles(p, xs, n)]
 
-    # first interval whose unwrapped angles pass a level want + 2 pi m
-    lv = [(t - want) / (2.0 * math.pi) for t in tots]
-    i = next((j for j, (a, b) in enumerate(zip(lv, lv[1:]))
-              if math.ceil(min(a, b)) <= math.floor(max(a, b))), None)
-    fs = [_util.wrap_angle(v - want) for v in raw]
-    eps_star, converged = _solve_scanned(gap, es, fs, i)
+    fs, i = _locate([_util.wrap_angle(v - want) for v in phis], periods, n,
+                    lambda js: gap(es[js]), _angle_crossing,
+                    lambda crossings: crossings[0] if crossings else None)
+    eps_star, converged = _solve_scanned(lambda e: gap([e])[0], es, fs, i)
 
     loop = tre_loop_pulse(p, eps_star, Family.ROTATING, n=n)
     q = spinor_quaternion(su2_final(loop))
@@ -829,6 +963,13 @@ def _loop_gate(p: TopParameters, axis_target, angle: float, table, n: int):
         axis = -axis
     if want < 0.0:
         axis = -axis
+    return eps_star, converged, loop, axis
+
+
+def _loop_gate(p: TopParameters, axis_target, want: float, solved, n: int):
+    """Single orbit loop acting as rot(axis_target, want): the _solve_loop
+    solution solved, rigidly rotated so that its axis is axis_target."""
+    eps_star, converged, loop, axis = solved
     W = _rotation_between(axis, np.asarray(axis_target, dtype=float))
     aligned = rotate_pulse(loop, W)
     meta = {"kind": "loop_gate", "k": p.k, "eps": eps_star,
@@ -842,10 +983,12 @@ def synthesize_one_qubit(U_target, p: TopParameters | None = None,
 
     Factors the target (up to global phase) as Rz(gamma) Rx(beta)
     Rz(alpha) and realizes each factor with a tuned orbit loop; an exact
-    pi about e1 uses the tuned NOT transfer instead.  The loop angle is
-    scanned over eps once, and that one table is shared by every loop
-    gate of the program.  Returns a SynthesisProgram whose segments apply
-    in time order.
+    pi about e1 uses the tuned NOT transfer instead.  One closed-form
+    loop-angle table (_loop_scan) serves every loop gate of the program,
+    and each distinct wrapped angle is solved once (_solve_loop): gates
+    that want the same angle share its eps, loop and convergence flag and
+    differ only in the rotation that aligns the loop's axis.  Returns a
+    SynthesisProgram whose segments apply in time order.
     """
     p = TopParameters(0.5) if p is None else p
     U = np.asarray(U_target, dtype=complex)
@@ -878,7 +1021,8 @@ def synthesize_one_qubit(U_target, p: TopParameters | None = None,
         steps.append(("z-loop", _E3, gamma))
 
     labels = [label for label, _, _ in steps]
-    table = _loop_scan(p, n) if set(labels) - {"not"} else None
+    table = _loop_scan(p) if set(labels) - {"not"} else None
+    solved = {}
     segments: list[ControlPulse] = []
     for label, axis, angle in steps:
         if label == "not":
@@ -886,7 +1030,10 @@ def synthesize_one_qubit(U_target, p: TopParameters | None = None,
             segments.append(replace(pulse, meta=dict(
                 pulse.meta, converged=report.converged)))
         else:
-            segments.append(_loop_gate(p, axis, angle, table, n=n))
+            want = _util.wrap_angle(angle)
+            if want not in solved:
+                solved[want] = _solve_loop(p, want, table, n)
+            segments.append(_loop_gate(p, axis, want, solved[want], n))
 
     comp = np.eye(2, dtype=complex)
     for seg in segments:

@@ -4,11 +4,12 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from blochtop import gates
+from blochtop._util import wrap_angle
 from blochtop.gates import (
     NOT_SU2,
     PhaseBudget,
@@ -455,11 +456,11 @@ def test_synthesis_propagates_each_scan_point_once(monkeypatch):
     H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
     prog = synthesize_one_qubit(H, TopParameters(0.6), n=512)
     assert prog.labels == ("z-loop", "x-loop", "z-loop")
-    for e in np.geomspace(0.9, 5e-3, 96):
-        assert built.count(float(e)) == 1
-    # one shared 96-point scan, then at most 20 bisections and 40 secant
-    # steps per gate plus its final loop; none of it re-runs a scan point
-    assert len(finals) <= 96 + 3 * 61
+    assert len(built) == len(set(built))
+    # the three gates want one angle, solved once: at most two sampled
+    # chunks to locate its bracket, then at most 20 bisections and 40
+    # secant steps; none of it re-runs a scan point
+    assert len(finals) <= 2 + 60
 
 
 @pytest.mark.parametrize("n", [4097, 32769])
@@ -596,8 +597,9 @@ def test_scan_tables_equal_per_point_values_bit_for_bit(n):
         for x, axis in zip(xs, gates._involution_scan(p, xs, family, n)):
             single = gates._involution_scan(p, [x], family, n)[0]
             assert axis.tobytes() == single.tobytes()
-    es, raw, _ = gates._loop_scan(p, n)
-    assert raw == [gates._loop_angles(p, [e], n)[0] for e in es]
+    es = np.geomspace(0.9, 5e-3, 96)
+    assert gates._loop_angles(p, es, n) == [gates._loop_angles(p, [e], n)[0]
+                                            for e in es]
 
 
 def test_phase_gate_reports_unconverged_inner_solve(monkeypatch):
@@ -716,3 +718,213 @@ def test_phase_design_samples_no_orbit(monkeypatch):
     # a 33-point k scan, its Brent steps and the final match
     assert 34 <= len(passes) <= 80
     assert max(passes) <= 8
+
+
+# ---------------------------------------------------------------------------
+# closed-form orbit propagators: the oracle of the mirror route, and the
+# locator of the NOT, composite-NOT and loop-gate scans
+
+
+def _quaternion(axis, angle):
+    return np.concatenate([[math.cos(0.5 * angle)],
+                           math.sin(0.5 * angle) * np.asarray(axis, float)])
+
+
+def _hamilton(p, q):
+    return np.concatenate([[p[0] * q[0] - p[1:] @ q[1:]],
+                           p[0] * q[1:] + q[0] * p[1:]
+                           + np.cross(p[1:], q[1:])])
+
+
+def _closed_quaternion(p, eps, family, loop, zero=0.0):
+    """Closed-form propagator of the unrotated transfer or full loop, as
+    the quaternion (q0, q1, q2, q3) of its SU(2) pair: the loop turns by
+    phi about its base point, and the transfer is R_L1(phi / 2 + pi)
+    R_e(-pi), L1 the turning point and e the pole (_orbit_phases).  zero
+    fills the turning point's zero slot."""
+    phi = float(gates._orbit_phases(p, [eps], family)[0][0])
+    if loop:
+        return _quaternion(tre_initial(p, eps, family), phi)
+    C = math.sqrt(1.0 - eps * eps)
+    if family is Family.ROTATING:
+        L1, e = np.array([eps, zero, -C]), np.array([1.0, 0.0, 0.0])
+    else:
+        L1, e = np.array([zero, eps, -C]), np.array([0.0, 1.0, 0.0])
+    return _hamilton(_quaternion(L1, 0.5 * phi + math.pi),
+                     _quaternion(e, -math.pi))
+
+
+def _mirror_quaternion(p, eps, family, n, loop):
+    a, c = gates._scan_finals(p, [eps], family, n, loop)[0]
+    return np.array([a.real, -c.imag, c.real, -a.imag])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(list(Family)), st.floats(0.2, 0.95),
+       st.floats(math.log(1e-3), math.log(0.9)), st.booleans())
+def test_mirror_finals_converge_to_the_closed_form(family, k, log_eps, loop):
+    # the lift is the mirror route's pair itself on both families, with no
+    # axis gauge, and the midpoint rule's error is O(h^2): halving h cuts
+    # it by 4
+    p, eps = TopParameters(k), math.exp(log_eps)
+    q = _closed_quaternion(p, eps, family, loop)
+    err = [np.linalg.norm(_mirror_quaternion(p, eps, family, n, loop) - q)
+           for n in (1025, 2049)]
+    assert err[0] <= 1e-3
+    assert 3.5 <= err[0] / err[1] <= 4.5
+    if not loop:
+        # the two-factor product has no atan2 cut: a turning point with a
+        # -0.0 component gives the same pair
+        assert np.array_equal(
+            _closed_quaternion(p, eps, family, loop, zero=-0.0), q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.sampled_from(list(Family)), st.floats(0.02, 0.999),
+       st.floats(math.log(1e-6), math.log(0.999)), st.integers(2, 4096))
+def test_sampled_objectives_lie_within_a_tenth_of_the_locator_gap(
+        family, k, log_eps, n):
+    # _locate trusts the closed form beyond delta = _GAP h^2, h the pulse
+    # length over n - 1; every sampled objective sits within a tenth of it
+    p, eps = TopParameters(k), math.exp(log_eps)
+    phis, periods = gates._orbit_phases(p, [eps], family)
+    phi, T = float(phis[0]), float(periods[0])
+    bound = 0.1 * gates._GAP * (T / (n - 1)) ** 2
+    C = math.sqrt(1.0 - eps * eps)
+    v1 = np.array([C, 0.0, eps] if family is Family.ROTATING
+                  else [0.0, C, eps])
+    axis = gates._involution_scan(p, [eps], family, n)[0]
+    assert abs(axis @ v1 - math.cos(0.25 * phi)) <= 0.25 * bound
+    if family is Family.ROTATING:
+        g = 2.0 * axis[0] ** 2 - 1.0
+        assert abs(g - (2.0 * C * C * math.cos(0.25 * phi) ** 2 - 1.0)) \
+            <= 0.25 * bound
+        angle = gates._loop_angles(p, [eps], n)[0]
+        assert abs(wrap_angle(angle - phi)) <= bound
+
+
+class _Located(Exception):
+    """Raised by a stand-in for _solve_scanned to hand back its scan."""
+
+
+def _located(design, *args, **kwargs):
+    """(xs, fs, i) as design hands them to its first _solve_scanned."""
+    def capture(f, xs, fs, i):
+        raise _Located(list(xs), fs, i)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gates, "_solve_scanned", capture)
+        with pytest.raises(_Located) as info:
+            design(*args, **kwargs)
+    return info.value.args
+
+
+def _assert_same_bracket(got, xs, full, i):
+    lxs, fs, li = got
+    assert lxs == list(xs)
+    assert li == i
+    if i is None:
+        assert [struct.pack("d", f) for f in fs] \
+            == [struct.pack("d", f) for f in full]
+    else:
+        assert struct.pack("2d", fs[i], fs[i + 1]) \
+            == struct.pack("2d", full[i], full[i + 1])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.floats(0.3, 0.99), st.sampled_from(list(Family)),
+       st.integers(2, 4096), st.floats(math.log(1e-6), math.log(1e-2)),
+       st.floats(math.log(0.02), math.log(0.999)))
+# at k = 1e-170 the oscillating solid angle's nu overflows: no closed
+# form, so the locator takes the full scan
+@example(1e-170, Family.OSCILLATING, 4096, math.log(1e-3), math.log(0.5))
+def test_not_locator_brackets_as_the_full_scan(k, family, n, log_lo, log_hi):
+    # brackets that mostly hold a root, some of them several
+    p = TopParameters(k)
+    lo, hi = math.exp(log_lo), math.exp(log_hi)
+    xs = np.geomspace(lo, hi, 64)
+    full = []
+    for e, axis in zip(xs, gates._involution_scan(p, xs, family, n)):
+        c = math.sqrt(1.0 - e * e)
+        v1 = np.array([c, 0.0, e] if family is Family.ROTATING
+                      else [0.0, c, e])
+        full.append(float(axis @ v1))
+    changes = gates._sign_changes(full)
+    _assert_same_bracket(_located(tune_not_gate, p, (lo, hi), family, n=n),
+                         xs, full, changes[-1] if changes else None)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.floats(0.4, 0.99), st.floats(math.log(1e-3), math.log(0.5)),
+       st.integers(2, 4096))
+def test_composite_locator_brackets_as_the_full_scan(k, log_eps, n):
+    p, eps = TopParameters(k), math.exp(log_eps)
+    xs = np.geomspace(max(1e-3, eps / 4.0), min(0.97, eps * 4.0), 81)
+    a1 = [float(axis[0])
+          for axis in gates._involution_scan(p, xs, Family.ROTATING, n)]
+    full = [2.0 * a * a - 1.0 for a in a1]
+    i = min(gates._sign_changes(full), default=None, key=lambda j: abs(
+        math.log(math.sqrt(xs[j] * xs[j + 1]) / eps)))
+    _assert_same_bracket(_located(composite_bir_not, p, eps, n=n), xs, full, i)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.floats(0.02, 0.99), st.floats(-math.pi, math.pi),
+       st.integers(2, 4096))
+def test_loop_locator_brackets_as_the_unwrapped_full_scan(k, angle, n):
+    # the full scan as it was solved before the closed form located it:
+    # the first interval whose angles, unwrapped along the grid, pass a
+    # level want + 2 pi m
+    p, want = TopParameters(k), wrap_angle(angle)
+    es = np.geomspace(0.9, 5e-3, 96)
+    raw = gates._loop_angles(p, es, n)
+    tots = [raw[0]]
+    for v in raw[1:]:
+        tots.append(tots[-1] + wrap_angle(v - tots[-1]))
+    lv = [(t - want) / (2.0 * math.pi) for t in tots]
+    i = next((j for j, (a, b) in enumerate(zip(lv, lv[1:]))
+              if math.ceil(min(a, b)) <= math.floor(max(a, b))), None)
+    full = [wrap_angle(v - want) for v in raw]
+    _assert_same_bracket(
+        _located(gates._solve_loop, p, want, gates._loop_scan(p), n),
+        es, full, i)
+
+
+def test_not_design_samples_few_scan_points(monkeypatch):
+    built = []
+    half = gates._mirror_half
+
+    def counting_half(p, es, *args, **kwargs):
+        built.extend(float(e) for e in es)
+        return half(p, es, *args, **kwargs)
+
+    monkeypatch.setattr(gates, "_mirror_half", counting_half)
+    _, _, report = tune_not_gate(TopParameters(0.7), (1e-3, 0.5), n=4096)
+    assert report.converged
+    # the two bracket ends and the Brent steps, not the 64-point scan
+    assert len(built) <= 10
+
+
+def test_synthesis_solves_each_loop_angle_once(monkeypatch):
+    solves = []
+    solve = gates._solve_loop
+
+    def counting(p, want, table, n):
+        solves.append(want)
+        return solve(p, want, table, n)
+
+    monkeypatch.setattr(gates, "_solve_loop", counting)
+    H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+    prog = synthesize_one_qubit(H, TopParameters(0.6), n=512)
+    assert prog.labels == ("z-loop", "x-loop", "z-loop")
+    assert len(solves) == 1 and abs(solves[0] - math.pi / 2.0) <= 1e-12
+    assert len({seg.meta["eps"] for seg in prog.segments}) == 1
+    assert prog.fidelity >= 1.0 - 1e-3
+
+
+@pytest.mark.parametrize("scan", [-1, 0, 1])
+def test_scans_shorter_than_two_points_are_refused(scan):
+    with pytest.raises(ValueError, match="scan"):
+        tune_not_gate(TopParameters(0.5), (0.001, 0.5), scan=scan)
+    with pytest.raises(ValueError, match="scan"):
+        composite_bir_not(TopParameters(0.5), 0.01, scan=scan)
