@@ -23,14 +23,15 @@ whenever the closed form cannot decide.
 The geometric term of a budget is the orbit's solid angle in closed
 form (_orbit_solid_angle, Montgomery 1991, from complete K and Pi); the
 Richardson-polished polygon of the sampled orbit, _orbit_geometric, is
-kept as its reference.  The phase gate's spread and its inner solve
-(_match_dynamical, a Newton solve of 2 E T) are closed forms too, so
-its k scan and solver steps sample no orbit.
+kept as its reference.  The phase gate's spread, its inner solve
+(_match_dynamical, a Newton solve of 2 E T) and its two loop budgets
+(_closed_budget) are closed forms too, so its k scan, solver steps and
+budgets sample no orbit.
 
 Transfer and loop pulses are read off free-top orbits, which are
 mirror-symmetric about their midpoints.  Every sampled scan point and
 solver step of the NOT, composite-NOT and loop-gate searches, and the
-loop propagator of the Montgomery budget, therefore sample and propagate
+loop propagator of montgomery_phase, therefore sample and propagate
 only the first half of the orbit, and the reference polygon sums half
 the geodesic fan and doubles it.  One evaluator, _scan_finals, serves
 them all: it samples the points' halves in chunks of rows, one table
@@ -267,26 +268,39 @@ def _orbit_phases(p: TopParameters, es, family: Family):
     return np.array(phis), np.array(periods)
 
 
+def _closed_budget(p: TopParameters, eps: float,
+                   family: Family) -> PhaseBudget:
+    """Phase budget of one orbit period in closed form: dynamical is
+    2 E T, geometric the solid angle (_orbit_solid_angle), and total
+    their difference 2 E T - Omega wrapped to (-pi, pi], the rotation
+    about the base point that _orbit_phases gives the loop."""
+    dyn = _orbit_dynamical(p, eps, family)
+    geo = _orbit_solid_angle(p, eps, family)
+    return PhaseBudget(total=_util.wrap_angle(dyn - geo), dynamical=dyn,
+                       geometric=geo)
+
+
 def montgomery_phase(p: TopParameters, eps: float, family: Family,
                      n: int = 65537, closure_tol: float = 1e-6) -> PhaseBudget:
     """Phase budget of one full orbit period.
 
     total is read off the propagator of the full-period loop pulse (by
     the mirror route) as the signed rotation angle about the starting
-    point, dynamical is 2 E T, geometric is the signed solid angle of
-    the orbit in closed form (_orbit_solid_angle; the sampled polygon,
-    _orbit_geometric, is its reference), so the budget defect measures
-    the propagator alone.
+    point; dynamical (2 E T) and geometric (the signed solid angle of the
+    orbit, whose sampled polygon _orbit_geometric is the reference) are
+    the closed forms of _closed_budget, so the budget defect measures the
+    propagator alone.  A loop whose end misses its start by more than
+    closure_tol raises a ValueError naming n and the gap.
     """
     base = tre_initial(p, eps, family)
     R = _rotations(_scan_finals(p, [eps], family, n, loop=True)[0])
-    if np.linalg.norm(R @ base - base) > closure_tol:
+    gap = float(np.linalg.norm(R @ base - base))
+    if gap > closure_tol:
         raise ValueError(
-            "loop does not close at this resolution; raise n or closure_tol")
-    total = _frame_angle(R, base)
-    dyn = _orbit_dynamical(p, eps, family)
-    geo = _orbit_solid_angle(p, eps, family)
-    return PhaseBudget(total=total, dynamical=dyn, geometric=geo)
+            f"the loop does not close at n = {n}: |R L0 - L0| = {gap:.3g} "
+            f"exceeds the tolerance {closure_tol:g}; raise n")
+    return replace(_closed_budget(p, eps, family),
+                   total=_frame_angle(R, base))
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +722,13 @@ def composite_bir_not(p: TopParameters, eps: float, n: int = 4096,
 
 @dataclass(frozen=True)
 class PhaseGateDesign:
-    """Loop pair realizing a target relative phase at zero dynamical cost."""
+    """Loop pair realizing a target relative phase at zero dynamical cost.
+
+    budget_a and budget_b are the per-loop budgets in closed form
+    (_closed_budget): total = 2 E T - Omega, wrapped, with no loop
+    propagated.  The design's own budget total, its fidelity and its
+    residuals are read off the propagator of the shipped pulse.
+    """
 
     target_phase: float
     achieved_phase: float
@@ -794,11 +814,15 @@ def design_phase_gate(target_phase: float, p_a: TopParameters, *,
     of the spread, per orientation.  The orientation is a sign s: +1 runs
     loop a backwards ("reverse_first"), -1 loop b ("reverse_second"), and
     0 is a target within identity_tol of 0 or 2 pi, one loop against
-    itself ("degenerate").  The budget sums are s b - s a of the loop
-    budgets.  The composite is rotated so the base point sits on e3,
-    making the gate diagonal with relative phase equal to the geometric
-    sum.  Returns (design, pulse, budget); infeasible targets come back
-    with converged False and the achieved budget.
+    itself ("degenerate", budget_b is budget_a).  The loop budgets are
+    closed forms (_closed_budget: total = 2 E T - Omega), so no reference
+    loop is sampled or propagated; the budget's dynamical and geometric
+    sums are s b - s a of theirs, and its total is the rotation angle
+    about e3 propagated through the shipped pulse.  The composite is
+    rotated so the base point sits on e3, making the gate diagonal with
+    relative phase equal to the geometric sum.  Returns (design, pulse,
+    budget); infeasible targets come back with converged False and the
+    achieved budget.
     """
     phi = float(target_phase)
     if not 0.0 < phi < 2.0 * math.pi:
@@ -807,12 +831,14 @@ def design_phase_gate(target_phase: float, p_a: TopParameters, *,
     k_a = p_a.k
     base = tre_initial(p_a, eps_a, Family.ROTATING)
     loop_a = tre_loop_pulse(p_a, eps_a, Family.ROTATING, n=n)
+    budget_a = _closed_budget(p_a, eps_a, Family.ROTATING)
     if phi <= identity_tol or 2.0 * math.pi - phi <= identity_tol:
         s, p_b, eps_b, converged = 0, p_a, eps_a, True
+        budget_b = budget_a
         comp, W = concat([inverse_pulse(loop_a), loop_a]), np.eye(3)
     else:
-        dyn_a = _orbit_dynamical(p_a, eps_a, Family.ROTATING)
-        area_a = -_orbit_solid_angle(p_a, eps_a, Family.ROTATING)
+        dyn_a = budget_a.dynamical
+        area_a = -budget_a.geometric
         kp_min = 2.0 * math.pi / dyn_a
         if kp_min >= 1.0:
             raise ValueError("eps_a leaves no dynamical headroom; reduce it")
@@ -847,6 +873,7 @@ def design_phase_gate(target_phase: float, p_a: TopParameters, *,
         p_b = TopParameters(k_b)
         eps_b, _, matched = _match_dynamical(p_b, dyn_a)
         converged = converged and matched
+        budget_b = _closed_budget(p_b, eps_b, Family.ROTATING)
         V = _rotation_between(tre_initial(p_b, eps_b, Family.ROTATING), base)
         loop_b = rotate_pulse(tre_loop_pulse(p_b, eps_b, Family.ROTATING, n=n),
                               V)
@@ -860,8 +887,6 @@ def design_phase_gate(target_phase: float, p_a: TopParameters, *,
     U = su2_final(aligned)
     off_diag = float(max(abs(U[0, 1]), abs(U[1, 0])))
     achieved = float((np.angle(U[0, 0]) - np.angle(U[1, 1])) % (2.0 * math.pi))
-    budget_a = montgomery_phase(p_a, eps_a, Family.ROTATING)
-    budget_b = montgomery_phase(p_b, eps_b, Family.ROTATING)
     # s b - s a, not s (b - a): it keeps the signed zero of b - a or a - b
     dyn_sum = s * budget_b.dynamical - s * budget_a.dynamical
     geo_sum = s * budget_b.geometric - s * budget_a.geometric

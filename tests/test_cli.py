@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochtop import cli, gates, propagate
+from blochtop.topdyn import Family, TopParameters, orbit_period, tre_initial
 
 
 def run(args):
@@ -291,6 +292,20 @@ def test_montgomery_budget_closes(tmp_path):
     assert out["defect"] <= 1e-6
     gap = (out["total"] - out["dynamical"] + out["geometric"]) % (2 * math.pi)
     assert min(gap, 2 * math.pi - gap) <= 1e-6
+
+
+def test_montgomery_unclosed_loop_names_n_gap_and_tolerance(tmp_path,
+                                                             capsys):
+    # the command has no tolerance option: the message asks for n alone
+    out = tmp_path / "out"
+    assert run(["montgomery", "--k", 0.5, "--eps", 0.1, "--n", 33,
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "n = 33" in err
+    assert "|R L0 - L0| = " in err
+    assert "tolerance 1e-06" in err
+    assert err.rstrip().endswith("raise n")
+    assert not out.exists()
 
 
 def test_fit_period_outputs_quality_fit(tmp_path):
@@ -660,6 +675,36 @@ def test_command_exit_code_matches_its_artifacts(tmp_path_factory, argv):
         assert not out.exists()
     else:
         _check_artifacts(out, rc)
+
+
+# the transfer from the orbit's start ends at its turning point, whose
+# third component is -sqrt(1 - eps^2), up to the midpoint rule's O(h^2)
+# error, h the transfer's duration over n - 1: at most 0.036 h^2 over
+# 11,000 random draws of the ranges below (largest near k = 0.8, eps =
+# 0.8, rotating); the property allows 0.1 h^2
+_TURNING_POINT_GAP = 0.1
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(branch=st.sampled_from(cli._CHOICES["branch"]),
+       k=st.floats(0.05, 0.95),
+       log_eps=st.floats(math.log(1e-7), math.log(0.9)),
+       n=st.integers(257, 4097))
+def test_tre_transfer_reaches_its_turning_point(tmp_path_factory, branch, k,
+                                                log_eps, n):
+    eps = min(math.exp(log_eps), 0.9)
+    p, family = TopParameters(k), Family(branch)
+    m0 = ",".join(repr(float(x)) for x in tre_initial(p, eps, family))
+    out = tmp_path_factory.mktemp("tre") / "out"
+    rc = run(["simulate", "--family", "tre", f"--k={k}", f"--eps={eps}",
+              f"--branch={branch}", f"--n={n}", f"--m0={m0}", "--out", out])
+    # every draw is a valid transfer
+    assert rc == 0
+    side = json.loads((out / "trajectory.csv.json").read_text())
+    m3 = side["final_state"][2]
+    h = 0.5 * orbit_period(p, eps, family) / (n - 1)
+    assert m3 < 0.0
+    assert abs(m3 + math.sqrt(1.0 - eps**2)) <= _TURNING_POINT_GAP * h**2
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -397,6 +397,45 @@ def test_phase_gate_budget_sums_keep_their_signed_bits():
     assert seen == set(sums)
 
 
+@pytest.mark.parametrize("k, target, orientation", [
+    (0.45, 1.3, "reverse_first"),
+    (0.5, 1e-7, "degenerate"),
+    (0.55, 4.0, "reverse_second"),
+    (0.6, 5.0, "reverse_second"),
+    (0.65, 2.0, "reverse_first"),
+])
+def test_phase_gate_loop_budgets_match_the_propagated_budget(k, target,
+                                                             orientation):
+    # the design's loop budgets are closed forms; montgomery_phase
+    # propagates each loop at n = 65537, and its total carries the
+    # midpoint rule's O(h^2) error
+    design, _, _ = design_phase_gate(target, TopParameters(k), n=1025)
+    assert design.orientation == orientation
+    if orientation == "degenerate":
+        assert design.budget_b is design.budget_a
+    for kx, eps, budget in ((design.k_a, design.eps_a, design.budget_a),
+                            (design.k_b, design.eps_b, design.budget_b)):
+        ref = montgomery_phase(TopParameters(kx), eps, Family.ROTATING)
+        assert _bits(budget.dynamical) == _bits(ref.dynamical)
+        assert _bits(budget.geometric) == _bits(ref.geometric)
+        assert abs(budget.total - ref.total) <= 1e-6
+
+
+@pytest.mark.parametrize("target", [1.3, 4.0, 1e-7])
+def test_phase_gate_propagates_no_reference_loop(monkeypatch, target):
+    calls = []
+    scan = gates._scan_finals
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(gates, "_scan_finals", counted)
+    design, _, _ = design_phase_gate(target, TopParameters(0.55), n=4096)
+    assert design.converged
+    assert calls == []
+
+
 def test_phase_gate_rejects_out_of_range_target():
     with pytest.raises(ValueError):
         design_phase_gate(0.0, TopParameters(0.5))
