@@ -65,8 +65,11 @@ from . import _util
 from .elliptic import _complete_KE, complete_Pi
 from .propagate import (
     _CHUNK_SAMPLES,
+    ErrorParams,
+    _final,
     _mirror_final,
     _rotations,
+    _spinors,
     gate_fidelity,
     so3_final,
     spinor_quaternion,
@@ -601,6 +604,13 @@ def _involution_scan(p: TopParameters, xs, family: Family,
     return axes
 
 
+def _shipped_final(pulse):
+    """(R, U) of a shipped gate pulse from one propagation: the bits of
+    so3_final(pulse) and su2_final(pulse), which read the same pair."""
+    q = _final(pulse, ErrorParams())
+    return _rotations(q), _spinors(q)
+
+
 def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
                   n: int = 4096, scan: int = 64):
     """Tune eps inside the bracket until one transfer is a NOT gate.
@@ -638,12 +648,11 @@ def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
     eps_star, bracketed = _solve_scanned(lambda e: s([e])[0], xs, fs, i)
 
     pulse = tre_pulse(p, eps_star, family, n=n)
-    R = so3_final(pulse)
+    R, U = _shipped_final(pulse)
     if family is Family.ROTATING:
         target_R, target_U = NOT_SO3, NOT_SU2
     else:
         target_R, target_U = np.diag([-1.0, 1.0, -1.0]), -1.0j * _SY
-    U = su2_final(pulse)
     resid = float(np.linalg.norm(R - target_R))
     fid = gate_fidelity(U, target_U)
     report = GateReport(
@@ -707,9 +716,9 @@ def composite_bir_not(p: TopParameters, eps: float, n: int = 4096,
         axis = -axis
     W = _rotation_between(axis, _E1)
     aligned = rotate_pulse(comp, W)
-    U = su2_final(aligned)
+    R_aligned, U = _shipped_final(aligned)
     fid = gate_fidelity(U, _SX)
-    resid = float(np.linalg.norm(so3_final(aligned) - NOT_SO3))
+    resid = float(np.linalg.norm(R_aligned - NOT_SO3))
     meta = {"kind": "composite_bir_not", "k": p.k, "eps": eps_star,
             "eps_seed": eps, "n": n, "fidelity": fid, "so3_residual": resid,
             "converged": bool(converged and fid >= 1.0 - 1e-4)}
@@ -884,13 +893,12 @@ def design_phase_gate(target_phase: float, p_a: TopParameters, *,
     orientation = {1: "reverse_first", -1: "reverse_second",
                    0: "degenerate"}[s]
     aligned = rotate_pulse(comp, W)
-    U = su2_final(aligned)
+    R, U = _shipped_final(aligned)
     off_diag = float(max(abs(U[0, 1]), abs(U[1, 0])))
     achieved = float((np.angle(U[0, 0]) - np.angle(U[1, 1])) % (2.0 * math.pi))
     # s b - s a, not s (b - a): it keeps the signed zero of b - a or a - b
     dyn_sum = s * budget_b.dynamical - s * budget_a.dynamical
     geo_sum = s * budget_b.geometric - s * budget_a.geometric
-    R = so3_final(aligned)
     total = _frame_angle(R, _E3)
     budget = PhaseBudget(total=total, dynamical=dyn_sum, geometric=geo_sum)
     target_U = np.diag([np.exp(0.5j * phi), np.exp(-0.5j * phi)])

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from blochtop import gates
+from blochtop import gates, propagate
 from blochtop._util import wrap_angle
 from blochtop.gates import (
     NOT_SU2,
@@ -967,3 +967,41 @@ def test_scans_shorter_than_two_points_are_refused(scan):
         tune_not_gate(TopParameters(0.5), (0.001, 0.5), scan=scan)
     with pytest.raises(ValueError, match="scan"):
         composite_bir_not(TopParameters(0.5), 0.01, scan=scan)
+
+
+def test_each_shipped_gate_pulse_is_propagated_once(monkeypatch):
+    finals = []
+    final = propagate._final
+
+    def counting(pulse, err):
+        finals.append(pulse)
+        return final(pulse, err)
+
+    def propagated(pulse) -> list:
+        return [all(np.array_equal(getattr(q, f), getattr(pulse, f))
+                    for f in ("times", "omega1", "omega2", "omega3"))
+                for q in finals]
+
+    # so3_final and su2_final reach propagate._final; gates imports it too
+    monkeypatch.setattr(propagate, "_final", counting)
+    monkeypatch.setattr(gates, "_final", counting)
+
+    _, pulse, report = tune_not_gate(TopParameters(0.7), (1e-3, 0.5), n=4096)
+    assert report.converged
+    assert propagated(pulse) == [True]
+
+    finals.clear()
+    comp = composite_bir_not(TopParameters(0.6), 0.01, n=2048)
+    # the unaligned pair once for its pi axis, the shipped pulse once
+    assert propagated(comp) == [False, True]
+
+    finals.clear()
+    design, pulse, budget = design_phase_gate(1.3, TopParameters(0.55),
+                                              n=2048)
+    assert design.converged
+    assert propagated(pulse) == [True]
+    # R and U of the one propagation carry the bits of the public pair
+    R, U = so3_final(pulse), su2_final(pulse)
+    assert budget.total == gates._frame_angle(R, gates._E3)
+    assert design.fidelity == gate_fidelity(
+        U, np.diag([np.exp(0.65j), np.exp(-0.65j)]))
