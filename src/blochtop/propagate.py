@@ -26,13 +26,23 @@ gives each interval's rotation vector, and one builder writes the pairs
 of those rotations straight into the planes, so no step is copied on
 its way into the products.  The scan takes the planes it is given and
 accumulates the products in place in them, the reduction folds them
-pairwise, and both read pairs (..., 2) out only at the end.  The
-reduction pairs steps from the last one down, which is the product tree
-of the scan's last element, so a final propagator equals the endpoint
-of its path bit for bit, whether it is computed alone or inside a
-batch.  Every product and norm runs on arrays that keep the sample
-axis, even a final one of length 1: numpy rounds scalar arithmetic
-differently from its array loops.
+pairwise in place in them, with its products in scratch planes, and
+both read pairs (..., 2) out only at the end.  The reduction pairs
+steps from the last one down, which is the product tree of the scan's
+last element, so a final propagator equals the endpoint of its path bit
+for bit, whether it is computed alone or inside a batch.  Every product
+and norm runs on arrays that keep the sample axis, even a final one of
+length 1: numpy rounds scalar arithmetic differently from its array
+loops.
+
+Sweeps (_final_states) take many error pairs in chunks.  Each call
+allocates one workspace that every chunk rewrites: the fields, the
+planes and the scratch of the fold.  A chunk is folded only until its
+rows hold about _FOLD_PAIRS pairs, where numpy's call overhead starts
+to outweigh the products; those short planes go to a tail shared by
+many chunks, and each full tail is folded to the end, rescaled and
+read out at once.  The fold is stopped and resumed on the same product
+tree, so the bits stay those of a single-row final.
 
 A private mirror route (_mirror_final) serves gate design: the fields of
 an unrotated transfer or loop pulse on its own grid are mirror-symmetric
@@ -45,6 +55,7 @@ and compose every step of whatever pulse they are given.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +66,11 @@ from . import _util
 # enough to share the numpy call overhead over many rows, small enough to
 # keep peak memory flat
 _CHUNK_SAMPLES = 2 ** 14
+
+# a sweep chunk is folded until it holds at most this many pairs: below
+# it numpy's call overhead outweighs the products, and the chunks share
+# the rest of their folds
+_FOLD_PAIRS = 1024
 
 _SIGMA = np.array([
     [[0.0, 1.0], [1.0, 0.0]],
@@ -115,58 +131,84 @@ def _pairs(S):
     return np.moveaxis(S, 0, -1)
 
 
-def _fields(pulse, alpha, delta):
-    """Effective-field stage: the rotation vectors (v1, v2, v3), each
-    (B, n - 1), of every sampling interval, one row per error pair
-    (alpha[b], delta[b]): the endpoint-averaged field, drive rescaled by
-    1 + alpha and third component shifted by delta, times the interval
-    length."""
+def _fields(pulse, alpha, delta, out):
+    """Effective-field stage: the rotation vectors (v1, v2, v3) of every
+    sampling interval, written into out[0], out[1] and out[2], each
+    (B, n - 1), one row per error pair (alpha[b], delta[b]): the
+    endpoint-averaged field, drive rescaled by 1 + alpha and third
+    component shifted by delta, times the interval length.  out[3] is
+    scratch.  Returns out."""
     gain = 1.0 + np.asarray(alpha, dtype=float)[:, None]
     delta = np.asarray(delta, dtype=float)[:, None]
     dt = np.diff(pulse.times)
+    tmp = out[3]
+    for v, w, shift, x in ((out[0], pulse.omega1, np.multiply, gain),
+                           (out[1], pulse.omega2, np.multiply, gain),
+                           (out[2], pulse.omega3, np.add, delta)):
+        shift(w[..., 1:], x, out=v)
+        shift(w[..., :-1], x, out=tmp)
+        v += tmp
+        v *= 0.5
+        v *= dt
+    return out
 
-    def interval(w):
-        return 0.5 * (w[:, 1:] + w[:, :-1]) * dt
 
-    return (interval(pulse.omega1 * gain), interval(pulse.omega2 * gain),
-            interval(pulse.omega3 + delta))
-
-
-def _exp_pairs(v1, v2, v3):
-    """Planes (2, ..., n) of the identity followed by the pairs of the
-    rotations by the vectors (v1, v2, v3), each (..., n - 1): the planes
-    the scan and the fold consume, written in place."""
-    phi = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
-    half = 0.5 * phi
-    s = np.sin(half) / np.where(phi == 0.0, 1.0, phi)
-    S = np.empty((2,) + phi.shape[:-1] + (phi.shape[-1] + 1,), dtype=complex)
-    S[0, ..., 0] = 1.0
-    S[1, ..., 0] = 0.0
-    a, c = S[0, ..., 1:], S[1, ..., 1:]
+def _exp_pairs(v, out):
+    """Planes out (2, ..., n) of the identity followed by the pairs of the
+    rotations by the vectors (v1, v2, v3) = v[:3], each (..., n - 1): the
+    planes the scan and the fold consume, written in place.  v[3:] is
+    scratch.  Returns out."""
+    v1, v2, v3, phi, half, s = v
+    np.multiply(v1, v1, out=phi)
+    np.multiply(v2, v2, out=half)
+    phi += half
+    np.multiply(v3, v3, out=half)
+    phi += half
+    np.sqrt(phi, out=phi)
+    np.multiply(phi, 0.5, out=half)
+    # the divisor of sin(phi / 2): phi, and 1 in place of a zero phi
+    np.equal(phi, 0.0, out=s)
+    phi += s
+    np.sin(half, out=s)
+    s /= phi
+    out[0, ..., 0] = 1.0
+    out[1, ..., 0] = 0.0
+    a, c = out[0, ..., 1:], out[1, ..., 1:]
     np.cos(half, out=a.real)
     np.multiply(s, v2, out=c.real)
     np.negative(s, out=s)
     np.multiply(s, v3, out=a.imag)
     np.multiply(s, v1, out=c.imag)
-    return S
+    return out
 
 
 def _step_planes(pulse, alpha, delta):
     """Planes (2, B, n) of the identity and every step of the pulse, one
     row per error pair."""
-    return _exp_pairs(*_fields(pulse, alpha, delta))
+    lead = np.broadcast_shapes(np.shape(pulse.omega1)[:-1], (len(alpha),))
+    n = np.shape(pulse.times)[-1]
+    # six arrays, not one block: a long pulse's fields in one block raise
+    # glibc's mmap threshold, and the heap then keeps more pages resident
+    v = [np.empty(lead + (n - 1,)) for _ in range(6)]
+    S = np.empty((2,) + lead + (n,), dtype=complex)
+    return _exp_pairs(_fields(pulse, alpha, delta, v), S)
 
 
-def _mul(p, q, out):
+def _mul(p, q, out, scratch=None):
     """Product p q of pair planes (2, ..., m) into out; q acts first.  out
-    may share memory with p or q."""
+    may share memory with p or q.  The four products go to scratch, four
+    contiguous (..., m) complex planes, allocated when None."""
     (pa, pc), (qa, qc) = p, q
+    if scratch is None:
+        scratch = np.empty((4,) + pa.shape, dtype=complex)
+    w, x, y, z = scratch
     # no complex product is taken in place: numpy runs an in-place product
     # of one element through its reduction loop, which rounds differently
-    x = np.conj(pc) * qc
-    y = np.conj(pa) * qc
-    z = pc * qa
-    np.subtract(pa * qa, x, out=out[0])
+    np.multiply(np.conj(pc, out=y), qc, out=x)
+    np.multiply(np.conj(pa, out=z), qc, out=y)
+    np.multiply(pc, qa, out=z)
+    np.multiply(pa, qa, out=w)
+    np.subtract(w, x, out=out[0])
     np.add(z, y, out=out[1])
     return out
 
@@ -196,24 +238,32 @@ def _scan(S):
     return _pairs(_unit(S))
 
 
-def _fold(S):
-    """Planes (2, ..., 1) of the product S[..., -1] ... S[..., 0].  Pairs
-    are anchored at the last element and an odd leading element is
-    carried, which is the product tree of the last entry of _scan."""
-    while S.shape[-1] > 1:
-        odd = S.shape[-1] % 2
-        T = np.empty(S.shape[:-1] + (S.shape[-1] // 2 + odd,), dtype=complex)
-        T[..., :odd] = S[..., :odd]
-        _mul(S[..., 1 + odd::2], S[..., odd::2], T[..., odd:])
-        S = T
-    return S
+def _fold(S, stop=1, scratch=None):
+    """Fold the planes S (2, ..., n) pairwise, in place, down to the first
+    length m <= stop of the halving sequence n, ceil(n / 2), ..., and
+    return the planes S[..., :m]; folding those on to length 1 gives the
+    product S[..., -1] ... S[..., 0].  Pairs are anchored at the last
+    element and an odd leading element is carried in slot 0, which is
+    the product tree of the last entry of _scan.  scratch is a flat
+    complex array of at least 4 * B * (n // 2) elements, B the rows of
+    S, allocated when None."""
+    lead, m = S.shape[1:-1], S.shape[-1]
+    rows = math.prod(lead)
+    if scratch is None:
+        scratch = np.empty(4 * rows * (m // 2), dtype=complex)
+    while m > max(stop, 1):
+        odd, k = m % 2, m // 2
+        _mul(S[..., 1 + odd:m:2], S[..., odd:m:2], S[..., odd:odd + k],
+             scratch[:4 * rows * k].reshape((4,) + lead + (k,)))
+        m = odd + k
+    return S[..., :m]
 
 
-def _last(S):
+def _last(S, scratch=None):
     """Final pairs (..., 2) of the planes S (2, ..., n) of the identity
-    and the steps.  When n is 1, _fold hands S back and _unit rescales
-    it in place, so S must not be read after this."""
-    return _pairs(_unit(_fold(S)))[..., 0, :]
+    and the steps.  S is always consumed: it is folded and rescaled in
+    place, so it must not be read after this."""
+    return _pairs(_unit(_fold(S, 1, scratch)))[..., 0, :]
 
 
 def _rotations(q):
@@ -294,8 +344,8 @@ def _mirror_final(half):
     about e1 and c -> -c* about e2.
     """
     S = _step_planes(half, [0.0], [0.0])
-    # a one-slot fold is rescaled in place, which leaves the middle step
-    # in S[..., -1:] untouched
+    # the fold and the rescale run in place in S[..., :-1], which leaves
+    # the middle step in S[..., -1:] untouched
     A = _unit(_fold(S[..., :-1] if half.middle else S))
     mirror = A.copy()  # J A^-1 J^-1
     if half.axis == 3:
@@ -315,11 +365,60 @@ def bloch_propagate(pulse, M0, err: ErrorParams = ErrorParams()) -> Trajectory:
     return Trajectory(pulse.times, _rotations(_path(pulse, err)) @ _state(M0))
 
 
-def _final_states(pulse, M0, alpha, delta):
+def _final_states(pulse, M0, alpha, delta, rows=None):
     """Final Bloch vectors (B, 3) of M0 under the pulse, one per error
     pair (alpha[b], delta[b]).  Row b has the bits of the last sample of
-    bloch_propagate under that pair, whatever the rest of the batch."""
-    return _rotations(_last(_step_planes(pulse, alpha, delta))) @ _state(M0)
+    bloch_propagate under that pair, whatever the rest of the batch.
+
+    The pairs are propagated in chunks of rows pairs (all B at once when
+    rows is None), in one workspace allocated per call and rewritten in
+    place by every chunk.  Each chunk is folded down to the first length
+    m of n's halving sequence with rows * m <= _FOLD_PAIRS, and its short
+    planes are gathered in a tail of at most _CHUNK_SAMPLES pairs; each
+    full tail is folded to the end, rescaled and rotated at once.  With
+    no error pairs it returns an empty (0, 3) array and allocates no
+    workspace."""
+    M0 = _state(M0)
+    alpha = np.asarray(alpha, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    B, n = len(alpha), pulse.n_samples
+    finals = np.empty((B, 3))
+    if not B:
+        return finals
+    rows = B if rows is None else max(1, min(rows, B))
+    m = n
+    while rows * m > _FOLD_PAIRS and m > 1:
+        m -= m // 2
+    t = max(1, min(B, _CHUNK_SAMPLES // m))
+    # one float workspace: the chunk's planes, the tail, and scratch that
+    # holds the chunk's fields and then the products of either fold.  A
+    # chunk of at most _CHUNK_SAMPLES samples needs at most 14 floats a
+    # sample, and every such call asks for that much: the next sweep then
+    # reuses the pages this one frees instead of growing the heap
+    planes, tail = 4 * rows * n, 4 * t * m
+    work = np.empty(max(14 * _CHUNK_SAMPLES, planes + tail + max(
+        6 * rows * (n - 1), 8 * rows * (n // 2), 8 * t * (m // 2))))
+    T = work[planes:planes + tail].view(complex).reshape(2, t, m)
+    scratch = work[planes + tail:]
+    products = scratch.view(complex)
+    held = done = 0
+    for start in range(0, B, rows):
+        r = min(rows, B - start)
+        S = work[:4 * r * n].view(complex).reshape(2, r, n)
+        v = scratch[:6 * r * (n - 1)].reshape(6, r, n - 1)
+        cells = slice(start, start + r)
+        _exp_pairs(_fields(pulse, alpha[cells], delta[cells], v), S)
+        S = _fold(S, m, products)
+        j = 0
+        while j < r:
+            take = min(r - j, t - held)
+            T[:, held:held + take] = S[:, j:j + take]
+            held, j = held + take, j + take
+            if held == t or start + j == B:
+                q = _last(T[:, :held], products)
+                finals[done:done + held] = _rotations(q) @ M0
+                held, done = 0, done + held
+    return finals
 
 
 def so3_propagate(pulse, err: ErrorParams = ErrorParams()) -> PropagatorPath:

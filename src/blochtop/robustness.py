@@ -1,15 +1,17 @@
 """Robustness maps for control pulses under static drive errors.
 
 Sweeps the miscalibration pair (alpha, delta) over a grid and records a
-scalar merit of the final state.  Cells are propagated in chunks of
-about propagate._CHUNK_SAMPLES samples, the batch size that gate scans
-share, one pairwise product reduction per chunk, and the merit is called
-once per cell, in grid order, on a one-sample Trajectory holding that
-cell's final state.  A cell's value has the same bits as the last sample
-of bloch_propagate under its error pair, so it does not depend on the
-rest of the grid or on the chunking.  A failing cell, or one whose error
-pair or merit is not finite, is flagged and set to NaN instead of
-aborting the grid, and its reason is recorded.
+scalar merit of the final state.  Every cell with a finite error pair
+goes through one propagate._final_states call, in chunks of about
+propagate._CHUNK_SAMPLES samples (the batch size that gate scans share)
+that are built and partly reduced in one reused workspace, with the
+short ends of their pairwise product reductions finished together.  The
+merit is then called once per cell, in grid order, on a one-sample
+Trajectory holding that cell's final state.  A cell's value has the same
+bits as the last sample of bloch_propagate under its error pair, so it
+does not depend on the rest of the grid or on the chunking.  A failing
+cell, or one whose error pair or merit is not finite, is flagged and set
+to NaN instead of aborting the grid, and its reason is recorded.
 """
 
 from __future__ import annotations
@@ -66,14 +68,17 @@ def sweep(pulse: ControlPulse, M0, alpha_grid=None, delta_grid=None,
           merit=merit_J3, workers: int | None = None) -> RobustnessMap:
     """Evaluate the merit over the error grid.
 
-    The final states of the cells are computed in chunks; the merit is
-    then called once per cell in grid order, on a one-sample Trajectory
-    (times = the last pulse time, M = the final state).  workers is
-    accepted for compatibility and has no effect.  A cell whose error
-    pair is not finite, whose propagation or merit raises, or whose merit
-    is not finite is recorded as NaN with its flag set; meta then lists
-    each such cell under "failed_cells" as its [i, j] index and reason.
-    An M0 that is not a finite 3-vector raises ValueError up front.
+    The final states of all cells with a finite error pair come from one
+    chunked propagation; the merit is then called once per cell in grid
+    order, on a one-sample Trajectory (times = the last pulse time, M =
+    the final state).  workers is accepted for compatibility and has no
+    effect.  A cell whose error pair is not finite, whose merit raises or
+    whose merit is not finite is recorded as NaN with its flag set; meta
+    then lists each such cell under "failed_cells" as its [i, j] index
+    and reason.  If the propagation raises, every cell with a finite
+    error pair is flagged with the exception's class name and the merit
+    is not called.  An M0 that is not a finite 3-vector raises ValueError
+    up front.
     """
     alpha = (default_alpha_grid() if alpha_grid is None
              else np.asarray(alpha_grid, dtype=float))
@@ -90,27 +95,25 @@ def sweep(pulse: ControlPulse, M0, alpha_grid=None, delta_grid=None,
     reasons = dict.fromkeys(np.flatnonzero(~finite), "non-finite error parameter")
     live = np.flatnonzero(finite)
     end = pulse.times[-1:]
-    per_chunk = max(1, _CHUNK_SAMPLES // pulse.n_samples)
-    for start in range(0, live.size, per_chunk):
-        cells = live[start:start + per_chunk]
+    try:
+        # an overflowing cell ends non-finite, and its merit flags it
+        with np.errstate(over="ignore", invalid="ignore"):
+            finals = _final_states(
+                pulse, M0, a_cells[live], d_cells[live],
+                rows=max(1, _CHUNK_SAMPLES // pulse.n_samples))
+    except Exception as exc:
+        reasons.update(dict.fromkeys(live, type(exc).__name__))
+        finals = ()
+    for c, M in zip(live, finals):
         try:
-            # an overflowing cell ends non-finite, and its merit flags it
-            with np.errstate(over="ignore", invalid="ignore"):
-                finals = _final_states(pulse, M0, a_cells[cells],
-                                       d_cells[cells])
+            value = float(merit(Trajectory(end, M[None])))
         except Exception as exc:
-            reasons.update(dict.fromkeys(cells, type(exc).__name__))
+            reasons[c] = type(exc).__name__
             continue
-        for c, M in zip(cells, finals):
-            try:
-                value = float(merit(Trajectory(end, M[None])))
-            except Exception as exc:
-                reasons[c] = type(exc).__name__
-                continue
-            if math.isfinite(value):
-                values[c] = value
-            else:
-                reasons[c] = "non-finite merit"
+        if math.isfinite(value):
+            values[c] = value
+        else:
+            reasons[c] = "non-finite merit"
 
     values = values.reshape(len(alpha), len(delta))
     flags = np.isnan(values).astype(np.int64)

@@ -1,6 +1,7 @@
 """Propagator correctness against closed forms and direct integration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from blochtop import gates, robustness
+from blochtop import gates, propagate, robustness
 from blochtop.propagate import (
     ErrorParams,
     _final,
@@ -645,6 +646,95 @@ def test_sweep_cell_alone_matches_cell_in_chunked_grid(pulse, grid, merit):
             alone = sweep(pulse, M0, [a], [d], merit=merit)
             assert alone.values[0, 0] == rmap.values[i, j]
     assert not rmap.flags.any()
+
+
+def fold_length(n, stop):
+    """The first length <= stop of n's halving sequence n, ceil(n / 2), ..."""
+    while n > max(stop, 1):
+        n -= n // 2
+    return n
+
+
+def random_table(n, seed):
+    """A random field table of n samples, with zero-width samples."""
+    rng = np.random.default_rng(seed)
+    dts = rng.uniform(0.0, 0.5, n - 1)
+    dts[rng.random(n - 1) < 0.2] = 0.0
+    w = rng.uniform(-3.0, 3.0, (3, n))
+    return ControlPulse(np.concatenate([[0.0], np.cumsum(dts)]), *w)
+
+
+# n = 1 and n = 2 have no fold, or a single level of it
+_fold_n = st.one_of(st.sampled_from([1, 2]), st.integers(1, 600))
+
+
+@st.composite
+def two_stage_grids(draw):
+    """A pulse of 1..600 samples and 7..24 error pairs; a chunk of k
+    pairs that splits them into at least 3 chunks, the last one short; a
+    per-chunk fold bound; and a tail of t rows of the common fold length
+    m that gathers them into at least 2 tails, the last one short."""
+    n = draw(_fold_n)
+    cells = draw(st.integers(7, 24))
+    k = draw(st.sampled_from([k for k in range(1, cells)
+                              if cells % k and -(-cells // k) >= 3]))
+    fold_pairs = draw(st.sampled_from([1, 16, 128, 1024]))
+    # the first length m of n's halving sequence with k * m <= fold_pairs
+    m = fold_length(n, fold_pairs // k)
+    t = draw(st.sampled_from([t for t in range(1, cells) if cells % t]))
+    pairs = draw(st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-1.0, 1.0)),
+                          min_size=cells, max_size=cells))
+    alpha, delta = np.array(pairs).T
+    return (random_table(n, draw(st.integers(0, 2 ** 32 - 1))), alpha, delta,
+            k, fold_pairs, t * m)
+
+
+@PROPERTY
+@given(two_stage_grids())
+def test_two_stage_finals_are_single_cell_endpoints_bit_for_bit(grid):
+    pulse, alpha, delta, k, fold_pairs, tail_cap = grid
+    M0 = np.array([0.6, 0.0, 0.8])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "_FOLD_PAIRS", fold_pairs)
+        mp.setattr(propagate, "_CHUNK_SAMPLES", tail_cap)
+        finals = _final_states(pulse, M0, alpha, delta, rows=k)
+    assert finals.shape == (len(alpha), 3)
+    for row, a, d in zip(finals, alpha, delta):
+        end = bloch_propagate(pulse, M0, ErrorParams(alpha=a, delta=d)).M[-1]
+        assert row.tobytes() == end.tobytes()
+
+
+@PROPERTY
+@given(_fold_n, st.integers(0, 2 ** 32 - 1), _offsets)
+def test_fold_stopped_and_resumed_is_one_pass_bit_for_bit(n, seed, pairs):
+    alpha, delta = np.array(pairs).T
+    S = _step_planes(random_table(n, seed), alpha, delta)
+    whole = _fold(S.copy())
+    assert whole.shape == (2, len(alpha), 1)
+    for stop in range(1, n + 1):
+        part = _fold(S.copy(), stop)
+        assert part.shape == (2, len(alpha), fold_length(n, stop))
+        assert _fold(part).tobytes() == whole.tobytes()
+
+
+def test_final_states_of_no_pairs_allocate_no_workspace():
+    pulse = random_table(4097, 7)
+    M0 = np.array([0.0, 0.0, 1.0])
+
+    def traced_peak(alpha, delta):
+        tracemalloc.start()
+        try:
+            finals = _final_states(pulse, M0, alpha, delta, rows=3)
+            return finals, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    finals, peak = traced_peak([], [])
+    assert finals.shape == (0, 3)
+    # one row's planes alone take 4 n floats
+    one, one_peak = traced_peak([0.1], [0.2])
+    assert one.shape == (1, 3) and one_peak >= 4 * 8 * pulse.n_samples
+    assert peak < 8 * pulse.n_samples
 
 
 @PROPERTY

@@ -239,6 +239,56 @@ def test_failed_cells_record_index_and_reason():
     assert "failed_cells" not in clean.meta
 
 
+def test_kernel_failure_flags_every_live_cell_with_its_class(monkeypatch):
+    class KernelFault(Exception):
+        pass
+
+    def failing(*args, **kwargs):
+        raise KernelFault("workspace")
+
+    seen = []
+
+    def merit(traj):
+        seen.append(traj)
+        return merit_J3(traj)
+
+    monkeypatch.setattr(robustness, "_final_states", failing)
+    alphas = np.array([0.0, math.nan, 0.2])
+    deltas = np.array([0.0, math.inf, -0.3])
+    rmap = sweep(rect_pi_pulse(1.0, n=33), (0.0, 0.0, 1.0), alphas, deltas,
+                 merit=merit)
+    assert not seen
+    assert rmap.flags.all() and np.isnan(rmap.values).all()
+    assert rmap.meta["failed_cells"] == [
+        {"index": [i, j],
+         "reason": ("KernelFault" if math.isfinite(a) and math.isfinite(d)
+                    else "non-finite error parameter")}
+        for i, a in enumerate(alphas) for j, d in enumerate(deltas)]
+
+
+def test_sweep_without_live_cells_propagates_nothing(monkeypatch):
+    kernel = robustness._final_states
+    results = []
+
+    def watched(*args, **kwargs):
+        try:
+            finals = kernel(*args, **kwargs)
+        except BaseException as exc:
+            results.append(exc)
+            raise
+        results.append(finals)
+        return finals
+
+    monkeypatch.setattr(robustness, "_final_states", watched)
+    rmap = sweep(rect_pi_pulse(1.0, n=33), (0.0, 0.0, 1.0),
+                 np.array([math.nan, -math.inf]), np.array([math.inf, 0.0]))
+    (finals,) = results
+    assert isinstance(finals, np.ndarray) and finals.shape == (0, 3)
+    assert rmap.flags.all()
+    assert {cell["reason"] for cell in rmap.meta["failed_cells"]} == {
+        "non-finite error parameter"}
+
+
 def test_merit_sees_one_sample_final_state():
     pulse = tre_pulse(TopParameters(0.5), 0.05, Family.ROTATING, n=129)
     seen = []
