@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -38,20 +39,72 @@ def _write_rows(path, header: str, data, row: str, stop: int) -> None:
             fh.write(text)
 
 
-def _split_row(rows: int, cols: int) -> int:
-    """The first row the forked child formats, or 0 for one process: a
-    small table, a single block, no os.fork or one usable CPU."""
-    blocks = -(-rows // _CSV_BLOCK_ROWS)
-    if rows * cols < _CSV_FORK_VALUES or blocks < 2 \
-            or not hasattr(os, "fork"):
-        return 0
+def _two_cpus() -> bool:
+    """True where os.fork exists and this process may run on two CPUs
+    or more."""
+    if not hasattr(os, "fork"):
+        return False
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:       # no affinity call on this platform
         cpus = os.cpu_count() or 1
+    return cpus > 1
+
+
+@contextlib.contextmanager
+def _forked(child, error):
+    """Fork once, for the body of a with statement.
+
+    The child runs child(r, w) on the two ends of a fresh pipe and must
+    leave through os._exit; it never runs the caller's code.  This
+    process gets the ends as unbuffered binary files (reader, writer),
+    and both are closed when the body ends.  The child is then reaped,
+    and an exit status other than 0 raises error().  A body that raises
+    kills and reaps the child first, so no child outlives the statement.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        try:
+            child(r, w)
+        finally:
+            os._exit(1)
+    reaped = False
+    try:
+        with open(r, "rb", buffering=0) as reader, \
+                open(w, "wb", buffering=0) as writer:
+            yield reader, writer
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status):
+        raise error()
+
+
+def _write_all(fd: int, data) -> None:
+    """Write the bytes of data (any contiguous buffer) to fd."""
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _split_row(rows: int, cols: int) -> int:
+    """The first row the forked child formats, or 0 for one process: a
+    small table, a single block, no os.fork or one usable CPU."""
+    blocks = -(-rows // _CSV_BLOCK_ROWS)
+    if rows * cols < _CSV_FORK_VALUES or blocks < 2 or not _two_cpus():
+        return 0
     # the parent takes the middle block of an odd count: the child's
     # start, append and exit are on the path the parent waits for
-    return (blocks + 1) // 2 * _CSV_BLOCK_ROWS if cpus > 1 else 0
+    return (blocks + 1) // 2 * _CSV_BLOCK_ROWS
 
 
 def _child(r: int, w: int, path, data, row: str, split: int):
@@ -76,9 +129,7 @@ def _child(r: int, w: int, path, data, row: str, split: int):
         text = "".join(_blocks(data, row, split, len(data))).encode("ascii")
         if os.read(r, 1):
             fd = os.open(path, os.O_WRONLY | os.O_APPEND)
-            view = memoryview(text)
-            while view:
-                view = view[os.write(fd, view):]
+            _write_all(fd, text)
             os.close(fd)
             code = 0
     finally:
@@ -104,30 +155,16 @@ def write_csv(path, header: str, data) -> None:
     if not split:
         _write_rows(path, header, data, row, len(data))
         return
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        _child(r, w, path, data, row, split)
-    os.close(r)
-    reaped = False
-    try:
+    with _forked(lambda r, w: _child(r, w, path, data, row, split),
+                 lambda: OSError(f"{path} is incomplete: the forked writer "
+                                 f"of its rows from {split} on failed")) \
+            as (reader, writer):
+        reader.close()
+        _write_rows(path, header, data, row, split)
         try:
-            _write_rows(path, header, data, row, split)
-            try:
-                os.write(w, b"g")
-            except BrokenPipeError:  # the child exited early; waitpid says how
-                pass
-        finally:
-            os.close(w)
-        status = os.waitpid(pid, 0)[1]
-        reaped = True
-    finally:
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if os.waitstatus_to_exitcode(status):
-        raise OSError(f"{path} is incomplete: the forked writer of its rows "
-                      f"from {split} on failed")
+            writer.write(b"g")
+        except BrokenPipeError:  # the child exited early; its status says how
+            pass
 
 
 def sha256_hex(data: bytes) -> str:

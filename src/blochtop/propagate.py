@@ -42,7 +42,11 @@ rows hold about _FOLD_PAIRS pairs, where numpy's call overhead starts
 to outweigh the products; those short planes go to a tail shared by
 many chunks, and each full tail is folded to the end, rescaled and
 read out at once.  The fold is stopped and resumed on the same product
-tree, so the bits stay those of a single-row final.
+tree, so the bits stay those of a single-row final.  A sweep of
+_FORK_SAMPLES samples or more, on a host with two usable CPUs, forks
+once: a child propagates the chunks after the middle one and sends its
+final pairs back through a pipe (_util._forked).  No pair depends on
+another, so the bits are those of one process.
 
 A private mirror route (_mirror_final) serves gate design: the fields of
 an unrotated transfer or loop pulse on its own grid are mirror-symmetric
@@ -56,6 +60,8 @@ and compose every step of whatever pulse they are given.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +72,16 @@ from . import _util
 # enough to share the numpy call overhead over many rows, small enough to
 # keep peak memory flat
 _CHUNK_SAMPLES = 2 ** 14
+
+# error pairs x samples (B * n) from which _final_states forks.  A fork,
+# the child's start and its exit cost about 5 ms at 35 MiB RSS on a
+# shared 2-CPU host, and each fork's copy-on-write faults land on the
+# work after it.  Split in two, 21 x 21 cells at n = 2049 took 59 ms
+# against 77 and 11 x 11 at n = 8193 51 against 74 (medians of 9);
+# 5 x 5 at n = 8193 (205k) broke even, and a 220k cutoff, which also
+# splits 11 x 11 at n = 2049 and 21 x 21 at n = 513, made paired
+# in-process sweep-maps cycles slower on 9 of 10 (586 against 544 ms)
+_FORK_SAMPLES = 300_000
 
 # a sweep chunk is folded until it holds at most this many pairs: below
 # it numpy's call overhead outweighs the products, and the chunks share
@@ -365,26 +381,20 @@ def bloch_propagate(pulse, M0, err: ErrorParams = ErrorParams()) -> Trajectory:
     return Trajectory(pulse.times, _rotations(_path(pulse, err)) @ _state(M0))
 
 
-def _final_states(pulse, M0, alpha, delta, rows=None):
-    """Final Bloch vectors (B, 3) of M0 under the pulse, one per error
-    pair (alpha[b], delta[b]).  Row b has the bits of the last sample of
-    bloch_propagate under that pair, whatever the rest of the batch.
+def _final_pairs(pulse, alpha, delta, rows, out):
+    """Final pairs of the pulse into out (B, 2), one row per error pair
+    (alpha[b], delta[b]), propagated in this process in chunks of rows
+    pairs (all B at once when rows is None).  Returns out.
 
-    The pairs are propagated in chunks of rows pairs (all B at once when
-    rows is None), in one workspace allocated per call and rewritten in
-    place by every chunk.  Each chunk is folded down to the first length
-    m of n's halving sequence with rows * m <= _FOLD_PAIRS, and its short
-    planes are gathered in a tail of at most _CHUNK_SAMPLES pairs; each
-    full tail is folded to the end, rescaled and rotated at once.  With
-    no error pairs it returns an empty (0, 3) array and allocates no
-    workspace."""
-    M0 = _state(M0)
-    alpha = np.asarray(alpha, dtype=float)
-    delta = np.asarray(delta, dtype=float)
+    One workspace is allocated per call and rewritten in place by every
+    chunk.  Each chunk is folded down to the first length m of n's
+    halving sequence with rows * m <= _FOLD_PAIRS, and its short planes
+    are gathered in a tail of at most _CHUNK_SAMPLES pairs; each full
+    tail is folded to the end and rescaled at once.  With no error pairs
+    it allocates no workspace."""
     B, n = len(alpha), pulse.n_samples
-    finals = np.empty((B, 3))
     if not B:
-        return finals
+        return out
     rows = B if rows is None else max(1, min(rows, B))
     m = n
     while rows * m > _FOLD_PAIRS and m > 1:
@@ -415,10 +425,89 @@ def _final_states(pulse, M0, alpha, delta, rows=None):
             T[:, held:held + take] = S[:, j:j + take]
             held, j = held + take, j + take
             if held == t or start + j == B:
-                q = _last(T[:, :held], products)
-                finals[done:done + held] = _rotations(q) @ M0
+                out[done:done + held] = _last(T[:, :held], products)
                 held, done = 0, done + held
-    return finals
+    return out
+
+
+def _fork_split(B, n, rows):
+    """The first error pair a forked child propagates, or 0 for one
+    process: a sweep of fewer than _FORK_SAMPLES samples, a single chunk,
+    or no two usable CPUs.  The split falls on a chunk boundary, and the
+    parent keeps the middle chunk of an odd count."""
+    step = 1 if rows is None else max(1, min(rows, B))
+    chunks = -(-B // step)
+    if B * n < _FORK_SAMPLES or chunks < 2 or not _util._two_cpus():
+        return 0
+    return (chunks + 1) // 2 * step
+
+
+def _pairs_child(r, w, pulse, alpha, delta, rows):
+    """The forked half of _final_states; never returns.  It sends the
+    bytes of its final pairs through w and exits 0, or sends the pickle
+    of the exception it raised (nothing, if that does not pickle) and
+    exits 1.  Like _util._child it leaves through os._exit and makes no
+    BLAS call: the parent reads the rotations out of the pairs."""
+    code = 1
+    try:
+        os.close(r)
+        try:
+            data, ok = _final_pairs(pulse, alpha, delta, rows, np.empty(
+                (len(alpha), 2), dtype=complex)), 0
+        except Exception as exc:    # the parent raises it
+            try:
+                data, ok = pickle.dumps(exc), 1
+            except Exception:       # of a local class, say
+                data, ok = b"", 1
+        _util._write_all(w, data)
+        code = ok
+    finally:
+        os._exit(code)
+
+
+def _child_error(sent):
+    """The exception the forked half of _final_states raised, from the
+    bytes it sent, or ChildProcessError when they hold none."""
+    try:
+        return pickle.loads(sent)
+    except Exception:    # nothing sent, or a pickle that does not load
+        return ChildProcessError("the forked half of the sweep failed")
+
+
+def _final_states(pulse, M0, alpha, delta, rows=None):
+    """Final Bloch vectors (B, 3) of M0 under the pulse, one per error
+    pair (alpha[b], delta[b]).  Row b has the bits of the last sample of
+    bloch_propagate under that pair, whatever the rest of the batch.
+
+    The pairs are propagated by _final_pairs in chunks of rows pairs (all
+    B at once when rows is None).  A batch of _FORK_SAMPLES samples
+    (B * n) or more, with at least two chunks, on a host with two usable
+    CPUs, is split once on a chunk boundary: a forked child propagates
+    the pairs after the split while this process propagates the rest,
+    and the child sends its final pairs back through a pipe.  Every pair
+    is propagated alone, so the bits are those of one process.  No child
+    outlives the call, and the exception a child raised is raised here.
+    The rotations are read out of the pairs here, once for the batch.
+    With no error pairs it returns an empty (0, 3) array and allocates
+    no workspace."""
+    M0 = _state(M0)
+    alpha = np.asarray(alpha, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    B = len(alpha)
+    q = np.empty((B, 2), dtype=complex)
+    h = _fork_split(B, pulse.n_samples, rows)
+    if not h:
+        _final_pairs(pulse, alpha, delta, rows, q)
+    else:
+        with _util._forked(
+                lambda r, w: _pairs_child(r, w, pulse, alpha[h:], delta[h:],
+                                          rows),
+                lambda: _child_error(sent)) as (reader, writer):
+            writer.close()
+            _final_pairs(pulse, alpha[:h], delta[:h], rows, q[:h])
+            sent = reader.readall()
+        q[h:] = np.frombuffer(sent, dtype=complex).reshape(B - h, 2)
+    return _rotations(q) @ M0
 
 
 def so3_propagate(pulse, err: ErrorParams = ErrorParams()) -> PropagatorPath:

@@ -5,7 +5,10 @@ scalar merit of the final state.  Every cell with a finite error pair
 goes through one propagate._final_states call, in chunks of about
 propagate._CHUNK_SAMPLES samples (the batch size that gate scans share)
 that are built and partly reduced in one reused workspace, with the
-short ends of their pairwise product reductions finished together.  The
+short ends of their pairwise product reductions finished together.  A
+map of propagate._FORK_SAMPLES cell-samples or more is split once on a
+chunk boundary between this process and a forked child where two CPUs
+are usable; smaller maps, and one-CPU hosts, run in one process.  The
 merit is then called once per cell, in grid order, on a one-sample
 Trajectory holding that cell's final state.  A cell's value has the same
 bits as the last sample of bloch_propagate under its error pair, so it
@@ -71,14 +74,16 @@ def sweep(pulse: ControlPulse, M0, alpha_grid=None, delta_grid=None,
     The final states of all cells with a finite error pair come from one
     chunked propagation; the merit is then called once per cell in grid
     order, on a one-sample Trajectory (times = the last pulse time, M =
-    the final state).  workers is accepted for compatibility and has no
-    effect.  A cell whose error pair is not finite, whose merit raises or
-    whose merit is not finite is recorded as NaN with its flag set; meta
-    then lists each such cell under "failed_cells" as its [i, j] index
-    and reason.  If the propagation raises, every cell with a finite
-    error pair is flagged with the exception's class name and the merit
-    is not called.  An M0 that is not a finite 3-vector raises ValueError
-    up front.
+    the final state).  A large map is split between this process and
+    one forked child, with the same bits (see propagate._final_states).
+    workers is accepted for compatibility and has no effect.  A cell
+    whose error pair is not finite, whose merit raises or whose merit is
+    not finite is recorded as NaN with its flag set; meta then lists each
+    such cell under "failed_cells" as its [i, j] index and reason.  If
+    the propagation raises, in this process or in the forked child,
+    every cell with a finite error pair is flagged with the exception's
+    class name and the merit is not called.  An M0 that is not a finite
+    3-vector raises ValueError up front.
     """
     alpha = (default_alpha_grid() if alpha_grid is None
              else np.asarray(alpha_grid, dtype=float))

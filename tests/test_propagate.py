@@ -1,6 +1,7 @@
 """Propagator correctness against closed forms and direct integration."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -735,6 +736,52 @@ def test_final_states_of_no_pairs_allocate_no_workspace():
     one, one_peak = traced_peak([0.1], [0.2])
     assert one.shape == (1, 3) and one_peak >= 4 * 8 * pulse.n_samples
     assert peak < 8 * pulse.n_samples
+
+
+@st.composite
+def forked_grids(draw):
+    """A pulse of 1..300 samples, 1..40 error pairs (odd counts and a
+    single pair included), and a chunk of rows pairs that need not divide
+    them, or None for all at once."""
+    n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 300)))
+    cells = draw(st.one_of(st.sampled_from([1, 2, 3, 39]),
+                           st.integers(1, 40)))
+    rows = draw(st.one_of(st.none(), st.integers(1, cells + 1)))
+    pairs = draw(st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-1.0, 1.0)),
+                          min_size=cells, max_size=cells))
+    alpha, delta = np.array(pairs).T
+    return (random_table(n, draw(st.integers(0, 2 ** 32 - 1))), alpha, delta,
+            rows)
+
+
+@PROPERTY
+@given(forked_grids(), st.sampled_from([1, 16, 64]))
+def test_forked_final_states_are_the_serial_bits(grid, tail_cap):
+    pulse, alpha, delta, rows = grid
+    M0 = np.array([0.6, 0.0, 0.8])
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    with pytest.MonkeyPatch.context() as mp:
+        # small tails, so that either half spans several of them
+        mp.setattr(propagate, "_CHUNK_SAMPLES", tail_cap)
+        mp.setattr(propagate, "_FORK_SAMPLES", math.inf)
+        serial = _final_states(pulse, M0, alpha, delta, rows)
+        mp.setattr(propagate, "_FORK_SAMPLES", 0)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                   raising=False)
+        mp.setattr(os, "fork", fork)
+        forked = _final_states(pulse, M0, alpha, delta, rows)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # one fork whenever the pairs make two chunks; a single pair never does
+    assert len(forks) == (len(alpha) > (rows or 1))
+    assert forked.shape == (len(alpha), 3)
+    assert forked.tobytes() == serial.tobytes()
 
 
 @PROPERTY

@@ -1,11 +1,13 @@
 import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from blochtop import robustness
+from blochtop import propagate, robustness
 from blochtop.propagate import ErrorParams, bloch_propagate
 from blochtop.pulsegen import ControlPulse, rect_pi_pulse, tre_pulse
 from blochtop.robustness import (
@@ -287,6 +289,114 @@ def test_sweep_without_live_cells_propagates_nothing(monkeypatch):
     assert rmap.flags.all()
     assert {cell["reason"] for cell in rmap.meta["failed_cells"]} == {
         "non-finite error parameter"}
+
+
+# the forked sweep: a child propagates the cells after the split
+
+
+class ChildFault(Exception):
+    """A fault of one half of a forked sweep; at module level, so that it
+    pickles."""
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _forking_sweeps(monkeypatch, cpus=(0, 1)) -> list:
+    """Every sweep of two or more cells forks on a host with the given
+    usable CPUs, a chunk holding one cell of a 33-sample pulse; returns
+    the list that counts the forks."""
+    monkeypatch.setattr(propagate, "_FORK_SAMPLES", 0)
+    monkeypatch.setattr(robustness, "_CHUNK_SAMPLES", 33)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: len(cpus))
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _local_fault():
+    class LocalFault(Exception):    # cannot pickle: a local class
+        pass
+
+    return LocalFault
+
+
+@pytest.mark.parametrize("fault, reason", [
+    (ChildFault, "ChildFault"), (MemoryError, "MemoryError"),
+    (_local_fault(), "ChildProcessError")])
+def test_failing_forked_half_flags_every_live_cell_with_its_class(
+        monkeypatch, fault, reason):
+    forks = _forking_sweeps(monkeypatch)
+    parent = os.getpid()
+    real = propagate._final_pairs
+
+    def pairs(*args):
+        if os.getpid() != parent:
+            raise fault("child")
+        return real(*args)
+
+    monkeypatch.setattr(propagate, "_final_pairs", pairs)
+    seen = []
+
+    def merit(traj):
+        seen.append(traj)
+        return merit_J3(traj)
+
+    alphas = np.array([0.0, math.nan, 0.2, -0.1])
+    deltas = np.array([0.0, math.inf, -0.3])
+    rmap = sweep(rect_pi_pulse(1.0, n=33), (0.0, 0.0, 1.0), alphas, deltas,
+                 merit=merit)
+    _assert_no_child()
+    assert forks == [1]
+    assert not seen
+    assert rmap.flags.all() and np.isnan(rmap.values).all()
+    assert rmap.meta["failed_cells"] == [
+        {"index": [i, j],
+         "reason": (reason if math.isfinite(a) and math.isfinite(d)
+                    else "non-finite error parameter")}
+        for i, a in enumerate(alphas) for j, d in enumerate(deltas)]
+
+
+def test_parent_failure_after_the_fork_kills_and_reaps_the_child(
+        monkeypatch):
+    forks = _forking_sweeps(monkeypatch)
+    parent = os.getpid()
+
+    def pairs(*args):
+        if os.getpid() == parent:
+            raise ChildFault("parent")
+        time.sleep(60)    # only a kill ends the child in time
+
+    monkeypatch.setattr(propagate, "_final_pairs", pairs)
+    start = time.monotonic()
+    with pytest.raises(ChildFault):
+        propagate._final_states(rect_pi_pulse(1.0, n=33), (0.0, 0.0, 1.0),
+                                np.zeros(4), np.linspace(-0.3, 0.3, 4),
+                                rows=1)
+    assert time.monotonic() - start < 30.0
+    _assert_no_child()
+    assert forks == [1]
+
+
+def test_one_usable_cpu_sweeps_without_forking(monkeypatch):
+    pulse = tre_pulse(TopParameters(0.6), 0.05, Family.ROTATING, n=33)
+    alphas, deltas = np.linspace(-0.3, 0.3, 5), np.linspace(-0.4, 0.4, 3)
+    before = sweep(pulse, (0.6, 0.0, 0.8), alphas, deltas)
+    forks = _forking_sweeps(monkeypatch, cpus=(0,))
+    rmap = sweep(pulse, (0.6, 0.0, 0.8), alphas, deltas)
+    assert not forks
+    assert rmap.values.tobytes() == before.values.tobytes()
+    assert not rmap.flags.any()
 
 
 def test_merit_sees_one_sample_final_state():
