@@ -96,15 +96,16 @@ def _write_all(fd: int, data) -> None:
         view = view[os.write(fd, view):]
 
 
-def _split_row(rows: int, cols: int) -> int:
-    """The first row the forked child formats, or 0 for one process: a
-    small table, a single block, no os.fork or one usable CPU."""
-    blocks = -(-rows // _CSV_BLOCK_ROWS)
-    if rows * cols < _CSV_FORK_VALUES or blocks < 2 or not _two_cpus():
+def _split(items: int, step: int, work: int, cutoff: int) -> int:
+    """The first of items, taken step at a time, that a forked child
+    handles, or 0 for one process: work under cutoff, a single step, no
+    os.fork or one usable CPU.  The split falls on a step boundary, and
+    the parent takes the middle step of an odd count: the child's start,
+    its hand-back and its exit are on the path the parent waits for."""
+    steps = -(-items // step)
+    if work < cutoff or steps < 2 or not _two_cpus():
         return 0
-    # the parent takes the middle block of an odd count: the child's
-    # start, append and exit are on the path the parent waits for
-    return (blocks + 1) // 2 * _CSV_BLOCK_ROWS
+    return (steps + 1) // 2 * step
 
 
 def _child(r: int, w: int, path, data, row: str, split: int):
@@ -151,7 +152,8 @@ def write_csv(path, header: str, data) -> None:
     """
     data = np.asarray(data, dtype=float)
     row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    split = _split_row(*data.shape)
+    rows, cols = data.shape
+    split = _split(rows, _CSV_BLOCK_ROWS, rows * cols, _CSV_FORK_VALUES)
     if not split:
         _write_rows(path, header, data, row, len(data))
         return

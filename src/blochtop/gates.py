@@ -5,42 +5,15 @@ gate, BIR-style composite NOT pulses, two-orbit geometric phase gates
 with dynamical-phase cancellation, and one-qubit synthesis over those
 primitives.
 
-Each design picks a sign change of its objective on a grid of its free
-parameter and solves it with one Brent solver (_solve_scanned over
-_solve_bracketed), started from the sampled values at the bracket ends.
-
-A transfer or loop pulse drives the qubit as the free top rotates, so
-its propagator is the top's attitude, which has a closed form
-(_orbit_phases: the loop turns by 2 E T less the solid angle about its
-base point, and the transfer's NOT objective is the cosine of a quarter
-of that angle).  The NOT, composite-NOT and loop-gate searches locate
-their bracket from it (_locate): the sampled objective lies within a
-known O(h^2) gap of the closed form, so only the bracket ends and the
-grid points that gap cannot settle are sampled, and the bracket and its
-end values keep the bits of the full sampled scan, which is taken
-whenever the closed form cannot decide.
-
-The geometric term of a budget is the orbit's solid angle in closed
-form (_orbit_solid_angle, Montgomery 1991, from complete K and Pi); the
-Richardson-polished polygon of the sampled orbit, _orbit_geometric, is
-kept as its reference.  The phase gate's spread, its inner solve
-(_match_dynamical, a Newton solve of 2 E T) and its two loop budgets
-(_closed_budget) are closed forms too, so its k scan, solver steps and
-budgets sample no orbit.
-
-Transfer and loop pulses are read off free-top orbits, which are
-mirror-symmetric about their midpoints.  Every sampled scan point and
-solver step of the NOT, composite-NOT and loop-gate searches, and the
-loop propagator of montgomery_phase, therefore sample and propagate
-only the first half of the orbit, and the reference polygon sums half
-the geodesic fan and doubles it.  One evaluator, _scan_finals, serves
-them all: it samples the points' halves in chunks of rows, one table
-per chunk (pulsegen._mirror_half), and propagates each chunk in one
-propagate._mirror_final call; a solver step or the Montgomery loop is a
-scan of one point.  The pulse a designer returns, and the
-fidelity and residuals of its report, are computed from the full pulse
-through the public propagators; rotated, offset, concatenated and user
-pulses never take the mirror route.
+Every design scans a grid of its free parameter and solves one crossing
+of its objective there, through one routine, _search.  The transfer and
+loop objectives have closed forms in the free top's attitude
+(_orbit_phases), from which _search locates the bracket while sampling
+few points, each by the mirror route; the phase gate's objective, its
+inner solve (_match_dynamical) and its loop budgets (_closed_budget) are
+closed forms throughout, so its design samples no orbit.  The pulse a
+designer returns, and the fidelity and residuals of its report, are
+computed from the full pulse through the public propagators.
 
 Sign conventions frozen here (and locked by regression tests):
 the geometric term is minus the line integral of (1 - M3) dphi along
@@ -77,6 +50,7 @@ from .propagate import (
 )
 from .pulsegen import (
     ControlPulse,
+    _check_n,
     _mirror_half,
     concat,
     inverse_pulse,
@@ -88,7 +62,6 @@ from .pulsegen import (
 from .topdyn import (
     Family,
     TopParameters,
-    analytic_trajectory,
     energy,
     orbit_constants,
     orbit_period,
@@ -103,7 +76,7 @@ _BRENT_STEPS = 10_000
 # the sampled NOT, composite-NOT and loop-angle objectives lie within
 # 0.3 h^2 of their closed forms, h the pulse length over n - 1, at every n
 # for k in [0.02, 0.999] and eps in [1e-6, 0.999] (a property test in
-# test_gates holds them to a tenth of _GAP); _locate trusts the closed
+# test_gates holds them to a tenth of _GAP); _search trusts the closed
 # form beyond _GAP h^2
 _GAP = 4.0
 
@@ -179,28 +152,9 @@ def dynamical_phase(pulse: ControlPulse, M) -> float:
     return float(np.trapezoid(np.sum(pulse.fields * M, axis=1), pulse.times))
 
 
-def _orbit_geometric(p: TopParameters, eps: float, family: Family,
-                     n: int = 4097) -> float:
-    # Polygon reference for _orbit_solid_angle.  Richardson pair on uniform samples kills the h^2 polygon deficit.
-    # The orbit is symmetric about its midpoint under the reflection in a
-    # vertical plane through e3 (L2 -> -L2 rotating, L1 -> -L1 oscillating),
-    # which maps each edge of the second half onto a reversed edge of the
-    # first with the same fan term: both sums run over the first half and
-    # double (-4 = 2 x the -2 of geometric_phase), which needs the
-    # midpoint on the every-other-sample grid too.
-    if n < 5 or (n - 1) % 4:
-        raise ValueError(f"n - 1 must be a positive multiple of 4, got n = {n}")
-    T = orbit_period(p, eps, family)
-    t = np.linspace(0.0, T, n)[:n // 2 + 1]
-    L = analytic_trajectory(p, eps, family, t)
-    fine = -4.0 * _fan(L[:-1], L[1:])
-    coarse = -4.0 * _fan(L[:-2:2], L[2::2])
-    return (4.0 * fine - coarse) / 3.0
-
-
 def _orbit_solid_angle(p: TopParameters, eps: float, family: Family,
                        oc=None) -> float:
-    """_orbit_geometric in closed form: the orbit's solid angle.
+    """The orbit's solid angle in closed form (Montgomery 1991).
 
     With (a, b, c) the amplitudes on (dn, cn, sn), axes (1, 2, 3) on the
     rotating family and (2, 1, 3) on the oscillating one, the azimuth
@@ -254,9 +208,9 @@ def _orbit_phases(p: TopParameters, es, family: Family):
     lift is the mirror route's pair on both families.  The involution
     axis of P Z3 (_involution_scan) is then (C c, -s, eps c) on rotating
     orbits and (s, C c, eps c) on oscillating ones, c = cos(phi / 4) and
-    s = sin(phi / 4), so its projection on v1 is cos(phi / 4).  An eps
-    whose orbit has no closed form (orbit_constants or the solid angle
-    refuses it) gets nan.
+    s = sin(phi / 4), so its projection on v1 = (C, 0, eps), or (0, C,
+    eps), is cos(phi / 4).  An eps whose orbit has no closed form
+    (orbit_constants or the solid angle refuses it) gets nan.
     """
     phis, periods = [], []
     for eps in map(float, es):
@@ -287,13 +241,11 @@ def montgomery_phase(p: TopParameters, eps: float, family: Family,
                      n: int = 65537, closure_tol: float = 1e-6) -> PhaseBudget:
     """Phase budget of one full orbit period.
 
-    total is read off the propagator of the full-period loop pulse (by
-    the mirror route) as the signed rotation angle about the starting
-    point; dynamical (2 E T) and geometric (the signed solid angle of the
-    orbit, whose sampled polygon _orbit_geometric is the reference) are
-    the closed forms of _closed_budget, so the budget defect measures the
-    propagator alone.  A loop whose end misses its start by more than
-    closure_tol raises a ValueError naming n and the gap.
+    total is the signed rotation angle about the starting point of the
+    full-period loop's propagator, by the mirror route (_search);
+    dynamical and geometric are _closed_budget's, so the budget defect
+    measures the propagator alone.  A loop whose end misses its start by
+    more than closure_tol raises a ValueError naming n and the gap.
     """
     base = tre_initial(p, eps, family)
     R = _rotations(_scan_finals(p, [eps], family, n, loop=True)[0])
@@ -439,20 +391,11 @@ def _angle_crossing(a: float, b: float) -> bool:
             or (a * b < 0.0 and abs(a - b) < math.pi))
 
 
-def _sign_changes(fs) -> list[int]:
-    """Intervals i, in grid order, with fs[i] == 0 or fs[i] fs[i + 1] < 0."""
-    return [i for i in range(len(fs) - 1) if _sign_change(fs[i], fs[i + 1])]
-
-
 def _solve_scanned(f, xs, fs, i):
-    """(x, converged): root of f on the scanned bracket xs[i], xs[i + 1].
-
-    A Brent solve (_solve_bracketed) to xtol 1e-13 that starts from the
-    scanned values fs = f(xs), so f is never evaluated at a grid point;
-    converged carries the solver's check on bracket width and residual.
-    With i None the grid point of smallest |fs| comes back unconverged,
-    and f is not called.
-    """
+    """(x, converged): root of f on the scanned bracket xs[i], xs[i + 1],
+    by _solve_bracketed to xtol 1e-13 from the scanned values fs = f(xs),
+    so f is never evaluated at a grid point.  With i None the grid point
+    of smallest |fs| comes back unconverged, and f is not called."""
     if i is None:
         return float(xs[int(np.argmin(np.abs(fs)))]), False
     x, _, converged = _solve_bracketed(f, float(xs[i]), float(xs[i + 1]),
@@ -460,60 +403,76 @@ def _solve_scanned(f, xs, fs, i):
     return x, converged
 
 
-def _locate(approx, spans, n: int, sample, crosses, pick):
-    """(fs, i): the interval pick chooses among the crossings of a sampled
-    scan, found from the scan's closed form with few sampled points.
+def _search(xs, approx, spans, n: int, sample, crosses, pick):
+    """(x, converged, i): the one scan-and-solve routine of gate design.
 
-    approx holds the closed-form objective at each grid point and spans
-    the length of the pulse sampled there; the sampled objective lies
-    within delta = _GAP (span / (n - 1))^2 of approx, wrapped.  sample(js)
-    returns the sampled objective at the grid indices js, and crosses(a,
-    b) says whether an interval with end values a and b holds a crossing.
-    An interval is settled when both ends lie more than their delta
-    inside (-pi, pi) and crosses answers alike at the four corners of the
-    delta box: every value the sampled scan can take there gets the
-    closed form's answer.  Only the ends of unsettled intervals are
-    sampled, then the ends of the picked interval, and each sampled value
-    is checked against its delta.  fs is approx with the sampled values
-    in place, so the crossings, the pick, fs[i] and fs[i + 1] have the
-    bits of the full scan.  The full scan, fs = sample(every index), is
-    taken instead when more than a quarter of the grid is unsettled, when
-    a sampled value leaves its delta, or when no interval is picked
-    (_solve_scanned then wants every sampled value).  A nan in approx
-    (no closed form) leaves its intervals unsettled and fails the check.
+    pick chooses one interval i of the grid xs (or None) among those whose
+    scanned end values cross (crosses(a, b)), and _solve_scanned solves
+    it.  sample(points) is the objective at points of the free parameter,
+    one point per solver step, and approx its closed form on the grid.
+
+    With spans None the closed form is the objective: the scan is approx,
+    and no grid point is sampled.  Otherwise the sampled objective lies
+    within delta = _GAP (span / (n - 1))^2 of approx, wrapped, span the
+    length of the pulse sampled at that grid point.  An interval is
+    settled when both ends lie more than their delta inside (-pi, pi) and
+    crosses answers alike at the four corners of the delta box.  Only the
+    ends of unsettled intervals and of the picked one are sampled, each
+    checked against its delta, so the scan (approx with those values in
+    place) has the crossings, the pick and the bracket bits of the full
+    sampled scan.  That full scan is taken instead when more than a
+    quarter of the grid is unsettled, a sampled value leaves its delta,
+    or nothing is picked.  A nan in approx (no closed form) never settles.
+
+    Samples take the mirror route: transfer and loop pulses are read off
+    free-top orbits, which are mirror-symmetric about their midpoints, so
+    _scan_finals samples and propagates only the first half of each, and
+    the pulse propagates by J A^-1 J^-1 . M . A (propagate._mirror_final):
+    A the first half's product, M the middle step (n even only) and J the
+    mirror's pi rotation, Z3 = diag(-1, -1, 1) on a transfer.  Rotated,
+    offset, concatenated and user pulses never take it.
     """
+    _check_n(n)
     m = len(approx)
-    delta = [_GAP * (s / (n - 1)) ** 2 for s in spans]
-
-    def settled(j: int) -> bool:
-        a, b, da, db = approx[j], approx[j + 1], delta[j], delta[j + 1]
-        if not (abs(a) + da < math.pi and abs(b) + db < math.pi):
-            return False
-        return len({crosses(a + x, b + y)
-                    for x in (-da, da) for y in (-db, db)}) == 1
 
     def picked(fs):
         return pick([j for j in range(m - 1) if crosses(fs[j], fs[j + 1])])
 
-    def put(fs, js):
-        if js:
-            for j, f in zip(js, sample(js)):
-                fs[j] = f
+    def located():
+        if spans is None:
+            return approx, picked(approx)
+        delta = [_GAP * (s / (n - 1)) ** 2 for s in spans]
 
-    unsettled = sorted({j + d for j in range(m - 1) if not settled(j)
-                        for d in (0, 1)})
-    if 4 * len(unsettled) <= m:
-        fs = list(approx)
-        put(fs, unsettled)
-        i = picked(fs)
-        if i is not None:
-            ends = [j for j in (i, i + 1) if j not in unsettled]
-            put(fs, ends)
-            if all(abs(_util.wrap_angle(fs[j] - approx[j])) <= delta[j]
-                   for j in unsettled + ends):
-                return fs, i
-    fs = sample(list(range(m)))
-    return fs, picked(fs)
+        def settled(j: int) -> bool:
+            a, b, da, db = approx[j], approx[j + 1], delta[j], delta[j + 1]
+            if not (abs(a) + da < math.pi and abs(b) + db < math.pi):
+                return False
+            return len({crosses(a + x, b + y)
+                        for x in (-da, da) for y in (-db, db)}) == 1
+
+        def put(fs, js):
+            if js:
+                for j, f in zip(js, sample(xs[js])):
+                    fs[j] = f
+
+        unsettled = sorted({j + d for j in range(m - 1) if not settled(j)
+                            for d in (0, 1)})
+        if 4 * len(unsettled) <= m:
+            fs = list(approx)
+            put(fs, unsettled)
+            i = picked(fs)
+            if i is not None:
+                ends = [j for j in (i, i + 1) if j not in unsettled]
+                put(fs, ends)
+                if all(abs(_util.wrap_angle(fs[j] - approx[j])) <= delta[j]
+                       for j in unsettled + ends):
+                    return fs, i
+        fs = sample(xs)
+        return fs, picked(fs)
+
+    fs, i = located()
+    x, converged = _solve_scanned(lambda x: sample([x])[0], xs, fs, i)
+    return x, converged, i
 
 
 # ---------------------------------------------------------------------------
@@ -565,13 +524,10 @@ def _coupling_defect(so3_residual: float, fidelity: float) -> float:
 
 def _scan_finals(p: TopParameters, xs, family: Family, n: int,
                  loop: bool) -> np.ndarray:
-    """Mirror-route final pairs (len(xs), 2) at the scan points xs: the
-    one orbit evaluator of gate design, for whole scans, solver steps and
-    the Montgomery loop alike (scans of one point).  The points are
-    sampled in chunks of _CHUNK_SAMPLES // (n // 2 + 1) rows, one
-    _mirror_half table and one _mirror_final call per chunk.  Row j has
-    the bits of the one-point scan at xs[j].
-    """
+    """Mirror-route final pairs (len(xs), 2) at the points xs, in chunks
+    of _CHUNK_SAMPLES // (n // 2 + 1) rows: one _mirror_half table and one
+    _mirror_final call per chunk.  Row j has the bits of the one-point
+    call at xs[j], as a solver step or the Montgomery loop makes it."""
     rows = max(1, _CHUNK_SAMPLES // (n // 2 + 1))
     return np.concatenate([
         _mirror_final(_mirror_half(p, xs[start:start + rows], family, n, loop))
@@ -581,22 +537,12 @@ def _scan_finals(p: TopParameters, xs, family: Family, n: int,
 def _involution_scan(p: TopParameters, xs, family: Family,
                      n: int) -> list:
     """Axis of the involutive part P Z3 of the transfer propagator P at
-    each scan point.
-
-    P comes from the mirror route, P = J A^-1 J^-1 . M . A with J = Z3 =
-    diag(-1,-1,1), so (P Z3)^2 = 1 holds by construction: exactly for
-    odd n, and up to the rounding of the middle step's omega3 (zero in
-    exact arithmetic) for even n.  P Z3 is therefore a pi rotation.  The
-    mirror route returns the Cayley-Klein pair (a, c) of P, its SU(2)
-    element [[a, -c*], [c, a*]], and the axis of P Z3 is (Re c, Im c,
-    Re a), the vector part (q2, -q1, q0) of the quaternion q z3 with
-    (q0, q1, q2) = (Re a, -Im c, Re c).  It lies in the plane spanned by
-    v1 = (sqrt(1 - eps^2), 0, eps) and e2 (rotating family; swap the
-    first two slots for the oscillating one).  Its sign needs no gauge:
-    SU(2) fixes it, and (a, c) is a product of step pairs continuous in
-    eps, so the axis turns continuously with eps and a sign change of its
-    projection on v1, the NOT tuning objective, is a root.
-    """
+    each scan point: (Re c, Im c, Re a) of P's Cayley-Klein pair (a, c),
+    its SU(2) element [[a, -c*], [c, a*]].  The mirror route (_search)
+    makes (P Z3)^2 = 1 by construction, exactly for odd n and up to the
+    rounding of the middle step's omega3 for even n, and SU(2) fixes the
+    axis's sign, so it turns continuously with eps, as its closed form
+    (_orbit_phases) does."""
     axes = []
     for a, c in _scan_finals(p, xs, family, n, loop=False):
         axis = np.array([c.real, c.imag, a.real])
@@ -617,12 +563,10 @@ def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
 
     The objective s(eps) is the projection of the involution axis
     (_involution_scan) on v1, cos(phi / 4) in closed form
-    (_orbit_phases).  On a log grid of scan points, _locate finds the last
-    sign change (the largest eps, the shortest pulse) of the sampled s
-    from that closed form, sampling only the bracket ends and any point
-    the closed form cannot settle; _solve_scanned solves it, each solver
-    step a one-point scan.  Returns (eps, pulse, report); a missing sign
-    change is reported via report.converged, never raised.
+    (_orbit_phases).  _search solves its last sign change (the largest
+    eps, the shortest pulse) on a log grid of scan points.  Returns (eps,
+    pulse, report); a missing sign change is reported via
+    report.converged, never raised.
     """
     lo, hi = float(eps_range[0]), float(eps_range[1])
     if not 0.0 < lo < hi < 1.0:
@@ -642,10 +586,9 @@ def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
 
     xs = np.geomspace(lo, hi, scan)
     phis, periods = _orbit_phases(p, xs, family)
-    fs, i = _locate(np.cos(0.25 * phis).tolist(), 0.5 * periods, n,
-                    lambda js: s(xs[js]), _sign_change,
-                    lambda changes: changes[-1] if changes else None)
-    eps_star, bracketed = _solve_scanned(lambda e: s([e])[0], xs, fs, i)
+    eps_star, bracketed, _ = _search(
+        xs, np.cos(0.25 * phis).tolist(), 0.5 * periods, n, s, _sign_change,
+        lambda changes: changes[-1] if changes else None)
 
     pulse = tre_pulse(p, eps_star, family, n=n)
     R, U = _shipped_final(pulse)
@@ -676,12 +619,11 @@ def composite_bir_not(p: TopParameters, eps: float, n: int = 4096,
     The second segment runs the drive backwards with flipped sign, so the
     dynamical accumulation of the pair cancels identically.  eps seeds a
     log scan of g = 2 a1^2 - 1, a1 the e1 component of the involution
-    axis; _locate finds the sign change nearest eps from g's closed form
-    2 (1 - eps^2) cos(phi / 4)^2 - 1 (_orbit_phases), sampling only the
-    bracket ends and any point the closed form cannot settle, and
-    _solve_scanned solves it to where the pair closes into an exact pi
-    rotation.  The composite is then rotated as a whole to put that axis
-    on e1.  Search diagnostics land in the returned pulse's meta.
+    axis, 2 (1 - eps^2) cos(phi / 4)^2 - 1 in closed form
+    (_orbit_phases); _search solves the sign change nearest eps, where
+    the pair closes into an exact pi rotation.  The composite is then
+    rotated as a whole to put that axis on e1.  Search diagnostics land
+    in the returned pulse's meta.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -703,9 +645,8 @@ def composite_bir_not(p: TopParameters, eps: float, n: int = 4096,
     xs = np.geomspace(lo, hi, scan)
     phis, periods = _orbit_phases(p, xs, Family.ROTATING)
     approx = 2.0 * (1.0 - xs * xs) * np.cos(0.25 * phis) ** 2 - 1.0
-    fs, i = _locate(approx.tolist(), 0.5 * periods, n, lambda js: g(xs[js]),
-                    _sign_change, nearest)
-    eps_star, converged = _solve_scanned(lambda e: g([e])[0], xs, fs, i)
+    eps_star, converged, _ = _search(xs, approx.tolist(), 0.5 * periods, n,
+                                     g, _sign_change, nearest)
 
     seg = tre_pulse(p, eps_star, Family.ROTATING, n=n)
     mate = transform_pulse(seg, reverse=True, s1=-1)
@@ -733,9 +674,7 @@ def composite_bir_not(p: TopParameters, eps: float, n: int = 4096,
 class PhaseGateDesign:
     """Loop pair realizing a target relative phase at zero dynamical cost.
 
-    budget_a and budget_b are the per-loop budgets in closed form
-    (_closed_budget): total = 2 E T - Omega, wrapped, with no loop
-    propagated.  The design's own budget total, its fidelity and its
+    budget_a and budget_b are the loops' _closed_budget; the fidelity and
     residuals are read off the propagator of the shipped pulse.
     """
 
@@ -768,8 +707,8 @@ def _match_dynamical(p_b: TopParameters, dyn_target: float):
     and D'.  D runs from +inf at eps = 0 to 2 pi / k' at eps = 1, falling
     where a phase design matches it (small k dips below 2 pi / k' first),
     so the sign of each residual moves one end of the bracket [1e-6,
-    0.999999], and a step that leaves the bracket bisects it instead.  The start is
-    the small-eps asymptote D ~ (4 k / k') log(4 k / eps).  converged
+    0.999999], and a step that leaves the bracket bisects it instead.
+    The start is the small-eps asymptote D ~ (4 k / k') log(4 k / eps).  converged
     follows _solve_bracketed: the last step is at most xtol + 4 eps |x|
     (xtol 1e-13) and |residual| is at most 1e3 xtol |D'|.  A target
     outside D's range is never converged.
@@ -819,19 +758,17 @@ def design_phase_gate(target_phase: float, p_a: TopParameters, *,
     backwards, so only the geometric difference survives.  The free
     knobs are k of the second orbit (the outer root, setting the
     geometric sum) and its eps (the inner root, cancelling the dynamical
-    sum), solved by _solve_scanned at the first sign change of one k scan
-    of the spread, per orientation.  The orientation is a sign s: +1 runs
-    loop a backwards ("reverse_first"), -1 loop b ("reverse_second"), and
-    0 is a target within identity_tol of 0 or 2 pi, one loop against
-    itself ("degenerate", budget_b is budget_a).  The loop budgets are
-    closed forms (_closed_budget: total = 2 E T - Omega), so no reference
-    loop is sampled or propagated; the budget's dynamical and geometric
-    sums are s b - s a of theirs, and its total is the rotation angle
-    about e3 propagated through the shipped pulse.  The composite is
-    rotated so the base point sits on e3, making the gate diagonal with
-    relative phase equal to the geometric sum.  Returns (design, pulse,
-    budget); infeasible targets come back with converged False and the
-    achieved budget.
+    sum), solved by _search at the first sign change of the closed-form
+    spread's k scan, per orientation.  The orientation is a sign s: +1
+    runs loop a backwards ("reverse_first"), -1 loop b ("reverse_second"),
+    and 0 is a target within identity_tol of 0 or 2 pi, one loop against
+    itself ("degenerate", budget_b is budget_a).  The returned budget's
+    dynamical and geometric sums are s b - s a of the loops' closed-form
+    budgets, and its total is the rotation angle about e3 propagated
+    through the shipped pulse.  The composite is rotated so the base
+    point sits on e3, making the gate diagonal with relative phase equal
+    to the geometric sum.  Returns (design, pulse, budget); infeasible
+    targets come back with converged False and the achieved budget.
     """
     phi = float(target_phase)
     if not 0.0 < phi < 2.0 * math.pi:
@@ -864,11 +801,11 @@ def design_phase_gate(target_phase: float, p_a: TopParameters, *,
         ks = np.linspace(k_a + k_margin, k_max, 33)
         ds = [spread(float(x)) for x in ks]
         for s, phi_eff in ((1, phi), (-1, 2.0 * math.pi - phi)):
-            fs = [d - phi_eff for d in ds]
-            changes = _sign_changes(fs)
-            if changes:
-                k_b, converged = _solve_scanned(
-                    lambda x: spread(x) - phi_eff, ks, fs, changes[0])
+            k_b, converged, i = _search(
+                ks, [d - phi_eff for d in ds], None, n,
+                lambda kbs: [spread(float(x)) - phi_eff for x in kbs],
+                _sign_change, lambda changes: changes[0] if changes else None)
+            if i is not None:
                 break
         else:
             # report the closest achievable spread instead of failing
@@ -954,13 +891,8 @@ def _loop_angles(p: TopParameters, es, n: int) -> list:
 
 
 def _loop_scan(p: TopParameters):
-    """The loop angle in closed form on a descending log grid of eps.
-
-    Returns (es, phis, periods): the grid and the _orbit_phases of its
-    rotating loops, phis unwrapped and continuous in eps.  It depends on
-    neither the target angle nor n, so one table serves every loop gate
-    of a synthesis.
-    """
+    """(es, phis, periods): a descending log grid of eps and the
+    _orbit_phases of its rotating loops, for any target angle and n."""
     es = np.geomspace(0.9, 5e-3, 96)
     return (es, *_orbit_phases(p, es, Family.ROTATING))
 
@@ -970,22 +902,19 @@ def _solve_loop(p: TopParameters, want: float, table, n: int):
     want, a wrapped angle, and the axis that rotation turns about.
 
     table is the _loop_scan of p.  The objective is the wrapped gap
-    between the sampled loop angle (_loop_angles) and want; _locate finds
-    the first interval of the grid where it passes through zero
-    (_angle_crossing), where the unwrapped angle reaches a level want +
-    2 pi m, from the closed-form gaps wrap(phi - want), and
-    _solve_scanned solves it.  The axis is signed so that the loop turns
-    by want about it.
+    between the sampled loop angle (_loop_angles) and want, wrap(phi -
+    want) in closed form; _search solves the first interval of the grid
+    where it passes through zero (_angle_crossing).  The axis is signed
+    so that the loop turns by want about it.
     """
     es, phis, periods = table
 
     def gap(xs) -> list:
         return [_util.wrap_angle(v - want) for v in _loop_angles(p, xs, n)]
 
-    fs, i = _locate([_util.wrap_angle(v - want) for v in phis], periods, n,
-                    lambda js: gap(es[js]), _angle_crossing,
-                    lambda crossings: crossings[0] if crossings else None)
-    eps_star, converged = _solve_scanned(lambda e: gap([e])[0], es, fs, i)
+    eps_star, converged, _ = _search(
+        es, [_util.wrap_angle(v - want) for v in phis], periods, n, gap,
+        _angle_crossing, lambda crossings: crossings[0] if crossings else None)
 
     loop = tre_loop_pulse(p, eps_star, Family.ROTATING, n=n)
     q = spinor_quaternion(su2_final(loop))
@@ -997,17 +926,6 @@ def _solve_loop(p: TopParameters, want: float, table, n: int):
     if want < 0.0:
         axis = -axis
     return eps_star, converged, loop, axis
-
-
-def _loop_gate(p: TopParameters, axis_target, want: float, solved, n: int):
-    """Single orbit loop acting as rot(axis_target, want): the _solve_loop
-    solution solved, rigidly rotated so that its axis is axis_target."""
-    eps_star, converged, loop, axis = solved
-    W = _rotation_between(axis, np.asarray(axis_target, dtype=float))
-    aligned = rotate_pulse(loop, W)
-    meta = {"kind": "loop_gate", "k": p.k, "eps": eps_star,
-            "angle": want, "n": n, "converged": bool(converged)}
-    return replace(aligned, meta=meta)
 
 
 def synthesize_one_qubit(U_target, p: TopParameters | None = None,
@@ -1066,7 +984,12 @@ def synthesize_one_qubit(U_target, p: TopParameters | None = None,
             want = _util.wrap_angle(angle)
             if want not in solved:
                 solved[want] = _solve_loop(p, want, table, n)
-            segments.append(_loop_gate(p, axis, want, solved[want], n))
+            eps_star, converged, loop, loop_axis = solved[want]
+            # the loop rigidly rotated so that its axis is this gate's
+            segments.append(replace(
+                rotate_pulse(loop, _rotation_between(loop_axis, axis)),
+                meta={"kind": "loop_gate", "k": p.k, "eps": eps_star,
+                      "angle": want, "n": n, "converged": bool(converged)}))
 
     comp = np.eye(2, dtype=complex)
     for seg in segments:

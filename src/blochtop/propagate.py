@@ -430,18 +430,6 @@ def _final_pairs(pulse, alpha, delta, rows, out):
     return out
 
 
-def _fork_split(B, n, rows):
-    """The first error pair a forked child propagates, or 0 for one
-    process: a sweep of fewer than _FORK_SAMPLES samples, a single chunk,
-    or no two usable CPUs.  The split falls on a chunk boundary, and the
-    parent keeps the middle chunk of an odd count."""
-    step = 1 if rows is None else max(1, min(rows, B))
-    chunks = -(-B // step)
-    if B * n < _FORK_SAMPLES or chunks < 2 or not _util._two_cpus():
-        return 0
-    return (chunks + 1) // 2 * step
-
-
 def _pairs_child(r, w, pulse, alpha, delta, rows):
     """The forked half of _final_states; never returns.  It sends the
     bytes of its final pairs through w and exits 0, or sends the pickle
@@ -495,7 +483,8 @@ def _final_states(pulse, M0, alpha, delta, rows=None):
     delta = np.asarray(delta, dtype=float)
     B = len(alpha)
     q = np.empty((B, 2), dtype=complex)
-    h = _fork_split(B, pulse.n_samples, rows)
+    h = _util._split(B, 1 if rows is None else max(1, min(rows, B)),
+                     B * pulse.n_samples, _FORK_SAMPLES)
     if not h:
         _final_pairs(pulse, alpha, delta, rows, q)
     else:

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from blochtop import gates, propagate
+from blochtop import cli, gates, propagate, pulsegen
 from blochtop._util import wrap_angle
 from blochtop.gates import (
     NOT_SU2,
@@ -194,6 +195,13 @@ def _cubic(x):
     return x**3 - 0.2
 
 
+def _sign_changes(fs) -> list[int]:
+    """Intervals i, in grid order, with fs[i] == 0 or fs[i] fs[i + 1] < 0:
+    the full-scan reference of the locator properties."""
+    return [i for i in range(len(fs) - 1)
+            if gates._sign_change(fs[i], fs[i + 1])]
+
+
 def test_solve_scanned_never_evaluates_a_grid_point():
     xs = np.linspace(0.0, 1.0, 11)
     fs = [_cubic(float(x)) for x in xs]
@@ -203,7 +211,7 @@ def test_solve_scanned_never_evaluates_a_grid_point():
         seen.append(x)
         return _cubic(x)
 
-    i = gates._sign_changes(fs)[0]
+    i = _sign_changes(fs)[0]
     x, converged = gates._solve_scanned(f, xs, fs, i)
     assert converged and abs(x - 0.2 ** (1.0 / 3.0)) <= 1e-10
     assert seen and not set(seen) & set(xs.tolist())
@@ -221,18 +229,18 @@ def test_solve_scanned_without_bracket_keeps_smallest_scan_point():
 def test_solve_scanned_descending_bracket_same_bits():
     xs = np.geomspace(0.05, 0.9, 17)
     fs = [_cubic(float(x)) for x in xs]
-    i = gates._sign_changes(fs)[0]
+    i = _sign_changes(fs)[0]
     up = gates._solve_scanned(_cubic, xs, fs, i)
     down = gates._solve_scanned(_cubic, xs[::-1], fs[::-1], len(xs) - 2 - i)
     assert up[1] and down == up
 
 
 def test_sign_changes_zero_counts_at_left_end_only():
-    assert gates._sign_changes([0.0, 1.0, 2.0]) == [0]
-    assert gates._sign_changes([1.0, 2.0, 0.0]) == []
-    assert gates._sign_changes([1.0, 0.0, 2.0]) == [1]
-    assert gates._sign_changes([1.0, -1.0, 2.0, 3.0, -4.0]) == [0, 1, 3]
-    assert gates._sign_changes([1.0]) == []
+    assert _sign_changes([0.0, 1.0, 2.0]) == [0]
+    assert _sign_changes([1.0, 2.0, 0.0]) == []
+    assert _sign_changes([1.0, 0.0, 2.0]) == [1]
+    assert _sign_changes([1.0, -1.0, 2.0, 3.0, -4.0]) == [0, 1, 3]
+    assert _sign_changes([1.0]) == []
 
 
 @st.composite
@@ -502,6 +510,26 @@ def test_synthesis_propagates_each_scan_point_once(monkeypatch):
     assert len(finals) <= 2 + 60
 
 
+def _orbit_geometric(p, eps, family, n=4097):
+    """The polygon reference of gates._orbit_solid_angle: a Richardson pair
+    on uniform samples kills the h^2 polygon deficit.
+
+    The orbit is symmetric about its midpoint under the reflection in a
+    vertical plane through e3 (L2 -> -L2 rotating, L1 -> -L1 oscillating),
+    which maps each edge of the second half onto a reversed edge of the
+    first with the same fan term: both sums run over the first half and
+    double (-4 = 2 x the -2 of geometric_phase), which needs the midpoint
+    on the every-other-sample grid too."""
+    if n < 5 or (n - 1) % 4:
+        raise ValueError(f"n - 1 must be a positive multiple of 4, got n = {n}")
+    T = orbit_period(p, eps, family)
+    t = np.linspace(0.0, T, n)[:n // 2 + 1]
+    L = analytic_trajectory(p, eps, family, t)
+    fine = -4.0 * gates._fan(L[:-1], L[1:])
+    coarse = -4.0 * gates._fan(L[:-2:2], L[2::2])
+    return (4.0 * fine - coarse) / 3.0
+
+
 @pytest.mark.parametrize("n", [4097, 32769])
 @pytest.mark.parametrize("family", list(Family))
 def test_orbit_geometric_half_fan_matches_full_loop(n, family):
@@ -510,13 +538,13 @@ def test_orbit_geometric_half_fan_matches_full_loop(n, family):
         L = analytic_trajectory(p, eps, family,
                                 np.linspace(0.0, orbit_period(p, eps, family), n))
         full = (4.0 * geometric_phase(L) - geometric_phase(L[::2])) / 3.0
-        assert abs(gates._orbit_geometric(p, eps, family, n=n) - full) <= 1e-12
+        assert abs(_orbit_geometric(p, eps, family, n=n) - full) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 4096, 4098, 4099])
 def test_orbit_geometric_needs_n_minus_1_multiple_of_4(n):
     with pytest.raises(ValueError):
-        gates._orbit_geometric(TopParameters(0.5), 0.1, Family.ROTATING, n=n)
+        _orbit_geometric(TopParameters(0.5), 0.1, Family.ROTATING, n=n)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -669,7 +697,7 @@ def test_phase_gate_outer_solve_lands_on_the_root():
 def test_closed_form_solid_angle_matches_polygon(family, k, log_eps):
     p, eps = TopParameters(k), math.exp(log_eps)
     assert abs(gates._orbit_solid_angle(p, eps, family)
-               - gates._orbit_geometric(p, eps, family, n=32769)) <= 1e-10
+               - _orbit_geometric(p, eps, family, n=32769)) <= 1e-10
 
 
 # near eps -> 0 the rotating orbit runs close to -e3, where the fan's
@@ -677,7 +705,7 @@ def test_closed_form_solid_angle_matches_polygon(family, k, log_eps):
 @pytest.mark.parametrize("k", [0.2, 0.9])
 def test_orbit_geometric_near_minus_e3_matches_closed_form(k):
     p = TopParameters(k)
-    assert abs(gates._orbit_geometric(p, 1e-4, Family.ROTATING, n=32769)
+    assert abs(_orbit_geometric(p, 1e-4, Family.ROTATING, n=32769)
                - gates._orbit_solid_angle(p, 1e-4, Family.ROTATING)) <= 1e-12
 
 
@@ -732,13 +760,17 @@ def test_match_dynamical_infeasible_target_is_unconverged():
 
 
 def test_phase_design_samples_no_orbit(monkeypatch):
-    calls = {"_orbit_geometric": 0, "analytic_trajectory": 0}
+    # every orbit table, the shipped pulses' and the mirror route's, is
+    # sampled through pulsegen's analytic_trajectory, one call per orbit
+    orbits = []
+    trajectory = pulsegen.analytic_trajectory
+
+    def counting_trajectory(p, eps, *args):
+        orbits.append(eps)
+        return trajectory(p, eps, *args)
+
+    monkeypatch.setattr(pulsegen, "analytic_trajectory", counting_trajectory)
     passes = []
-    for name in calls:
-        def counting(*args, _f=getattr(gates, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _f(*args, **kwargs)
-        monkeypatch.setattr(gates, name, counting)
     ke, match = gates._complete_KE, gates._match_dynamical
 
     def counting_ke(m):
@@ -753,7 +785,8 @@ def test_phase_design_samples_no_orbit(monkeypatch):
     monkeypatch.setattr(gates, "_match_dynamical", counting_match)
     design, _, _ = design_phase_gate(1.45002, TopParameters(0.643546), n=4096)
     assert design.converged
-    assert calls == {"_orbit_geometric": 0, "analytic_trajectory": 0}
+    # the two shipped loops, and no other orbit
+    assert orbits == [design.eps_a, design.eps_b]
     # a 33-point k scan, its Brent steps and the final match
     assert 34 <= len(passes) <= 80
     assert max(passes) <= 8
@@ -846,10 +879,16 @@ class _Located(Exception):
     """Raised by a stand-in for _solve_scanned to hand back its scan."""
 
 
-def _located(design, *args, **kwargs):
-    """(xs, fs, i) as design hands them to its first _solve_scanned."""
+def _located(design, *args, skip=0, **kwargs):
+    """(xs, fs, i) as design hands them to its first _solve_scanned, or
+    to the one after skip others, which the real one solves."""
+    solve, seen = gates._solve_scanned, []
+
     def capture(f, xs, fs, i):
-        raise _Located(list(xs), fs, i)
+        if len(seen) == skip:
+            raise _Located(list(xs), fs, i)
+        seen.append(i)
+        return solve(f, xs, fs, i)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gates, "_solve_scanned", capture)
@@ -888,7 +927,7 @@ def test_not_locator_brackets_as_the_full_scan(k, family, n, log_lo, log_hi):
         v1 = np.array([c, 0.0, e] if family is Family.ROTATING
                       else [0.0, c, e])
         full.append(float(axis @ v1))
-    changes = gates._sign_changes(full)
+    changes = _sign_changes(full)
     _assert_same_bracket(_located(tune_not_gate, p, (lo, hi), family, n=n),
                          xs, full, changes[-1] if changes else None)
 
@@ -902,7 +941,7 @@ def test_composite_locator_brackets_as_the_full_scan(k, log_eps, n):
     a1 = [float(axis[0])
           for axis in gates._involution_scan(p, xs, Family.ROTATING, n)]
     full = [2.0 * a * a - 1.0 for a in a1]
-    i = min(gates._sign_changes(full), default=None, key=lambda j: abs(
+    i = min(_sign_changes(full), default=None, key=lambda j: abs(
         math.log(math.sqrt(xs[j] * xs[j + 1]) / eps)))
     _assert_same_bracket(_located(composite_bir_not, p, eps, n=n), xs, full, i)
 
@@ -927,6 +966,95 @@ def test_loop_locator_brackets_as_the_unwrapped_full_scan(k, angle, n):
     _assert_same_bracket(
         _located(gates._solve_loop, p, want, gates._loop_scan(p), n),
         es, full, i)
+
+
+def _phase_scans(target, p_a, eps_a=0.01, k_margin=0.015):
+    """The (ks, spread - phi_eff, first sign change) that design_phase_gate
+    scans per orientation, up to the first with a sign change: the spread
+    in closed form on its 33-point k grid."""
+    budget_a = gates._closed_budget(p_a, eps_a, Family.ROTATING)
+    dyn_a = budget_a.dynamical
+    k_max = math.sqrt(1.0 - (2.0 * math.pi / dyn_a) ** 2) - k_margin
+    ks = np.linspace(p_a.k + k_margin, k_max, 33)
+    ds = []
+    for kb in ks:
+        pb = TopParameters(float(kb))
+        eb, _, _ = gates._match_dynamical(pb, dyn_a)
+        ds.append(-budget_a.geometric
+                  + gates._orbit_solid_angle(pb, eb, Family.ROTATING))
+    scans = []
+    for phi_eff in (target, 2.0 * math.pi - target):
+        fs = [d - phi_eff for d in ds]
+        changes = _sign_changes(fs)
+        scans.append((list(ks), fs, changes[0] if changes else None))
+        if changes:
+            break
+    return scans
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.floats(0.4, 0.9),
+       st.floats(0.0, 2.0 * math.pi, exclude_min=True, exclude_max=True))
+@example(0.5, 1.3)      # a reverse_first bracket
+@example(0.5, 4.5)      # a reverse_second bracket
+@example(0.9, 3.0)      # no crossing on either orientation: the fallback
+@example(0.5, 1e-7)     # degenerate: one loop against itself, no scan
+def test_phase_locator_scans_the_closed_form_spread(k_a, target):
+    p_a = TopParameters(k_a)
+    degenerate = target <= 1e-6 or 2.0 * math.pi - target <= 1e-6
+    scans = [] if degenerate else _phase_scans(target, p_a)
+    search, solve = gates._search, gates._solve_scanned
+
+    def unsampled(xs, approx, spans, n, sample, crosses, pick):
+        # the closed form is the objective: no grid point is sampled, and
+        # a captured solve never starts
+        assert spans is None
+
+        def never(points):
+            raise AssertionError(f"sampled {list(points)}")
+
+        return search(xs, approx, spans, n, never, crosses, pick)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gates, "_search", unsampled)
+        for skip, (ks, fs, i) in enumerate(scans):
+            got_ks, got_fs, got_i = _located(design_phase_gate, target, p_a,
+                                             n=65, skip=skip)
+            assert got_ks == ks and got_i == i
+            assert [struct.pack("d", f) for f in got_fs] \
+                == [struct.pack("d", f) for f in fs]
+    solved = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gates, "_solve_scanned",
+                   lambda f, xs, fs, i: solved.append(i) or solve(f, xs, fs, i))
+        design, _, _ = design_phase_gate(target, p_a, n=65)
+    assert solved == [i for _, _, i in scans]
+    if degenerate:
+        assert design.orientation == "degenerate"
+    elif scans[-1][2] is None:
+        assert design.converged is False
+        assert design.k_b in scans[0][0]
+    else:
+        assert design.orientation == ("reverse_first", "reverse_second")[
+            len(scans) - 1]
+
+
+def test_gate_designs_refuse_one_sample_before_any_scan(tmp_path):
+    p = TopParameters(0.6)
+    H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+    designs = (lambda: tune_not_gate(p, (1e-3, 0.5), n=1),
+               lambda: composite_bir_not(p, 0.01, n=1),
+               lambda: design_phase_gate(1.3, p, n=1),
+               lambda: synthesize_one_qubit(H, p, n=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for design in designs:
+            with pytest.raises(ValueError, match="need at least 2 samples"):
+                design()
+        for gate in ("not", "hadamard"):
+            assert cli.main(["gate", gate, "--n", "1",
+                             "--out", str(tmp_path / gate)]) == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_not_design_samples_few_scan_points(monkeypatch):

@@ -59,7 +59,7 @@ def test_write_csv_matches_savetxt_across_blocks(tmp_path, rows, cols):
         (tmp_path / "ref.csv").read_bytes()
 
 
-# the forked writer: a child formats the rows from _split_row on
+# the forked writer: a child formats the rows from _csv_split on
 
 
 def _assert_no_child():
@@ -83,6 +83,13 @@ def _count_forks(monkeypatch) -> list:
 
     monkeypatch.setattr(os, "fork", fork)
     return forks
+
+
+def _csv_split(rows: int, cols: int) -> int:
+    """The first row write_csv's forked child formats, as write_csv
+    splits a rows x cols table."""
+    return _util._split(rows, _util._CSV_BLOCK_ROWS, rows * cols,
+                        _util._CSV_FORK_VALUES)
 
 
 def _first_forked_rows(cols: int) -> int:
@@ -123,7 +130,7 @@ def test_forked_write_matches_savetxt(tmp_path, monkeypatch, cols, where):
             "odd": _odd_block_rows(cols)}[where]
     _two_cpus(monkeypatch)
     forks = _count_forks(monkeypatch)
-    split = _util._split_row(rows, cols)
+    split = _csv_split(rows, cols)
     assert (split > 0) == (rows * cols >= _util._CSV_FORK_VALUES)
     assert split % _util._CSV_BLOCK_ROWS == 0 and split < rows
     table = _special_table(rows, cols, split)
@@ -137,7 +144,7 @@ def test_forked_write_matches_savetxt(tmp_path, monkeypatch, cols, where):
 
 def test_forked_write_parent_failure_leaves_no_child(tmp_path, monkeypatch):
     rows = 4 * _first_forked_rows(4)
-    table = _special_table(rows, 4, _util._split_row(rows, 4))
+    table = _special_table(rows, 4, _csv_split(rows, 4))
     parent = os.getpid()
     real = _util._blocks
 
