@@ -1,40 +1,252 @@
-"""Small shared helpers: CSV and JSON writing, digests, angle wrapping."""
+"""Small shared helpers: CSV and JSON writing, digests, angle wrapping.
+
+Every CSV value is written as "%.17g" % value, and a sha256 sidecar pins
+the bytes.  Formatting is most of a long table's write, so write_csv
+formats whole blocks of rows with numpy (_format17: Dekker's exact
+product against a double-double table of 10**k, then a fixed-width byte
+layout that one bytes.translate compacts) and hands the few values it
+cannot round exactly to CPython's "%.17g".  Small blocks go through one
+string % tuple, and tables of _CSV_FORK_VALUES values or more are split
+with one forked child (_forked, _split), whose skeleton the sweep kernel
+shares.
+"""
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
 import os
 import signal
+import types
 
 import numpy as np
 
 
-# rows per formatted block: from 128 to 4096 rows the write time is flat,
-# and the peak memory of long-pulse runs is 0.1 MiB higher above 512
-_CSV_BLOCK_ROWS = 512
-# values (rows x columns) from which write_csv forks.  The fork, the
-# child's start and its exit cost about 4 ms on a shared 2-CPU host, what
-# the child's half of the formatting saves at about 12k values: at
-# 4096 x 4 both ways took 14-15 ms (best of 25), at 2048 x 4 the fork
-# lost 1 ms
-_CSV_FORK_VALUES = 16384
+# rows per formatted block.  Each block costs _format17 about 0.1 ms of
+# fixed work, and one workspace of 48 bytes a value serves all blocks of
+# a table.  Gate-design job streams ran 77.7 jobs/s with 1024 rows
+# against 73.7 with 512 and 74.2 with 2048 (medians of 4 fresh-process
+# replays on a shared 2-CPU host)
+_CSV_BLOCK_ROWS = 1024
+# values (rows x columns) from which write_csv forks.  On a shared 2-CPU
+# host the fork lost at 16,385 x 4 (three pulse jobs, 77.6 against 73.6
+# ms in one process, one process faster on 21 of 25 alternations) and
+# won at 24,577 x 4 (65.7 against 71.8 ms, 16 of 25) and above
+_CSV_FORK_VALUES = 98304
+# blocks of fewer values are formatted by one string % tuple, and so are
+# sweep maps (11 to 441 rows of 4): with 256 in place of 2048 a one-cycle
+# sweep-maps replay ran 124 against 135 jobs/s (medians of 3), from
+# _format17's fixed cost per block and the first call's 3 ms of tables
+_FORMAT17_VALUES = 2048
+
+# _format17 lays each value out in 48 bytes, six little-endian words:
+#   0       sign, the "0.000" prefix of 1e-4 <= |x| < 1, digit 0, point slot
+#   1 to 4  digits 1-16, four to a word, each followed by a point slot
+#   5       "e", the exponent's sign and three digits, the separator
+# and leaves every byte it does not use NUL
+_LE64 = np.dtype("<u8")
+_POW10_MIN, _POW10_MAX = -280, 308
+_EXP_MIN = -300              # the exponent of the first layout row
+
+
+def _pow10():
+    """(hi, lo) for 10**k, k from _POW10_MIN to _POW10_MAX: hi is 10**k
+    correctly rounded and lo the remainder 10**k - hi correctly rounded,
+    so hi + lo is 10**k to 2**-106 relative.  Both come from exact
+    integers, since 1 / 10**j and int / int are correctly rounded."""
+    hi, lo = [], []
+    for k in range(_POW10_MIN, _POW10_MAX + 1):
+        if k >= 0:
+            h = float(10 ** k)
+            lo.append(float(10 ** k - int(h)))
+        else:
+            d = 10 ** -k
+            h = 1 / d
+            num, den = h.as_integer_ratio()
+            lo.append((den - num * d) / (den * d))
+        hi.append(h)
+    return np.array(hi), np.array(lo)
+
+
+def _word(b: bytes) -> int:
+    return int.from_bytes(b.ljust(8, b"\0"), "little")
+
+
+@functools.cache
+def _format17_tables() -> types.SimpleNamespace:
+    """_format17's read-only tables, built on its first call."""
+    hi, lo = _pow10()
+    # Dekker's split of hi: hh keeps its top 26 bits, hh + hl = hi exactly
+    m, e = np.frexp(hi)
+    hh = np.ldexp(np.floor(np.ldexp(m, 26)), e - 26)
+    i = np.arange(10000)
+    # the 4 ASCII digits of i, each followed by an empty point slot
+    quad = sum((i // 10 ** (3 - j) % 10 + 48).astype(np.uint64) << 16 * j
+               for j in range(4))
+    zeros = (i % 10 == 0).astype(np.intp) + (i % 100 == 0) + (i % 1000 == 0)
+    # last[j][i]: the place among digits 1-16 of the last nonzero digit of
+    # i as their group j, 0 for i = 0
+    last = [np.where(i == 0, 0, 4 * j + 4 - zeros).astype(np.uint8)
+            for j in range(4)]
+    # keep[j][c]: the digits of group j at places up to c
+    keep = [np.array([_word(b"\xff\0" * min(max(c - 4 * j, 0), 4))
+                      for c in range(17)], np.uint64) for j in range(4)]
+    # word 0's sign and digit 0, by digit + 10 * sign
+    lead = np.array([_word(b"-" * s + b"\0" * (6 - s) + bytes([48 + d]))
+                     for s in (0, 1) for d in range(10)], np.uint64)
+    # a row per exponent x, point or none, "," or "\n": the prefix, the
+    # whole digits after digit 0 as "0" (the ones not zero are or-ed in),
+    # the point, the exponent and the separator
+    xs = range(_EXP_MIN, -_EXP_MIN + 10)
+    point_after = np.zeros(len(xs), np.intp)
+    layout = bytearray()
+    for r, x in enumerate(xs):
+        row = bytearray(48)
+        slot = 7
+        if 0 <= x < 17:          # d.ddd to ddd.ddd: the point after digit x
+            point_after[r] = x
+            slot = 7 + 2 * x
+            row[8:7 + 2 * x:2] = b"0" * x
+        elif -4 <= x < 0:        # 0.000ddd: the point is in the prefix
+            point_after[r] = 16
+            prefix = b"0." + b"0" * (-x - 1)
+            row[1:1 + len(prefix)] = prefix
+        else:                    # d.ddde+XX, e-XX, e+XXX or e-XXX
+            row[40:45] = b"e%c%03d" % (b"-+"[x > 0], abs(x))
+            if abs(x) < 100:
+                row[42] = 0
+        for point in (0, 1):     # row 4 * r + 2 * point + sep
+            row[slot] = ord(".") if point else 0
+            for sep in b",\n":
+                row[45] = sep
+                layout += row
+    tables = types.SimpleNamespace(
+        hh=hh, hl=hi - hh, lo=lo, quad=quad, last=last, keep=keep,
+        lead=lead, point_after=point_after,
+        layout=np.frombuffer(bytes(layout), _LE64).reshape(-1, 6))
+    for t in vars(tables).values():
+        for a in t if isinstance(t, list) else [t]:
+            a.flags.writeable = False
+    return tables
+
+
+def _digits17(a, exp, tables):
+    """(D, f): D = round(a * 10**(16 - exp)) as int64, and f the distance
+    of the exact product from D.
+
+    Dekker's (1971) exact product gives a * hi = p + err, and the
+    tail adds a * lo.  p is a whole number of 2**53 or more and
+    t = err + a * lo is exact to 4e-15, so D = p + rint(t) is the rounded
+    product wherever |f| is not within that of a half."""
+    k = 16 - _POW10_MIN - exp
+    bh, bl = tables.hh[k], tables.hl[k]
+    c = 134217729.0 * a          # 2**27 + 1 splits a
+    ah = c - (c - a)
+    al = a - ah
+    p = a * (bh + bl)
+    t = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * tables.lo[k]
+    r = np.rint(t)
+    return p.astype(np.int64) + r.astype(np.int64), t - r
+
+
+def _format17(block, buf: bytearray) -> bytearray:
+    """The rows of a 2-D float block, every value as "%.17g" % value,
+    "," between values and a newline after each row.  buf is the caller's
+    workspace, 48 bytes or more per value.
+
+    The 17 significant digits of |x| are D = round(|x| * 10**(16 - E)),
+    E = floor(log10 |x|) (_digits17).  The estimate of E is one low at
+    most, which a D above 10**17 shows; D = 10**17 carries to 10**16 with
+    E + 1.  Each value is laid out as "%g" lays out D and E: fixed
+    notation for -4 <= E < 17, d.ddde+XX otherwise, trailing zeros
+    stripped (the 48-byte layout above), and one bytes.translate deletes
+    the NULs.  The values this cannot round exactly go to "%.17g" itself:
+    a product within 1e-9 of a tie, |x| outside [1e-290, 1e290]
+    (subnormals included), inf and nan.  No numpy warning is raised.
+    """
+    rows, cols = block.shape
+    x = block.ravel()
+    n = x.size
+    a = np.abs(x)
+    zero = a == 0
+    slow = ~((a >= 1e-290) & (a <= 1e290) | zero)
+    a[slow | zero] = 1.0
+    # floor(log10 a), or one less within 1e-12 of a power of ten
+    exp = np.floor(np.log10(a) - 1e-12).astype(np.intp)
+    tables = _format17_tables()
+    D, f = _digits17(a, exp, tables)
+    low = np.flatnonzero(D > 10 ** 17)
+    if low.size:
+        exp[low] += 1
+        D[low], f[low] = _digits17(a[low], exp[low], tables)
+    slow |= np.abs(f) > 0.5 - 1e-9
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    exp += carry
+    D[zero] = 0
+    exp[zero] = 0
+    # digit 0, then digits 1-16 in four groups of four
+    hi8 = D // 10 ** 8
+    lo8 = D - hi8 * 10 ** 8
+    d0 = hi8 // 10 ** 8
+    hi8 -= d0 * 10 ** 8
+    g1 = hi8 // 10000
+    g3 = lo8 // 10000
+    groups = (g1, hi8 - g1 * 10000, g3, lo8 - g3 * 10000)
+    place = tables.last[0][g1]
+    for j in (1, 2, 3):
+        np.maximum(place, tables.last[j][groups[j]], out=place)
+    place = place.astype(np.intp)
+    r = exp - _EXP_MIN
+    row = 4 * r + 2 * (place > tables.point_after[r])
+    row.reshape(rows, cols)[:, -1] += 1
+    words = np.frombuffer(buf, _LE64).reshape(-1, 6)
+    words[n:] = 0
+    out = words[:n]
+    np.take(tables.layout, row, axis=0, out=out)
+    out[:, 0] |= tables.lead[d0 + 10 * np.signbit(x)]
+    for j in range(4):
+        w = tables.quad[groups[j]]
+        w &= tables.keep[j][place]
+        out[:, j + 1] |= w
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        out.view(np.uint8)[slow, :45] = np.frombuffer(
+            _cpython17(x[slow].tolist()), np.uint8).reshape(-1, 45)
+    return buf.translate(None, b"\0 ")
+
+
+def _cpython17(values: list) -> bytes:
+    """Each value as "%.17g" padded with spaces to 45 bytes: "%.17g" is
+    at most 24 bytes and never holds a space, so the padding goes with
+    _format17's NULs."""
+    return (("%-45.17g" * len(values)) % tuple(values)).encode("ascii")
 
 
 def _blocks(data, row: str, start: int, stop: int):
-    """The text of rows start:stop, one string per block of
-    _CSV_BLOCK_ROWS rows, each formatted by one string % tuple."""
+    """The bytes of rows start:stop, one bytes-like object per block of
+    _CSV_BLOCK_ROWS rows: _format17's, in one workspace for all blocks,
+    or for a block of fewer than _FORMAT17_VALUES values one
+    string % tuple's."""
+    buf = None
     for i in range(start, stop, _CSV_BLOCK_ROWS):
         block = data[i:min(i + _CSV_BLOCK_ROWS, stop)]
-        yield (row * len(block)) % tuple(block.ravel().tolist())
+        if block.size >= _FORMAT17_VALUES:
+            if buf is None:
+                buf = bytearray(48 * _CSV_BLOCK_ROWS * data.shape[1])
+            yield _format17(block, buf)
+        else:
+            yield ((row * len(block))
+                   % tuple(block.ravel().tolist())).encode("ascii")
 
 
 def _write_rows(path, header: str, data, row: str, stop: int) -> None:
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         if header:
-            fh.write(header + "\n")
+            fh.write(header.encode() + b"\n")
         for text in _blocks(data, row, 0, stop):
             fh.write(text)
 
@@ -121,13 +333,14 @@ def _child(r: int, w: int, path, data, row: str, split: int):
     OpenBLAS's pool is: a fork can copy a lock that such a thread held.
     This child takes none that matters.  glibc resets its malloc locks in
     the child, CPython its interpreter state, and the child only slices,
-    calls tolist, % formats, encodes and uses os.read, os.open and
-    os.write: no import, no logging, no BLAS call.
+    runs numpy's elementwise functions and take, calls tolist, % formats,
+    translates and uses os.read, os.open and os.write: no import, no
+    logging, no BLAS call.
     """
     code = 1
     try:
         os.close(w)
-        text = "".join(_blocks(data, row, split, len(data))).encode("ascii")
+        text = b"".join(_blocks(data, row, split, len(data)))
         if os.read(r, 1):
             fd = os.open(path, os.O_WRONLY | os.O_APPEND)
             _write_all(fd, text)
@@ -143,11 +356,13 @@ def write_csv(path, header: str, data) -> None:
     The bytes are fixed: every value is written as "%.17g" % value, the
     bytes numpy's savetxt writes with fmt="%.17g", delimiter=",",
     comments="" and this header.  Each block of _CSV_BLOCK_ROWS rows is
-    formatted by one string % tuple.  A table of _CSV_FORK_VALUES values
-    or more, on a host with two usable CPUs, is written by two processes
-    with the same bytes: a forked child formats the blocks after the
-    middle one while this process writes the header and the rows before
-    them, then appends its text once this process has closed the file.
+    formatted at once: by _format17, or for a block of fewer than
+    _FORMAT17_VALUES values by one string % tuple.  A table of
+    _CSV_FORK_VALUES values or more, on a host with two usable CPUs, is
+    written by two processes with the same bytes: a forked child formats
+    the blocks after the middle one while this process writes the header
+    and the rows before them, then appends its text once this process
+    has closed the file.
     No child outlives the call, and a child that fails raises OSError.
     """
     data = np.asarray(data, dtype=float)

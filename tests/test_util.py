@@ -1,6 +1,10 @@
+import decimal
+import math
 import os
 import re
 import tempfile
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -227,3 +231,125 @@ def test_one_process_hosts_write_without_forking(tmp_path, monkeypatch,
     _assert_no_child()
     assert (tmp_path / "t.csv").read_bytes() == \
         _savetxt_bytes(tmp_path / "ref.csv", "a,b,c,d", table)
+
+
+# _format17, the vectorized "%.17g": the same bytes as CPython's formatter
+
+def _per_value(table) -> bytes:
+    return "".join(",".join("%.17g" % v for v in r) + "\n"
+                   for r in table.tolist()).encode("ascii")
+
+
+def _float_bits(u: int) -> float:
+    return float(np.array(u, np.uint64).view(np.float64))
+
+
+_BITS_OR_FLOATS = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_float_bits),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+# rows around the block size and around the smallest block _format17 takes
+_BLOCK_CROSSING_ROWS = sorted({
+    _util._CSV_BLOCK_ROWS - 1, _util._CSV_BLOCK_ROWS,
+    _util._CSV_BLOCK_ROWS + 1, 2 * _util._CSV_BLOCK_ROWS + 3,
+    _util._FORMAT17_VALUES // 4 - 1, _util._FORMAT17_VALUES // 4,
+    _util._FORMAT17_VALUES // 2 + 1})
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(_BLOCK_CROSSING_ROWS), st.integers(1, 6),
+       st.lists(_BITS_OR_FLOATS, min_size=1, max_size=300), st.randoms())
+def test_write_csv_matches_per_value_format_across_blocks(
+        rows, cols, values, rnd):
+    # the drawn values, shuffled over a table whose blocks take both the
+    # vectorized and the string % tuple path
+    cells = [values[i % len(values)] for i in range(rows * cols)]
+    rnd.shuffle(cells)
+    table = np.array(cells, dtype=float).reshape(rows, cols)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        _util.write_csv(path, "h", table)
+        assert path.read_bytes() == b"h\n" + _per_value(table)
+
+
+def _is_tie(x: float) -> bool:
+    """The exact decimal expansion of x has 18 significant digits, the
+    last one 5: "%.17g" rounds it half to even."""
+    digits = "".join(map(str, decimal.Decimal(x).as_tuple().digits))
+    digits = digits.rstrip("0")
+    return len(digits) == 18 and digits[-1] == "5"
+
+
+def _ties() -> list:
+    """Tie doubles m * 2**-e, m odd, which is m * 5**e / 10**e: its digits
+    are those of m * 5**e, 18 of them for m from 10**17 / 5**e on."""
+    out = []
+    for e in range(1, 80):
+        first = -(-10 ** 17 // 5 ** e) | 1
+        out += [x for m in range(first, first + 400, 2)
+                if _is_tie(x := m * 2.0 ** -e)]
+    return out
+
+
+def _corpus() -> np.ndarray:
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    tens = np.array([float(f"1e{k}") for k in range(-330, 309)])
+    edges = np.array([1e290, 1e-290])
+    special = np.array([0.0, np.inf, np.nan, 5e-324,
+                        1.7976931348623157e308])
+    values = np.concatenate([
+        twos, tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        _ties(), edges, np.nextafter(edges, 0.0),
+        np.nextafter(edges, np.inf), special])
+    values = np.concatenate([values, -values])
+    return np.resize(values, (-(-values.size // 4), 4))
+
+
+def test_format17_corpus_matches_per_value_format(tmp_path, monkeypatch):
+    calls = []
+    real = _util._cpython17
+
+    def cpython17(values):
+        calls.append(values)
+        return real(values)
+
+    monkeypatch.setattr(_util, "_cpython17", cpython17)
+    table = _corpus()
+    _util.write_csv(tmp_path / "t.csv", "a,b,c,d", table)
+    assert (tmp_path / "t.csv").read_bytes() == \
+        b"a,b,c,d\n" + _per_value(table)
+    slow = [v for vs in calls for v in vs]
+    # the CPython route: ties, subnormals and non-finite values, and none
+    # of the other values in [1e-290, 1e290]
+    assert 2.0 ** -25 in slow and 3 * 2.0 ** -25 in slow
+    assert 5e-324 in slow and -2.0 ** -1074 in slow
+    assert math.inf in slow and any(v != v for v in slow)
+    assert [v for v in slow if 1e-290 <= abs(v) <= 1e290
+            and not _is_tie(v)] == []
+
+
+def test_format17_ties_round_half_to_even():
+    ties = _ties()
+    assert len(ties) > 100
+    assert "%.17g" % 2.0 ** -25 == "2.9802322387695312e-08"
+    block = np.resize(np.array(ties), (-(-len(ties) // 4), 4))
+    assert bytes(_util._format17(block, bytearray(48 * block.size))) == \
+        _per_value(block)
+
+
+def test_pow10_table_is_double_double_exact():
+    hi, lo = _util._pow10()
+    for i, k in enumerate(range(_util._POW10_MIN, _util._POW10_MAX + 1)):
+        exact = Fraction(10) ** k
+        assert abs(Fraction(hi[i]) + Fraction(lo[i]) - exact) \
+            <= exact * Fraction(1, 2 ** 104), k
+        assert hi[i] == float(exact)
+
+
+def test_format17_raises_no_numpy_warning():
+    block = np.resize(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                                -2.5e-310, 1.5, 1e300, 1e-300]),
+                      (_util._FORMAT17_VALUES // 4, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = _util._format17(block, bytearray(48 * block.size))
+    assert bytes(text) == _per_value(block)
