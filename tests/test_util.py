@@ -43,10 +43,13 @@ def test_write_csv_round_trips_doubles(tmp_path):
     assert back.tobytes() == table.tobytes()
 
 
-@pytest.mark.parametrize("rows", [0, 1, _util._CSV_BLOCK_ROWS - 1,
-                                  _util._CSV_BLOCK_ROWS,
-                                  _util._CSV_BLOCK_ROWS + 1,
-                                  2 * _util._CSV_BLOCK_ROWS + 3])
+# rows around the block size, and 511 to 513 and 1,027: at four columns the
+# first three cross the smallest block _format17 takes, the last ends one
+# block in a short remainder
+@pytest.mark.parametrize("rows", sorted({
+    0, 1, 511, 512, 513, 1027, _util._CSV_BLOCK_ROWS - 1,
+    _util._CSV_BLOCK_ROWS, _util._CSV_BLOCK_ROWS + 1,
+    2 * _util._CSV_BLOCK_ROWS + 3}))
 @pytest.mark.parametrize("cols", [1, 4])
 def test_write_csv_matches_savetxt_across_blocks(tmp_path, rows, cols):
     rng = np.random.default_rng(rows * 10 + cols)
