@@ -1,7 +1,9 @@
 """Small shared helpers: CSV and JSON writing, digests, angle wrapping.
 
 Every CSV value is written as "%.17g" % value, and a sha256 sidecar pins
-the bytes.  Formatting is most of a long table's write, so write_csv
+the bytes.  write_csv and dump_json return the sha256 of the bytes they
+wrote, hashed as they write them, so no artifact is read back for its
+digest.  Formatting is most of a long table's write, so write_csv
 formats whole blocks of rows with numpy (_format17: Dekker's exact
 product against a double-double table of 10**k, then a fixed-width byte
 layout that one bytes.translate compacts) and hands the few values it
@@ -16,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -41,6 +44,8 @@ _CSV_FORK_VALUES = 98304
 # sweep-maps replay ran 124 against 135 jobs/s (medians of 3), from
 # _format17's fixed cost per block and the first call's 3 ms of tables
 _FORMAT17_VALUES = 2048
+# bytes read at a time when the forked child's tail is hashed
+_READ_CHUNK = 1 << 16
 
 # _format17 lays each value out in 48 bytes, six little-endian words:
 #   0       sign, the "0.000" prefix of 1e-4 <= |x| < 1, digit 0, point slot
@@ -243,12 +248,31 @@ def _blocks(data, row: str, start: int, stop: int):
                    % tuple(block.ravel().tolist())).encode("ascii")
 
 
-def _write_rows(path, header: str, data, row: str, stop: int) -> None:
+def _write_rows(path, header: str, data, row: str, stop: int,
+                digest) -> int:
+    """Write the header and rows :stop to a fresh file at path, update
+    digest with each piece as it is written, and return the byte count."""
+    size = 0
     with open(path, "wb") as fh:
+        pieces = _blocks(data, row, 0, stop)
         if header:
-            fh.write(header.encode() + b"\n")
-        for text in _blocks(data, row, 0, stop):
+            pieces = itertools.chain([header.encode() + b"\n"], pieces)
+        for text in pieces:
             fh.write(text)
+            digest.update(text)
+            size += len(text)
+    return size
+
+
+def _hash_tail(path, start: int, digest) -> None:
+    """Update digest with the bytes of path from offset start on, read in
+    _READ_CHUNK pieces into one buffer."""
+    buf = bytearray(_READ_CHUNK)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        fh.seek(start)
+        while size := fh.readinto(buf):
+            digest.update(view[:size])
 
 
 def _two_cpus() -> bool:
@@ -350,8 +374,9 @@ def _child(r: int, w: int, path, data, row: str, split: int):
         os._exit(code)
 
 
-def write_csv(path, header: str, data) -> None:
-    """Header line, then the rows of a 2-D float array, comma separated.
+def write_csv(path, header: str, data) -> str:
+    """Header line, then the rows of a 2-D float array, comma separated;
+    returns the sha256 hex digest of the bytes written.
 
     The bytes are fixed: every value is written as "%.17g" % value, the
     bytes numpy's savetxt writes with fmt="%.17g", delimiter=",",
@@ -363,29 +388,32 @@ def write_csv(path, header: str, data) -> None:
     the blocks after the middle one while this process writes the header
     and the rows before them, then appends its text once this process
     has closed the file.
+    The digest covers every byte as written: this process hashes its own
+    bytes as it writes them, before the child may append, and once the
+    child has exited with status 0 it reads back and hashes only the
+    child's tail.
     No child outlives the call, and a child that fails raises OSError.
     """
     data = np.asarray(data, dtype=float)
     row = ",".join(["%.17g"] * data.shape[1]) + "\n"
     rows, cols = data.shape
+    digest = hashlib.sha256()
     split = _split(rows, _CSV_BLOCK_ROWS, rows * cols, _CSV_FORK_VALUES)
     if not split:
-        _write_rows(path, header, data, row, len(data))
-        return
+        _write_rows(path, header, data, row, len(data), digest)
+        return digest.hexdigest()
     with _forked(lambda r, w: _child(r, w, path, data, row, split),
                  lambda: OSError(f"{path} is incomplete: the forked writer "
                                  f"of its rows from {split} on failed")) \
             as (reader, writer):
         reader.close()
-        _write_rows(path, header, data, row, split)
+        size = _write_rows(path, header, data, row, split, digest)
         try:
             writer.write(b"g")
         except BrokenPipeError:  # the child exited early; its status says how
             pass
-
-
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    _hash_tail(path, size, digest)
+    return digest.hexdigest()
 
 
 def wrap_angle(x: float) -> float:
@@ -398,10 +426,14 @@ def wrap_angle(x: float) -> float:
     return y
 
 
-def dump_json(obj, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def dump_json(obj, path) -> str:
+    """Write obj as indented JSON with sorted keys and a final newline;
+    returns the sha256 hex digest of the bytes written.  The text is
+    ASCII (json escapes everything else), encoded once."""
+    text = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(text)
+    return hashlib.sha256(text).hexdigest()
 
 
 def load_json(path):

@@ -3,9 +3,10 @@
 Subcommands cover pulse export, Bloch/propagator simulation, robustness
 sweeps, gate design, loop phase budgets, and the duration scaling fit.
 Every artifact is written next to a JSON sidecar holding the command
-name, the effective configuration, and a sha256 digest of the file
-bytes; feeding that sidecar back through --config reproduces the file
-exactly.  Exit codes: 0 success, 2 usage or configuration error,
+name, the effective configuration, and the sha256 digest of the file
+bytes, the one its writer computed while writing them (no artifact is
+read back); feeding that sidecar back through --config reproduces the
+file exactly.  Exit codes: 0 success, 2 usage or configuration error,
 3 numerical non-convergence (artifacts are still written).  The output
 directory is made when the first artifact is written, so a command that
 fails before that leaves none behind.
@@ -171,9 +172,11 @@ def _artifact(out: Path, name: str) -> Path:
     return out / name
 
 
-def _finish(path: Path, command: str, cfg: dict, extra: dict | None = None):
-    side = {"command": command, "config": cfg,
-            "sha256": _util.sha256_hex(path.read_bytes())}
+def _finish(path: Path, command: str, cfg: dict, extra: dict | None,
+            sha256: str):
+    """Write the sidecar of the artifact at path, whose writer returned
+    the digest sha256."""
+    side = {"command": command, "config": cfg, "sha256": sha256}
     if extra:
         side.update(extra)
     _util.dump_json(side, str(path) + ".json")
@@ -246,8 +249,8 @@ def _cmd_pulse(cfg: dict, out: Path) -> int:
     pulse = _build_pulse(cfg)
     times = _seconds(pulse.times, cfg["time_scale"])
     path = _artifact(out, "pulse.csv")
-    write_pulse_csv(replace(pulse, times=times), path, sidecar=False)
-    _finish(path, "pulse", cfg, {"pulse": pulse_sidecar_meta(pulse)})
+    digest = write_pulse_csv(replace(pulse, times=times), path, sidecar=False)
+    _finish(path, "pulse", cfg, {"pulse": pulse_sidecar_meta(pulse)}, digest)
     return 0
 
 
@@ -264,13 +267,13 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
     else:
         traj, aap = bloch_propagate(pulse, M0, err), None
     path = _artifact(out, "trajectory.csv")
-    write_trajectory_csv(Trajectory(times, traj.M), path)
+    digest = write_trajectory_csv(Trajectory(times, traj.M), path)
     _finish(path, "simulate", cfg,
-            {"final_state": [float(x) for x in traj.M[-1]]})
+            {"final_state": [float(x) for x in traj.M[-1]]}, digest)
     if aap is not None:
         path2 = _artifact(out, "axis_angle.csv")
-        write_axis_angle_csv(aap, path2, scale)
-        _finish(path2, "simulate", cfg)
+        digest = write_axis_angle_csv(aap, path2, scale)
+        _finish(path2, "simulate", cfg, None, digest)
     return 0
 
 
@@ -312,8 +315,8 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
     for name, extra, pulse, m0, grids, merit in _sweep_maps(cfg, merit):
         rmap = sweep(pulse, m0, *grids, merit=merit)
         path = _artifact(out, name)
-        write_map_csv(rmap, path, sidecar=False)
-        _finish(path, "sweep", cfg, dict(extra, map_meta=rmap.meta))
+        digest = write_map_csv(rmap, path, sidecar=False)
+        _finish(path, "sweep", cfg, dict(extra, map_meta=rmap.meta), digest)
         reasons.update(cell["reason"]
                        for cell in rmap.meta.get("failed_cells", ()))
     if reasons:
@@ -356,12 +359,14 @@ def _cmd_gate(cfg: dict, out: Path) -> int:
 
     times = None if pulse is None else _seconds(pulse.times, cfg["time_scale"])
     rpath = _artifact(out, f"gate_{name}.json")
-    write_gate_report(report, rpath)
-    _finish(rpath, "gate", cfg)
+    digest = write_gate_report(report, rpath)
+    _finish(rpath, "gate", cfg, None, digest)
     if pulse is not None:
         ppath = _artifact(out, f"gate_{name}_pulse.csv")
-        write_pulse_csv(replace(pulse, times=times), ppath, sidecar=False)
-        _finish(ppath, "gate", cfg, {"pulse": pulse_sidecar_meta(pulse)})
+        digest = write_pulse_csv(replace(pulse, times=times), ppath,
+                                 sidecar=False)
+        _finish(ppath, "gate", cfg, {"pulse": pulse_sidecar_meta(pulse)},
+                digest)
     if not report.converged:
         print("warning: gate design did not converge", file=sys.stderr)
         return 3
@@ -376,8 +381,8 @@ def _cmd_montgomery(cfg: dict, out: Path) -> int:
     payload = dict(k=cfg["k"], eps=cfg["eps"], branch=cfg["branch"],
                    **budget.as_dict(), defect=budget_defect(budget))
     path = _artifact(out, "montgomery.json")
-    _util.dump_json(payload, path)
-    _finish(path, "montgomery", cfg)
+    digest = _util.dump_json(payload, path)
+    _finish(path, "montgomery", cfg, None, digest)
     return 0
 
 
@@ -389,8 +394,8 @@ def _cmd_fit_period(cfg: dict, out: Path) -> int:
     payload = {"k": cfg["k"], "branch": cfg["branch"], "eps": eps.tolist(),
                "slope": a, "intercept": b, "r_squared": r2}
     path = _artifact(out, "fit_period.json")
-    _util.dump_json(payload, path)
-    _finish(path, "fit-period", cfg)
+    digest = _util.dump_json(payload, path)
+    _finish(path, "fit-period", cfg, None, digest)
     return 0
 
 

@@ -144,28 +144,46 @@ def jacobi_sn_cn_dn(u, m: float):
                 break
         c = 0.5 * (a + b)
 
+        # the chain runs in place in per-call buffers, each operation on
+        # the operands of the textbook form (so each rounds as it does);
+        # sin and cos write to buffers apart from their input w, which
+        # then serves as scratch
         w = c * arr
         sn0 = np.sin(w)
         zero = sn0 == 0.0
-        safe = np.where(zero, 1.0, sn0)
+        safe = np.where(zero, 1.0, sn0) if zero.any() else sn0
         # cot(w)**2 overflows for 0 < |u| below about 1e-154 and leaves dd
         # NaN; such finite u take the small-u limits sn = u, cn = dn = 1
         with np.errstate(over="ignore", invalid="ignore"):
-            aa = np.cos(w) / safe
+            aa = np.cos(w)
+            np.divide(aa, safe, out=aa)
             cc = aa * c
             dd = np.ones_like(w)
+            t, s = np.empty_like(w), w
             for b_em, b_en in reversed(chain):
-                t = aa * cc
-                cc = cc * dd
-                dd = (b_en + t) / (b_em + t)
-                aa = cc / b_em
-            amp = 1.0 / np.sqrt(cc * cc + 1.0)
-            sn = np.where(sn0 >= 0.0, amp, -amp)
-            cn = cc * sn
-        tiny = np.isnan(dd) & (np.abs(arr) < 1.0)
-        sn = np.where(zero, 0.0, np.where(tiny, arr, sn))
-        cn = np.where(zero | tiny, 1.0, cn)
-        dn = np.where(zero | tiny, 1.0, dd)
+                np.multiply(aa, cc, out=t)
+                np.multiply(cc, dd, out=cc)
+                np.add(b_en, t, out=dd)
+                np.add(b_em, t, out=s)
+                np.divide(dd, s, out=dd)
+                np.divide(cc, b_em, out=aa)
+            # amp = 1 / sqrt(cc cc + 1), and sn = amp where sn0 >= 0, else
+            # -amp, written over sn0
+            np.multiply(cc, cc, out=s)
+            np.add(s, 1.0, out=s)
+            np.sqrt(s, out=s)
+            np.divide(1.0, s, out=s)
+            positive = sn0 >= 0.0
+            sn = np.negative(s, out=sn0)
+            np.copyto(sn, s, where=positive)
+            cn = np.multiply(cc, sn, out=t)
+        dn = dd
+        nan = np.isnan(dd)
+        if zero.any() or nan.any():
+            tiny = nan & (np.abs(arr) < 1.0)
+            sn = np.where(zero, 0.0, np.where(tiny, arr, sn))
+            cn = np.where(zero | tiny, 1.0, cn)
+            dn = np.where(zero | tiny, 1.0, dd)
 
     if scalar:
         return float(sn[0]), float(cn[0]), float(dn[0])

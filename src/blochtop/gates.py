@@ -509,8 +509,10 @@ def _plain(v):
     return v
 
 
-def write_gate_report(report: GateReport, path) -> None:
-    _util.dump_json(report.as_dict(), path)
+def write_gate_report(report: GateReport, path) -> str:
+    """Write the report as JSON; returns the sha256 hex digest of its
+    bytes."""
+    return _util.dump_json(report.as_dict(), path)
 
 
 def _coupling_defect(so3_residual: float, fidelity: float) -> float:

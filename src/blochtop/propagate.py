@@ -246,10 +246,15 @@ def _scan(S):
     """Left-accumulated products of the planes S (2, ..., n) of the
     identity and the steps: entry i is S[..., i] ... S[..., 0].  A
     logarithmic number of vectorized passes, in place in S, which holds
-    the scan afterwards; returns it as pairs (..., n, 2)."""
+    the scan afterwards; returns it as pairs (..., n, 2).  Every pass
+    puts its products in a prefix of one scratch allocated per call."""
+    lead, n = S.shape[1:-1], S.shape[-1]
+    rows = math.prod(lead)
+    scratch = np.empty(4 * rows * (n - 1), dtype=complex)
     s = 1
-    while s < S.shape[-1]:
-        _mul(S[..., s:], S[..., :-s], S[..., s:])
+    while s < n:
+        _mul(S[..., s:], S[..., :-s], S[..., s:],
+             scratch[:4 * rows * (n - s)].reshape((4,) + lead + (n - s,)))
         s *= 2
     return _pairs(_unit(S))
 
@@ -579,20 +584,26 @@ def _trajectory_and_axis_angle(pulse, M0, err: ErrorParams):
     return traj, _axis_angle(pulse.times, _pair_quaternion(q), 1e-12)
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    _util.write_csv(path, "t,M1,M2,M3", np.column_stack([traj.times, traj.M]))
+def write_trajectory_csv(traj: Trajectory, path) -> str:
+    """Row per time sample: t, M; returns the sha256 hex digest of the
+    CSV's bytes."""
+    return _util.write_csv(path, "t,M1,M2,M3",
+                           np.column_stack([traj.times, traj.M]))
 
 
-def write_axis_angle_csv(aap: AxisAnglePath, path, scale: float = 1.0) -> None:
+def write_axis_angle_csv(aap: AxisAnglePath, path, scale: float = 1.0) -> str:
     """Row per time sample: t * scale, axis, angle, then 1 for a
-    degenerate sample and 0 otherwise."""
-    _util.write_csv(path, "t,n1,n2,n3,angle,degenerate", np.column_stack(
-        [aap.times * scale, aap.axis, aap.angle,
-         aap.degenerate.astype(float)]))
+    degenerate sample and 0 otherwise.  Returns the sha256 hex digest of
+    the CSV's bytes."""
+    return _util.write_csv(path, "t,n1,n2,n3,angle,degenerate",
+                           np.column_stack([aap.times * scale, aap.axis,
+                                            aap.angle,
+                                            aap.degenerate.astype(float)]))
 
 
-def write_propagator_csv(ppath: PropagatorPath, path) -> None:
-    """Row per time sample: R entries row-major, then Re/Im of each U entry."""
+def write_propagator_csv(ppath: PropagatorPath, path) -> str:
+    """Row per time sample: R entries row-major, then Re/Im of each U
+    entry.  Returns the sha256 hex digest of the CSV's bytes."""
     cols = [np.asarray(ppath.times)]
     names = ["t"]
     if ppath.R is not None:
@@ -607,4 +618,4 @@ def write_propagator_csv(ppath: PropagatorPath, path) -> None:
                 cols.append(np.imag(ppath.U[:, i, j]))
                 names.append(f"ReU{i + 1}{j + 1}")
                 names.append(f"ImU{i + 1}{j + 1}")
-    _util.write_csv(path, ",".join(names), np.column_stack(cols))
+    return _util.write_csv(path, ",".join(names), np.column_stack(cols))

@@ -280,12 +280,14 @@ def pulse_sidecar_meta(pulse: ControlPulse) -> dict:
             "duration": pulse.duration, "n": pulse.n_samples}
 
 
-def write_pulse_csv(pulse: ControlPulse, path, sidecar: bool = True) -> None:
-    """Write t,omega1,omega2,omega3 rows; a .json sidecar carries the meta."""
-    _util.write_csv(path, "t,omega1,omega2,omega3", np.column_stack(
+def write_pulse_csv(pulse: ControlPulse, path, sidecar: bool = True) -> str:
+    """Write t,omega1,omega2,omega3 rows; a .json sidecar carries the meta.
+    Returns the sha256 hex digest of the CSV's bytes."""
+    digest = _util.write_csv(path, "t,omega1,omega2,omega3", np.column_stack(
         [pulse.times, pulse.omega1, pulse.omega2, pulse.omega3]))
     if sidecar:
         _util.dump_json(pulse_sidecar_meta(pulse), str(path) + ".json")
+    return digest
 
 
 def read_pulse_csv(path) -> ControlPulse:

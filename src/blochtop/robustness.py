@@ -132,16 +132,18 @@ def sweep(pulse: ControlPulse, M0, alpha_grid=None, delta_grid=None,
                          flags=flags, meta=meta)
 
 
-def write_map_csv(rmap: RobustnessMap, path, sidecar: bool = True) -> None:
-    """CSV rows alpha,delta,J,flag in grid order plus a JSON sidecar."""
+def write_map_csv(rmap: RobustnessMap, path, sidecar: bool = True) -> str:
+    """CSV rows alpha,delta,J,flag in grid order plus a JSON sidecar.
+    Returns the sha256 hex digest of the CSV's bytes."""
     alpha, delta = rmap.alpha_grid, rmap.delta_grid
-    _util.write_csv(path, "alpha,delta,J,flag", np.column_stack(
+    digest = _util.write_csv(path, "alpha,delta,J,flag", np.column_stack(
         [np.repeat(alpha, len(delta)), np.tile(delta, len(alpha)),
          rmap.values.ravel(), rmap.flags.ravel()]))
     if sidecar:
         _util.dump_json({"alpha_grid": [float(x) for x in rmap.alpha_grid],
                          "delta_grid": [float(x) for x in rmap.delta_grid],
                          "meta": rmap.meta}, str(path) + ".json")
+    return digest
 
 
 def fit_log_period(p: TopParameters, eps_samples,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochtop import cli, gates, propagate
+from blochtop.pulsegen import tre_pulse, write_pulse_csv
+from blochtop.robustness import sweep, write_map_csv
 from blochtop.topdyn import Family, TopParameters, orbit_period, tre_initial
 
 
@@ -147,6 +150,67 @@ def test_simulate_axis_angle_scans_once_with_two_scan_bytes(
                    comments="", header=header)
         assert (tmp_path / name).read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_public_writers_return_the_sha256_of_their_file(tmp_path):
+    p = TopParameters(0.6)
+    pulse = tre_pulse(p, 0.01, Family.ROTATING, n=257)
+    err = propagate.ErrorParams(0.01, -0.02)
+    rmap = sweep(pulse, (0.0, 0.0, 1.0), np.linspace(-0.1, 0.1, 3),
+                 np.array([0.0, 0.1]))
+    upath = propagate.su2_propagate(pulse, err)
+    _, _, report = gates.tune_not_gate(p, (1e-3, 0.5), n=512)
+    cases = [
+        ("pulse.csv", lambda f: write_pulse_csv(pulse, f)),
+        ("bare_pulse.csv", lambda f: write_pulse_csv(pulse, f, sidecar=False)),
+        ("trajectory.csv", lambda f: propagate.write_trajectory_csv(
+            propagate.bloch_propagate(pulse, (0.0, 0.0, 1.0), err), f)),
+        ("axis_angle.csv", lambda f: propagate.write_axis_angle_csv(
+            propagate.axis_angle_path(upath), f, 2.0)),
+        ("su2.csv", lambda f: propagate.write_propagator_csv(upath, f)),
+        ("so3.csv", lambda f: propagate.write_propagator_csv(
+            propagate.so3_propagate(pulse, err), f)),
+        ("map.csv", lambda f: write_map_csv(rmap, f)),
+        ("bare_map.csv", lambda f: write_map_csv(rmap, f, sidecar=False)),
+        ("gate.json", lambda f: gates.write_gate_report(report, f)),
+    ]
+    for name, write in cases:
+        path = tmp_path / name
+        assert write(path) == _sha256(path), name
+    # the sidecar a writer adds is not what its digest covers
+    assert (tmp_path / "pulse.csv.json").is_file()
+    assert (tmp_path / "map.csv.json").is_file()
+    assert not (tmp_path / "bare_pulse.csv.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--family", "tre", "--k", 0.6, "--eps", 0.01, "--n", 129,
+     "--emit", "axis-angle"],
+    ["gate", "not", "--n", 512],
+    ["montgomery", "--k", 0.5, "--eps", 0.1, "--n", 2049],
+    ["sweep", "--family", "rect", "--n", 65, "--alpha-grid=-0.1,0.1,3",
+     "--delta-grid", "0"],
+])
+def test_sidecars_record_the_written_digest_without_reading_back(
+        tmp_path, monkeypatch, argv):
+    real = pathlib.Path.read_bytes
+
+    def read_bytes(path):
+        raise AssertionError(f"read back {path}")
+
+    monkeypatch.setattr(pathlib.Path, "read_bytes", read_bytes)
+    assert run(argv + ["--out", tmp_path]) == 0
+    monkeypatch.setattr(pathlib.Path, "read_bytes", real)
+    sidecars = [p for p in tmp_path.iterdir() if p.suffix == ".json"
+                and p.with_suffix("").is_file()]
+    assert sidecars
+    for side in sidecars:
+        assert json.loads(side.read_text())["sha256"] == \
+            _sha256(side.with_suffix("")), side.name
 
 
 def test_simulate_zero_duration_single_row(tmp_path):

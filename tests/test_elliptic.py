@@ -239,3 +239,91 @@ def test_jacobi_identities_near_one(log_m1, u):
     sn, cn, dn = jacobi_sn_cn_dn(np.array([u, -u, 0.5 * u]), m)
     assert_allclose(sn**2 + cn**2, 1.0, rtol=0, atol=1e-15)
     assert_allclose(dn**2 + m * sn**2, 1.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("nu, m, pairs", [(0.3, 0.5, 3), (-2.0, 0.9, 4)])
+def test_complete_Pi_ends_an_exhausted_agm_on_its_last_mean(monkeypatch, nu,
+                                                            m, pairs):
+    # cut off after `pairs` AGM pairs, the loop's else takes one more mean
+    # of the last pair: the error is that of one more AGM step (1.4e-5
+    # and 6e-7 relative without that mean)
+    monkeypatch.setattr(elliptic, "_AGM_MAX", pairs)
+    assert_allclose(complete_Pi(nu, m), float(mpmath.ellippi(nu, m)),
+                    rtol=1e-9)
+
+
+def _jacobi_out_of_place(u, m: float):
+    """The array path of jacobi_sn_cn_dn as it was written before its
+    Landen chain ran in reused buffers, one fresh array per operation:
+    the reference for the bits.  Returns sn, cn, dn and whether the zero
+    and tiny-argument repairs changed any element."""
+    arr = np.atleast_1d(np.asarray(u, dtype=float))
+    if m == 1.0:
+        with np.errstate(over="ignore"):
+            cn = 1.0 / np.cosh(arr)
+        return np.tanh(arr), cn, cn.copy(), False
+    chain = []
+    for a, b in elliptic._agm(m):
+        chain.append((a, b))
+        if abs(a - b) <= elliptic._LANDEN_TOL * a:
+            break
+    c = 0.5 * (a + b)
+    w = c * arr
+    sn0 = np.sin(w)
+    zero = sn0 == 0.0
+    safe = np.where(zero, 1.0, sn0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        aa = np.cos(w) / safe
+        cc = aa * c
+        dd = np.ones_like(w)
+        for b_em, b_en in reversed(chain):
+            t = aa * cc
+            cc = cc * dd
+            dd = (b_en + t) / (b_em + t)
+            aa = cc / b_em
+        amp = 1.0 / np.sqrt(cc * cc + 1.0)
+        sn = np.where(sn0 >= 0.0, amp, -amp)
+        cn = cc * sn
+    tiny = np.isnan(dd) & (np.abs(arr) < 1.0)
+    sn = np.where(zero, 0.0, np.where(tiny, arr, sn))
+    cn = np.where(zero | tiny, 1.0, cn)
+    dn = np.where(zero | tiny, 1.0, dd)
+    return sn, cn, dn, bool((zero | tiny).any())
+
+
+# arguments the zero and tiny-argument repairs take: sn(c u) rounds to 0,
+# or cot(c u)**2 overflows
+_REPAIRED = st.sampled_from([0.0, -0.0, 1e-170, -1e-170, 5e-324, -5e-324,
+                             2.2250738585072009e-308, 1e-300])
+_PLAIN = st.one_of(st.floats(1e-3, 60.0), st.floats(-60.0, -1e-3),
+                   st.floats(-1e6, 1e6).filter(lambda x: abs(x) >= 1e-3))
+_M = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True,
+                                       exclude_max=True),
+               st.integers(1, 16).map(lambda k: 1.0 - 10.0 ** -k),
+               st.just(1.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_M, st.booleans(), st.lists(_PLAIN, min_size=1, max_size=40),
+       st.lists(_REPAIRED, min_size=1, max_size=4), st.randoms(),
+       st.booleans())
+def test_jacobi_in_place_chain_keeps_the_bits(m, repaired, plain, special,
+                                               rnd, square):
+    values = plain + special if repaired else plain
+    rnd.shuffle(values)
+    u = np.array(values)
+    if square and u.size % 2 == 0:
+        u = u.reshape(2, -1)
+    before = u.copy()
+    *want, did_repair = _jacobi_out_of_place(u, m)
+    got = jacobi_sn_cn_dn(u, m)
+    # both branches are reached: the repairs run only where they change
+    # an element, and each such element is one of the special arguments
+    assert did_repair == (repaired and m != 1.0)
+    for w, g in zip(want, got):
+        assert g.shape == u.shape and g.tobytes() == w.tobytes()
+    assert u.tobytes() == before.tobytes()
+    arrays = [u, *got]
+    for i in range(len(arrays)):
+        for j in range(i):
+            assert not np.shares_memory(arrays[i], arrays[j])

@@ -152,6 +152,63 @@ def test_tuned_not_no_root_reports_not_raises():
     assert not report.converged
 
 
+@pytest.mark.parametrize("k", [0.3, 0.5, 0.7])
+def test_tuned_not_on_the_oscillating_family(k):
+    # the oscillating transfer is a pi rotation about e2, diag(-1, 1, -1)
+    _, pulse, report = tune_not_gate(TopParameters(k), (1e-3, 0.5),
+                                     Family.OSCILLATING)
+    assert report.converged
+    assert report.fidelity == pytest.approx(1.0, abs=1e-12)
+    assert report.parameters["family"] is Family.OSCILLATING
+    assert_allclose(so3_final(pulse), np.diag([-1.0, 1.0, -1.0]), atol=1e-6)
+
+
+@pytest.mark.parametrize("a", [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0),
+                               (0.6, 0.0, -0.8), (0.95, 0.0, 0.3122498999)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_rotation_between_parallel_and_antiparallel(a, sign):
+    a = np.array(a)
+    R = gates._rotation_between(a, sign * a)
+    assert_allclose(R @ a, sign * a, atol=1e-15)
+    assert_allclose(R @ R.T, np.eye(3), atol=1e-15)
+    assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-15)
+    if sign > 0:
+        assert np.array_equal(R, np.eye(3))
+    else:
+        # a half turn about an axis perpendicular to a
+        assert np.trace(R) == pytest.approx(-1.0, abs=1e-15)
+
+
+def test_solve_bracketed_exits_at_a_zero_or_without_a_sign_change():
+    def never(x):
+        raise AssertionError("f evaluated")
+
+    assert _solve_bracketed(never, 0.0, 1.0, flo=0.0, fhi=2.0) == \
+        (0.0, 0.0, True)
+    assert _solve_bracketed(never, 0.0, 1.0, flo=-2.0, fhi=0.0) == \
+        (1.0, 0.0, True)
+    # given in reverse order, flo and fhi stay with their endpoints
+    assert _solve_bracketed(never, 1.0, 0.0, flo=0.0, fhi=2.0) == \
+        (1.0, 0.0, True)
+    # no sign change: the endpoint with the smaller |f|, unconverged
+    assert _solve_bracketed(lambda x: x * x + 1.0, -0.5, 2.0) == \
+        (-0.5, 1.25, False)
+    assert _solve_bracketed(never, 0.0, 1.0, flo=-3.0, fhi=-2.0) == \
+        (1.0, -2.0, False)
+
+
+def test_plain_turns_numpy_values_into_json_values():
+    cases = [(np.float64(1.5), 1.5, float), (np.int64(3), 3, int),
+             (np.float32(0.25), 0.25, float),
+             (np.array([[1.0, 2.0]]), [[1.0, 2.0]], list),
+             (Family.OSCILLATING, "oscillating", str), ("x", "x", str),
+             (None, None, type(None))]
+    for value, want, kind in cases:
+        got = gates._plain(value)
+        assert got == want and type(got) is kind, value
+    json.dumps([gates._plain(v) for v, _, _ in cases])
+
+
 def test_solve_bracketed_reports_stalled_secant_unconverged():
     # a step function stalls the secant polish with the bracket still
     # about 2e-7 wide, far above xtol

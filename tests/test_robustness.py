@@ -414,3 +414,12 @@ def test_merit_sees_one_sample_final_state():
     (traj,) = seen
     assert traj.times.tolist() == [pulse.times[-1]]
     assert np.array_equal(traj.M, direct.M[-1:])
+
+
+def test_default_delta_grid_of_a_zero_drive_spans_unit_detunings():
+    # a drive with no omega1 has no peak to scale the grid by
+    pulse = ControlPulse(np.linspace(0.0, 1.0, 5), np.zeros(5), np.ones(5),
+                         np.zeros(5), {})
+    grid = robustness.default_delta_grid(pulse, n=5)
+    assert grid.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert robustness.default_delta_grid(rect_pi_pulse(2.5, n=11))[-1] == 2.5

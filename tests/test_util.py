@@ -1,4 +1,6 @@
 import decimal
+import hashlib
+import json
 import math
 import os
 import re
@@ -272,6 +274,95 @@ def test_write_csv_matches_per_value_format_across_blocks(
         path = Path(tmp) / "t.csv"
         _util.write_csv(path, "h", table)
         assert path.read_bytes() == b"h\n" + _per_value(table)
+
+
+# the digest write_csv returns is the sha256 of the bytes it wrote, on the
+# one-process path and on the forked one, whose tail a child appends
+
+
+def _file_sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(_BLOCK_CROSSING_ROWS), st.integers(1, 6),
+       st.lists(_BITS_OR_FLOATS, min_size=1, max_size=50),
+       st.sampled_from(["", "h", "a,b"]), st.booleans())
+def test_write_csv_returns_the_sha256_of_its_bytes(rows, cols, values,
+                                                   header, forked):
+    table = np.resize(np.array(values, dtype=float), (rows, cols))
+    with pytest.MonkeyPatch.context() as mp, \
+            tempfile.TemporaryDirectory() as tmp:
+        forks = _count_forks(mp)
+        if forked:
+            # every table of two blocks or more forks, whatever the host
+            mp.setattr(_util, "_CSV_FORK_VALUES", 1)
+            mp.setattr(_util, "_two_cpus", lambda: True)
+        path = Path(tmp) / "t.csv"
+        digest = _util.write_csv(path, header, table)
+        _assert_no_child()
+        assert len(forks) == (forked and rows > _util._CSV_BLOCK_ROWS)
+        assert digest == _file_sha256(path)
+        head = header.encode() + b"\n" if header else b""
+        assert path.read_bytes() == head + _per_value(table)
+
+
+def test_forked_tail_is_hashed_in_chunks_after_the_child(tmp_path,
+                                                          monkeypatch):
+    # a tail of several read chunks, hashed only once the child has exited
+    rows = 2 * _first_forked_rows(4)
+    table = np.random.default_rng(9).normal(size=(rows, 4))
+    tails = []
+    real = _util._hash_tail
+
+    def hash_tail(path, start, digest):
+        _assert_no_child()
+        tails.append(start)
+        real(path, start, digest)
+
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(_util, "_hash_tail", hash_tail)
+    digest = _util.write_csv(tmp_path / "t.csv", "a,b,c,d", table)
+    size = (tmp_path / "t.csv").stat().st_size
+    assert len(tails) == 1 and 0 < tails[0] < size - 4 * _util._READ_CHUNK
+    assert digest == _file_sha256(tmp_path / "t.csv")
+
+
+def test_failed_forked_writer_raises_before_any_digest(tmp_path,
+                                                        monkeypatch):
+    rows = 2 * _first_forked_rows(4)
+    table = np.ones((rows, 4))
+    parent = os.getpid()
+    real = _util._blocks
+
+    def failing(data, row, start, stop):
+        if os.getpid() != parent:
+            raise RuntimeError("child failed")
+        return real(data, row, start, stop)
+
+    def hash_tail(path, start, digest):
+        raise AssertionError("hashed the tail of a failed child")
+
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(_util, "_blocks", failing)
+    monkeypatch.setattr(_util, "_hash_tail", hash_tail)
+    with pytest.raises(OSError, match="forked writer"):
+        _util.write_csv(tmp_path / "t.csv", "a,b,c,d", table)
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("obj", [
+    {}, {"b": [1.5, float("nan"), -0.0], "a": {"z": None, "y": True}},
+    {"text": "\u00e9t\u00e9 \u03c0", "inf": float("inf"), "n": 10 ** 30}])
+def test_dump_json_returns_the_sha256_of_its_bytes(tmp_path, obj):
+    path = tmp_path / "o.json"
+    digest = _util.dump_json(obj, path)
+    assert digest == _file_sha256(path)
+    # the bytes json.dump writes in text mode
+    with open(tmp_path / "ref.json", "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 def _is_tie(x: float) -> bool:
