@@ -4,13 +4,12 @@ Every CSV value is written as "%.17g" % value, and a sha256 sidecar pins
 the bytes.  write_csv and dump_json return the sha256 of the bytes they
 wrote, hashed as they write them, so no artifact is read back for its
 digest.  Formatting is most of a long table's write, so write_csv
-formats whole blocks of rows with numpy (_format17: Dekker's exact
+formats every block of rows with numpy (_format17: Dekker's exact
 product against a double-double table of 10**k, then a fixed-width byte
 layout that one bytes.translate compacts) and hands the few values it
-cannot round exactly to CPython's "%.17g".  Small blocks go through one
-string % tuple, and tables of _CSV_FORK_VALUES values or more are split
-with one forked child (_forked, _split), whose skeleton the sweep kernel
-shares.
+cannot round exactly to CPython's "%.17g".  Tables of _CSV_FORK_VALUES
+values or more are split with one forked child (_forked, _split), whose
+skeleton the sweep kernel shares.
 """
 
 from __future__ import annotations
@@ -29,21 +28,16 @@ import numpy as np
 
 
 # rows per formatted block.  Each block costs _format17 about 0.1 ms of
-# fixed work, and one workspace of 48 bytes a value serves all blocks of
-# a table.  Gate-design job streams ran 77.7 jobs/s with 1024 rows
-# against 73.7 with 512 and 74.2 with 2048 (medians of 4 fresh-process
-# replays on a shared 2-CPU host)
+# fixed work, and one workspace of 48 bytes a value serves all full
+# blocks of a table.  Gate-design job streams ran 77.7 jobs/s with 1024
+# rows against 73.7 with 512 and 74.2 with 2048 (medians of 4
+# fresh-process replays on a shared 2-CPU host)
 _CSV_BLOCK_ROWS = 1024
 # values (rows x columns) from which write_csv forks.  On a shared 2-CPU
 # host the fork lost at 16,385 x 4 (three pulse jobs, 77.6 against 73.6
 # ms in one process, one process faster on 21 of 25 alternations) and
 # won at 24,577 x 4 (65.7 against 71.8 ms, 16 of 25) and above
 _CSV_FORK_VALUES = 98304
-# blocks of fewer values are formatted by one string % tuple, and so are
-# sweep maps (11 to 441 rows of 4): with 256 in place of 2048 a one-cycle
-# sweep-maps replay ran 124 against 135 jobs/s (medians of 3), from
-# _format17's fixed cost per block and the first call's 3 ms of tables
-_FORMAT17_VALUES = 2048
 # bytes read at a time when the forked child's tail is hashed
 _READ_CHUNK = 1 << 16
 
@@ -160,7 +154,7 @@ def _digits17(a, exp, tables):
 def _format17(block, buf: bytearray) -> bytearray:
     """The rows of a 2-D float block, every value as "%.17g" % value,
     "," between values and a newline after each row.  buf is the caller's
-    workspace, 48 bytes or more per value.
+    workspace, exactly 48 bytes a value: any other size raises ValueError.
 
     The 17 significant digits of |x| are D = round(|x| * 10**(16 - E)),
     E = floor(log10 |x|) (_digits17).  The estimate of E is one low at
@@ -174,7 +168,6 @@ def _format17(block, buf: bytearray) -> bytearray:
     """
     rows, cols = block.shape
     x = block.ravel()
-    n = x.size
     a = np.abs(x)
     zero = a == 0
     slow = ~((a >= 1e-290) & (a <= 1e290) | zero)
@@ -208,9 +201,7 @@ def _format17(block, buf: bytearray) -> bytearray:
     r = exp - _EXP_MIN
     row = 4 * r + 2 * (place > tables.point_after[r])
     row.reshape(rows, cols)[:, -1] += 1
-    words = np.frombuffer(buf, _LE64).reshape(-1, 6)
-    words[n:] = 0
-    out = words[:n]
+    out = np.frombuffer(buf, _LE64).reshape(-1, 6)
     np.take(tables.layout, row, axis=0, out=out)
     out[:, 0] |= tables.lead[d0 + 10 * np.signbit(x)]
     for j in range(4):
@@ -231,30 +222,24 @@ def _cpython17(values: list) -> bytes:
     return (("%-45.17g" * len(values)) % tuple(values)).encode("ascii")
 
 
-def _blocks(data, row: str, start: int, stop: int):
-    """The bytes of rows start:stop, one bytes-like object per block of
-    _CSV_BLOCK_ROWS rows: _format17's, in one workspace for all blocks,
-    or for a block of fewer than _FORMAT17_VALUES values one
-    string % tuple's."""
-    buf = None
+def _blocks(data, start: int, stop: int):
+    """The bytes of rows start:stop, _format17's for each block of
+    _CSV_BLOCK_ROWS rows.  The full blocks share one workspace, and a
+    shorter last block gets its own, each exactly 48 bytes a value."""
+    buf = bytearray()
     for i in range(start, stop, _CSV_BLOCK_ROWS):
         block = data[i:min(i + _CSV_BLOCK_ROWS, stop)]
-        if block.size >= _FORMAT17_VALUES:
-            if buf is None:
-                buf = bytearray(48 * _CSV_BLOCK_ROWS * data.shape[1])
-            yield _format17(block, buf)
-        else:
-            yield ((row * len(block))
-                   % tuple(block.ravel().tolist())).encode("ascii")
+        if len(buf) != 48 * block.size:
+            buf = bytearray(48 * block.size)
+        yield _format17(block, buf)
 
 
-def _write_rows(path, header: str, data, row: str, stop: int,
-                digest) -> int:
+def _write_rows(path, header: str, data, stop: int, digest) -> int:
     """Write the header and rows :stop to a fresh file at path, update
     digest with each piece as it is written, and return the byte count."""
     size = 0
     with open(path, "wb") as fh:
-        pieces = _blocks(data, row, 0, stop)
+        pieces = _blocks(data, 0, stop)
         if header:
             pieces = itertools.chain([header.encode() + b"\n"], pieces)
         for text in pieces:
@@ -344,7 +329,7 @@ def _split(items: int, step: int, work: int, cutoff: int) -> int:
     return (steps + 1) // 2 * step
 
 
-def _child(r: int, w: int, path, data, row: str, split: int):
+def _child(r: int, w: int, path, data, split: int):
     """The forked writer of rows split: onwards; never returns.
 
     It formats its rows while the parent writes the header and the rows
@@ -357,14 +342,14 @@ def _child(r: int, w: int, path, data, row: str, split: int):
     OpenBLAS's pool is: a fork can copy a lock that such a thread held.
     This child takes none that matters.  glibc resets its malloc locks in
     the child, CPython its interpreter state, and the child only slices,
-    runs numpy's elementwise functions and take, calls tolist, % formats,
-    translates and uses os.read, os.open and os.write: no import, no
-    logging, no BLAS call.
+    runs numpy's elementwise functions and take, calls tolist, % formats
+    the values _format17 hands to CPython, translates and uses os.read,
+    os.open and os.write: no import, no logging, no BLAS call.
     """
     code = 1
     try:
         os.close(w)
-        text = b"".join(_blocks(data, row, split, len(data)))
+        text = b"".join(_blocks(data, split, len(data)))
         if os.read(r, 1):
             fd = os.open(path, os.O_WRONLY | os.O_APPEND)
             _write_all(fd, text)
@@ -381,13 +366,11 @@ def write_csv(path, header: str, data) -> str:
     The bytes are fixed: every value is written as "%.17g" % value, the
     bytes numpy's savetxt writes with fmt="%.17g", delimiter=",",
     comments="" and this header.  Each block of _CSV_BLOCK_ROWS rows is
-    formatted at once: by _format17, or for a block of fewer than
-    _FORMAT17_VALUES values by one string % tuple.  A table of
-    _CSV_FORK_VALUES values or more, on a host with two usable CPUs, is
-    written by two processes with the same bytes: a forked child formats
-    the blocks after the middle one while this process writes the header
-    and the rows before them, then appends its text once this process
-    has closed the file.
+    formatted at once by _format17.  A table of _CSV_FORK_VALUES values
+    or more, on a host with two usable CPUs, is written by two processes
+    with the same bytes: a forked child formats the blocks after the
+    middle one while this process writes the header and the rows before
+    them, then appends its text once this process has closed the file.
     The digest covers every byte as written: this process hashes its own
     bytes as it writes them, before the child may append, and once the
     child has exited with status 0 it reads back and hashes only the
@@ -395,19 +378,18 @@ def write_csv(path, header: str, data) -> str:
     No child outlives the call, and a child that fails raises OSError.
     """
     data = np.asarray(data, dtype=float)
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
     rows, cols = data.shape
     digest = hashlib.sha256()
     split = _split(rows, _CSV_BLOCK_ROWS, rows * cols, _CSV_FORK_VALUES)
     if not split:
-        _write_rows(path, header, data, row, len(data), digest)
+        _write_rows(path, header, data, len(data), digest)
         return digest.hexdigest()
-    with _forked(lambda r, w: _child(r, w, path, data, row, split),
+    with _forked(lambda r, w: _child(r, w, path, data, split),
                  lambda: OSError(f"{path} is incomplete: the forked writer "
                                  f"of its rows from {split} on failed")) \
             as (reader, writer):
         reader.close()
-        size = _write_rows(path, header, data, row, split, digest)
+        size = _write_rows(path, header, data, split, digest)
         try:
             writer.write(b"g")
         except BrokenPipeError:  # the child exited early; its status says how

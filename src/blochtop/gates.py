@@ -500,7 +500,7 @@ class GateReport:
 
 
 def _plain(v):
-    if isinstance(v, (np.floating, np.integer)):
+    if isinstance(v, np.generic):    # numpy floats, ints and bools
         return v.item()
     if isinstance(v, np.ndarray):
         return v.tolist()

@@ -337,18 +337,24 @@ def _state(M0):
     return M0
 
 
-def _path(pulse, err: ErrorParams):
-    # a step whose rotation angle overflows would leave the path NaN
+def _one_row_planes(pulse, err: ErrorParams):
+    """Planes (2, 1, n) of the identity and every step of the pulse under
+    err.  A step whose rotation angle overflows would leave the path and
+    the final propagator NaN, so it raises ValueError instead."""
     with np.errstate(over="ignore", invalid="ignore"):
         S = _step_planes(pulse, [err.alpha], [err.delta])
     if not np.all(np.isfinite(S)):
         raise ValueError(f"alpha = {err.alpha}, delta = {err.delta}: a "
                          "step's rotation angle overflows")
-    return _scan(S)[0]
+    return S
+
+
+def _path(pulse, err: ErrorParams):
+    return _scan(_one_row_planes(pulse, err))[0]
 
 
 def _final(pulse, err: ErrorParams):
-    return _last(_step_planes(pulse, [err.alpha], [err.delta]))[0]
+    return _last(_one_row_planes(pulse, err))[0]
 
 
 def _mirror_final(half):

@@ -199,7 +199,7 @@ def test_solve_bracketed_exits_at_a_zero_or_without_a_sign_change():
 
 def test_plain_turns_numpy_values_into_json_values():
     cases = [(np.float64(1.5), 1.5, float), (np.int64(3), 3, int),
-             (np.float32(0.25), 0.25, float),
+             (np.float32(0.25), 0.25, float), (np.bool_(True), True, bool),
              (np.array([[1.0, 2.0]]), [[1.0, 2.0]], list),
              (Family.OSCILLATING, "oscillating", str), ("x", "x", str),
              (None, None, type(None))]
@@ -207,6 +207,20 @@ def test_plain_turns_numpy_values_into_json_values():
         got = gates._plain(value)
         assert got == want and type(got) is kind, value
     json.dumps([gates._plain(v) for v, _, _ in cases])
+
+
+def test_gate_report_with_numpy_bools_round_trips_through_json(tmp_path):
+    report = gates.GateReport(
+        target="not", parameters={"mirror": np.bool_(True), "k": 0.5},
+        fidelity=1.0, phase_budget=None,
+        residuals={"bracketed": np.bool_(False)}, converged=np.bool_(True))
+    path = tmp_path / "report.json"
+    gates.write_gate_report(report, path)
+    with open(path) as fh:
+        loaded = json.load(fh)
+    assert loaded["parameters"] == {"mirror": True, "k": 0.5}
+    assert loaded["residuals"] == {"bracketed": False}
+    assert loaded["converged"] is True
 
 
 def test_solve_bracketed_reports_stalled_secant_unconverged():

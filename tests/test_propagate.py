@@ -2,7 +2,9 @@
 
 import math
 import os
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +75,25 @@ def test_rect_pi_pulse_is_exact_not():
     assert_allclose(so3_final(pulse), np.diag([1.0, -1.0, -1.0]), atol=1e-13)
     traj = bloch_propagate(pulse, np.array([0.0, 0.0, 1.0]))
     assert_allclose(traj.M[-1], [0.0, 0.0, -1.0], atol=1e-13)
+
+
+@pytest.mark.parametrize("propagator", [
+    lambda p, e: bloch_propagate(p, np.array([0.0, 0.0, 1.0]), e),
+    so3_propagate, su2_propagate, so3_final, su2_final],
+    ids=["bloch_propagate", "so3_propagate", "su2_propagate", "so3_final",
+         "su2_final"])
+@pytest.mark.parametrize("err, named", [
+    (ErrorParams(alpha=1e308), "alpha = 1e+308"),
+    (ErrorParams(delta=1e308), "delta = 1e+308")])
+def test_overflowing_step_is_refused_by_every_propagator(propagator, err,
+                                                         named):
+    # paths and final propagators alike raise, with no numpy warning and
+    # no NaN result
+    pulse = rect_pi_pulse(1.0, n=9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(named) + ".*overflows"):
+            propagator(pulse, err)
 
 
 def test_gate_fidelity_phase_invariance():

@@ -157,8 +157,8 @@ def test_forked_write_parent_failure_leaves_no_child(tmp_path, monkeypatch):
     parent = os.getpid()
     real = _util._blocks
 
-    def failing(data, row, start, stop):
-        blocks = real(data, row, start, stop)
+    def failing(data, start, stop):
+        blocks = real(data, start, stop)
         if os.getpid() == parent:
             yield next(blocks)
             raise RuntimeError("parent failed mid-write")
@@ -184,10 +184,10 @@ def test_forked_write_child_failure_raises(tmp_path, monkeypatch):
     parent = os.getpid()
     real = _util._blocks
 
-    def failing(data, row, start, stop):
+    def failing(data, start, stop):
         if os.getpid() != parent:
             raise RuntimeError("child failed")
-        return real(data, row, start, stop)
+        return real(data, start, stop)
 
     _two_cpus(monkeypatch)
     monkeypatch.setattr(_util, "_blocks", failing)
@@ -205,8 +205,7 @@ def test_forked_writer_without_go_byte_writes_nothing(tmp_path):
     pid = os.fork()
     if pid == 0:
         try:
-            _util._child(r, w, path, table, "%.17g,%.17g\n",
-                         _util._CSV_BLOCK_ROWS)
+            _util._child(r, w, path, table, _util._CSV_BLOCK_ROWS)
         finally:
             os._exit(3)    # _child returned: never let the test run on
     os.close(r)
@@ -252,12 +251,11 @@ def _float_bits(u: int) -> float:
 _BITS_OR_FLOATS = st.one_of(
     st.integers(0, 2 ** 64 - 1).map(_float_bits),
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
-# rows around the block size and around the smallest block _format17 takes
+# rows around the block size, and 511, 512 and 1025
 _BLOCK_CROSSING_ROWS = sorted({
     _util._CSV_BLOCK_ROWS - 1, _util._CSV_BLOCK_ROWS,
     _util._CSV_BLOCK_ROWS + 1, 2 * _util._CSV_BLOCK_ROWS + 3,
-    _util._FORMAT17_VALUES // 4 - 1, _util._FORMAT17_VALUES // 4,
-    _util._FORMAT17_VALUES // 2 + 1})
+    511, 512, 1025})
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -265,8 +263,8 @@ _BLOCK_CROSSING_ROWS = sorted({
        st.lists(_BITS_OR_FLOATS, min_size=1, max_size=300), st.randoms())
 def test_write_csv_matches_per_value_format_across_blocks(
         rows, cols, values, rnd):
-    # the drawn values, shuffled over a table whose blocks take both the
-    # vectorized and the string % tuple path
+    # the drawn values, shuffled over a table of one or more blocks, the
+    # last of them full or shorter
     cells = [values[i % len(values)] for i in range(rows * cols)]
     rnd.shuffle(cells)
     table = np.array(cells, dtype=float).reshape(rows, cols)
@@ -307,6 +305,30 @@ def test_write_csv_returns_the_sha256_of_its_bytes(rows, cols, values,
         assert path.read_bytes() == head + _per_value(table)
 
 
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.sampled_from([1, 2, 3, 7]), st.integers(0, 40), st.integers(1, 6),
+       st.lists(_BITS_OR_FLOATS, min_size=1, max_size=50), st.booleans())
+def test_write_csv_bytes_do_not_depend_on_the_block_size(block_rows, rows,
+                                                         cols, values,
+                                                         forked):
+    # full blocks share one workspace and a shorter last block gets its
+    # own, in this process and in the forked child
+    table = np.resize(np.array(values, dtype=float), (rows, cols))
+    with pytest.MonkeyPatch.context() as mp, \
+            tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(_util, "_CSV_BLOCK_ROWS", block_rows)
+        forks = _count_forks(mp)
+        if forked:
+            mp.setattr(_util, "_CSV_FORK_VALUES", 1)
+            mp.setattr(_util, "_two_cpus", lambda: True)
+        path = Path(tmp) / "t.csv"
+        digest = _util.write_csv(path, "h", table)
+        _assert_no_child()
+        assert len(forks) == (forked and rows > block_rows)
+        assert path.read_bytes() == b"h\n" + _per_value(table)
+        assert digest == _file_sha256(path)
+
+
 def test_forked_tail_is_hashed_in_chunks_after_the_child(tmp_path,
                                                           monkeypatch):
     # a tail of several read chunks, hashed only once the child has exited
@@ -335,10 +357,10 @@ def test_failed_forked_writer_raises_before_any_digest(tmp_path,
     parent = os.getpid()
     real = _util._blocks
 
-    def failing(data, row, start, stop):
+    def failing(data, start, stop):
         if os.getpid() != parent:
             raise RuntimeError("child failed")
-        return real(data, row, start, stop)
+        return real(data, start, stop)
 
     def hash_tail(path, start, digest):
         raise AssertionError("hashed the tail of a failed child")
@@ -442,8 +464,16 @@ def test_pow10_table_is_double_double_exact():
 def test_format17_raises_no_numpy_warning():
     block = np.resize(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
                                 -2.5e-310, 1.5, 1e300, 1e-300]),
-                      (_util._FORMAT17_VALUES // 4, 4))
+                      (512, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         text = _util._format17(block, bytearray(48 * block.size))
     assert bytes(text) == _per_value(block)
+
+
+@pytest.mark.parametrize("extra", [-48, 48, 48 * 4])
+def test_format17_refuses_a_workspace_of_another_size(extra):
+    # a workspace not exactly 48 bytes a value could leak stale bytes
+    block = np.ones((3, 4))
+    with pytest.raises(ValueError):
+        _util._format17(block, bytearray(48 * block.size + extra))
