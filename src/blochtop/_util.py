@@ -276,12 +276,16 @@ def _two_cpus() -> bool:
 def _forked(child, error):
     """Fork once, for the body of a with statement.
 
-    The child runs child(r, w) on the two ends of a fresh pipe and must
-    leave through os._exit; it never runs the caller's code.  This
-    process gets the ends as unbuffered binary files (reader, writer),
-    and both are closed when the body ends.  The child is then reaped,
-    and an exit status other than 0 raises error().  A body that raises
-    kills and reaps the child first, so no child outlives the statement.
+    The child runs child(r, w) on the two ends of a fresh pipe and exits
+    here, the only place a child exits: status 0 when child returns True,
+    1 when it returns anything else or raises.  It leaves through
+    os._exit, which runs no atexit hook and flushes no inherited buffer,
+    and an exception stops there, so the child never runs the caller's
+    code.  This process gets the ends as unbuffered binary files
+    (reader, writer), and both are closed when the body ends.  The child
+    is then reaped, and an exit status other than 0 raises error().  A
+    body that raises kills and reaps the child first, so no child
+    outlives the statement.
     """
     r, w = os.pipe()
     try:
@@ -291,10 +295,11 @@ def _forked(child, error):
         os.close(w)
         raise
     if pid == 0:
+        ok = False
         try:
-            child(r, w)
+            ok = child(r, w) is True
         finally:
-            os._exit(1)
+            os._exit(0 if ok else 1)
     reaped = False
     try:
         with open(r, "rb", buffering=0) as reader, \
@@ -329,14 +334,13 @@ def _split(items: int, step: int, work: int, cutoff: int) -> int:
     return (steps + 1) // 2 * step
 
 
-def _child(r: int, w: int, path, data, split: int):
-    """The forked writer of rows split: onwards; never returns.
+def _child(r: int, w: int, path, data, split: int) -> bool:
+    """The forked writer of rows split: onwards, run by _forked.
 
     It formats its rows while the parent writes the header and the rows
-    before split, waits for the parent's go byte, appends and leaves
-    through os._exit, so no exception, atexit hook or inherited buffer
-    runs here.  A pipe closed without the go byte (the parent raised or
-    died) exits 1 without writing.
+    before split, waits for the parent's go byte, appends and returns
+    True.  A pipe closed without the go byte (the parent raised or died)
+    returns False without writing.
 
     Python 3.12 warns at os.fork when the process has other threads, as
     OpenBLAS's pool is: a fork can copy a lock that such a thread held.
@@ -346,17 +350,14 @@ def _child(r: int, w: int, path, data, split: int):
     the values _format17 hands to CPython, translates and uses os.read,
     os.open and os.write: no import, no logging, no BLAS call.
     """
-    code = 1
-    try:
-        os.close(w)
-        text = b"".join(_blocks(data, split, len(data)))
-        if os.read(r, 1):
-            fd = os.open(path, os.O_WRONLY | os.O_APPEND)
-            _write_all(fd, text)
-            os.close(fd)
-            code = 0
-    finally:
-        os._exit(code)
+    os.close(w)
+    text = b"".join(_blocks(data, split, len(data)))
+    if not os.read(r, 1):
+        return False
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    _write_all(fd, text)
+    os.close(fd)
+    return True
 
 
 def write_csv(path, header: str, data) -> str:

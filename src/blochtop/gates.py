@@ -37,8 +37,8 @@ import numpy as np
 from . import _util
 from .elliptic import _complete_KE, complete_Pi
 from .propagate import (
-    _CHUNK_SAMPLES,
     ErrorParams,
+    _chunk_rows,
     _final,
     _mirror_final,
     _rotations,
@@ -527,10 +527,11 @@ def _coupling_defect(so3_residual: float, fidelity: float) -> float:
 def _scan_finals(p: TopParameters, xs, family: Family, n: int,
                  loop: bool) -> np.ndarray:
     """Mirror-route final pairs (len(xs), 2) at the points xs, in chunks
-    of _CHUNK_SAMPLES // (n // 2 + 1) rows: one _mirror_half table and one
-    _mirror_final call per chunk.  Row j has the bits of the one-point
-    call at xs[j], as a solver step or the Montgomery loop makes it."""
-    rows = max(1, _CHUNK_SAMPLES // (n // 2 + 1))
+    of _chunk_rows(n // 2 + 1) points, a half holding n // 2 + 1 samples:
+    one _mirror_half table and one _mirror_final call per chunk.  Row j
+    has the bits of the one-point call at xs[j], as a solver step or the
+    Montgomery loop makes it."""
+    rows = _chunk_rows(n // 2 + 1)
     return np.concatenate([
         _mirror_final(_mirror_half(p, xs[start:start + rows], family, n, loop))
         for start in range(0, len(xs), rows)])

@@ -35,7 +35,8 @@ and norm runs on arrays that keep the sample axis, even a final one of
 length 1: numpy rounds scalar arithmetic differently from its array
 loops.
 
-Sweeps (_final_states) take many error pairs in chunks.  Each call
+Sweeps (_final_states) take many error pairs in chunks of
+_chunk_rows(n) rows, the batch rule that gate scans share.  Each call
 allocates one workspace that every chunk rewrites: the fields, the
 planes and the scratch of the fold.  A chunk is folded only until its
 rows hold about _FOLD_PAIRS pairs, where numpy's call overhead starts
@@ -68,9 +69,9 @@ import numpy as np
 
 from . import _util
 
-# samples propagated per batch of sweep cells or gate scan points: large
-# enough to share the numpy call overhead over many rows, small enough to
-# keep peak memory flat
+# samples propagated per batch of sweep cells or gate scan points
+# (_chunk_rows): large enough to share the numpy call overhead over many
+# rows, small enough to keep peak memory flat
 _CHUNK_SAMPLES = 2 ** 14
 
 # error pairs x samples (B * n) from which _final_states forks.  A fork,
@@ -392,10 +393,17 @@ def bloch_propagate(pulse, M0, err: ErrorParams = ErrorParams()) -> Trajectory:
     return Trajectory(pulse.times, _rotations(_path(pulse, err)) @ _state(M0))
 
 
-def _final_pairs(pulse, alpha, delta, rows, out):
+def _chunk_rows(samples: int) -> int:
+    """Rows in one batch of sweep cells or gate scan points, a row
+    holding samples samples: _CHUNK_SAMPLES samples a batch, and at
+    least one row."""
+    return max(1, _CHUNK_SAMPLES // samples)
+
+
+def _final_pairs(pulse, alpha, delta, out):
     """Final pairs of the pulse into out (B, 2), one row per error pair
-    (alpha[b], delta[b]), propagated in this process in chunks of rows
-    pairs (all B at once when rows is None).  Returns out.
+    (alpha[b], delta[b]), propagated in this process in chunks of
+    _chunk_rows(n) pairs.  Returns out.
 
     One workspace is allocated per call and rewritten in place by every
     chunk.  Each chunk is folded down to the first length m of n's
@@ -406,7 +414,7 @@ def _final_pairs(pulse, alpha, delta, rows, out):
     B, n = len(alpha), pulse.n_samples
     if not B:
         return out
-    rows = B if rows is None else max(1, min(rows, B))
+    rows = min(B, _chunk_rows(n))
     m = n
     while rows * m > _FOLD_PAIRS and m > 1:
         m -= m // 2
@@ -441,27 +449,23 @@ def _final_pairs(pulse, alpha, delta, rows, out):
     return out
 
 
-def _pairs_child(r, w, pulse, alpha, delta, rows):
-    """The forked half of _final_states; never returns.  It sends the
-    bytes of its final pairs through w and exits 0, or sends the pickle
-    of the exception it raised (nothing, if that does not pickle) and
-    exits 1.  Like _util._child it leaves through os._exit and makes no
-    BLAS call: the parent reads the rotations out of the pairs."""
-    code = 1
+def _pairs_child(r, w, pulse, alpha, delta) -> bool:
+    """The forked half of _final_states, run by _util._forked.  It sends
+    the bytes of its final pairs through w and returns True, or sends
+    the pickle of the exception it raised (nothing, if that does not
+    pickle) and returns False.  It makes no BLAS call: the parent reads
+    the rotations out of the pairs."""
+    os.close(r)
     try:
-        os.close(r)
+        data, ok = _final_pairs(pulse, alpha, delta, np.empty(
+            (len(alpha), 2), dtype=complex)), True
+    except Exception as exc:    # the parent raises it
         try:
-            data, ok = _final_pairs(pulse, alpha, delta, rows, np.empty(
-                (len(alpha), 2), dtype=complex)), 0
-        except Exception as exc:    # the parent raises it
-            try:
-                data, ok = pickle.dumps(exc), 1
-            except Exception:       # of a local class, say
-                data, ok = b"", 1
-        _util._write_all(w, data)
-        code = ok
-    finally:
-        os._exit(code)
+            data, ok = pickle.dumps(exc), False
+        except Exception:       # of a local class, say
+            data, ok = b"", False
+    _util._write_all(w, data)
+    return ok
 
 
 def _child_error(sent):
@@ -473,38 +477,37 @@ def _child_error(sent):
         return ChildProcessError("the forked half of the sweep failed")
 
 
-def _final_states(pulse, M0, alpha, delta, rows=None):
+def _final_states(pulse, M0, alpha, delta):
     """Final Bloch vectors (B, 3) of M0 under the pulse, one per error
     pair (alpha[b], delta[b]).  Row b has the bits of the last sample of
     bloch_propagate under that pair, whatever the rest of the batch.
 
-    The pairs are propagated by _final_pairs in chunks of rows pairs (all
-    B at once when rows is None).  A batch of _FORK_SAMPLES samples
-    (B * n) or more, with at least two chunks, on a host with two usable
-    CPUs, is split once on a chunk boundary: a forked child propagates
-    the pairs after the split while this process propagates the rest,
-    and the child sends its final pairs back through a pipe.  Every pair
-    is propagated alone, so the bits are those of one process.  No child
-    outlives the call, and the exception a child raised is raised here.
-    The rotations are read out of the pairs here, once for the batch.
-    With no error pairs it returns an empty (0, 3) array and allocates
-    no workspace."""
+    The pairs are propagated by _final_pairs, _chunk_rows(n) at a time.
+    A batch of _FORK_SAMPLES samples (B * n) or more, with at least two
+    chunks, on a host with two usable CPUs, is split once on a chunk
+    boundary: a forked child (_pairs_child) propagates the pairs after
+    the split while this process propagates the rest, and the child
+    sends its final pairs back through a pipe.  Every pair is propagated
+    alone, so the bits are those of one process.  No child outlives the
+    call, and the exception a child raised is raised here.  The
+    rotations are read out of the pairs here, once for the batch.  With
+    no error pairs it returns an empty (0, 3) array and allocates no
+    workspace."""
     M0 = _state(M0)
     alpha = np.asarray(alpha, dtype=float)
     delta = np.asarray(delta, dtype=float)
     B = len(alpha)
     q = np.empty((B, 2), dtype=complex)
-    h = _util._split(B, 1 if rows is None else max(1, min(rows, B)),
-                     B * pulse.n_samples, _FORK_SAMPLES)
+    n = pulse.n_samples
+    h = _util._split(B, _chunk_rows(n), B * n, _FORK_SAMPLES)
     if not h:
-        _final_pairs(pulse, alpha, delta, rows, q)
+        _final_pairs(pulse, alpha, delta, q)
     else:
         with _util._forked(
-                lambda r, w: _pairs_child(r, w, pulse, alpha[h:], delta[h:],
-                                          rows),
+                lambda r, w: _pairs_child(r, w, pulse, alpha[h:], delta[h:]),
                 lambda: _child_error(sent)) as (reader, writer):
             writer.close()
-            _final_pairs(pulse, alpha[:h], delta[:h], rows, q[:h])
+            _final_pairs(pulse, alpha[:h], delta[:h], q[:h])
             sent = reader.readall()
         q[h:] = np.frombuffer(sent, dtype=complex).reshape(B - h, 2)
     return _rotations(q) @ M0

@@ -1,20 +1,14 @@
 """Robustness maps for control pulses under static drive errors.
 
 Sweeps the miscalibration pair (alpha, delta) over a grid and records a
-scalar merit of the final state.  Every cell with a finite error pair
-goes through one propagate._final_states call, in chunks of about
-propagate._CHUNK_SAMPLES samples (the batch size that gate scans share)
-that are built and partly reduced in one reused workspace, with the
-short ends of their pairwise product reductions finished together.  A
-map of propagate._FORK_SAMPLES cell-samples or more is split once on a
-chunk boundary between this process and a forked child where two CPUs
-are usable; smaller maps, and one-CPU hosts, run in one process.  The
-merit is then called once per cell, in grid order, on a one-sample
-Trajectory holding that cell's final state.  A cell's value has the same
-bits as the last sample of bloch_propagate under its error pair, so it
-does not depend on the rest of the grid or on the chunking.  A failing
-cell, or one whose error pair or merit is not finite, is flagged and set
-to NaN instead of aborting the grid, and its reason is recorded.
+scalar merit of the final state.  The final states of every cell with a
+finite error pair come from one batched propagation
+(propagate._final_states), and the merit is then called once per cell,
+in grid order, on a one-sample Trajectory holding that cell's final
+state.  A cell's value has the bits of the last sample of
+bloch_propagate under its error pair, whatever the rest of the grid.  A
+failing cell, or one whose error pair or merit is not finite, is flagged
+and set to NaN instead of aborting the grid, and its reason is recorded.
 """
 
 from __future__ import annotations
@@ -25,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _util
-from .propagate import _CHUNK_SAMPLES, Trajectory, _final_states, _state
+from .propagate import Trajectory, _final_states, _state
 from .pulsegen import ControlPulse, pulse_sidecar_meta
 from .topdyn import Family, TopParameters, transfer_period
 
@@ -72,18 +66,18 @@ def sweep(pulse: ControlPulse, M0, alpha_grid=None, delta_grid=None,
     """Evaluate the merit over the error grid.
 
     The final states of all cells with a finite error pair come from one
-    chunked propagation; the merit is then called once per cell in grid
+    batched propagation; the merit is then called once per cell in grid
     order, on a one-sample Trajectory (times = the last pulse time, M =
-    the final state).  A large map is split between this process and
-    one forked child, with the same bits (see propagate._final_states).
-    workers is accepted for compatibility and has no effect.  A cell
-    whose error pair is not finite, whose merit raises or whose merit is
-    not finite is recorded as NaN with its flag set; meta then lists each
-    such cell under "failed_cells" as its [i, j] index and reason.  If
-    the propagation raises, in this process or in the forked child,
-    every cell with a finite error pair is flagged with the exception's
-    class name and the merit is not called.  An M0 that is not a finite
-    3-vector raises ValueError up front.
+    the final state).  Each cell's value has the bits of the last sample
+    of bloch_propagate under its error pair, wherever it sits in the
+    grid.  workers is accepted for compatibility and has no effect.  A
+    cell whose error pair is not finite, whose merit raises or whose
+    merit is not finite is recorded as NaN with its flag set; meta then
+    lists each such cell under "failed_cells" as its [i, j] index and
+    reason.  If the propagation raises, every cell with a finite error
+    pair is flagged with the exception's class name and the merit is not
+    called.  An M0 that is not a finite 3-vector raises ValueError up
+    front.
     """
     alpha = (default_alpha_grid() if alpha_grid is None
              else np.asarray(alpha_grid, dtype=float))
@@ -103,9 +97,7 @@ def sweep(pulse: ControlPulse, M0, alpha_grid=None, delta_grid=None,
     try:
         # an overflowing cell ends non-finite, and its merit flags it
         with np.errstate(over="ignore", invalid="ignore"):
-            finals = _final_states(
-                pulse, M0, a_cells[live], d_cells[live],
-                rows=max(1, _CHUNK_SAMPLES // pulse.n_samples))
+            finals = _final_states(pulse, M0, a_cells[live], d_cells[live])
     except Exception as exc:
         reasons.update(dict.fromkeys(live, type(exc).__name__))
         finals = ()

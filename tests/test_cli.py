@@ -524,12 +524,31 @@ def test_unreadable_pulse_is_usage_error_and_writes_nothing(tmp_path, capsys):
     ["sweep", "--preset", "experiment", "--n", 129, "--merit", "J2"],
     ["pulse", "--pulse", "missing.csv"],
     ["gate", "phase", "--n", 512],
+    ["simulate", "--family", "rect", "--m0", "1,2"],
+    ["pulse"],
+    ["pulse", "--family", "rect", "--n", 0],
 ])
 def test_failed_command_leaves_no_output_directory(tmp_path, monkeypatch,
                                                   argv):
     monkeypatch.chdir(tmp_path)
     assert run(argv + ["--out", "new/dir"]) == 2
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config"),
+    ("{not json", "cannot read config"),
+    ("[1, 2]", "config file must hold a JSON object"),
+])
+def test_unusable_config_file_is_usage_error_and_writes_nothing(
+        tmp_path, capsys, content, message):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "out"
+    assert run(["pulse", "--config", path, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, cfg", [

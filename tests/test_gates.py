@@ -411,6 +411,21 @@ def test_composite_rejects_bad_eps():
         composite_bir_not(TopParameters(0.5), 1.5)
 
 
+def test_composite_not_does_not_depend_on_the_sign_of_the_pi_axis(
+        monkeypatch):
+    # _pi_axis may return either sign of the axis; the composite is
+    # rotated about the one with a nonnegative e2 component
+    p = TopParameters(0.6)
+    before = composite_bir_not(p, 0.01, n=1024)
+    real = gates._pi_axis
+    monkeypatch.setattr(gates, "_pi_axis", lambda P: -real(P))
+    after = composite_bir_not(p, 0.01, n=1024)
+    assert after.meta == before.meta
+    for field in ("times", "omega1", "omega2", "omega3"):
+        assert getattr(after, field).tobytes() == \
+            getattr(before, field).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # phase gate
 
@@ -828,6 +843,19 @@ def test_match_dynamical_infeasible_target_is_unconverged():
                                                       target)
     assert converged is False
     assert abs(residual) > 1.0
+
+
+def test_solvers_out_of_steps_report_unconverged(monkeypatch):
+    # one step leaves Brent's bracket and the Newton solve short of
+    # their tolerances
+    monkeypatch.setattr(gates, "_BRENT_STEPS", 1)
+    x, fx, converged = _solve_bracketed(lambda x: x ** 3 - 0.3, 0.0, 1.0)
+    assert converged is False
+    assert (x, fx) == (0.3, 0.3 ** 3 - 0.3)
+    eps, residual, converged = gates._match_dynamical(TopParameters(0.6),
+                                                      20.0)
+    assert converged is False
+    assert 1e-6 < eps < 0.999999 and residual != 0.0
 
 
 def test_phase_design_samples_no_orbit(monkeypatch):

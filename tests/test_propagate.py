@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from blochtop import gates, propagate, robustness
+from blochtop import gates, propagate
 from blochtop.propagate import (
     ErrorParams,
     _final,
@@ -631,7 +631,7 @@ def test_stacked_mirror_final_rows_are_single_calls_bit_for_bit(n, family,
 def test_scan_finals_in_short_chunks_are_single_calls_bit_for_bit(
         monkeypatch, n, family, loop):
     # 3 rows per chunk over 7 points: chunks of 3, 3 and 1
-    monkeypatch.setattr(gates, "_CHUNK_SAMPLES", 3 * (n // 2 + 1) + 2)
+    monkeypatch.setattr(propagate, "_CHUNK_SAMPLES", 3 * (n // 2 + 1) + 2)
     p = TopParameters(0.8)
     xs = np.geomspace(1e-3, 0.6, 7)
     finals = gates._scan_finals(p, xs, family, n, loop)
@@ -659,7 +659,7 @@ def test_sweep_cell_alone_matches_cell_in_chunked_grid(pulse, grid, merit):
     alphas, deltas, k = grid
     M0 = (0.6, 0.0, 0.8)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(robustness, "_CHUNK_SAMPLES", k * pulse.n_samples)
+        mp.setattr(propagate, "_CHUNK_SAMPLES", k * pulse.n_samples)
         rmap = sweep(pulse, M0, alphas, deltas, merit=merit)
     whole = sweep(pulse, M0, alphas, deltas, merit=merit)
     assert np.array_equal(whole.values, rmap.values)
@@ -719,7 +719,9 @@ def test_two_stage_finals_are_single_cell_endpoints_bit_for_bit(grid):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagate, "_FOLD_PAIRS", fold_pairs)
         mp.setattr(propagate, "_CHUNK_SAMPLES", tail_cap)
-        finals = _final_states(pulse, M0, alpha, delta, rows=k)
+        # chunks of k pairs, whatever the tail cap
+        mp.setattr(propagate, "_chunk_rows", lambda samples: k)
+        finals = _final_states(pulse, M0, alpha, delta)
     assert finals.shape == (len(alpha), 3)
     for row, a, d in zip(finals, alpha, delta):
         end = bloch_propagate(pulse, M0, ErrorParams(alpha=a, delta=d)).M[-1]
@@ -746,7 +748,7 @@ def test_final_states_of_no_pairs_allocate_no_workspace():
     def traced_peak(alpha, delta):
         tracemalloc.start()
         try:
-            finals = _final_states(pulse, M0, alpha, delta, rows=3)
+            finals = _final_states(pulse, M0, alpha, delta)
             return finals, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -763,11 +765,11 @@ def test_final_states_of_no_pairs_allocate_no_workspace():
 def forked_grids(draw):
     """A pulse of 1..300 samples, 1..40 error pairs (odd counts and a
     single pair included), and a chunk of rows pairs that need not divide
-    them, or None for all at once."""
+    them."""
     n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 300)))
     cells = draw(st.one_of(st.sampled_from([1, 2, 3, 39]),
                            st.integers(1, 40)))
-    rows = draw(st.one_of(st.none(), st.integers(1, cells + 1)))
+    rows = draw(st.integers(1, cells + 1))
     pairs = draw(st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-1.0, 1.0)),
                           min_size=cells, max_size=cells))
     alpha, delta = np.array(pairs).T
@@ -790,17 +792,18 @@ def test_forked_final_states_are_the_serial_bits(grid, tail_cap):
     with pytest.MonkeyPatch.context() as mp:
         # small tails, so that either half spans several of them
         mp.setattr(propagate, "_CHUNK_SAMPLES", tail_cap)
+        mp.setattr(propagate, "_chunk_rows", lambda samples: rows)
         mp.setattr(propagate, "_FORK_SAMPLES", math.inf)
-        serial = _final_states(pulse, M0, alpha, delta, rows)
+        serial = _final_states(pulse, M0, alpha, delta)
         mp.setattr(propagate, "_FORK_SAMPLES", 0)
         mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                    raising=False)
         mp.setattr(os, "fork", fork)
-        forked = _final_states(pulse, M0, alpha, delta, rows)
+        forked = _final_states(pulse, M0, alpha, delta)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     # one fork whenever the pairs make two chunks; a single pair never does
-    assert len(forks) == (len(alpha) > (rows or 1))
+    assert len(forks) == (len(alpha) > rows)
     assert forked.shape == (len(alpha), 3)
     assert forked.tobytes() == serial.tobytes()
 

@@ -309,7 +309,7 @@ def _forking_sweeps(monkeypatch, cpus=(0, 1)) -> list:
     usable CPUs, a chunk holding one cell of a 33-sample pulse; returns
     the list that counts the forks."""
     monkeypatch.setattr(propagate, "_FORK_SAMPLES", 0)
-    monkeypatch.setattr(robustness, "_CHUNK_SAMPLES", 33)
+    monkeypatch.setattr(propagate, "_CHUNK_SAMPLES", 33)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
                         raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: len(cpus))
@@ -381,8 +381,7 @@ def test_parent_failure_after_the_fork_kills_and_reaps_the_child(
     start = time.monotonic()
     with pytest.raises(ChildFault):
         propagate._final_states(rect_pi_pulse(1.0, n=33), (0.0, 0.0, 1.0),
-                                np.zeros(4), np.linspace(-0.3, 0.3, 4),
-                                rows=1)
+                                np.zeros(4), np.linspace(-0.3, 0.3, 4))
     assert time.monotonic() - start < 30.0
     _assert_no_child()
     assert forks == [1]

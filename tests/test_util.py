@@ -197,6 +197,32 @@ def test_forked_write_child_failure_raises(tmp_path, monkeypatch):
     _assert_no_child()
 
 
+def test_failed_fork_closes_the_pipe_and_writes_nothing(tmp_path,
+                                                         monkeypatch):
+    pipes = []
+    real = os.pipe
+
+    def pipe():
+        pipes.append(real())
+        return pipes[-1]
+
+    def fork():
+        raise BlockingIOError("no process left")
+
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    path = tmp_path / "t.csv"
+    with pytest.raises(BlockingIOError):
+        _util.write_csv(path, "a,b,c,d", np.ones((40_000, 4)))
+    assert len(pipes) == 1
+    for fd in pipes[0]:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    _assert_no_child()
+    assert not path.exists()
+
+
 def test_forked_writer_without_go_byte_writes_nothing(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n")
@@ -204,10 +230,13 @@ def test_forked_writer_without_go_byte_writes_nothing(tmp_path):
     r, w = os.pipe()
     pid = os.fork()
     if pid == 0:
+        # the exit _util._forked makes of _child's return; a raise exits
+        # 3, so the test never runs on in the child
         try:
-            _util._child(r, w, path, table, _util._CSV_BLOCK_ROWS)
+            os._exit(0 if _util._child(r, w, path, table,
+                                       _util._CSV_BLOCK_ROWS) else 1)
         finally:
-            os._exit(3)    # _child returned: never let the test run on
+            os._exit(3)
     os.close(r)
     os.close(w)            # as a parent that raised or died does
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1
@@ -215,12 +244,15 @@ def test_forked_writer_without_go_byte_writes_nothing(tmp_path):
     assert path.read_text() == "a,b\n"
 
 
-@pytest.mark.parametrize("host", ["one-cpu", "no-fork"])
+@pytest.mark.parametrize("host", ["one-cpu", "no-affinity", "no-fork"])
 def test_one_process_hosts_write_without_forking(tmp_path, monkeypatch,
                                                  host):
-    if host == "one-cpu":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
+    if host in ("one-cpu", "no-affinity"):
+        if host == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                                raising=False)
+        else:    # the CPU count stands in for the affinity mask
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
 
         def fork():
