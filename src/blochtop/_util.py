@@ -76,20 +76,32 @@ def _word(b: bytes) -> int:
 
 @functools.cache
 def _format17_tables() -> types.SimpleNamespace:
-    """_format17's read-only tables, built on its first call."""
+    """_format17's read-only tables, built on its first call.  The digit
+    and layout tables are built as bytes, by slicing, joins and
+    translate, and numpy only views them: the build holds few temporaries
+    beside the tables and runs no numpy integer arithmetic."""
     hi, lo = _pow10()
     # Dekker's split of hi: hh keeps its top 26 bits, hh + hl = hi exactly
     m, e = np.frexp(hi)
     hh = np.ldexp(np.floor(np.ldexp(m, 26)), e - 26)
-    i = np.arange(10000)
-    # the 4 ASCII digits of i, each followed by an empty point slot
-    quad = sum((i // 10 ** (3 - j) % 10 + 48).astype(np.uint64) << 16 * j
-               for j in range(4))
-    zeros = (i % 10 == 0).astype(np.intp) + (i % 100 == 0) + (i % 1000 == 0)
+    # the 4 ASCII digits of i < 10000, each followed by an empty point
+    # slot: the digit of place 10**p runs through 0-9, p times each
+    quad = bytearray(8 * 10000)
+    for j, p in enumerate((1000, 100, 10, 1)):
+        quad[2 * j::8] = b"".join(bytes([48 + d]) * p
+                                  for d in range(10)) * (1000 // p)
+    # kept[i]: how many of the 4 digits of i run up to its last nonzero
+    # one, 0 for i = 0.  Level by level, i = 10 q + d keeps what q keeps
+    # when d is 0, and all its digits otherwise
+    kept = bytes(1)
+    for places in range(1, 5):
+        kept = b"".join(kept[q:q + 1] + bytes([places]) * 9
+                        for q in range(len(kept)))
     # last[j][i]: the place among digits 1-16 of the last nonzero digit of
     # i as their group j, 0 for i = 0
-    last = [np.where(i == 0, 0, 4 * j + 4 - zeros).astype(np.uint8)
-            for j in range(4)]
+    last = [np.frombuffer(kept.translate(bytes(
+        4 * j + k if 0 < k <= 4 else 0 for k in range(256))), np.uint8)
+        for j in range(4)]
     # keep[j][c]: the digits of group j at places up to c
     keep = [np.array([_word(b"\xff\0" * min(max(c - 4 * j, 0), 4))
                       for c in range(17)], np.uint64) for j in range(4)]
@@ -123,9 +135,9 @@ def _format17_tables() -> types.SimpleNamespace:
                 row[45] = sep
                 layout += row
     tables = types.SimpleNamespace(
-        hh=hh, hl=hi - hh, lo=lo, quad=quad, last=last, keep=keep,
-        lead=lead, point_after=point_after,
-        layout=np.frombuffer(bytes(layout), _LE64).reshape(-1, 6))
+        hh=hh, hl=hi - hh, lo=lo, quad=np.frombuffer(quad, _LE64),
+        last=last, keep=keep, lead=lead, point_after=point_after,
+        layout=np.frombuffer(layout, _LE64).reshape(-1, 6))
     for t in vars(tables).values():
         for a in t if isinstance(t, list) else [t]:
             a.flags.writeable = False

@@ -11,43 +11,58 @@ Cayley-Klein pair (a, c) of its rotation by phi about n: the SU(2)
 element U = [[a, -c*], [c, a*]] with a = cos(phi/2) - i sin(phi/2) n3
 and c = sin(phi/2) (n2 - i n1).  Every step is therefore an exact
 rotation and the trajectory error is second order in the sample
-spacing.  Static errors rescale the drive components by (1 + alpha) and
-shift the third component by delta before stepping.  One kernel composes
-the steps by the product of pairs, a = a_p a_q - c_p* c_q and
-c = c_p a_q + a_p* c_q, in a prefix scan for paths and a pairwise
-reduction for final propagators, and reads rotation matrices, spinors
-and Bloch vectors out of the accumulated pairs.
+spacing.  Static errors rescale the drive components by g = 1 + alpha
+and shift the third component by delta.  They are applied to interval
+averages taken once per pulse, A_j = (w_j[1:] + w_j[:-1]) 0.5 dt, in
+this rounding order:
+
+    v3    = (w3[1:] + w3[:-1] + 2 delta) 0.5 dt
+    phi^2 = g^2 (A1^2 + A2^2) + v3^2
+    a     = cos(phi/2) - i s v3,  s = sin(phi/2) / phi
+    c     = (s g) (A2 - i A1)
+
+A row with alpha = delta = 0 has the bits of the textbook order, which
+rescales and shifts the field samples before it averages them; other
+rows differ from it at roundoff.  One kernel composes the steps by the
+product of pairs, a = a_p a_q - c_p* c_q and c = c_p a_q + a_p* c_q, in
+a prefix scan for paths and a pairwise reduction for final propagators,
+and reads rotation matrices, spinors and Bloch vectors out of the
+accumulated pairs.
 
 The kernel is batched and has one step layout: planes (2, B, n), a and
 c each one contiguous complex plane along the sample axis, a leading
 axis of error pairs (alpha, delta), and the identity in slot 0 ahead of
-the n - 1 steps.  Steps are made in two stages: an effective-field stage
-gives each interval's rotation vector, and one builder writes the pairs
-of those rotations straight into the planes, so no step is copied on
-its way into the products.  The scan takes the planes it is given and
-accumulates the products in place in them, the reduction folds them
-pairwise in place in them, with its products in scratch planes, and
-both read pairs (..., 2) out only at the end.  The reduction pairs
-steps from the last one down, which is the product tree of the scan's
-last element, so a final propagator equals the endpoint of its path bit
-for bit, whether it is computed alone or inside a batch.  Every product
-and norm runs on arrays that keep the sample axis, even a final one of
-length 1: numpy rounds scalar arithmetic differently from its array
-loops.
+the n - 1 steps.  Steps are made in two stages: the pulse's interval
+averages (_averages), taken once for all rows, and one step stage
+(_steps) that applies each row's errors and writes its pairs straight
+into the planes, so no step is copied on its way into the products.
+Paths, finals, sweeps and the mirror route all build their steps with
+this one stage, so a sweep cell has the bits of the endpoint of
+bloch_propagate under its error pair.  The scan takes the planes it is
+given and accumulates the products in place in them, the reduction
+folds them pairwise in place in them, with its products in scratch
+planes, and both read pairs (..., 2) out only at the end.  The
+reduction pairs steps from the last one down, which is the product tree
+of the scan's last element, so a final propagator equals the endpoint
+of its path bit for bit, whether it is computed alone or inside a
+batch.  Every product and norm runs on arrays that keep the sample
+axis, even a final one of length 1: numpy rounds scalar arithmetic
+differently from its array loops.
 
 Sweeps (_final_states) take many error pairs in chunks of
 _chunk_rows(n) rows, the batch rule that gate scans share.  Each call
-allocates one workspace that every chunk rewrites: the fields, the
-planes and the scratch of the fold.  A chunk is folded only until its
-rows hold about _FOLD_PAIRS pairs, where numpy's call overhead starts
-to outweigh the products; those short planes go to a tail shared by
-many chunks, and each full tail is folded to the end, rescaled and
-read out at once.  The fold is stopped and resumed on the same product
-tree, so the bits stay those of a single-row final.  A sweep of
-_FORK_SAMPLES samples or more, on a host with two usable CPUs, forks
-once: a child propagates the chunks after the middle one and sends its
-final pairs back through a pipe (_util._forked).  No pair depends on
-another, so the bits are those of one process.
+allocates one workspace: the pulse's interval averages, written once,
+and the planes, the step stage's scratch and the fold's scratch, which
+every chunk rewrites.  A chunk is folded only until its rows hold about
+_FOLD_PAIRS pairs, where numpy's call overhead starts to outweigh the
+products; those short planes go to a tail shared by many chunks, and
+each full tail is folded to the end, rescaled and read out at once.
+The fold is stopped and resumed on the same product tree, so the bits
+stay those of a single-row final.  A sweep of _FORK_SAMPLES samples or
+more, on a host with two usable CPUs, forks once: a child propagates
+the chunks after the middle one and sends its final pairs back through
+a pipe (_util._forked).  No pair depends on another, so the bits are
+those of one process.
 
 A private mirror route (_mirror_final) serves gate design: the fields of
 an unrotated transfer or loop pulse on its own grid are mirror-symmetric
@@ -148,37 +163,48 @@ def _pairs(S):
     return np.moveaxis(S, 0, -1)
 
 
-def _fields(pulse, alpha, delta, out):
-    """Effective-field stage: the rotation vectors (v1, v2, v3) of every
-    sampling interval, written into out[0], out[1] and out[2], each
-    (B, n - 1), one row per error pair (alpha[b], delta[b]): the
-    endpoint-averaged field, drive rescaled by 1 + alpha and third
-    component shifted by delta, times the interval length.  out[3] is
-    scratch.  Returns out."""
+def _averages(pulse, out):
+    """The interval averages of the pulse that the step stage (_steps)
+    reads, written into out[0], ..., out[4], each (..., n - 1): the
+    interval lengths dt, -A1, A2, the endpoint sums w3[1:] + w3[:-1] and
+    A1^2 + A2^2, where A_j = (w_j[1:] + w_j[:-1]) 0.5 dt is field
+    component j averaged over an interval and times its length.  -A1 has
+    the bits of A1 with the sign flipped, so the stage takes no negation
+    for c.  out[5] is scratch.  Returns out[:5]."""
+    dt, a1, a2, w3, a12, tmp = out
+    np.subtract(pulse.times[..., 1:], pulse.times[..., :-1], out=dt)
+    np.add(pulse.omega3[..., 1:], pulse.omega3[..., :-1], out=w3)
+    for a, w, half in ((a1, pulse.omega1, -0.5), (a2, pulse.omega2, 0.5)):
+        np.add(w[..., 1:], w[..., :-1], out=a)
+        a *= half
+        a *= dt
+    np.multiply(a1, a1, out=a12)
+    np.multiply(a2, a2, out=tmp)
+    a12 += tmp
+    return out[:5]
+
+
+def _steps(avg, alpha, delta, v, out):
+    """Planes out (2, B, ..., n) of the identity followed by the pairs of
+    every step, one row per error pair (alpha[b], delta[b]), from the
+    interval averages avg of _averages: the planes the scan and the fold
+    consume, written in place.  With g = 1 + alpha and v3 = (w3[1:] +
+    w3[:-1] + 2 delta) 0.5 dt, the step rotates by phi, phi^2 =
+    g^2 (A1^2 + A2^2) + v3^2, and its pair is a = cos(phi / 2) - i s v3,
+    c = (s g) (A2 - i A1), with s = sin(phi / 2) / phi.  v holds four
+    (B, ..., n - 1) scratch arrays; v[1] may be avg's A1^2 + A2^2, v[2]
+    its endpoint sums and v[3] its dt, each read for the last time before
+    it is overwritten.  Returns out."""
+    dt, a1, a2, w3, a12 = avg
+    v3, phi, half, s = v
     gain = 1.0 + np.asarray(alpha, dtype=float)[:, None]
-    delta = np.asarray(delta, dtype=float)[:, None]
-    dt = np.diff(pulse.times)
-    tmp = out[3]
-    for v, w, shift, x in ((out[0], pulse.omega1, np.multiply, gain),
-                           (out[1], pulse.omega2, np.multiply, gain),
-                           (out[2], pulse.omega3, np.add, delta)):
-        shift(w[..., 1:], x, out=v)
-        shift(w[..., :-1], x, out=tmp)
-        v += tmp
-        v *= 0.5
-        v *= dt
-    return out
-
-
-def _exp_pairs(v, out):
-    """Planes out (2, ..., n) of the identity followed by the pairs of the
-    rotations by the vectors (v1, v2, v3) = v[:3], each (..., n - 1): the
-    planes the scan and the fold consume, written in place.  v[3:] is
-    scratch.  Returns out."""
-    v1, v2, v3, phi, half, s = v
-    np.multiply(v1, v1, out=phi)
-    np.multiply(v2, v2, out=half)
-    phi += half
+    # delta is added to the endpoint sum, not to A3 after the scaling, so
+    # a row with delta = 0 keeps the sign of a zero v3 on an interval of
+    # zero width
+    np.add(w3, 2.0 * np.asarray(delta, dtype=float)[:, None], out=v3)
+    v3 *= 0.5
+    v3 *= dt
+    np.multiply(a12, gain * gain, out=phi)
     np.multiply(v3, v3, out=half)
     phi += half
     np.sqrt(phi, out=phi)
@@ -192,10 +218,11 @@ def _exp_pairs(v, out):
     out[1, ..., 0] = 0.0
     a, c = out[0, ..., 1:], out[1, ..., 1:]
     np.cos(half, out=a.real)
-    np.multiply(s, v2, out=c.real)
+    np.multiply(s, gain, out=half)
+    np.multiply(half, a2, out=c.real)
+    np.multiply(half, a1, out=c.imag)
     np.negative(s, out=s)
     np.multiply(s, v3, out=a.imag)
-    np.multiply(s, v1, out=c.imag)
     return out
 
 
@@ -205,10 +232,13 @@ def _step_planes(pulse, alpha, delta):
     lead = np.broadcast_shapes(np.shape(pulse.omega1)[:-1], (len(alpha),))
     n = np.shape(pulse.times)[-1]
     # six arrays, not one block: a long pulse's fields in one block raise
-    # glibc's mmap threshold, and the heap then keeps more pages resident
+    # glibc's mmap threshold, and the heap then keeps more pages resident.
+    # The averages are broadcast to the rows, so the stage's scratch is
+    # the sixth array and three averages it has read
     v = [np.empty(lead + (n - 1,)) for _ in range(6)]
     S = np.empty((2,) + lead + (n,), dtype=complex)
-    return _exp_pairs(_fields(pulse, alpha, delta, v), S)
+    avg = _averages(pulse, v)
+    return _steps(avg, alpha, delta, (v[5], v[4], v[3], v[0]), S)
 
 
 def _mul(p, q, out, scratch=None):
@@ -419,24 +449,31 @@ def _final_pairs(pulse, alpha, delta, out):
     while rows * m > _FOLD_PAIRS and m > 1:
         m -= m // 2
     t = max(1, min(B, _CHUNK_SAMPLES // m))
-    # one float workspace: the chunk's planes, the tail, and scratch that
-    # holds the chunk's fields and then the products of either fold.  A
-    # chunk of at most _CHUNK_SAMPLES samples needs at most 14 floats a
-    # sample, and every such call asks for that much: the next sweep then
-    # reuses the pages this one frees instead of growing the heap
+    # one float workspace: the chunk's planes, the tail, scratch that
+    # holds the chunk's step stage and then the products of either fold
+    # (the stage's 4 * rows * (n - 1) floats never exceed the chunk
+    # fold's), and the pulse's interval averages, taken once per call.
+    # With rows of at most _CHUNK_SAMPLES samples on a pulse of at most
+    # _CHUNK_SAMPLES / 2 samples that is at most 14.5 floats a sample,
+    # and every such call asks for 15: the next sweep then reuses the
+    # pages this one frees instead of growing the heap
     planes, tail = 4 * rows * n, 4 * t * m
-    work = np.empty(max(14 * _CHUNK_SAMPLES, planes + tail + max(
-        6 * rows * (n - 1), 8 * rows * (n // 2), 8 * t * (m // 2))))
+    fold = max(8 * rows * (n // 2), 8 * t * (m // 2))
+    work = np.empty(max(15 * _CHUNK_SAMPLES,
+                        planes + tail + fold + 5 * (n - 1)))
     T = work[planes:planes + tail].view(complex).reshape(2, t, m)
-    scratch = work[planes + tail:]
+    scratch = work[planes + tail:planes + tail + fold]
     products = scratch.view(complex)
+    at = planes + tail + fold
+    avg = _averages(pulse, [*work[at:at + 5 * (n - 1)].reshape(5, n - 1),
+                            scratch[:n - 1]])
     held = done = 0
     for start in range(0, B, rows):
         r = min(rows, B - start)
         S = work[:4 * r * n].view(complex).reshape(2, r, n)
-        v = scratch[:6 * r * (n - 1)].reshape(6, r, n - 1)
         cells = slice(start, start + r)
-        _exp_pairs(_fields(pulse, alpha[cells], delta[cells], v), S)
+        _steps(avg, alpha[cells], delta[cells],
+               scratch[:4 * r * (n - 1)].reshape(4, r, n - 1), S)
         S = _fold(S, m, products)
         j = 0
         while j < r:

@@ -473,8 +473,9 @@ def test_reduce_is_last_scan_entry_bit_for_bit(pulse, pairs):
 
 
 def contiguous_step_planes(pulse, alpha, delta):
-    """Step planes built apart, as contiguous (2, B, n - 1) planes, and
-    copied behind the identity."""
+    """Step planes built apart in the textbook order, the error pair
+    applied to the field samples before they are averaged, as contiguous
+    (2, B, n - 1) planes, and copied behind the identity."""
     gain = 1.0 + np.asarray(alpha, dtype=float)[:, None]
     delta = np.asarray(delta, dtype=float)[:, None]
     dt = np.diff(pulse.times)
@@ -501,13 +502,54 @@ def contiguous_step_planes(pulse, alpha, delta):
     return P
 
 
+def averaged_step_planes(pulse, alpha, delta):
+    """Step planes built apart in the order of the step stage: the pulse's
+    interval averages, then one row per error pair, with g = 1 + alpha
+    scaling A1^2 + A2^2 by g^2 and s by g, and 2 delta added to the
+    endpoint sum of the third component."""
+    g = 1.0 + np.asarray(alpha, dtype=float)[:, None]
+    delta = np.asarray(delta, dtype=float)[:, None]
+    dt = np.diff(pulse.times)
+    a1 = 0.5 * (pulse.omega1[1:] + pulse.omega1[:-1]) * dt
+    a2 = 0.5 * (pulse.omega2[1:] + pulse.omega2[:-1]) * dt
+    v3 = (pulse.omega3[1:] + pulse.omega3[:-1] + 2.0 * delta) * 0.5 * dt
+    phi = np.sqrt(g * g * (a1 * a1 + a2 * a2) + v3 * v3)
+    s = np.sin(0.5 * phi) / np.where(phi == 0.0, 1.0, phi)
+    P = np.empty((2,) + phi.shape[:-1] + (phi.shape[-1] + 1,), dtype=complex)
+    P[0, ..., 0] = 1.0
+    P[1, ..., 0] = 0.0
+    np.cos(0.5 * phi, out=P[0, ..., 1:].real)
+    np.multiply(-s, v3, out=P[0, ..., 1:].imag)
+    np.multiply(s * g, a2, out=P[1, ..., 1:].real)
+    np.multiply(-(s * g), a1, out=P[1, ..., 1:].imag)
+    return P
+
+
 @PROPERTY
 @given(pulses(), _offsets)
 def test_step_planes_are_built_in_place_bit_for_bit(pulse, pairs):
-    alpha, delta = np.array(pairs).T
+    # a zero-error row among the drawn ones
+    alpha, delta = np.array(pairs + [(0.0, 0.0)]).T
     S = _step_planes(pulse, alpha, delta)
     assert S.shape == (2, len(alpha), pulse.n_samples)
-    assert S.tobytes() == contiguous_step_planes(pulse, alpha, delta).tobytes()
+    assert S.tobytes() == averaged_step_planes(pulse, alpha, delta).tobytes()
+    # rows without error keep the bits of the textbook order
+    zero = (alpha == 0.0) & (delta == 0.0)
+    assert (S[:, zero].tobytes()
+            == contiguous_step_planes(pulse, alpha, delta)[:, zero].tobytes())
+
+
+@PROPERTY
+@given(pulses(), _offsets)
+def test_step_pairs_are_textbook_steps_to_roundoff(pulse, pairs):
+    alpha, delta = np.array(pairs).T
+    S = _step_planes(pulse, alpha, delta)
+    eps = np.finfo(float).eps
+    textbook = contiguous_step_planes(pulse, alpha, delta)
+    assert np.max(np.abs(S - textbook)) <= 4 * eps
+    x = S.view(float)
+    norm = np.sum(x.reshape(2, len(alpha), -1, 2) ** 2, axis=(0, 3))
+    assert np.max(np.abs(norm - 1.0)) <= 4 * eps
 
 
 def mirror_final_reference(half):

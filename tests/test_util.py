@@ -493,6 +493,23 @@ def test_pow10_table_is_double_double_exact():
         assert hi[i] == float(exact)
 
 
+def test_format17_digit_tables_are_their_arithmetic_definition():
+    tables = _util._format17_tables()
+    i = np.arange(10000)
+    # digit d of i at bits 16 d of its word, each digit in ASCII
+    quad = sum((i // 10 ** (3 - j) % 10 + 48).astype(np.uint64) << 16 * j
+               for j in range(4))
+    assert np.array_equal(tables.quad, quad)
+    zeros = (i % 10 == 0).astype(np.intp) + (i % 100 == 0) + (i % 1000 == 0)
+    for j in range(4):
+        last = np.where(i == 0, 0, 4 * j + 4 - zeros).astype(np.uint8)
+        assert tables.last[j].dtype == np.uint8
+        assert np.array_equal(tables.last[j], last)
+    assert tables.layout.shape == (4 * (10 - 2 * _util._EXP_MIN), 6)
+    for t in (tables.quad, tables.layout, *tables.last):
+        assert not t.flags.writeable
+
+
 def test_format17_raises_no_numpy_warning():
     block = np.resize(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
                                 -2.5e-310, 1.5, 1e300, 1e-300]),
