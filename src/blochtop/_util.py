@@ -8,18 +8,18 @@ formats every block of rows with numpy (_format17: Dekker's exact
 product against a double-double table of 10**k, then a fixed-width byte
 layout that one bytes.translate compacts) and hands the few values it
 cannot round exactly to CPython's "%.17g".  Tables of _CSV_FORK_VALUES
-values or more are split with one forked child (_forked, _split), whose
-skeleton the sweep kernel shares.
+values or more are split (_split) with one forked child (_in_two), which
+formats its rows into shared memory; this process writes and hashes
+every byte.  The sweep kernel forks through the same two helpers.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
-import itertools
 import json
 import math
+import mmap
 import os
 import signal
 import types
@@ -38,8 +38,9 @@ _CSV_BLOCK_ROWS = 1024
 # ms in one process, one process faster on 21 of 25 alternations) and
 # won at 24,577 x 4 (65.7 against 71.8 ms, 16 of 25) and above
 _CSV_FORK_VALUES = 98304
-# bytes read at a time when the forked child's tail is hashed
-_READ_CHUNK = 1 << 16
+# bytes of the forked writer's text written and hashed at a time, and
+# then released: this process's RSS grows by one piece, not the text
+_PIECE_BYTES = 1 << 16
 
 # _format17 lays each value out in 48 bytes, six little-endian words:
 #   0       sign, the "0.000" prefix of 1e-4 <= |x| < 1, digit 0, point slot
@@ -246,32 +247,6 @@ def _blocks(data, start: int, stop: int):
         yield _format17(block, buf)
 
 
-def _write_rows(path, header: str, data, stop: int, digest) -> int:
-    """Write the header and rows :stop to a fresh file at path, update
-    digest with each piece as it is written, and return the byte count."""
-    size = 0
-    with open(path, "wb") as fh:
-        pieces = _blocks(data, 0, stop)
-        if header:
-            pieces = itertools.chain([header.encode() + b"\n"], pieces)
-        for text in pieces:
-            fh.write(text)
-            digest.update(text)
-            size += len(text)
-    return size
-
-
-def _hash_tail(path, start: int, digest) -> None:
-    """Update digest with the bytes of path from offset start on, read in
-    _READ_CHUNK pieces into one buffer."""
-    buf = bytearray(_READ_CHUNK)
-    view = memoryview(buf)
-    with open(path, "rb", buffering=0) as fh:
-        fh.seek(start)
-        while size := fh.readinto(buf):
-            digest.update(view[:size])
-
-
 def _two_cpus() -> bool:
     """True where os.fork exists and this process may run on two CPUs
     or more."""
@@ -282,56 +257,6 @@ def _two_cpus() -> bool:
     except AttributeError:       # no affinity call on this platform
         cpus = os.cpu_count() or 1
     return cpus > 1
-
-
-@contextlib.contextmanager
-def _forked(child, error):
-    """Fork once, for the body of a with statement.
-
-    The child runs child(r, w) on the two ends of a fresh pipe and exits
-    here, the only place a child exits: status 0 when child returns True,
-    1 when it returns anything else or raises.  It leaves through
-    os._exit, which runs no atexit hook and flushes no inherited buffer,
-    and an exception stops there, so the child never runs the caller's
-    code.  This process gets the ends as unbuffered binary files
-    (reader, writer), and both are closed when the body ends.  The child
-    is then reaped, and an exit status other than 0 raises error().  A
-    body that raises kills and reaps the child first, so no child
-    outlives the statement.
-    """
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        ok = False
-        try:
-            ok = child(r, w) is True
-        finally:
-            os._exit(0 if ok else 1)
-    reaped = False
-    try:
-        with open(r, "rb", buffering=0) as reader, \
-                open(w, "wb", buffering=0) as writer:
-            yield reader, writer
-        status = os.waitpid(pid, 0)[1]
-        reaped = True
-    finally:
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if os.waitstatus_to_exitcode(status):
-        raise error()
-
-
-def _write_all(fd: int, data) -> None:
-    """Write the bytes of data (any contiguous buffer) to fd."""
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
 
 
 def _split(items: int, step: int, work: int, cutoff: int) -> int:
@@ -346,30 +271,67 @@ def _split(items: int, step: int, work: int, cutoff: int) -> int:
     return (steps + 1) // 2 * step
 
 
-def _child(r: int, w: int, path, data, split: int) -> bool:
-    """The forked writer of rows split: onwards, run by _forked.
+def _in_two(child, parent) -> bool:
+    """Run child() in a forked process while this process runs parent(),
+    and return whether child() returned.
 
-    It formats its rows while the parent writes the header and the rows
-    before split, waits for the parent's go byte, appends and returns
-    True.  A pipe closed without the go byte (the parent raised or died)
-    returns False without writing.
+    The child exits here, through os._exit, as soon as child() returns
+    or raises: it runs no atexit hook, flushes no inherited buffer and
+    never runs the caller's code.  It hands its results back only
+    through shared memory mapped before the call.  A fork that fails
+    returns False once parent() has run.  A parent() that raises kills
+    and reaps the child first, so no child outlives the call.  A caller
+    that gets False does the child's share itself: nothing it returns
+    depends on the fork.
 
     Python 3.12 warns at os.fork when the process has other threads, as
     OpenBLAS's pool is: a fork can copy a lock that such a thread held.
-    This child takes none that matters.  glibc resets its malloc locks in
-    the child, CPython its interpreter state, and the child only slices,
-    runs numpy's elementwise functions and take, calls tolist, % formats
-    the values _format17 hands to CPython, translates and uses os.read,
-    os.open and os.write: no import, no logging, no BLAS call.
+    The children take none that matters.  glibc resets its malloc locks
+    in the child and CPython its interpreter state, and the children run
+    numpy's elementwise functions, take, slicing and "%" formatting: no
+    import, no logging, no BLAS call.
     """
-    os.close(w)
-    text = b"".join(_blocks(data, split, len(data)))
-    if not os.read(r, 1):
+    try:
+        pid = os.fork()
+    except (OSError, MemoryError):    # no process or memory left
+        parent()
         return False
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
-    _write_all(fd, text)
-    os.close(fd)
-    return True
+    if pid == 0:
+        ok = False
+        try:
+            child()
+            ok = True
+        finally:
+            os._exit(0 if ok else 1)
+    try:
+        parent()
+        status = os.waitpid(pid, 0)[1]
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    return status == 0
+
+
+def _format_into(shared, data, split: int) -> None:
+    """The forked writer's share: the text of rows split: into shared
+    from its second page on, then its length into the first 8 bytes."""
+    at = mmap.PAGESIZE
+    for text in _blocks(data, split, len(data)):
+        shared[at:at + len(text)] = text
+        at += len(text)
+    shared[:8] = (at - mmap.PAGESIZE).to_bytes(8, "little")
+
+
+def _pieces(shared):
+    """The text _format_into left in shared, _PIECE_BYTES at a time.
+    Each piece's pages are released once it is copied out, so this
+    process never holds more than one piece of the mapping."""
+    end = mmap.PAGESIZE + int.from_bytes(shared[:8], "little")
+    for at in range(mmap.PAGESIZE, end, _PIECE_BYTES):
+        piece = shared[at:min(at + _PIECE_BYTES, end)]
+        shared.madvise(mmap.MADV_DONTNEED, at, len(piece))
+        yield piece
 
 
 def write_csv(path, header: str, data) -> str:
@@ -380,34 +342,37 @@ def write_csv(path, header: str, data) -> str:
     bytes numpy's savetxt writes with fmt="%.17g", delimiter=",",
     comments="" and this header.  Each block of _CSV_BLOCK_ROWS rows is
     formatted at once by _format17.  A table of _CSV_FORK_VALUES values
-    or more, on a host with two usable CPUs, is written by two processes
-    with the same bytes: a forked child formats the blocks after the
-    middle one while this process writes the header and the rows before
-    them, then appends its text once this process has closed the file.
-    The digest covers every byte as written: this process hashes its own
-    bytes as it writes them, before the child may append, and once the
-    child has exited with status 0 it reads back and hashes only the
-    child's tail.
-    No child outlives the call, and a child that fails raises OSError.
+    or more, on a host with two usable CPUs, is formatted by two
+    processes: a forked child formats the blocks after the middle one
+    into shared memory (at most 25 bytes a value: "%.17g" and its
+    separator) while this process writes the header and the rows before
+    them.  This process then writes and hashes the child's text.  Should
+    the child fail, or the fork, this process formats those rows itself,
+    so the bytes and the digest never depend on the fork.  No child
+    outlives the call.
     """
     data = np.asarray(data, dtype=float)
     rows, cols = data.shape
     digest = hashlib.sha256()
     split = _split(rows, _CSV_BLOCK_ROWS, rows * cols, _CSV_FORK_VALUES)
-    if not split:
-        _write_rows(path, header, data, len(data), digest)
-        return digest.hexdigest()
-    with _forked(lambda r, w: _child(r, w, path, data, split),
-                 lambda: OSError(f"{path} is incomplete: the forked writer "
-                                 f"of its rows from {split} on failed")) \
-            as (reader, writer):
-        reader.close()
-        size = _write_rows(path, header, data, split, digest)
-        try:
-            writer.write(b"g")
-        except BrokenPipeError:  # the child exited early; its status says how
-            pass
-    _hash_tail(path, size, digest)
+    with open(path, "wb") as fh:
+        def write(pieces):
+            for text in pieces:
+                fh.write(text)
+                digest.update(text)
+
+        if header:
+            write([header.encode() + b"\n"])
+        if not split:
+            write(_blocks(data, 0, rows))
+            return digest.hexdigest()
+        with mmap.mmap(-1, mmap.PAGESIZE + 25 * (rows - split) * cols) \
+                as shared:
+            if _in_two(lambda: _format_into(shared, data, split),
+                       lambda: write(_blocks(data, 0, split))):
+                write(_pieces(shared))
+            else:
+                write(_blocks(data, split, rows))
     return digest.hexdigest()
 
 

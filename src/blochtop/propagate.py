@@ -60,9 +60,9 @@ each full tail is folded to the end, rescaled and read out at once.
 The fold is stopped and resumed on the same product tree, so the bits
 stay those of a single-row final.  A sweep of _FORK_SAMPLES samples or
 more, on a host with two usable CPUs, forks once: a child propagates
-the chunks after the middle one and sends its final pairs back through
-a pipe (_util._forked).  No pair depends on another, so the bits are
-those of one process.
+the chunks after the middle one into shared memory (_util._in_two), and
+this process redoes them should the child fail.  No pair depends on
+another, so the bits are those of one process.
 
 A private mirror route (_mirror_final) serves gate design: the fields of
 an unrotated transfer or loop pulse on its own grid are mirror-symmetric
@@ -76,8 +76,7 @@ and compose every step of whatever pulse they are given.
 from __future__ import annotations
 
 import math
-import os
-import pickle
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -486,34 +485,6 @@ def _final_pairs(pulse, alpha, delta, out):
     return out
 
 
-def _pairs_child(r, w, pulse, alpha, delta) -> bool:
-    """The forked half of _final_states, run by _util._forked.  It sends
-    the bytes of its final pairs through w and returns True, or sends
-    the pickle of the exception it raised (nothing, if that does not
-    pickle) and returns False.  It makes no BLAS call: the parent reads
-    the rotations out of the pairs."""
-    os.close(r)
-    try:
-        data, ok = _final_pairs(pulse, alpha, delta, np.empty(
-            (len(alpha), 2), dtype=complex)), True
-    except Exception as exc:    # the parent raises it
-        try:
-            data, ok = pickle.dumps(exc), False
-        except Exception:       # of a local class, say
-            data, ok = b"", False
-    _util._write_all(w, data)
-    return ok
-
-
-def _child_error(sent):
-    """The exception the forked half of _final_states raised, from the
-    bytes it sent, or ChildProcessError when they hold none."""
-    try:
-        return pickle.loads(sent)
-    except Exception:    # nothing sent, or a pickle that does not load
-        return ChildProcessError("the forked half of the sweep failed")
-
-
 def _final_states(pulse, M0, alpha, delta):
     """Final Bloch vectors (B, 3) of M0 under the pulse, one per error
     pair (alpha[b], delta[b]).  Row b has the bits of the last sample of
@@ -522,31 +493,28 @@ def _final_states(pulse, M0, alpha, delta):
     The pairs are propagated by _final_pairs, _chunk_rows(n) at a time.
     A batch of _FORK_SAMPLES samples (B * n) or more, with at least two
     chunks, on a host with two usable CPUs, is split once on a chunk
-    boundary: a forked child (_pairs_child) propagates the pairs after
-    the split while this process propagates the rest, and the child
-    sends its final pairs back through a pipe.  Every pair is propagated
-    alone, so the bits are those of one process.  No child outlives the
-    call, and the exception a child raised is raised here.  The
-    rotations are read out of the pairs here, once for the batch.  With
-    no error pairs it returns an empty (0, 3) array and allocates no
-    workspace."""
+    boundary (_util._split): a forked child (_util._in_two) propagates
+    the pairs after the split straight into a shared array while this
+    process propagates the rest.  Should the child fail, or the fork,
+    this process propagates the child's pairs itself, and an error they
+    raise is raised here.  Every pair is propagated alone, so the bits
+    are those of one process.  The rotations are read out of the pairs
+    here, once for the batch.  With no error pairs it returns an empty
+    (0, 3) array and allocates no workspace."""
     M0 = _state(M0)
     alpha = np.asarray(alpha, dtype=float)
     delta = np.asarray(delta, dtype=float)
     B = len(alpha)
-    q = np.empty((B, 2), dtype=complex)
     n = pulse.n_samples
     h = _util._split(B, _chunk_rows(n), B * n, _FORK_SAMPLES)
     if not h:
-        _final_pairs(pulse, alpha, delta, q)
+        q = _final_pairs(pulse, alpha, delta, np.empty((B, 2), complex))
     else:
-        with _util._forked(
-                lambda r, w: _pairs_child(r, w, pulse, alpha[h:], delta[h:]),
-                lambda: _child_error(sent)) as (reader, writer):
-            writer.close()
-            _final_pairs(pulse, alpha[:h], delta[:h], q[:h])
-            sent = reader.readall()
-        q[h:] = np.frombuffer(sent, dtype=complex).reshape(B - h, 2)
+        q = np.frombuffer(mmap.mmap(-1, 32 * B), complex).reshape(B, 2)
+        if not _util._in_two(
+                lambda: _final_pairs(pulse, alpha[h:], delta[h:], q[h:]),
+                lambda: _final_pairs(pulse, alpha[:h], delta[:h], q[:h])):
+            _final_pairs(pulse, alpha[h:], delta[h:], q[h:])
     return _rotations(q) @ M0
 
 

@@ -295,8 +295,7 @@ def test_sweep_without_live_cells_propagates_nothing(monkeypatch):
 
 
 class ChildFault(Exception):
-    """A fault of one half of a forked sweep; at module level, so that it
-    pickles."""
+    """A fault of one half of a forked sweep, or of both."""
 
 
 def _assert_no_child():
@@ -324,40 +323,44 @@ def _forking_sweeps(monkeypatch, cpus=(0, 1)) -> list:
     return forks
 
 
-def _local_fault():
-    class LocalFault(Exception):    # cannot pickle: a local class
-        pass
-
-    return LocalFault
-
-
 @pytest.mark.parametrize("fault, reason", [
-    (ChildFault, "ChildFault"), (MemoryError, "MemoryError"),
-    (_local_fault(), "ChildProcessError")])
+    (ChildFault, "ChildFault"), (MemoryError, "MemoryError")])
 def test_failing_forked_half_flags_every_live_cell_with_its_class(
         monkeypatch, fault, reason):
-    forks = _forking_sweeps(monkeypatch)
-    parent = os.getpid()
-    real = propagate._final_pairs
-
-    def pairs(*args):
-        if os.getpid() != parent:
-            raise fault("child")
-        return real(*args)
-
-    monkeypatch.setattr(propagate, "_final_pairs", pairs)
+    alphas = np.array([0.0, math.nan, 0.2, -0.1])
+    deltas = np.array([0.0, math.inf, -0.3])
+    pulse = rect_pi_pulse(1.0, n=33)
     seen = []
 
     def merit(traj):
         seen.append(traj)
         return merit_J3(traj)
 
-    alphas = np.array([0.0, math.nan, 0.2, -0.1])
-    deltas = np.array([0.0, math.inf, -0.3])
-    rmap = sweep(rect_pi_pulse(1.0, n=33), (0.0, 0.0, 1.0), alphas, deltas,
-                 merit=merit)
+    serial = sweep(pulse, (0.0, 0.0, 1.0), alphas, deltas, merit=merit)
+    forks = _forking_sweeps(monkeypatch)
+    parent = os.getpid()
+    real = propagate._final_pairs
+    faulty = []
+
+    def pairs(*args):
+        if os.getpid() != parent or faulty:
+            raise fault("child" if os.getpid() != parent else "parent")
+        return real(*args)
+
+    monkeypatch.setattr(propagate, "_final_pairs", pairs)
+    # a fault in the child alone: this process propagates its cells
+    rmap = sweep(pulse, (0.0, 0.0, 1.0), alphas, deltas, merit=merit)
     _assert_no_child()
     assert forks == [1]
+    assert rmap.values.tobytes() == serial.values.tobytes()
+    assert np.array_equal(rmap.flags, serial.flags)
+    assert rmap.meta == serial.meta
+    # a fault in both halves flags every live cell with its class
+    faulty.append(1)
+    seen.clear()
+    rmap = sweep(pulse, (0.0, 0.0, 1.0), alphas, deltas, merit=merit)
+    _assert_no_child()
+    assert forks == [1, 1]
     assert not seen
     assert rmap.flags.all() and np.isnan(rmap.values).all()
     assert rmap.meta["failed_cells"] == [

@@ -2,8 +2,9 @@ import decimal
 import hashlib
 import json
 import math
+import mmap
 import os
-import re
+import signal
 import tempfile
 import warnings
 from fractions import Fraction
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from blochtop import _util
+from blochtop import _util, propagate
+from blochtop.pulsegen import rect_pi_pulse
 
 _SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-308,
             1.7976931348623157e308, 0.1, 1.0]
@@ -178,9 +180,10 @@ def test_forked_write_parent_failure_leaves_no_child(tmp_path, monkeypatch):
     assert written.count(b"\n") == 1 + _util._CSV_BLOCK_ROWS
 
 
-def test_forked_write_child_failure_raises(tmp_path, monkeypatch):
+def test_forked_write_child_failure_leaves_the_one_process_bytes(
+        tmp_path, monkeypatch):
     rows = 2 * _first_forked_rows(4)
-    table = np.random.default_rng(5).normal(size=(rows, 4))
+    table = _special_table(rows, 4, _csv_split(rows, 4))
     parent = os.getpid()
     real = _util._blocks
 
@@ -191,20 +194,19 @@ def test_forked_write_child_failure_raises(tmp_path, monkeypatch):
 
     _two_cpus(monkeypatch)
     monkeypatch.setattr(_util, "_blocks", failing)
+    forks = _count_forks(monkeypatch)
     path = tmp_path / "t.csv"
-    with pytest.raises(OSError, match=re.escape(str(path))):
-        _util.write_csv(path, "a,b,c,d", table)
+    digest = _util.write_csv(path, "a,b,c,d", table)
     _assert_no_child()
+    assert forks == [1]
+    assert path.read_bytes() == \
+        _savetxt_bytes(tmp_path / "ref.csv", "a,b,c,d", table)
+    assert digest == _file_sha256(path)
 
 
-def test_failed_fork_closes_the_pipe_and_writes_nothing(tmp_path,
-                                                         monkeypatch):
-    pipes = []
-    real = os.pipe
-
+def test_failed_fork_writes_the_one_process_bytes(tmp_path, monkeypatch):
     def pipe():
-        pipes.append(real())
-        return pipes[-1]
+        raise AssertionError("opened a pipe")
 
     def fork():
         raise BlockingIOError("no process left")
@@ -212,36 +214,14 @@ def test_failed_fork_closes_the_pipe_and_writes_nothing(tmp_path,
     _two_cpus(monkeypatch)
     monkeypatch.setattr(os, "pipe", pipe)
     monkeypatch.setattr(os, "fork", fork)
+    rows = 2 * _first_forked_rows(4)
+    table = _special_table(rows, 4, _csv_split(rows, 4))
     path = tmp_path / "t.csv"
-    with pytest.raises(BlockingIOError):
-        _util.write_csv(path, "a,b,c,d", np.ones((40_000, 4)))
-    assert len(pipes) == 1
-    for fd in pipes[0]:
-        with pytest.raises(OSError):
-            os.fstat(fd)
+    digest = _util.write_csv(path, "a,b,c,d", table)
     _assert_no_child()
-    assert not path.exists()
-
-
-def test_forked_writer_without_go_byte_writes_nothing(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text("a,b\n")
-    table = np.ones((2 * _util._CSV_BLOCK_ROWS, 2))
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # the exit _util._forked makes of _child's return; a raise exits
-        # 3, so the test never runs on in the child
-        try:
-            os._exit(0 if _util._child(r, w, path, table,
-                                       _util._CSV_BLOCK_ROWS) else 1)
-        finally:
-            os._exit(3)
-    os.close(r)
-    os.close(w)            # as a parent that raised or died does
-    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1
-    _assert_no_child()
-    assert path.read_text() == "a,b\n"
+    assert path.read_bytes() == \
+        _savetxt_bytes(tmp_path / "ref.csv", "a,b,c,d", table)
+    assert digest == _file_sha256(path)
 
 
 @pytest.mark.parametrize("host", ["one-cpu", "no-affinity", "no-fork"])
@@ -363,46 +343,167 @@ def test_write_csv_bytes_do_not_depend_on_the_block_size(block_rows, rows,
 
 def test_forked_tail_is_hashed_in_chunks_after_the_child(tmp_path,
                                                           monkeypatch):
-    # a tail of several read chunks, hashed only once the child has exited
+    # the child's text of several pieces, written and hashed only once the
+    # child is reaped, each piece's pages released before the next
     rows = 2 * _first_forked_rows(4)
     table = np.random.default_rng(9).normal(size=(rows, 4))
-    tails = []
-    real = _util._hash_tail
+    events = []
+    real = _util._pieces
 
-    def hash_tail(path, start, digest):
+    class Shared(mmap.mmap):
+        def madvise(self, option, start, length):
+            events.append(("release", start, length))
+            return super().madvise(option, start, length)
+
+    def pieces(shared):
         _assert_no_child()
-        tails.append(start)
-        real(path, start, digest)
+        for piece in real(shared):
+            events.append(("piece", len(piece)))
+            yield piece
 
     _two_cpus(monkeypatch)
-    monkeypatch.setattr(_util, "_hash_tail", hash_tail)
+    monkeypatch.setattr(_util.mmap, "mmap", Shared)
+    monkeypatch.setattr(_util, "_pieces", pieces)
     digest = _util.write_csv(tmp_path / "t.csv", "a,b,c,d", table)
-    size = (tmp_path / "t.csv").stat().st_size
-    assert len(tails) == 1 and 0 < tails[0] < size - 4 * _util._READ_CHUNK
     assert digest == _file_sha256(tmp_path / "t.csv")
+    assert len(events) > 8
+    assert [e[0] for e in events] == ["release", "piece"] * (len(events) // 2)
+    at = mmap.PAGESIZE
+    for (_, start, size), (_, length) in zip(events[0::2], events[1::2]):
+        assert start == at and size == length
+        assert start % mmap.PAGESIZE == 0
+        at += length
+    # the pieces are the rows after the split, the last bytes of the file
+    assert 0 < at - mmap.PAGESIZE < (tmp_path / "t.csv").stat().st_size
 
 
-def test_failed_forked_writer_raises_before_any_digest(tmp_path,
-                                                        monkeypatch):
+def test_killed_forked_writer_leaves_the_one_process_bytes(tmp_path,
+                                                           monkeypatch):
+    # a child killed after its first block: none of its text is written
+    # and this process formats its rows
     rows = 2 * _first_forked_rows(4)
-    table = np.ones((rows, 4))
+    table = _special_table(rows, 4, _csv_split(rows, 4))
     parent = os.getpid()
     real = _util._blocks
 
-    def failing(data, start, stop):
-        if os.getpid() != parent:
-            raise RuntimeError("child failed")
-        return real(data, start, stop)
+    def dying(data, start, stop):
+        for i, text in enumerate(real(data, start, stop)):
+            if i and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            yield text
 
-    def hash_tail(path, start, digest):
-        raise AssertionError("hashed the tail of a failed child")
+    def pieces(shared):
+        raise AssertionError("wrote the text of a failed child")
 
     _two_cpus(monkeypatch)
-    monkeypatch.setattr(_util, "_blocks", failing)
-    monkeypatch.setattr(_util, "_hash_tail", hash_tail)
-    with pytest.raises(OSError, match="forked writer"):
-        _util.write_csv(tmp_path / "t.csv", "a,b,c,d", table)
+    monkeypatch.setattr(_util, "_blocks", dying)
+    monkeypatch.setattr(_util, "_pieces", pieces)
+    forks = _count_forks(monkeypatch)
+    path = tmp_path / "t.csv"
+    digest = _util.write_csv(path, "a,b,c,d", table)
     _assert_no_child()
+    assert forks == [1]
+    assert path.read_bytes() == \
+        _savetxt_bytes(tmp_path / "ref.csv", "a,b,c,d", table)
+    assert digest == _file_sha256(path)
+
+
+# no output depends on the fork: the helper of write_csv and of a sweep
+# fails at a drawn block or chunk, by raising or by being killed, or is
+# never forked, and this process then does its share itself
+
+# "%.17g" at its longest, 24 bytes: a row of these meets the writer's
+# bound of 25 bytes a value exactly
+_LONGEST = [-1.2345678901234567e-308, -2.2250738585072014e-308,
+            -1.7976931348623157e+308]
+
+
+def _helper_fate(fate: str, at: int, parent: int):
+    """A hook for the child's k-th of count blocks or chunks: it raises or
+    kills the child at k == at % count, and does nothing otherwise."""
+    def hook(k, count):
+        if os.getpid() == parent or k != at % count:
+            return
+        if fate == "raises":
+            raise RuntimeError("helper failed")
+        if fate == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+    return hook
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(2, 40), st.integers(1, 6), st.integers(1, 4),
+       st.lists(_BITS_OR_FLOATS, min_size=1, max_size=30),
+       st.one_of(st.just("all"), st.lists(st.integers(0, 39), max_size=6)),
+       st.integers(2, 12), st.integers(1, 5),
+       st.sampled_from(["returns", "raises", "killed", "no-fork"]),
+       st.integers(0, 40))
+def test_no_output_depends_on_the_fork(rows, cols, block_rows, values,
+                                       longest, cells, chunk_rows, fate,
+                                       at):
+    table = np.resize(np.array(values, dtype=float), (rows, cols))
+    for r in range(rows) if longest == "all" else longest:
+        if r < rows:
+            table[r] = np.resize(np.roll(_LONGEST, r), cols)
+    pulse = rect_pi_pulse(1.0, n=33)
+    M0 = np.array([0.6, 0.0, 0.8])
+    alpha = np.linspace(-0.3, 0.3, cells)
+    delta = np.linspace(0.4, -0.4, cells)
+    parent = os.getpid()
+    hook = _helper_fate(fate, at, parent)
+    real_blocks, real_steps = _util._blocks, propagate._steps
+    formatted, chunks = [], [0]
+
+    def blocks(data, start, stop):
+        if os.getpid() == parent:
+            formatted.append((start, stop))
+            yield from real_blocks(data, start, stop)
+            return
+        for k, text in enumerate(real_blocks(data, start, stop)):
+            hook(k, -(-(stop - start) // _util._CSV_BLOCK_ROWS))
+            yield text
+
+    def steps(*args):
+        if os.getpid() != parent:
+            chunks[0] += 1
+            hook(chunks[0] - 1, -(-(cells - h) // chunk_rows))
+        return real_steps(*args)
+
+    def no_fork():
+        raise BlockingIOError("no process left")
+
+    with pytest.MonkeyPatch.context() as mp, \
+            tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(_util, "_CSV_BLOCK_ROWS", block_rows)
+        mp.setattr(propagate, "_chunk_rows", lambda samples: chunk_rows)
+        mp.setattr(propagate, "_FORK_SAMPLES", math.inf)
+        serial = propagate._final_states(pulse, M0, alpha, delta)
+        mp.setattr(_util, "_CSV_FORK_VALUES", 1)
+        mp.setattr(propagate, "_FORK_SAMPLES", 0)
+        mp.setattr(_util, "_two_cpus", lambda: True)
+        split = _util._split(rows, block_rows, rows * cols, 1)
+        h = _util._split(cells, chunk_rows, cells, 0)
+        mp.setattr(_util, "_blocks", blocks)
+        mp.setattr(propagate, "_steps", steps)
+        forks = _count_forks(mp)
+        if fate == "no-fork":
+            mp.setattr(os, "fork", no_fork)
+        path = Path(tmp) / "t.csv"
+        digest = _util.write_csv(path, "h", table)
+        _assert_no_child()
+        assert path.read_bytes() == b"h\n" + _per_value(table)
+        assert digest == _file_sha256(path)
+        finals = propagate._final_states(pulse, M0, alpha, delta)
+        _assert_no_child()
+        assert finals.tobytes() == serial.tobytes()
+    assert len(forks) == (fate != "no-fork") * ((split > 0) + (h > 0))
+    # this process formats the child's rows only when the child failed
+    if not split:
+        assert formatted == [(0, rows)]
+    elif fate == "returns":
+        assert formatted == [(0, split)]
+    else:
+        assert formatted == [(0, split), (split, rows)]
 
 
 @pytest.mark.parametrize("obj", [
