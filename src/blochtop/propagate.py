@@ -38,16 +38,19 @@ averages (_averages), taken once for all rows, and one step stage
 into the planes, so no step is copied on its way into the products.
 Paths, finals, sweeps and the mirror route all build their steps with
 this one stage, so a sweep cell has the bits of the endpoint of
-bloch_propagate under its error pair.  The scan takes the planes it is
-given and accumulates the products in place in them, the reduction
-folds them pairwise in place in them, with its products in scratch
-planes, and both read pairs (..., 2) out only at the end.  The
-reduction pairs steps from the last one down, which is the product tree
-of the scan's last element, so a final propagator equals the endpoint
-of its path bit for bit, whether it is computed alone or inside a
-batch.  Every product and norm runs on arrays that keep the sample
-axis, even a final one of length 1: numpy rounds scalar arithmetic
-differently from its array loops.
+bloch_propagate under its error pair.  The reduction (_fold) pairs the
+steps from the last one down, one level of the product tree at a time
+(_halve), and folds them in place in the planes, with its products in
+scratch planes.  The scan is work-efficient (Blelloch 1990): its
+up-sweep is that same tree, each level kept in one workspace, and a
+down-sweep turns the levels back into prefixes, in place in the planes,
+about 2 n products in 2 log2 n batched levels.  Its last entry is the
+root of the tree, so a final propagator equals the endpoint of its path
+bit for bit, whether it is computed alone or inside a batch; the
+interior entries are the same products grouped otherwise.  Both read
+pairs (..., 2) out only at the end.  Every product and norm runs on
+arrays that keep the sample axis, even a final one of length 1: numpy
+rounds scalar arithmetic differently from its array loops.
 
 Sweeps (_final_states) take many error pairs in chunks of
 _chunk_rows(n) rows, the batch rule that gate scans share.  Each call
@@ -272,20 +275,59 @@ def _unit(S):
     return S
 
 
+def _halve(X, out, scratch):
+    """One level of the product tree: the planes X (2, ..., m) paired
+    from the last element down into out (2, ..., m - m // 2), which may
+    be X[..., :m - m // 2].  With odd = m % 2, out[..., odd + j] is
+    X[..., odd + 2 j + 1] X[..., odd + 2 j]; an odd leading element
+    X[..., 0] is carried into out[..., 0], which is left to the caller.
+    scratch is a flat complex array of at least 4 * B * (m // 2)
+    elements, B the rows of X.  Returns out."""
+    m = X.shape[-1]
+    odd, k = m % 2, m // 2
+    _mul(X[..., 1 + odd::2], X[..., odd::2], out[..., odd:],
+         scratch[:2 * (X.size // m) * k].reshape((4,) + X.shape[1:-1] + (k,)))
+    return out
+
+
 def _scan(S):
     """Left-accumulated products of the planes S (2, ..., n) of the
     identity and the steps: entry i is S[..., i] ... S[..., 0].  A
-    logarithmic number of vectorized passes, in place in S, which holds
-    the scan afterwards; returns it as pairs (..., n, 2).  Every pass
-    puts its products in a prefix of one scratch allocated per call."""
+    work-efficient scan (Blelloch 1990) on the product tree of _fold: the
+    up-sweep halves S level by level (_halve) into one workspace, and the
+    down-sweep turns each level into its prefixes, in place, from the
+    root back down to S.  A right child takes its parent's prefix, and a
+    left child becomes its own block times the prefix of the parent
+    before its own; element 0 of every level, a carried one included, is
+    its own prefix.  That is about 2 n products in 2 log2 n batched
+    levels.  The last entry is the fold's root copied down, so it has the
+    bits of _last.  S holds the scan afterwards; returns it as pairs
+    (..., n, 2)."""
     lead, n = S.shape[1:-1], S.shape[-1]
     rows = math.prod(lead)
-    scratch = np.empty(4 * rows * (n - 1), dtype=complex)
-    s = 1
-    while s < n:
-        _mul(S[..., s:], S[..., :-s], S[..., s:],
-             scratch[:4 * rows * (n - s)].reshape((4,) + lead + (n - s,)))
-        s *= 2
+    sizes = [n]
+    while sizes[-1] > 1:
+        sizes.append(sizes[-1] - sizes[-1] // 2)
+    # one allocation: the levels above S, then the products' scratch
+    above = 2 * rows * sum(sizes[1:])
+    work = np.empty(above + 4 * rows * (n // 2), dtype=complex)
+    scratch = work[above:]
+    levels, at = [S], 0
+    for below, m in zip(sizes, sizes[1:]):
+        out = work[at:at + 2 * rows * m].reshape((2,) + lead + (m,))
+        at += 2 * rows * m
+        if below % 2:
+            out[..., 0] = levels[-1][..., 0]
+        levels.append(_halve(levels[-1], out, scratch))
+    for X, Y in zip(levels[-2::-1], levels[:0:-1]):
+        m = X.shape[-1]
+        odd, k = m % 2, m // 2
+        X[..., 1 + odd::2] = Y[..., odd:]
+        # the left children odd + 2 j; on an even level the first one,
+        # element 0, is its own prefix
+        j = 1 - odd
+        _mul(X[..., odd + 2 * j::2], Y[..., :k - j], X[..., odd + 2 * j::2],
+             scratch[:4 * rows * (k - j)].reshape((4,) + lead + (k - j,)))
     return _pairs(_unit(S))
 
 
@@ -293,20 +335,17 @@ def _fold(S, stop=1, scratch=None):
     """Fold the planes S (2, ..., n) pairwise, in place, down to the first
     length m <= stop of the halving sequence n, ceil(n / 2), ..., and
     return the planes S[..., :m]; folding those on to length 1 gives the
-    product S[..., -1] ... S[..., 0].  Pairs are anchored at the last
-    element and an odd leading element is carried in slot 0, which is
-    the product tree of the last entry of _scan.  scratch is a flat
-    complex array of at least 4 * B * (n // 2) elements, B the rows of
-    S, allocated when None."""
-    lead, m = S.shape[1:-1], S.shape[-1]
-    rows = math.prod(lead)
+    product S[..., -1] ... S[..., 0].  Each level is _halve's, which the
+    up-sweep of _scan shares, so the fold is the product tree of the
+    last entry of _scan.  scratch is a flat complex array of at least
+    4 * B * (n // 2) elements, B the rows of S, allocated when None."""
+    m = S.shape[-1]
     if scratch is None:
-        scratch = np.empty(4 * rows * (m // 2), dtype=complex)
+        scratch = np.empty(4 * math.prod(S.shape[1:-1]) * (m // 2),
+                           dtype=complex)
     while m > max(stop, 1):
-        odd, k = m % 2, m // 2
-        _mul(S[..., 1 + odd:m:2], S[..., odd:m:2], S[..., odd:odd + k],
-             scratch[:4 * rows * k].reshape((4,) + lead + (k,)))
-        m = odd + k
+        _halve(S[..., :m], S[..., :m - m // 2], scratch)
+        m -= m // 2
     return S[..., :m]
 
 

@@ -617,15 +617,25 @@ def short_table(n):
 
 # n = 2..17 reaches every reduction depth up to five levels, with and
 # without an odd carry; the last products have one element and must round
-# like the long ones
-@pytest.mark.parametrize("n", range(2, 18))
+# like the long ones.  255 carries at its first level only, 256 at none,
+# and 257 and 1025 at every level above two elements
+@pytest.mark.parametrize("n", [*range(2, 18), 255, 256, 257, 1025])
 def test_short_finals_are_path_endpoints_bit_for_bit(n):
     pulse = short_table(n)
     err = ErrorParams(alpha=0.3, delta=-0.7)
-    assert np.array_equal(so3_final(pulse, err), so3_propagate(pulse, err).R[-1])
-    assert np.array_equal(su2_final(pulse, err), su2_propagate(pulse, err).U[-1])
+    R, U = so3_propagate(pulse, err).R, su2_propagate(pulse, err).U
+    assert np.array_equal(so3_final(pulse, err), R[-1])
+    assert np.array_equal(su2_final(pulse, err), U[-1])
+    # every entry of the scan, not only the fold's endpoint
+    R_ref, U_ref, _ = stepwise_reference(pulse, np.zeros(3), err)
+    assert np.max(np.abs(R - R_ref)) <= TOL
+    assert np.max(np.abs(U - U_ref)) <= TOL
     alpha = np.array([-0.4, -0.1, 0.0, 0.2, 0.5])
     delta = np.array([0.9, -0.3, 0.0, 0.6, -1.0])
+    scans = _scan(_step_planes(pulse, alpha, delta))
+    for b in range(5):
+        alone = _scan(_step_planes(pulse, alpha[b:b + 1], delta[b:b + 1]))
+        assert scans[b].tobytes() == alone[0].tobytes()
     M0 = np.array([0.6, 0.0, 0.8])
     batch = _final_states(pulse, M0, alpha, delta)
     for b in range(5):
