@@ -27,7 +27,12 @@ rows differ from it at roundoff.  One kernel composes the steps by the
 product of pairs, a = a_p a_q - c_p* c_q and c = c_p a_q + a_p* c_q, in
 a prefix scan for paths and a pairwise reduction for final propagators,
 and reads rotation matrices, spinors and Bloch vectors out of the
-accumulated pairs.
+accumulated pairs.  Bloch vectors (_states) sum R_ij M0_j over j in
+order, from R's entry formulas in the real parts of a and c and with no
+term for a zero M0_j: no (n, 3, 3) array and no BLAS call, and an M0 on
+a signed axis keeps the bits of a column of R (zeros read as +0).  Axis
+and angle are read column by column from the quaternion (Re a, -Im c,
+Re c, -Im a).
 
 The kernel is batched and has one step layout: planes (2, B, n), a and
 c each one contiguous complex plane along the sample axis, a leading
@@ -53,19 +58,13 @@ arrays that keep the sample axis, even a final one of length 1: numpy
 rounds scalar arithmetic differently from its array loops.
 
 Sweeps (_final_states) take many error pairs in chunks of
-_chunk_rows(n) rows, the batch rule that gate scans share.  Each call
-allocates one workspace: the pulse's interval averages, written once,
-and the planes, the step stage's scratch and the fold's scratch, which
-every chunk rewrites.  A chunk is folded only until its rows hold about
-_FOLD_PAIRS pairs, where numpy's call overhead starts to outweigh the
-products; those short planes go to a tail shared by many chunks, and
-each full tail is folded to the end, rescaled and read out at once.
-The fold is stopped and resumed on the same product tree, so the bits
-stay those of a single-row final.  A sweep of _FORK_SAMPLES samples or
-more, on a host with two usable CPUs, forks once: a child propagates
-the chunks after the middle one into shared memory (_util._in_two), and
-this process redoes them should the child fail.  No pair depends on
-another, so the bits are those of one process.
+_chunk_rows(n) rows, the batch rule that gate scans share, in one
+workspace per call (_final_pairs).  A chunk is folded only until its
+rows hold about _FOLD_PAIRS pairs; those short planes go to a tail
+shared by many chunks, which is folded to the end on the same product
+tree, so the bits stay those of a single-row final.  A large sweep on
+two usable CPUs forks once (_util._in_two); no pair depends on another,
+so the bits are those of one process.
 
 A private mirror route (_mirror_final) serves gate design: the fields of
 an unrotated transfer or loop pulse on its own grid are mirror-symmetric
@@ -356,21 +355,39 @@ def _last(S, scratch=None):
     return _pairs(_unit(_fold(S, 1, scratch)))[..., 0, :]
 
 
-def _rotations(q):
-    """Rotation matrices (..., 3, 3) of unit pairs (..., 2)."""
+def _column(q, j):
+    """Column j (R_0j, R_1j, R_2j) of the rotations of unit pairs (..., 2)."""
     a, c = q[..., 0], q[..., 1]
     ar, ai, cr, ci = a.real, a.imag, c.real, c.imag
+    if j == 0:
+        return (1.0 - 2.0 * (cr * cr + ai * ai), -2.0 * (ci * cr + ar * ai),
+                2.0 * (ci * ai - ar * cr))
+    if j == 1:
+        return (2.0 * (ar * ai - ci * cr), 1.0 - 2.0 * (ci * ci + ai * ai),
+                -2.0 * (cr * ai + ar * ci))
+    return (2.0 * (ci * ai + ar * cr), 2.0 * (ar * ci - cr * ai),
+            1.0 - 2.0 * (ci * ci + cr * cr))
+
+
+def _rotations(q):
+    """Rotation matrices (..., 3, 3) of unit pairs (..., 2)."""
     R = np.empty(q.shape[:-1] + (3, 3))
-    R[..., 0, 0] = 1.0 - 2.0 * (cr * cr + ai * ai)
-    R[..., 0, 1] = 2.0 * (ar * ai - ci * cr)
-    R[..., 0, 2] = 2.0 * (ci * ai + ar * cr)
-    R[..., 1, 0] = -2.0 * (ci * cr + ar * ai)
-    R[..., 1, 1] = 1.0 - 2.0 * (ci * ci + ai * ai)
-    R[..., 1, 2] = 2.0 * (ar * ci - cr * ai)
-    R[..., 2, 0] = 2.0 * (ci * ai - ar * cr)
-    R[..., 2, 1] = -2.0 * (cr * ai + ar * ci)
-    R[..., 2, 2] = 1.0 - 2.0 * (ci * ci + cr * cr)
+    for j in range(3):
+        R[..., 0, j], R[..., 1, j], R[..., 2, j] = _column(q, j)
     return R
+
+
+def _states(q, M0):
+    """Bloch vectors (..., 3) of M0 under unit pairs (..., 2), with no
+    (..., 3, 3) array and no BLAS call: M_i = ((0.0 + R_i0 M0_0) +
+    R_i1 M0_1) + R_i2 M0_2 from _column's entries, the terms of a zero
+    M0_j left out.  An M0 on a signed axis gives +-R's column bit for bit,
+    zeros read as +0 as a BLAS product reads them."""
+    M = np.zeros(q.shape[:-1] + (3,))
+    for j in np.flatnonzero(M0):
+        for i, x in enumerate(_column(q, j)):
+            M[..., i] += x * M0[j]
+    return M
 
 
 def _spinors(q):
@@ -458,7 +475,7 @@ def _mirror_final(half):
 
 def bloch_propagate(pulse, M0, err: ErrorParams = ErrorParams()) -> Trajectory:
     """Drive the vector M0 through the pulse.  Returns all samples."""
-    return Trajectory(pulse.times, _rotations(_path(pulse, err)) @ _state(M0))
+    return Trajectory(pulse.times, _states(_path(pulse, err), _state(M0)))
 
 
 def _chunk_rows(samples: int) -> int:
@@ -537,7 +554,7 @@ def _final_states(pulse, M0, alpha, delta):
     process propagates the rest.  Should the child fail, or the fork,
     this process propagates the child's pairs itself, and an error they
     raise is raised here.  Every pair is propagated alone, so the bits
-    are those of one process.  The rotations are read out of the pairs
+    are those of one process.  The states are read out of the pairs
     here, once for the batch.  With no error pairs it returns an empty
     (0, 3) array and allocates no workspace."""
     M0 = _state(M0)
@@ -554,7 +571,7 @@ def _final_states(pulse, M0, alpha, delta):
                 lambda: _final_pairs(pulse, alpha[h:], delta[h:], q[h:]),
                 lambda: _final_pairs(pulse, alpha[:h], delta[:h], q[:h])):
             _final_pairs(pulse, alpha[h:], delta[h:], q[h:])
-    return _rotations(q) @ M0
+    return _states(q, M0)
 
 
 def so3_propagate(pulse, err: ErrorParams = ErrorParams()) -> PropagatorPath:
@@ -599,42 +616,45 @@ def axis_angle_path(upath: PropagatorPath, tol: float = 1e-12) -> AxisAnglePath:
     """Axis-angle reading of an SU(2) propagator path."""
     if upath.U is None:
         raise ValueError("axis_angle_path needs an SU(2) path")
-    return _axis_angle(upath.times, spinor_quaternion(upath.U), tol)
-
-
-def _pair_quaternion(q):
-    """spinor_quaternion(_spinors(q)) of pairs (n, 2), read straight from
-    (a, c) with its bits: 0.0 - x, not -x, keeps the spinor route's +0.0."""
-    a, c = q[:, 0], q[:, 1]
-    return np.column_stack([a.real, 0.0 - c.imag, c.real, 0.0 - a.imag])
+    return _axis_angle(upath.times, spinor_quaternion(upath.U).T, tol)
 
 
 def _axis_angle(times, q, tol):
-    """AxisAnglePath of the quaternions q (n, 4), which it reorients in
-    place."""
+    """AxisAnglePath of the quaternion columns q = (q0, q1, q2, q3), each
+    (n,), which it reorients in place.  The bits are those of a row-wise
+    reading of an (n, 4) array: the flip test sums q_k[i + 1] q_k[i] in
+    order k = 0, ..., 3 and the norm is sqrt((q1^2 + q2^2) + q3^2).  The
+    axes of degenerate samples after the first are gathered only when
+    there are some."""
     # keep the double cover continuous in time
-    flips = np.cumprod(np.where(np.sum(q[1:] * q[:-1], axis=1) < 0.0, -1.0, 1.0))
-    q[1:] *= flips[:, None]
-    s = np.linalg.norm(q[:, 1:], axis=1)
-    angle = 2.0 * np.arctan2(s, q[:, 0])
+    flips = np.cumprod(np.where(sum(x[1:] * x[:-1] for x in q) < 0.0,
+                                -1.0, 1.0))
+    for x in q:
+        x[1:] *= flips
+    s = np.sqrt(sum(x * x for x in q[1:]))
     degenerate = s < tol
-    axis = q[:, 1:] / np.where(degenerate, 1.0, s)[:, None]
+    axis = np.column_stack(q[1:])
+    axis /= np.where(degenerate, 1.0, s)[:, None]
     if degenerate[0]:
         axis[0] = (0.0, 0.0, 1.0)
-    # each degenerate sample takes the axis of the last live one
-    live = np.maximum.accumulate(np.where(degenerate, 0, np.arange(len(q))))
-    axis = axis[live]
-    return AxisAnglePath(times, axis, angle, degenerate)
+    if degenerate[1:].any():
+        # each degenerate sample takes the axis of the last live one
+        axis = axis[np.maximum.accumulate(
+            np.where(degenerate, 0, np.arange(len(s))))]
+    return AxisAnglePath(times, axis, 2.0 * np.arctan2(s, q[0]), degenerate)
 
 
 def _trajectory_and_axis_angle(pulse, M0, err: ErrorParams):
     """bloch_propagate(pulse, M0, err) and axis_angle_path(su2_propagate(
-    pulse, err)) from one scan.  Both read the same pairs, and the
-    quaternions come straight from them with the spinor route's bits, so
-    the bits are those of the public pair of calls."""
+    pulse, err)) from one scan, with their bits.  The states are read
+    first, since Re a and Re c go to _axis_angle as views of the pairs;
+    0.0 - x, not -x, keeps the spinor route's +0.0 in the other two
+    quaternion columns."""
     q = _path(pulse, err)
-    traj = Trajectory(pulse.times, _rotations(q) @ _state(M0))
-    return traj, _axis_angle(pulse.times, _pair_quaternion(q), 1e-12)
+    traj = Trajectory(pulse.times, _states(q, _state(M0)))
+    a, c = q[:, 0], q[:, 1]
+    return traj, _axis_angle(pulse.times, (a.real, 0.0 - c.imag, c.real,
+                                           0.0 - a.imag), 1e-12)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> str:

@@ -33,6 +33,7 @@ from blochtop.propagate import (
     gate_fidelity,
     so3_final,
     so3_propagate,
+    spinor_quaternion,
     su2_final,
     su2_propagate,
 )
@@ -869,3 +870,69 @@ def test_axis_angle_path_matches_carry_forward_loop(pulse, err, tol):
     assert np.array_equal(ap.axis, axis)
     assert np.array_equal(ap.angle, angle)
     assert np.array_equal(ap.degenerate, degenerate)
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        a.tobytes() == b.tobytes()
+
+
+_signed_axes = st.sampled_from([tuple(sign * e) for e in np.eye(3)
+                                for sign in (1.0, -1.0)])
+_unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: math.hypot(*v) > 0.1).map(
+        lambda v: tuple(np.divide(v, math.hypot(*v))))
+
+
+@PROPERTY
+@given(pulses(), errors, st.one_of(_signed_axes, _unit_vectors),
+       st.sampled_from([1e-12, 1e-2, 0.5]))
+def test_trajectory_and_axis_angle_are_the_public_calls_byte_for_byte(
+        pulse, err, M0, tol):
+    axis_angle = propagate._axis_angle
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "_axis_angle",
+                   lambda times, q, _: axis_angle(times, q, tol))
+        traj, aap = propagate._trajectory_and_axis_angle(pulse, M0, err)
+    ref = axis_angle_path(su2_propagate(pulse, err), tol)
+    assert same_bytes(traj.M, bloch_propagate(pulse, M0, err).M)
+    for name in ("axis", "angle", "degenerate"):
+        assert same_bytes(getattr(aap, name), getattr(ref, name))
+
+
+@PROPERTY
+@given(pulses(), errors, st.integers(0, 2), st.sampled_from([1.0, -1.0]))
+def test_states_of_a_signed_axis_are_columns_of_R_bit_for_bit(pulse, err, j,
+                                                               sign):
+    M = bloch_propagate(pulse, sign * np.eye(3)[j], err).M
+    R = so3_propagate(pulse, err).R
+    # a zero reads +0, as it does in a BLAS product
+    assert same_bytes(M, sign * R[:, :, j] + 0.0)
+
+
+@PROPERTY
+@given(pulses(), errors, _unit_vectors)
+def test_states_of_a_general_vector_are_R_M0_to_roundoff(pulse, err, M0):
+    M = bloch_propagate(pulse, M0, err).M
+    assert np.max(np.abs(M - so3_propagate(pulse, err).R @ M0)) <= 4.5e-16
+
+
+# fields four times as strong: many steps turn by more than pi
+_strong_pulses = pulses().map(lambda p: ControlPulse(
+    p.times, 4.0 * p.omega1, 4.0 * p.omega2, 4.0 * p.omega3))
+
+
+@PROPERTY
+@given(_strong_pulses, errors, st.sampled_from([1e-12, 1e-2, 0.5]))
+def test_axis_angle_keeps_the_double_cover_continuous(pulse, err, tol):
+    upath = su2_propagate(pulse, err)
+    ap = axis_angle_path(upath, tol)
+    half = 0.5 * ap.angle
+    w = np.column_stack([np.cos(half), np.sin(half)[:, None] * ap.axis])
+    live = ~ap.degenerate
+    # a live reading is the propagator's quaternion up to sign, and the
+    # sign turns only where consecutive quaternions point apart
+    dots = np.sum(w * spinor_quaternion(upath.U), axis=1)
+    assert np.all(np.abs(np.abs(dots[live]) - 1.0) <= TOL)
+    steps = np.sum(w[1:] * w[:-1], axis=1)
+    assert np.all(steps[live[1:] & live[:-1]] >= -TOL)
