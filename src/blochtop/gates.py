@@ -15,6 +15,15 @@ closed forms throughout, so its design samples no orbit.  The pulse a
 designer returns, and the fidelity and residuals of its report, are
 computed from the full pulse through the public propagators.
 
+Every rotation that gate design reads is a unit Cayley-Klein pair, the
+propagators' own representation (propagate._quaternion): a loop's
+angle about its base point and the phase gate's total are the pair's
+twist about that axis (_twist), the axes of a loop and of the composite
+NOT its vector part (_axis), and an aligning rotation is built from the
+pair of its half angle (_rotation_between).  Dot products and norms are
+written out in a fixed order, so no artifact of gate design calls BLAS
+or LAPACK and its bytes do not depend on the host's OpenBLAS kernels.
+
 Sign conventions frozen here (and locked by regression tests):
 the geometric term is minus the line integral of (1 - M3) dphi along
 the loop, so that the budget identity reads
@@ -41,12 +50,12 @@ from .propagate import (
     _chunk_rows,
     _final,
     _mirror_final,
+    _mul,
+    _quaternion,
     _rotations,
     _spinors,
+    _states,
     gate_fidelity,
-    so3_final,
-    spinor_quaternion,
-    su2_final,
 )
 from .pulsegen import (
     ControlPulse,
@@ -81,6 +90,7 @@ _BRENT_STEPS = 10_000
 _GAP = 4.0
 
 _E1 = np.array([1.0, 0.0, 0.0])
+_E2 = np.array([0.0, 1.0, 0.0])
 _E3 = np.array([0.0, 0.0, 1.0])
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -242,31 +252,23 @@ def montgomery_phase(p: TopParameters, eps: float, family: Family,
     """Phase budget of one full orbit period.
 
     total is the signed rotation angle about the starting point of the
-    full-period loop's propagator, by the mirror route (_search);
+    full-period loop's propagator (_twist), by the mirror route (_search);
     dynamical and geometric are _closed_budget's, so the budget defect
     measures the propagator alone.  A loop whose end misses its start by
     more than closure_tol raises a ValueError naming n and the gap.
     """
     base = tre_initial(p, eps, family)
-    R = _rotations(_scan_finals(p, [eps], family, n, loop=True)[0])
-    gap = float(np.linalg.norm(R @ base - base))
+    q = _scan_finals(p, [eps], family, n, loop=True)[0]
+    gap = math.dist(_states(q, base), base)
     if gap > closure_tol:
         raise ValueError(
             f"the loop does not close at n = {n}: |R L0 - L0| = {gap:.3g} "
             f"exceeds the tolerance {closure_tol:g}; raise n")
-    return replace(_closed_budget(p, eps, family),
-                   total=_frame_angle(R, base))
+    return replace(_closed_budget(p, eps, family), total=_twist(q, base))
 
 
 # ---------------------------------------------------------------------------
 # small rotation / root-finding helpers
-
-
-def _rotation_about(axis, angle: float) -> np.ndarray:
-    n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
-    K = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
 
 
 def _cross(a, b) -> np.ndarray:
@@ -276,40 +278,47 @@ def _cross(a, b) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
+def _dot(a, b) -> float:
+    """a . b of two 3-vectors, summed in index order."""
+    return float((a[0] * b[0] + a[1] * b[1]) + a[2] * b[2])
+
+
+def _twist(q, axis) -> float:
+    """Signed rotation angle, wrapped to (-pi, pi], of the unit pair q
+    about a unit axis that its rotation (nearly) fixes: 2 atan2(q_v .
+    axis, q0), q_v = (q1, q2, q3) (_quaternion), the angle of the part
+    of q that turns about the axis."""
+    q0, *v = (float(x) for x in _quaternion(q))
+    return _util.wrap_angle(2.0 * math.atan2(_dot(v, axis), q0))
+
+
+def _axis(q) -> np.ndarray:
+    """Unit rotation axis (q1, q2, q3) / |(q1, q2, q3)| of the pair q."""
+    v = [float(x) for x in _quaternion(q)[1:]]
+    return np.array(v) / math.hypot(*v)
+
+
 def _rotation_between(a, b) -> np.ndarray:
-    """Proper rotation taking unit vector a onto unit vector b."""
+    """Proper rotation taking unit vector a onto unit vector b: the turn
+    by theta = atan2(|a x b|, a . b) about a x b, built from its pair.
+    Near antiparallel vectors the axis is a x (a + b), which equals a x b
+    but loses no digits to cancellation; exactly antiparallel ones turn
+    by pi about an axis perpendicular to a."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    w = _cross(a, b)
-    s = np.linalg.norm(w)
-    c = float(a @ b)
+    c = _dot(a, b)
+    w = _cross(a, b if c >= 0.0 else a + b)
+    s = math.hypot(*w.tolist())
     if s < 1e-15:
         if c > 0.0:
             return np.eye(3)
-        trial = _E1 if abs(a[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        perp = _cross(a, trial)
-        return _rotation_about(perp / np.linalg.norm(perp), math.pi)
-    return _rotation_about(w / s, math.atan2(s, c))
-
-
-def _frame_angle(R, axis) -> float:
-    """Signed rotation angle of R about an axis it (nearly) fixes."""
-    a = np.asarray(axis, dtype=float)
-    a = a / np.linalg.norm(a)
-    trial = _E3 if abs(a[2]) < 0.9 else _E1
-    e = _cross(a, trial)
-    e /= np.linalg.norm(e)
-    f = _cross(a, e)
-    Re = R @ e
-    return math.atan2(f @ Re, e @ Re)
-
-
-def _pi_axis(P) -> np.ndarray:
-    """Axis of an involutive rotation, from P + 1 = 2 n n^T."""
-    M = P + np.eye(3)
-    j = int(np.argmax(np.sum(M * M, axis=0)))
-    v = M[:, j]
-    return v / np.linalg.norm(v)
+        w = _cross(a, _E1 if abs(a[0]) < 0.9 else _E2)
+        s, half = math.hypot(*w.tolist()), 0.5 * math.pi
+    else:
+        half = 0.5 * math.atan2(s, c)
+    n1, n2, n3 = (math.sin(half) / s * w).tolist()
+    return _rotations(np.array([complex(math.cos(half), -n3),
+                                complex(n2, -n1)]))
 
 
 def _solve_bracketed(f, lo: float, hi: float, xtol: float = 1e-10,
@@ -548,16 +557,22 @@ def _involution_scan(p: TopParameters, xs, family: Family,
     (_orbit_phases) does."""
     axes = []
     for a, c in _scan_finals(p, xs, family, n, loop=False):
-        axis = np.array([c.real, c.imag, a.real])
-        axes.append(axis / np.linalg.norm(axis))
+        axis = [c.real, c.imag, a.real]
+        axes.append(np.array(axis) / math.hypot(*axis))
     return axes
 
 
 def _shipped_final(pulse):
-    """(R, U) of a shipped gate pulse from one propagation: the bits of
-    so3_final(pulse) and su2_final(pulse), which read the same pair."""
+    """(q, R, U) of a shipped gate pulse from one propagation: its final
+    pair and the bits of so3_final(pulse) and su2_final(pulse), which
+    read that pair."""
     q = _final(pulse, ErrorParams())
-    return _rotations(q), _spinors(q)
+    return q, _rotations(q), _spinors(q)
+
+
+def _residual(R, target) -> float:
+    """Frobenius norm |R - target| of 3 x 3 rotations, with no BLAS call."""
+    return math.hypot(*(R - target).ravel().tolist())
 
 
 def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
@@ -577,14 +592,12 @@ def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
     if scan < 2:
         raise ValueError(f"scan must be at least 2, got {scan}")
 
-    def v1_of(e: float) -> np.ndarray:
+    def v1_of(e: float) -> tuple:
         c = math.sqrt(1.0 - e * e)
-        if family is Family.ROTATING:
-            return np.array([c, 0.0, e])
-        return np.array([0.0, c, e])
+        return (c, 0.0, e) if family is Family.ROTATING else (0.0, c, e)
 
     def s(es) -> list:
-        return [float(ax @ v1_of(float(e)))
+        return [_dot(ax, v1_of(float(e)))
                 for e, ax in zip(es, _involution_scan(p, es, family, n))]
 
     xs = np.geomspace(lo, hi, scan)
@@ -594,12 +607,12 @@ def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
         lambda changes: changes[-1] if changes else None)
 
     pulse = tre_pulse(p, eps_star, family, n=n)
-    R, U = _shipped_final(pulse)
+    _, R, U = _shipped_final(pulse)
     if family is Family.ROTATING:
         target_R, target_U = NOT_SO3, NOT_SU2
     else:
         target_R, target_U = np.diag([-1.0, 1.0, -1.0]), -1.0j * _SY
-    resid = float(np.linalg.norm(R - target_R))
+    resid = _residual(R, target_R)
     fid = gate_fidelity(U, target_U)
     report = GateReport(
         target="not",
@@ -654,15 +667,14 @@ def composite_bir_not(p: TopParameters, eps: float, n: int = 4096,
     seg = tre_pulse(p, eps_star, Family.ROTATING, n=n)
     mate = transform_pulse(seg, reverse=True, s1=-1)
     comp = concat([seg, mate])
-    R = so3_final(comp)
-    axis = _pi_axis(R)
+    axis = _axis(_final(comp, ErrorParams()))
     if axis[1] < 0.0:
         axis = -axis
     W = _rotation_between(axis, _E1)
     aligned = rotate_pulse(comp, W)
-    R_aligned, U = _shipped_final(aligned)
+    _, R_aligned, U = _shipped_final(aligned)
     fid = gate_fidelity(U, _SX)
-    resid = float(np.linalg.norm(R_aligned - NOT_SO3))
+    resid = _residual(R_aligned, NOT_SO3)
     meta = {"kind": "composite_bir_not", "k": p.k, "eps": eps_star,
             "eps_seed": eps, "n": n, "fidelity": fid, "so3_residual": resid,
             "converged": bool(converged and fid >= 1.0 - 1e-4)}
@@ -833,17 +845,17 @@ def design_phase_gate(target_phase: float, p_a: TopParameters, *,
     orientation = {1: "reverse_first", -1: "reverse_second",
                    0: "degenerate"}[s]
     aligned = rotate_pulse(comp, W)
-    R, U = _shipped_final(aligned)
+    q, R, U = _shipped_final(aligned)
     off_diag = float(max(abs(U[0, 1]), abs(U[1, 0])))
     achieved = float((np.angle(U[0, 0]) - np.angle(U[1, 1])) % (2.0 * math.pi))
     # s b - s a, not s (b - a): it keeps the signed zero of b - a or a - b
     dyn_sum = s * budget_b.dynamical - s * budget_a.dynamical
     geo_sum = s * budget_b.geometric - s * budget_a.geometric
-    total = _frame_angle(R, _E3)
-    budget = PhaseBudget(total=total, dynamical=dyn_sum, geometric=geo_sum)
-    target_U = np.diag([np.exp(0.5j * phi), np.exp(-0.5j * phi)])
-    fid = gate_fidelity(U, target_U)
-    resid = float(np.linalg.norm(R - _rotation_about(_E3, -phi)))
+    budget = PhaseBudget(total=_twist(q, _E3), dynamical=dyn_sum,
+                         geometric=geo_sum)
+    target = np.array([np.exp(0.5j * phi), 0.0])
+    fid = gate_fidelity(U, _spinors(target))
+    resid = _residual(R, _rotations(target))
     phase_gap = abs(_util.wrap_angle(achieved - phi))
     residuals = {"off_diagonal": off_diag,
                  "dynamical_cancellation": abs(dyn_sum),
@@ -887,8 +899,7 @@ class SynthesisProgram:
 
 def _loop_angles(p: TopParameters, es, n: int) -> list:
     """Rotation angle of each closed loop about its own base point."""
-    return [_frame_angle(_rotations(q),
-                         tre_initial(p, float(e), Family.ROTATING))
+    return [_twist(q, tre_initial(p, float(e), Family.ROTATING))
             for e, q in zip(es, _scan_finals(p, es, Family.ROTATING, n,
                                              loop=True))]
 
@@ -920,13 +931,9 @@ def _solve_loop(p: TopParameters, want: float, table, n: int):
         _angle_crossing, lambda crossings: crossings[0] if crossings else None)
 
     loop = tre_loop_pulse(p, eps_star, Family.ROTATING, n=n)
-    q = spinor_quaternion(su2_final(loop))
-    s = np.linalg.norm(q[1:])
-    axis = q[1:] / s
-    # canonicalize to a rotation angle in (0, pi], then match the sign
-    if 2.0 * math.atan2(s, q[0]) > math.pi:
-        axis = -axis
-    if want < 0.0:
+    q = _final(loop, ErrorParams())
+    axis = _axis(q)
+    if (_twist(q, axis) < 0.0) != (want < 0.0):
         axis = -axis
     return eps_star, converged, loop, axis
 
@@ -948,7 +955,8 @@ def synthesize_one_qubit(U_target, p: TopParameters | None = None,
     U = np.asarray(U_target, dtype=complex)
     if U.shape != (2, 2) or np.linalg.norm(U @ U.conj().T - np.eye(2)) > 1e-9:
         raise ValueError("target must be a 2x2 unitary")
-    V = U / np.sqrt(np.linalg.det(U))
+    (u00, u01), (u10, u11) = U.tolist()
+    V = U / np.sqrt(u00 * u11 - u01 * u10)
 
     beta = 2.0 * math.atan2(abs(V[1, 0]), abs(V[0, 0]))
     if beta <= angle_tol:
@@ -994,9 +1002,11 @@ def synthesize_one_qubit(U_target, p: TopParameters | None = None,
                 meta={"kind": "loop_gate", "k": p.k, "eps": eps_star,
                       "angle": want, "n": n, "converged": bool(converged)}))
 
-    comp = np.eye(2, dtype=complex)
+    # the segments' final pairs composed in time order, each (2, 1) planes
+    comp = np.array([[1.0], [0.0]], dtype=complex)
     for seg in segments:
-        comp = su2_final(seg) @ comp
-    fid = gate_fidelity(comp, U)
+        comp = _mul(_final(seg, ErrorParams())[:, None], comp,
+                    np.empty_like(comp))
+    fid = gate_fidelity(_spinors(comp[:, 0]), U)
     return SynthesisProgram(target=U, segments=tuple(segments),
                             labels=tuple(labels), fidelity=fid)

@@ -32,7 +32,7 @@ order, from R's entry formulas in the real parts of a and c and with no
 term for a zero M0_j: no (n, 3, 3) array and no BLAS call, and an M0 on
 a signed axis keeps the bits of a column of R (zeros read as +0).  Axis
 and angle are read column by column from the quaternion (Re a, -Im c,
-Re c, -Im a).
+Re c, -Im a) (_quaternion), which gate design reads too.
 
 The kernel is batched and has one step layout: planes (2, B, n), a and
 c each one contiguous complex plane along the sample axis, a leading
@@ -390,6 +390,15 @@ def _states(q, M0):
     return M
 
 
+def _quaternion(q):
+    """Quaternions (q0, q1, q2, q3) = (Re a, -Im c, Re c, -Im a) of pairs
+    (..., 2), the q of U = q0 - i (q1, q2, q3) . sigma, with the bits of
+    spinor_quaternion(_spinors(q)): Re a and Re c are views of the pairs,
+    and 0.0 - x, not -x, keeps the spinor route's +0.0."""
+    a, c = q[..., 0], q[..., 1]
+    return a.real, 0.0 - c.imag, c.real, 0.0 - a.imag
+
+
 def _spinors(q):
     """SU(2) matrices [[a, -c*], [c, a*]] of pairs (..., 2)."""
     a, c = q[..., 0], q[..., 1]
@@ -606,10 +615,11 @@ def adjoint_map(U):
 
 
 def gate_fidelity(U, V) -> float:
-    """|tr(U^dag V)| / 2: equals 1 iff the gates agree up to global phase."""
+    """|tr(U^dag V)| / 2: equals 1 iff the gates agree up to global phase.
+    The trace is the sum of conj(U) V entry by entry, with no BLAS call."""
     U = np.asarray(U, dtype=complex)
     V = np.asarray(V, dtype=complex)
-    return float(0.5 * np.abs(np.trace(U.conj().T @ V)))
+    return float(0.5 * np.abs(np.sum(np.conj(U) * V)))
 
 
 def axis_angle_path(upath: PropagatorPath, tol: float = 1e-12) -> AxisAnglePath:
@@ -647,14 +657,11 @@ def _axis_angle(times, q, tol):
 def _trajectory_and_axis_angle(pulse, M0, err: ErrorParams):
     """bloch_propagate(pulse, M0, err) and axis_angle_path(su2_propagate(
     pulse, err)) from one scan, with their bits.  The states are read
-    first, since Re a and Re c go to _axis_angle as views of the pairs;
-    0.0 - x, not -x, keeps the spinor route's +0.0 in the other two
-    quaternion columns."""
+    first, since _axis_angle reorients the quaternion columns in place
+    and two of them are views of the pairs (_quaternion)."""
     q = _path(pulse, err)
     traj = Trajectory(pulse.times, _states(q, _state(M0)))
-    a, c = q[:, 0], q[:, 1]
-    return traj, _axis_angle(pulse.times, (a.real, 0.0 - c.imag, c.real,
-                                           0.0 - a.imag), 1e-12)
+    return traj, _axis_angle(pulse.times, _quaternion(q), 1e-12)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> str:

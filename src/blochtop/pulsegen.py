@@ -251,15 +251,18 @@ def inverse_pulse(pulse: ControlPulse) -> ControlPulse:
 
 
 def rotate_pulse(pulse: ControlPulse, R) -> ControlPulse:
-    """Apply a fixed proper rotation R to every field sample."""
+    """Apply a fixed proper rotation R to every field sample.  Component
+    i is (R_i0 omega1 + R_i1 omega2) + R_i2 omega3, summed in that order
+    with no BLAS call, so its bits do not depend on the host's kernels."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3) or not np.all(np.isfinite(R)) \
             or np.max(np.abs(R.T @ R - np.eye(3))) > 1e-10 \
             or np.linalg.det(R) < 0.0:
         raise ValueError("R must be a proper rotation matrix")
-    w = pulse.fields @ R.T
+    f = (pulse.omega1, pulse.omega2, pulse.omega3)
+    w = [(r[0] * f[0] + r[1] * f[1]) + r[2] * f[2] for r in R.tolist()]
     meta = {"kind": "rotate", "matrix": R.tolist(), "base": pulse.meta}
-    return ControlPulse(pulse.times, w[:, 0], w[:, 1], w[:, 2], meta)
+    return ControlPulse(pulse.times, *w, meta)
 
 
 def nmr_frame(pulse: ControlPulse) -> ControlPulse:

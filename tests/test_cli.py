@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -824,3 +825,70 @@ def test_overflowing_input_is_usage_error_before_any_artifact(tmp_path, capsys,
     assert run(argv + ["--out", out]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+# every artifact path in one process: the three gates, montgomery,
+# fit-period, the experiment preset (an nmr_frame pulse), the off-axis
+# simulate and 5 x 5 sweep, a composite NOT and an 8,193-sample loop
+# rotated by rotate_pulse; prints the exit codes
+_CORE_JOBS = """
+import sys
+from pathlib import Path
+import numpy as np
+from blochtop import cli, gates
+from blochtop.pulsegen import rotate_pulse, tre_loop_pulse, write_pulse_csv
+from blochtop.topdyn import Family, TopParameters
+
+out = Path(sys.argv[1])
+tre = ["--family", "tre", "--k", "0.6", "--eps", "0.01", "--m0", "0.6,0,0.8"]
+jobs = {
+    "not": ["gate", "not", "--k", "0.7", "--n", "2048"],
+    "phase": ["gate", "phase", "--k", "0.55", "--target", "1.3",
+              "--n", "2048"],
+    "hadamard": ["gate", "hadamard", "--k", "0.6", "--n", "2048"],
+    "montgomery": ["montgomery", "--k", "0.55", "--eps", "0.01",
+                   "--n", "8193"],
+    "fit-period": ["fit-period", "--k", "0.6"],
+    "experiment": ["sweep", "--preset", "experiment", "--n", "513"],
+    "simulate": ["simulate", *tre, "--n", "4097", "--emit", "axis-angle"],
+    "sweep": ["sweep", *tre, "--alpha-grid=-0.3,0.3,5",
+              "--delta-grid=-0.4,0.4,5"],
+}
+codes = [cli.main(argv + ["--out", str(out / name)])
+         for name, argv in jobs.items()]
+p = TopParameters(0.6)
+write_pulse_csv(gates.composite_bir_not(p, 0.01, n=2048),
+                out / "composite.csv")
+loop = tre_loop_pulse(p, 0.01, Family.ROTATING, n=8193)
+R = gates._rotation_between(np.array([0.6, 0.0, 0.8]),
+                            np.array([0.0, -0.28, 0.96]))
+write_pulse_csv(rotate_pulse(loop, R), out / "rotated.csv")
+print(codes)
+"""
+
+
+def test_artifacts_do_not_depend_on_the_openblas_core(tmp_path):
+    # no artifact path calls BLAS or LAPACK, so forcing another OpenBLAS
+    # kernel set changes no byte; a core type the loaded library does not
+    # accept leaves it on its default kernels.  A numpy overflow or
+    # invalid value on the way fails the run
+    digests = {}
+    for core in ("", "Haswell", "Prescott"):
+        out = tmp_path / (core or "default")
+        env = dict(os.environ, OPENBLAS_CORETYPE=core,
+                   PYTHONWARNINGS="error::RuntimeWarning")
+        if not core:
+            env.pop("OPENBLAS_CORETYPE")
+        proc = subprocess.run([sys.executable, "-c", _CORE_JOBS, str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0, 0]"
+        digests[core] = {
+            str(f.relative_to(out)): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.rglob("*")) if f.is_file()}
+    assert len(digests[""]) == 28
+    for core in ("Haswell", "Prescott"):
+        moved = sorted(name for name, digest in digests[core].items()
+                       if digests[""].get(name) != digest)
+        assert digests[core].keys() == digests[""].keys()
+        assert not moved, (core, moved)

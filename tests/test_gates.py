@@ -27,7 +27,7 @@ from blochtop.gates import (
     write_gate_report,
 )
 from blochtop.propagate import ErrorParams, bloch_propagate, gate_fidelity, \
-    so3_final, su2_final
+    so3_final, spinor_quaternion, su2_final
 from blochtop.pulsegen import ControlPulse, concat, inverse_pulse, nmr_frame, \
     rect_pi_pulse, tre_loop_pulse
 from blochtop.topdyn import Family, TopParameters, analytic_trajectory, \
@@ -177,6 +177,79 @@ def test_rotation_between_parallel_and_antiparallel(a, sign):
     else:
         # a half turn about an axis perpendicular to a
         assert np.trace(R) == pytest.approx(-1.0, abs=1e-15)
+
+
+def _unit_vectors():
+    return st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(
+        np.array).filter(lambda v: np.linalg.norm(v) > 1e-3).map(
+        lambda v: v / np.linalg.norm(v))
+
+
+@st.composite
+def _vector_pairs(draw):
+    """Unit vectors (a, b): unrelated, exactly parallel, exactly
+    antiparallel, or antiparallel up to |a x b| in [1e-14, 1e-6]."""
+    a = draw(_unit_vectors())
+    kind = draw(st.sampled_from(["any", "parallel", "antiparallel", "near"]))
+    if kind == "any":
+        return a, draw(_unit_vectors())
+    if kind != "near":
+        return a, a if kind == "parallel" else -a
+    p = draw(_unit_vectors())
+    p = p - (p @ a) * a
+    assume(np.linalg.norm(p) > 1e-3)
+    s = 10.0 ** draw(st.floats(-14.0, -6.0))
+    b = s * p / np.linalg.norm(p) - math.sqrt(1.0 - s * s) * a
+    return a, b / np.linalg.norm(b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_vector_pairs())
+def test_rotation_between_takes_a_onto_b(pair):
+    a, b = pair
+    R = gates._rotation_between(a, b)
+    assert np.max(np.abs(R @ a - b)) <= 2e-15
+    assert np.max(np.abs(R @ R.T - np.eye(3))) <= 4e-15
+    assert abs(np.linalg.det(R) - 1.0) <= 4e-15
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_unit_vectors(), st.floats(-4.0 * math.pi, 4.0 * math.pi))
+def test_twist_reads_the_angle_of_a_rotation_about_its_axis(n, theta):
+    # away from the cut at +-pi, where either end is the same turn
+    assume(math.pi - abs(wrap_angle(theta)) > 1e-12)
+    q0, q1, q2, q3 = _quaternion(n, theta)
+    pair = np.array([complex(q0, -q3), complex(q2, -q1)])
+    assert abs(gates._twist(pair, n) - wrap_angle(theta)) <= 1e-14
+
+
+def _frame_angle(R, axis) -> float:
+    """The loop angle as gate design read it through a 3 x 3 matrix before
+    the pair's twist (gates._twist): the signed rotation angle of R about
+    an axis it (nearly) fixes, from the image of a unit vector normal to
+    the axis."""
+    a = np.asarray(axis, dtype=float)
+    a = a / np.linalg.norm(a)
+    trial = gates._E3 if abs(a[2]) < 0.9 else gates._E1
+    e = _cross(a, trial)
+    e /= np.linalg.norm(e)
+    f = _cross(a, e)
+    Re = R @ e
+    return math.atan2(f @ Re, e @ Re)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(list(Family)), st.floats(0.02, 0.99),
+       st.floats(math.log(5e-3), math.log(0.9)), st.integers(2048, 8192))
+def test_twist_reads_mirror_route_loops_as_the_frame_did(family, k, log_eps,
+                                                          n):
+    # the loop nearly fixes its base point; the two readings part by the
+    # square of the miss, about 1e-12 at n = 2048
+    p, eps = TopParameters(k), math.exp(log_eps)
+    q = gates._scan_finals(p, [eps], family, n, loop=True)[0]
+    base = tre_initial(p, eps, family)
+    frame = _frame_angle(propagate._rotations(q), base)
+    assert abs(wrap_angle(gates._twist(q, base) - frame)) <= 1e-11
 
 
 def test_solve_bracketed_exits_at_a_zero_or_without_a_sign_change():
@@ -413,12 +486,12 @@ def test_composite_rejects_bad_eps():
 
 def test_composite_not_does_not_depend_on_the_sign_of_the_pi_axis(
         monkeypatch):
-    # _pi_axis may return either sign of the axis; the composite is
+    # the pair's axis may come with either sign; the composite is
     # rotated about the one with a nonnegative e2 component
     p = TopParameters(0.6)
     before = composite_bir_not(p, 0.01, n=1024)
-    real = gates._pi_axis
-    monkeypatch.setattr(gates, "_pi_axis", lambda P: -real(P))
+    real = gates._axis
+    monkeypatch.setattr(gates, "_axis", lambda q: -real(q))
     after = composite_bir_not(p, 0.01, n=1024)
     assert after.meta == before.meta
     for field in ("times", "omega1", "omega2", "omega3"):
@@ -1023,9 +1096,9 @@ def test_not_locator_brackets_as_the_full_scan(k, family, n, log_lo, log_hi):
     full = []
     for e, axis in zip(xs, gates._involution_scan(p, xs, family, n)):
         c = math.sqrt(1.0 - e * e)
-        v1 = np.array([c, 0.0, e] if family is Family.ROTATING
-                      else [0.0, c, e])
-        full.append(float(axis @ v1))
+        v1 = [c, 0.0, e] if family is Family.ROTATING else [0.0, c, e]
+        full.append(float((axis[0] * v1[0] + axis[1] * v1[1])
+                          + axis[2] * v1[2]))
     changes = _sign_changes(full)
     _assert_same_bracket(_located(tune_not_gate, p, (lo, hi), family, n=n),
                          xs, full, changes[-1] if changes else None)
@@ -1227,8 +1300,10 @@ def test_each_shipped_gate_pulse_is_propagated_once(monkeypatch):
                                               n=2048)
     assert design.converged
     assert propagated(pulse) == [True]
-    # R and U of the one propagation carry the bits of the public pair
-    R, U = so3_final(pulse), su2_final(pulse)
-    assert budget.total == gates._frame_angle(R, gates._E3)
+    # the budget and fidelity of the one propagation carry the bits of
+    # the public pair
+    U = su2_final(pulse)
+    q = spinor_quaternion(U)
+    assert budget.total == wrap_angle(2.0 * math.atan2(q[3], q[0]))
     assert design.fidelity == gate_fidelity(
         U, np.diag([np.exp(0.65j), np.exp(-0.65j)]))
