@@ -348,13 +348,10 @@ def _cmd_gate(cfg: dict, out: Path) -> int:
                             design.converged)
     else:
         prog = synthesize_one_qubit(_HADAMARD, p, n=n)
-        infidelity = 1.0 - prog.fidelity
-        converged = (all(seg.meta["converged"] for seg in prog.segments)
-                     and infidelity <= 1e-6)
         report = GateReport("hadamard",
                             {"k": p.k, "segments": list(prog.labels)},
-                            prog.fidelity, None,
-                            {"infidelity": infidelity}, converged)
+                            prog.fidelity, None, prog.residuals,
+                            prog.converged)
         pulse = prog.pulse
 
     times = None if pulse is None else _seconds(pulse.times, cfg["time_scale"])

@@ -15,6 +15,15 @@ closed forms throughout, so its design samples no orbit.  The pulse a
 designer returns, and the fidelity and residuals of its report, are
 computed from the full pulse through the public propagators.
 
+Every gate is judged in one place, _judged, by one error reading and
+one rule.  The error is read from W = U^dag target (propagate.
+_gate_error): the infidelity 1 - F, F = |tr W| / 2, never negative,
+and the so3 residual |R_U - R_target|_F.  A design is converged when
+its solver succeeded and its infidelity is within the gate's entry of
+one table, _TOLERANCE: 6.25e-14 for the NOT, 1e-4 for the composite
+NOT, 2 sin^2(1e-3 / 4) for the phase gate and 1e-6 for a synthesized
+program.
+
 Every rotation that gate design reads is a unit Cayley-Klein pair, the
 propagators' own representation (propagate._quaternion): a loop's
 angle about its base point and the phase gate's total are the pair's
@@ -49,13 +58,13 @@ from .propagate import (
     ErrorParams,
     _chunk_rows,
     _final,
+    _gate_error,
     _mirror_final,
     _mul,
     _quaternion,
     _rotations,
     _spinors,
     _states,
-    gate_fidelity,
 )
 from .pulsegen import (
     ControlPulse,
@@ -524,9 +533,21 @@ def write_gate_report(report: GateReport, path) -> str:
     return _util.dump_json(report.as_dict(), path)
 
 
-def _coupling_defect(so3_residual: float, fidelity: float) -> float:
-    # exact identity between the two metrics: |R - R_t|_F^2 = 8 (1 - F^2)
-    return abs(so3_residual**2 - 8.0 * (1.0 - fidelity**2))
+# each gate's tolerance on its infidelity 1 - F: the NOT's is an so3
+# residual of 1e-6 (so3^2 / (8 (1 + F)), 1 + F <= 2), the phase gate's a
+# relative phase off by 1e-3 (2 sin^2(1e-3 / 4))
+_TOLERANCE = {"not": 6.25e-14, "composite_not": 1e-4,
+              "phase": 2.0 * math.sin(2.5e-4) ** 2, "synthesis": 1e-6}
+
+
+def _judged(gate: str, solved: bool, U, target):
+    """(fidelity, residuals, converged) of the propagator U against the
+    target unitary: the one reading of every gate's error
+    (propagate._gate_error) and its one rule, converged when the design
+    solved and the infidelity is within the gate's _TOLERANCE."""
+    infidelity, so3 = _gate_error(U, target)
+    return (1.0 - infidelity, {"infidelity": infidelity, "so3": so3},
+            bool(solved and infidelity <= _TOLERANCE[gate]))
 
 
 # ---------------------------------------------------------------------------
@@ -562,19 +583,6 @@ def _involution_scan(p: TopParameters, xs, family: Family,
     return axes
 
 
-def _shipped_final(pulse):
-    """(q, R, U) of a shipped gate pulse from one propagation: its final
-    pair and the bits of so3_final(pulse) and su2_final(pulse), which
-    read that pair."""
-    q = _final(pulse, ErrorParams())
-    return q, _rotations(q), _spinors(q)
-
-
-def _residual(R, target) -> float:
-    """Frobenius norm |R - target| of 3 x 3 rotations, with no BLAS call."""
-    return math.hypot(*(R - target).ravel().tolist())
-
-
 def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
                   n: int = 4096, scan: int = 64):
     """Tune eps inside the bracket until one transfer is a NOT gate.
@@ -607,20 +615,14 @@ def tune_not_gate(p: TopParameters, eps_range, family: Family = Family.ROTATING,
         lambda changes: changes[-1] if changes else None)
 
     pulse = tre_pulse(p, eps_star, family, n=n)
-    _, R, U = _shipped_final(pulse)
-    if family is Family.ROTATING:
-        target_R, target_U = NOT_SO3, NOT_SU2
-    else:
-        target_R, target_U = np.diag([-1.0, 1.0, -1.0]), -1.0j * _SY
-    resid = _residual(R, target_R)
-    fid = gate_fidelity(U, target_U)
+    target = NOT_SU2 if family is Family.ROTATING else -1.0j * _SY
+    fid, residuals, converged = _judged(
+        "not", bracketed, _spinors(_final(pulse, ErrorParams())), target)
     report = GateReport(
         target="not",
         parameters={"k": p.k, "eps": eps_star, "family": family, "n": n},
-        fidelity=fid,
-        phase_budget=None,
-        residuals={"so3": resid, "coupling": _coupling_defect(resid, fid)},
-        converged=bracketed and resid <= 1e-6)
+        fidelity=fid, phase_budget=None, residuals=residuals,
+        converged=converged)
     return eps_star, pulse, report
 
 
@@ -672,12 +674,12 @@ def composite_bir_not(p: TopParameters, eps: float, n: int = 4096,
         axis = -axis
     W = _rotation_between(axis, _E1)
     aligned = rotate_pulse(comp, W)
-    _, R_aligned, U = _shipped_final(aligned)
-    fid = gate_fidelity(U, _SX)
-    resid = _residual(R_aligned, NOT_SO3)
+    fid, residuals, converged = _judged(
+        "composite_not", converged,
+        _spinors(_final(aligned, ErrorParams())), _SX)
     meta = {"kind": "composite_bir_not", "k": p.k, "eps": eps_star,
-            "eps_seed": eps, "n": n, "fidelity": fid, "so3_residual": resid,
-            "converged": bool(converged and fid >= 1.0 - 1e-4)}
+            "eps_seed": eps, "n": n, "fidelity": fid, "residuals": residuals,
+            "converged": converged}
     return replace(aligned, meta=meta)
 
 
@@ -845,7 +847,8 @@ def design_phase_gate(target_phase: float, p_a: TopParameters, *,
     orientation = {1: "reverse_first", -1: "reverse_second",
                    0: "degenerate"}[s]
     aligned = rotate_pulse(comp, W)
-    q, R, U = _shipped_final(aligned)
+    q = _final(aligned, ErrorParams())
+    U = _spinors(q)
     off_diag = float(max(abs(U[0, 1]), abs(U[1, 0])))
     achieved = float((np.angle(U[0, 0]) - np.angle(U[1, 1])) % (2.0 * math.pi))
     # s b - s a, not s (b - a): it keeps the signed zero of b - a or a - b
@@ -853,24 +856,19 @@ def design_phase_gate(target_phase: float, p_a: TopParameters, *,
     geo_sum = s * budget_b.geometric - s * budget_a.geometric
     budget = PhaseBudget(total=_twist(q, _E3), dynamical=dyn_sum,
                          geometric=geo_sum)
-    target = np.array([np.exp(0.5j * phi), 0.0])
-    fid = gate_fidelity(U, _spinors(target))
-    resid = _residual(R, _rotations(target))
-    phase_gap = abs(_util.wrap_angle(achieved - phi))
+    fid, error, converged = _judged(
+        "phase", converged and abs(dyn_sum) <= 1e-4, U,
+        _spinors(np.array([np.exp(0.5j * phi), 0.0])))
     residuals = {"off_diagonal": off_diag,
                  "dynamical_cancellation": abs(dyn_sum),
                  "geometric_mismatch": abs(_util.wrap_angle(geo_sum - phi)),
-                 "phase": phase_gap,
-                 "so3": resid,
-                 "coupling": _coupling_defect(resid, fid)}
+                 "phase": abs(_util.wrap_angle(achieved - phi)), **error}
     design = PhaseGateDesign(
         target_phase=phi, achieved_phase=achieved,
         k_a=k_a, eps_a=eps_a, k_b=p_b.k, eps_b=eps_b,
         base_point=tuple(float(x) for x in base), orientation=orientation,
         budget_a=budget_a, budget_b=budget_b, fidelity=fid,
-        residuals=residuals,
-        converged=bool(converged and phase_gap <= 1e-3
-                       and abs(dyn_sum) <= 1e-4))
+        residuals=residuals, converged=converged)
     meta = {"kind": "phase_gate", "k": k_a, "eps": eps_a,
             "k_b": p_b.k, "eps_b": eps_b, "target_phase": phi,
             "orientation": orientation}
@@ -883,12 +881,16 @@ def design_phase_gate(target_phase: float, p_a: TopParameters, *,
 
 @dataclass(frozen=True)
 class SynthesisProgram:
-    """Ordered pulse segments composing to a target unitary."""
+    """Ordered pulse segments composing to a target unitary; converged
+    holds when every segment converged and the composition is within the
+    synthesis tolerance of the target."""
 
     target: np.ndarray
     segments: tuple
     labels: tuple
     fidelity: float
+    residuals: dict
+    converged: bool
 
     @property
     def pulse(self) -> ControlPulse | None:
@@ -1007,6 +1009,9 @@ def synthesize_one_qubit(U_target, p: TopParameters | None = None,
     for seg in segments:
         comp = _mul(_final(seg, ErrorParams())[:, None], comp,
                     np.empty_like(comp))
-    fid = gate_fidelity(_spinors(comp[:, 0]), U)
+    fid, residuals, converged = _judged(
+        "synthesis", all(seg.meta["converged"] for seg in segments),
+        _spinors(comp[:, 0]), U)
     return SynthesisProgram(target=U, segments=tuple(segments),
-                            labels=tuple(labels), fidelity=fid)
+                            labels=tuple(labels), fidelity=fid,
+                            residuals=residuals, converged=converged)

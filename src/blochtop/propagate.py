@@ -614,12 +614,27 @@ def adjoint_map(U):
     return R
 
 
+def _gate_error(U, V):
+    """(infidelity, so3) of 2 x 2 unitaries U and V, read from W = U^dag V,
+    formed entry by entry with no BLAS call.
+
+    W is e^(i chi) (q0 - i v . sigma) with q0^2 + |v|^2 = 1, so |v|^2 =
+    1 - F^2, F = |tr W| / 2 = |q0|, reads (|W01|^2 + |W10|^2) / 2 +
+    |W00 - W11|^2 / 4 with no cancellation and no global phase.  The
+    infidelity 1 - F is |v|^2 / (1 + F), never negative, and the so3
+    residual |R_U - R_V|_F of the covered rotations is sqrt(8 |v|^2)."""
+    (u00, u01), (u10, u11) = np.asarray(U, dtype=complex).conj().tolist()
+    (v00, v01), (v10, v11) = np.asarray(V, dtype=complex).tolist()
+    w00, w11 = u00 * v00 + u10 * v10, u01 * v01 + u11 * v11
+    w01, w10 = u00 * v01 + u10 * v11, u01 * v00 + u11 * v10
+    v2 = 0.5 * (abs(w01) ** 2 + abs(w10) ** 2) + 0.25 * abs(w00 - w11) ** 2
+    return v2 / (1.0 + 0.5 * abs(w00 + w11)), math.sqrt(8.0 * v2)
+
+
 def gate_fidelity(U, V) -> float:
-    """|tr(U^dag V)| / 2: equals 1 iff the gates agree up to global phase.
-    The trace is the sum of conj(U) V entry by entry, with no BLAS call."""
-    U = np.asarray(U, dtype=complex)
-    V = np.asarray(V, dtype=complex)
-    return float(0.5 * np.abs(np.sum(np.conj(U) * V)))
+    """|tr(U^dag V)| / 2, read as 1 - the infidelity of _gate_error: equals
+    1 iff the gates agree up to global phase, and never exceeds 1."""
+    return 1.0 - _gate_error(U, V)[0]
 
 
 def axis_angle_path(upath: PropagatorPath, tol: float = 1e-12) -> AxisAnglePath:

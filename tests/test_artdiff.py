@@ -106,6 +106,24 @@ def test_changed_shape_and_json_structure_fail(tmp_path):
                                                           "x.json"]
 
 
+def test_differing_keys_are_named_and_shared_keys_still_compared(tmp_path):
+    # a declared schema change: the residual keys differ, and a move and
+    # a flipped flag under the shared keys are still reported
+    so3 = 3e-12
+    for side, converged, extra, x in (("a", True, {"coupling": 0.0}, so3),
+                                      ("b", False, {"infidelity": 6e-25},
+                                       float(np.nextafter(so3, 1.0)))):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "gate_not.json").write_text(json.dumps({
+            "converged": converged, "residuals": dict(extra, so3=x)}))
+    report = compare(tmp_path / "a", tmp_path / "b")
+    assert report.failures == [
+        "gate_not.json: residuals: keys differ: only in A ['coupling'], "
+        "only in B ['infidelity']",
+        "gate_not.json: converged differs"]
+    assert report.moves[("gate_not.json", "residuals.so3")][-1] == 1
+
+
 def test_exit_code_and_stderr_differences_fail():
     runs = [{"argv": ["gate", "not"], "rc": 0, "stderr": ""}]
     other = [{"argv": ["gate", "not"], "rc": 3,

@@ -34,6 +34,7 @@ from blochtop.topdyn import Family, TopParameters, analytic_trajectory, \
     energy, orbit_period, tre_initial
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
 def test_budget_identity_random_parameters():
@@ -421,10 +422,36 @@ def test_tune_not_rejects_bad_range():
         tune_not_gate(TopParameters(0.5), (0.5, 0.1))
 
 
-def test_fidelity_so3_residual_coupling():
-    # |R - R_t|_F^2 = 8 (1 - F^2) ties the two reported quality metrics
+def test_not_report_reads_its_infidelity_from_the_so3_residual():
+    # one reading of U^dag V: |R - R_t|_F^2 = 8 |v|^2 and 1 - F = |v|^2 /
+    # (1 + F), so a residual of 1e-12 is an infidelity of about 6e-26,
+    # below what |tr(U^dag V)| / 2 can resolve
     _, _, report = tune_not_gate(TopParameters(0.5), (0.001, 0.5))
-    assert report.residuals["coupling"] <= 1e-4
+    infidelity, so3 = report.residuals["infidelity"], report.residuals["so3"]
+    assert set(report.residuals) == {"infidelity", "so3"}
+    assert infidelity > 0.0
+    assert infidelity == pytest.approx(
+        so3 ** 2 / (8.0 * (1.0 + report.fidelity)), rel=1e-12)
+
+
+@pytest.mark.parametrize("gate, target, theta", [
+    # the NOT's earlier rule: an so3 residual 2 sqrt(2) sin(theta / 2) of
+    # at most 1e-6
+    ("not", NOT_SU2, 2.0 * math.asin(1e-6 / math.sqrt(8.0))),
+    # the phase gate's: a relative phase, a turn about e3, off by 1e-3
+    ("phase", np.diag([np.exp(0.65j), np.exp(-0.65j)]), 1e-3),
+    # the composite NOT's and the Hadamard's: 1 - F = 2 sin^2(theta / 4)
+    ("composite_not", SX, 4.0 * math.asin(math.sqrt(0.5e-4))),
+    ("synthesis", HADAMARD, 4.0 * math.asin(math.sqrt(0.5e-6)))])
+def test_each_gate_is_judged_by_its_earlier_rule(gate, target, theta):
+    # a solved design 1% inside that bound converges and one 1% outside
+    # it does not; an unsolved design never converges
+    def turned(angle):
+        return target @ np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
+
+    assert gates._judged(gate, True, turned(0.99 * theta), target)[2] is True
+    assert gates._judged(gate, True, turned(1.01 * theta), target)[2] is False
+    assert gates._judged(gate, False, target, target)[2] is False
 
 
 def test_gate_report_json_round_trip(tmp_path):
@@ -642,6 +669,31 @@ def test_synthesize_hadamard():
     assert prog.fidelity >= 1.0 - 1e-3
     assert prog.pulse is not None
     assert prog.pulse.duration > 0.0
+
+
+@pytest.mark.parametrize("k, n", [(0.3, 1024), (0.35, 512), (0.5, 1024),
+                                  (0.6, 512), (0.6, 2048), (0.65, 2048),
+                                  (0.65, 4096)])
+def test_synthesized_hadamard_fidelity_never_exceeds_one(k, n):
+    # designs whose |tr(U^dag H)| / 2 rounded above 1, and whose
+    # infidelity 1 - F then read negative
+    prog = synthesize_one_qubit(HADAMARD, TopParameters(k), n=n)
+    assert prog.fidelity <= 1.0
+    assert prog.residuals["infidelity"] >= 0.0
+    assert prog.converged
+
+
+def test_synthesis_reports_an_unconverged_segment(monkeypatch):
+    solve = gates._solve_scanned
+
+    def unconverged(*args):
+        return solve(*args)[0], False
+
+    # same roots, so the fidelity alone would pass; the segment flags fail
+    monkeypatch.setattr(gates, "_solve_scanned", unconverged)
+    prog = synthesize_one_qubit(HADAMARD, TopParameters(0.6), n=512)
+    assert prog.converged is False
+    assert prog.residuals["infidelity"] <= gates._TOLERANCE["synthesis"]
 
 
 def test_synthesis_propagates_each_scan_point_once(monkeypatch):

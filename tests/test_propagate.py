@@ -6,6 +6,7 @@ import re
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,88 @@ def test_gate_fidelity_phase_invariance():
     assert_allclose(gate_fidelity(U, U), 1.0, rtol=1e-14)
     assert_allclose(gate_fidelity(U, np.exp(0.73j) * U), 1.0, rtol=1e-14)
     assert_allclose(gate_fidelity(np.eye(2), SX), 0.0, atol=1e-14)
+
+
+def _turned(t, n, theta):
+    """t R(theta), R(theta) = exp(-i theta n . sigma / 2) from its entries."""
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    n1, n2, n3 = (float(x) for x in n)
+    R = np.array([[complex(c, -s * n3), complex(-s * n2, -s * n1)],
+                  [complex(s * n2, -s * n1), complex(c, s * n3)]])
+    return t @ R
+
+
+def _mp_infidelity(U, V):
+    """_gate_error's infidelity of the float entries of U and V, evaluated
+    in 200-bit arithmetic."""
+    with mpmath.workprec(200):
+        u = [[mpmath.mpc(complex(x)) for x in row] for row in U]
+        v = [[mpmath.mpc(complex(x)) for x in row] for row in V]
+        w = [[mpmath.conj(u[0][i]) * v[0][j] + mpmath.conj(u[1][i]) * v[1][j]
+              for j in range(2)] for i in range(2)]
+        v2 = ((abs(w[0][1]) ** 2 + abs(w[1][0]) ** 2) / 2
+              + abs(w[0][0] - w[1][1]) ** 2 / 4)
+        return v2 / (1 + abs(w[0][0] + w[1][1]) / 2)
+
+
+def _unit_axes():
+    return st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(
+        np.array).filter(lambda v: np.linalg.norm(v) > 1e-3).map(
+        lambda v: v / np.linalg.norm(v))
+
+
+_SMALL_TURNS = st.floats(math.log(1e-12), math.log(1e-3)).map(math.exp)
+_PHASES = st.tuples(st.floats(-math.pi, math.pi), st.booleans()).map(
+    lambda x: (complex(math.cos(x[0]), math.sin(x[0])), x[1]))
+
+
+def _phased(U, V, phase):
+    """U and V with the global phase on U (True) or on V (False)."""
+    z, on_u = phase
+    return (z * U, V) if on_u else (U, z * V)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from([np.eye(2, dtype=complex), -1.0j * SX, -1.0j * SY]),
+       _unit_axes(), _SMALL_TURNS, _PHASES)
+def test_gate_error_of_exact_targets_is_2_sin_squared_of_a_quarter_turn(
+        t, n, theta, phase):
+    # targets with entries in {0, +-1, +-i} add no rounding to t R(theta):
+    # the infidelity is 1 - cos(theta / 2) to a few ulps at any theta
+    with mpmath.workprec(200):
+        exact = 2 * mpmath.sin(mpmath.mpf(theta) / 4) ** 2
+        root = mpmath.sqrt(exact)
+    U = _turned(t, n, theta)
+    infidelity, so3 = propagate._gate_error(U, t)
+    assert 0.0 < infidelity and gate_fidelity(U, t) <= 1.0
+    assert abs(infidelity - exact) <= 2e-15 * exact
+    assert abs(so3 - 2.0 * math.sqrt(2.0) * math.sin(0.5 * theta)) \
+        <= 4e-15 * so3
+    # a global phase rounds the entries: sqrt(1 - F) keeps 2^-52
+    U, V = _phased(U, t, phase)
+    infidelity, _ = propagate._gate_error(U, V)
+    assert 0.0 <= infidelity and gate_fidelity(U, V) <= 1.0
+    assert abs(math.sqrt(infidelity) - root) <= 2.0 ** -52
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_unit_axes(), _unit_axes(), st.floats(-math.pi, math.pi),
+       _SMALL_TURNS, _PHASES)
+def test_gate_error_of_random_targets_keeps_2_to_the_minus_52(
+        axis, n, angle, theta, phase):
+    # conj(t) t R(theta) cancels to O(theta) in floating point, so the
+    # relative error of 1 - F grows like 1e-16 / theta; sqrt(1 - F) keeps
+    # an absolute 2^-52 of the same float inputs, and of 2 sin^2(theta / 4)
+    t = _turned(np.eye(2, dtype=complex), axis, angle)
+    with mpmath.workprec(200):
+        root = mpmath.sqrt(2 * mpmath.sin(mpmath.mpf(theta) / 4) ** 2)
+    for U, V in ((_turned(t, n, theta), t),
+                 _phased(_turned(t, n, theta), t, phase)):
+        infidelity, _ = propagate._gate_error(U, V)
+        assert 0.0 <= infidelity and gate_fidelity(U, V) <= 1.0
+        assert abs(math.sqrt(infidelity)
+                   - mpmath.sqrt(_mp_infidelity(U, V))) <= 2.0 ** -52
+        assert abs(math.sqrt(infidelity) - root) <= 2.0 ** -52
 
 
 def test_error_model_shifts_rotation_axis():

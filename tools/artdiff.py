@@ -24,7 +24,9 @@ then a summary line.  The exit status is 1 when a job's exit code or
 stderr differs, when a ``converged`` flag or a sweep ``flag`` differs,
 when the set of artifact names differs, or when a CSV or JSON file
 cannot be compared value by value (its header, shape or structure
-differs); otherwise 0.  Only the standard library and numpy are used.
+differs); otherwise 0.  A JSON dict whose keys differ is such a failure
+that names the keys found on one side only, and the values under the
+keys both sides share are still compared.  Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -199,14 +201,17 @@ def _leaves(x, y, path, numeric, other, broken):
     """Walk two JSON values side by side: numeric leaf pairs are
     collected under their path with list indices folded to [], other
     leaves that differ go to other, and structure that differs (keys,
-    lengths, types) to broken."""
+    lengths, types) to broken.  Keys found in one dict only are named,
+    and the keys the two share are still walked."""
     if isinstance(x, dict) and isinstance(y, dict):
         if x.keys() != y.keys():
-            broken.append(f"{path or '.'}: keys differ")
-            return
+            broken.append(f"{path or '.'}: keys differ: only in A "
+                          f"{sorted(x.keys() - y.keys())}, only in B "
+                          f"{sorted(y.keys() - x.keys())}")
         for k in x:
-            _leaves(x[k], y[k], f"{path}.{k}" if path else k, numeric,
-                    other, broken)
+            if k in y:
+                _leaves(x[k], y[k], f"{path}.{k}" if path else k, numeric,
+                        other, broken)
     elif isinstance(x, list) and isinstance(y, list):
         if len(x) != len(y):
             broken.append(f"{path}: lengths {len(x)} and {len(y)}")
