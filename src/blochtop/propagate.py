@@ -37,10 +37,11 @@ Re c, -Im a) (_quaternion), which gate design reads too.
 The kernel is batched and has one step layout: planes (2, B, n), a and
 c each one contiguous complex plane along the sample axis, a leading
 axis of error pairs (alpha, delta), and the identity in slot 0 ahead of
-the n - 1 steps.  Steps are made in two stages: the pulse's interval
-averages (_averages), taken once for all rows, and one step stage
-(_steps) that applies each row's errors and writes its pairs straight
-into the planes, so no step is copied on its way into the products.
+the n - 1 steps.  Steps are made in two stages: the field table's
+interval averages (_averages), taken once for the rows that share them,
+and one step stage (_steps) that applies each row's errors and writes
+its pairs straight into the planes, so no step is copied on its way into
+the products.
 Paths, finals, sweeps and the mirror route all build their steps with
 this one stage, so a sweep cell has the bits of the endpoint of
 bloch_propagate under its error pair.  The reduction (_fold) pairs the
@@ -57,19 +58,23 @@ pairs (..., 2) out only at the end.  Every product and norm runs on
 arrays that keep the sample axis, even a final one of length 1: numpy
 rounds scalar arithmetic differently from its array loops.
 
-Sweeps (_final_states) take many error pairs in chunks of
-_chunk_rows(n) rows, the batch rule that gate scans share, in one
-workspace per call (_final_pairs).  A chunk is folded only until its
-rows hold about _FOLD_PAIRS pairs; those short planes go to a tail
-shared by many chunks, which is folded to the end on the same product
-tree, so the bits stay those of a single-row final.  A large sweep on
-two usable CPUs forks once (_util._in_two); no pair depends on another,
-so the bits are those of one process.
+Every final propagator is built and folded by one driver (_final_pairs):
+sweep cells, so3_final and su2_final, gate scans and the mirror route.
+It takes a field table, shared by every row or one row per mirror half,
+in chunks of _chunk_rows(n) rows, the batch rule that gate scans share.
+A chunk is folded only until its rows hold about _FOLD_PAIRS pairs, a
+row longer than _CHUNK_SAMPLES in end-aligned spans of whole blocks of
+the product tree; the short planes go to a tail of whole chunks, which
+is folded to the end on the same tree, so the bits stay those of a
+one-row fold of the whole row.  Each call takes one workspace of one
+fixed size, whatever n.  A large sweep on two usable CPUs forks once
+(_util._in_two); no pair depends on another, so the bits are those of
+one process.
 
 A private mirror route (_mirror_final) serves gate design: the fields of
 an unrotated transfer or loop pulse on its own grid are mirror-symmetric
-about the midpoint, so the final propagator follows from the product of
-the first half's steps, a conjugation and the middle step.  It takes no
+about the midpoint, so the final propagator follows from the driver's
+final of the first half, a conjugation and the middle step.  It takes no
 error parameters and propagates a stack of halves on one grid length,
 one row per pulse, in one call.  The public propagators never use it
 and compose every step of whatever pulse they are given.
@@ -86,8 +91,9 @@ import numpy as np
 from . import _util
 
 # samples propagated per batch of sweep cells or gate scan points
-# (_chunk_rows): large enough to share the numpy call overhead over many
-# rows, small enough to keep peak memory flat
+# (_chunk_rows), or per span of a longer row: large enough to share the
+# numpy call overhead over many rows, small enough to keep peak memory
+# flat
 _CHUNK_SAMPLES = 2 ** 14
 
 # error pairs x samples (B * n) from which _final_states forks.  A fork,
@@ -100,9 +106,9 @@ _CHUNK_SAMPLES = 2 ** 14
 # in-process sweep-maps cycles slower on 9 of 10 (586 against 544 ms)
 _FORK_SAMPLES = 300_000
 
-# a sweep chunk is folded until it holds at most this many pairs: below
-# it numpy's call overhead outweighs the products, and the chunks share
-# the rest of their folds
+# a chunk of finals is folded until it holds at most this many pairs:
+# below it numpy's call overhead outweighs the products, and the chunks
+# share the rest of their folds
 _FOLD_PAIRS = 1024
 
 _SIGMA = np.array([
@@ -164,18 +170,24 @@ def _pairs(S):
     return np.moveaxis(S, 0, -1)
 
 
-def _averages(pulse, out):
-    """The interval averages of the pulse that the step stage (_steps)
-    reads, written into out[0], ..., out[4], each (..., n - 1): the
-    interval lengths dt, -A1, A2, the endpoint sums w3[1:] + w3[:-1] and
-    A1^2 + A2^2, where A_j = (w_j[1:] + w_j[:-1]) 0.5 dt is field
-    component j averaged over an interval and times its length.  -A1 has
-    the bits of A1 with the sign flipped, so the stage takes no negation
-    for c.  out[5] is scratch.  Returns out[:5]."""
+def _table(pulse):
+    """The field table (times, omega1, omega2, omega3) of a pulse."""
+    return pulse.times, pulse.omega1, pulse.omega2, pulse.omega3
+
+
+def _averages(table, out):
+    """The interval averages of the field table (times, omega1, omega2,
+    omega3) that the step stage (_steps) reads, written into out[0], ...,
+    out[4], each (..., n - 1): the interval lengths dt, -A1, A2, the
+    endpoint sums w3[1:] + w3[:-1] and A1^2 + A2^2, where A_j =
+    (w_j[1:] + w_j[:-1]) 0.5 dt is field component j averaged over an
+    interval and times its length.  -A1 has the bits of A1 with the sign
+    flipped, so the stage takes no negation for c.  out[5] is scratch.
+    Returns out[:5]."""
     dt, a1, a2, w3, a12, tmp = out
-    np.subtract(pulse.times[..., 1:], pulse.times[..., :-1], out=dt)
-    np.add(pulse.omega3[..., 1:], pulse.omega3[..., :-1], out=w3)
-    for a, w, half in ((a1, pulse.omega1, -0.5), (a2, pulse.omega2, 0.5)):
+    np.subtract(table[0][..., 1:], table[0][..., :-1], out=dt)
+    np.add(table[3][..., 1:], table[3][..., :-1], out=w3)
+    for a, w, half in ((a1, table[1], -0.5), (a2, table[2], 0.5)):
         np.add(w[..., 1:], w[..., :-1], out=a)
         a *= half
         a *= dt
@@ -238,7 +250,7 @@ def _step_planes(pulse, alpha, delta):
     # the sixth array and three averages it has read
     v = [np.empty(lead + (n - 1,)) for _ in range(6)]
     S = np.empty((2,) + lead + (n,), dtype=complex)
-    avg = _averages(pulse, v)
+    avg = _averages(_table(pulse), v)
     return _steps(avg, alpha, delta, (v[5], v[4], v[3], v[0]), S)
 
 
@@ -432,24 +444,25 @@ def _state(M0):
     return M0
 
 
-def _one_row_planes(pulse, err: ErrorParams):
-    """Planes (2, 1, n) of the identity and every step of the pulse under
-    err.  A step whose rotation angle overflows would leave the path and
-    the final propagator NaN, so it raises ValueError instead."""
+def _one_row(build, err: ErrorParams):
+    """build(alpha, delta) of the one error pair of err: a row's planes or
+    its final pairs.  A step whose rotation angle overflows would leave
+    them NaN, so it raises ValueError instead."""
     with np.errstate(over="ignore", invalid="ignore"):
-        S = _step_planes(pulse, [err.alpha], [err.delta])
-    if not np.all(np.isfinite(S)):
+        x = build([err.alpha], [err.delta])
+    if not np.all(np.isfinite(x)):
         raise ValueError(f"alpha = {err.alpha}, delta = {err.delta}: a "
                          "step's rotation angle overflows")
-    return S
+    return x
 
 
 def _path(pulse, err: ErrorParams):
-    return _scan(_one_row_planes(pulse, err))[0]
+    return _scan(_one_row(lambda a, d: _step_planes(pulse, a, d), err))[0]
 
 
 def _final(pulse, err: ErrorParams):
-    return _last(_one_row_planes(pulse, err))[0]
+    return _one_row(lambda a, d: _final_pairs(
+        _table(pulse), a, d, np.empty((1, 2), dtype=complex)), err)[0]
 
 
 def _mirror_final(half):
@@ -463,12 +476,14 @@ def _mirror_final(half):
     product of the first-half steps and M the middle step (n even only),
     the whole table propagates by J A^-1 J^-1 . M . A.  J A^-1 J^-1 is A
     with its component along e_axis negated: a -> a* about e3, c -> c*
-    about e1 and c -> -c* about e2.
+    about e1 and c -> -c* about e2.  A is the final of the half without
+    its middle interval (_final_pairs).
     """
-    S = _step_planes(half, [0.0], [0.0])
-    # the fold and the rescale run in place in S[..., :-1], which leaves
-    # the middle step in S[..., -1:] untouched
-    A = _unit(_fold(S[..., :-1] if half.middle else S))
+    table = [f[:, :-1] for f in half[:4]] if half.middle else half[:4]
+    zeros = np.zeros(len(half.times))
+    # planes (2, B, 1): the sample axis is kept
+    A = _final_pairs(table, zeros, zeros,
+                     np.empty((len(zeros), 2), dtype=complex)).T[..., None]
     mirror = A.copy()  # J A^-1 J^-1
     if half.axis == 3:
         np.conj(mirror[0], out=mirror[0])
@@ -477,8 +492,11 @@ def _mirror_final(half):
         if half.axis == 2:
             np.negative(mirror[1], out=mirror[1])
     if half.middle:
-        # the middle step keeps its sample axis of length 1
-        A = _mul(S[..., -1:], A, np.empty_like(A))
+        # one step as the step stage builds it: folded behind the
+        # identity and rescaled, it would move its bits
+        middle = half._make([f[:, -2:] for f in half[:4]] + list(half[4:]))
+        A = _mul(_step_planes(middle, [0.0], [0.0])[..., 1:], A,
+                 np.empty_like(A))
     return _pairs(_unit(_mul(mirror, A, np.empty_like(A))))[..., 0, :]
 
 
@@ -494,59 +512,76 @@ def _chunk_rows(samples: int) -> int:
     return max(1, _CHUNK_SAMPLES // samples)
 
 
-def _final_pairs(pulse, alpha, delta, out):
-    """Final pairs of the pulse into out (B, 2), one row per error pair
-    (alpha[b], delta[b]), propagated in this process in chunks of
-    _chunk_rows(n) pairs.  Returns out.
+def _final_pairs(table, alpha, delta, out):
+    """Final pairs of the field table (times, omega1, omega2, omega3) into
+    out (B, 2), one row per error pair (alpha[b], delta[b]): the one place
+    where the steps of a final propagator are built and folded.  Each
+    field is (n,), shared by every row, or (B, n), one row each.  Returns
+    out.
 
-    One workspace is allocated per call and rewritten in place by every
-    chunk.  Each chunk is folded down to the first length m of n's
-    halving sequence with rows * m <= _FOLD_PAIRS, and its short planes
-    are gathered in a tail of at most _CHUNK_SAMPLES pairs; each full
-    tail is folded to the end and rescaled at once.  With no error pairs
-    it allocates no workspace."""
-    B, n = len(alpha), pulse.n_samples
+    Rows go in chunks of _chunk_rows(n), and a chunk is folded L levels
+    of the product tree, the first level whose length m = ceil(n / 2^L)
+    has rows * m <= _FOLD_PAIRS.  A chunk is stepped and folded in
+    end-aligned spans of _CHUNK_SAMPLES samples, rounded down to whole
+    blocks of 2^L samples, so a row of up to _CHUNK_SAMPLES samples is one
+    span.  The leading span holds the rest, which may be the identity
+    alone.  _halve pairs from the last element, so a span folds to the
+    very entries that the whole row's tree has at level L.  A tail of
+    whole chunks gathers the rows' m entries, and each full tail is
+    folded to the end and rescaled at once, so every row has the bits of
+    a one-row fold of the whole row.  A shared table whose rows fit in
+    one span is averaged once per call; others are averaged per chunk
+    and span.
+
+    One workspace of 18 _CHUNK_SAMPLES floats (2.25 MiB) is allocated per
+    call and rewritten in place by every chunk and span.  With the
+    module's constants every row of up to 2^24 samples needs at most
+    17 _CHUNK_SAMPLES + 4 floats, so calls do not grow the heap in turn;
+    a longer row, or smaller constants, get what they need.  With no
+    error pairs it allocates no workspace."""
+    B, n = len(alpha), table[0].shape[-1]
     if not B:
         return out
     rows = min(B, _chunk_rows(n))
-    m = n
+    m, block = n, 1
     while rows * m > _FOLD_PAIRS and m > 1:
-        m -= m // 2
-    t = max(1, min(B, _CHUNK_SAMPLES // m))
-    # one float workspace: the chunk's planes, the tail, scratch that
-    # holds the chunk's step stage and then the products of either fold
-    # (the stage's 4 * rows * (n - 1) floats never exceed the chunk
-    # fold's), and the pulse's interval averages, taken once per call.
-    # With rows of at most _CHUNK_SAMPLES samples on a pulse of at most
-    # _CHUNK_SAMPLES / 2 samples that is at most 14.5 floats a sample,
-    # and every such call asks for 15: the next sweep then reuses the
-    # pages this one frees instead of growing the heap
-    planes, tail = 4 * rows * n, 4 * t * m
-    fold = max(8 * rows * (n // 2), 8 * t * (m // 2))
-    work = np.empty(max(15 * _CHUNK_SAMPLES,
-                        planes + tail + fold + 5 * (n - 1)))
+        m, block = m - m // 2, 2 * block
+    span = max(block, _CHUNK_SAMPLES // block * block)
+    t = rows * max(1, min(-(-B // rows), _CHUNK_SAMPLES // (rows * m)))
+    # a span is stepped from the sample before it, where there is one
+    w = min(n, span + 1)
+    planes, tail = 4 * rows * w, 4 * t * m
+    at = planes + tail + max(8 * rows * (w // 2), 8 * t * (m // 2))
+    work = np.empty(max(18 * _CHUNK_SAMPLES, at + 5 * rows * (w - 1)))
     T = work[planes:planes + tail].view(complex).reshape(2, t, m)
-    scratch = work[planes + tail:planes + tail + fold]
-    products = scratch.view(complex)
-    at = planes + tail + fold
-    avg = _averages(pulse, [*work[at:at + 5 * (n - 1)].reshape(5, n - 1),
-                            scratch[:n - 1]])
+    # the step stage's scratch, then either fold's products
+    scratch = work[planes + tail:at]
+    once = table[0].ndim == 1 and span >= n
     held = done = 0
     for start in range(0, B, rows):
         r = min(rows, B - start)
-        S = work[:4 * r * n].view(complex).reshape(2, r, n)
         cells = slice(start, start + r)
-        _steps(avg, alpha[cells], delta[cells],
-               scratch[:4 * r * (n - 1)].reshape(4, r, n - 1), S)
-        S = _fold(S, m, products)
-        j = 0
-        while j < r:
-            take = min(r - j, t - held)
-            T[:, held:held + take] = S[:, j:j + take]
-            held, j = held + take, j + take
-            if held == t or start + j == B:
-                out[done:done + held] = _last(T[:, :held], products)
-                held, done = 0, done + held
+        for i1 in range(n - (n - 1) // span * span, n + 1, span):
+            i0 = max(i1 - span, 0)
+            lo = max(i0 - 1, 0)
+            if not (once and start):
+                part = [f[lo:i1] if f.ndim == 1 else f[cells, lo:i1]
+                        for f in table]
+                d = part[0][..., 1:]
+                avg = _averages(part, [*work[at:at + 5 * d.size].reshape(
+                    (5,) + d.shape), scratch[:d.size].reshape(d.shape)])
+            S = work[:4 * r * (i1 - lo)].view(complex).reshape(2, r, i1 - lo)
+            _steps(avg, alpha[cells], delta[cells],
+                   scratch[:4 * r * (i1 - lo - 1)].reshape(4, r, i1 - lo - 1),
+                   S)
+            S = _fold(S[..., i0 - lo:], -(-(i1 - i0) // block),
+                      scratch.view(complex))
+            # the span's level-L entries end where its samples do
+            T[:, held:held + r, :m - (n - i1) // block][..., -S.shape[-1]:] = S
+        held += r
+        if held == t or start + r == B:
+            out[done:done + held] = _last(T[:, :held], scratch.view(complex))
+            held, done = 0, done + held
     return out
 
 
@@ -569,17 +604,16 @@ def _final_states(pulse, M0, alpha, delta):
     M0 = _state(M0)
     alpha = np.asarray(alpha, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    B = len(alpha)
-    n = pulse.n_samples
+    B, n, table = len(alpha), pulse.n_samples, _table(pulse)
     h = _util._split(B, _chunk_rows(n), B * n, _FORK_SAMPLES)
     if not h:
-        q = _final_pairs(pulse, alpha, delta, np.empty((B, 2), complex))
+        q = _final_pairs(table, alpha, delta, np.empty((B, 2), complex))
     else:
         q = np.frombuffer(mmap.mmap(-1, 32 * B), complex).reshape(B, 2)
         if not _util._in_two(
-                lambda: _final_pairs(pulse, alpha[h:], delta[h:], q[h:]),
-                lambda: _final_pairs(pulse, alpha[:h], delta[:h], q[:h])):
-            _final_pairs(pulse, alpha[h:], delta[h:], q[h:])
+                lambda: _final_pairs(table, alpha[h:], delta[h:], q[h:]),
+                lambda: _final_pairs(table, alpha[:h], delta[:h], q[:h])):
+            _final_pairs(table, alpha[h:], delta[h:], q[h:])
     return _states(q, M0)
 
 

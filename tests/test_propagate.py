@@ -18,6 +18,7 @@ from blochtop import gates, propagate
 from blochtop.propagate import (
     ErrorParams,
     _final,
+    _final_pairs,
     _final_states,
     _fold,
     _last,
@@ -895,6 +896,113 @@ def test_final_states_of_no_pairs_allocate_no_workspace():
     one, one_peak = traced_peak([0.1], [0.2])
     assert one.shape == (1, 3) and one_peak >= 4 * 8 * pulse.n_samples
     assert peak < 8 * pulse.n_samples
+
+
+def fields(pulse, stop=None):
+    """The field table (times, omega1, omega2, omega3) of a pulse as one
+    row, (1, stop) each."""
+    return [np.asarray(getattr(pulse, name))[None, :stop]
+            for name in ("times", "omega1", "omega2", "omega3")]
+
+
+@PROPERTY
+@given(st.integers(4, 64), st.integers(0, 2 ** 32 - 1), errors, st.data())
+def test_finals_in_spans_are_path_endpoints_bit_for_bit(chunk, seed, err,
+                                                        data):
+    # a row longer than _CHUNK_SAMPLES goes in spans.  With n <= _FOLD_PAIRS
+    # a span is _CHUNK_SAMPLES samples, so k _CHUNK_SAMPLES + 1 samples
+    # leave the identity alone in the leading span; a smaller fold bound
+    # makes spans of several blocks and leading spans of part of one
+    cases = [(data.draw(st.integers(1, 599 // chunk)) * chunk + 1, 1024),
+             (data.draw(st.integers(2, 600)),
+              data.draw(st.sampled_from([1, 16, 1024])))]
+    for n, fold_pairs in cases:
+        pulse = random_table(n, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagate, "_CHUNK_SAMPLES", chunk)
+            mp.setattr(propagate, "_FOLD_PAIRS", fold_pairs)
+            R, U = so3_final(pulse, err), su2_final(pulse, err)
+        assert R.tobytes() == so3_propagate(pulse, err).R[-1].tobytes()
+        assert U.tobytes() == su2_propagate(pulse, err).U[-1].tobytes()
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(1, 300), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([4, 64, 2 ** 14]))
+def test_per_row_table_finals_are_one_row_calls_bit_for_bit(B, n, seed,
+                                                            chunk):
+    rng = np.random.default_rng(seed)
+    pulses_ = [random_table(n, s) for s in rng.integers(0, 2 ** 32, B)]
+    table = [np.concatenate(f) for f in zip(*map(fields, pulses_))]
+    alpha, delta = rng.uniform(-0.5, 0.5, B), rng.uniform(-1.0, 1.0, B)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "_CHUNK_SAMPLES", chunk)
+        q = _final_pairs(table, alpha, delta, np.empty((B, 2), complex))
+        for b in range(B):
+            one = _final_pairs([f[b:b + 1] for f in table], alpha[b:b + 1],
+                               delta[b:b + 1], np.empty((1, 2), complex))
+            assert q[b].tobytes() == one[0].tobytes()
+    # and the shared table of the same row
+    for b, pulse in enumerate(pulses_):
+        err = ErrorParams(alpha=alpha[b], delta=delta[b])
+        assert q[b].tobytes() == _final(pulse, err).tobytes()
+
+
+@PROPERTY
+@given(stacked_halves(), st.integers(1, 8))
+def test_stacked_mirror_final_in_spans_matches_planes_reference_bit_for_bit(
+        half, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "_CHUNK_SAMPLES", chunk)
+        batch = _mirror_final(half)
+    for b, row in enumerate(batch):
+        one = half._replace(times=half.times[b], omega1=half.omega1[b],
+                            omega2=half.omega2[b], omega3=half.omega3[b])
+        assert row.tobytes() == mirror_final_reference(one).tobytes()
+
+
+# 16,385 leaves the identity alone in the leading span, 16,386 two
+# samples, and 100,001 part of a block
+@pytest.mark.parametrize("n", [16385, 16386, 100001])
+def test_long_finals_are_scan_endpoints_bit_for_bit(n):
+    pulse = random_table(n, n)
+    S = _step_planes(pulse, [0.3], [-0.7])
+    final = _final(pulse, ErrorParams(alpha=0.3, delta=-0.7))
+    assert final.tobytes() == _scan(S)[0, -1].tobytes()
+
+
+@pytest.mark.parametrize("middle", [False, True])
+def test_long_mirror_final_matches_planes_reference_bit_for_bit(middle):
+    half = _MirrorHalf(*fields(random_table(131073, 5)), middle, 2)
+    one = half._replace(times=half.times[0], omega1=half.omega1[0],
+                        omega2=half.omega2[0], omega3=half.omega3[0])
+    assert (_mirror_final(half)[0].tobytes()
+            == mirror_final_reference(one).tobytes())
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_finals_take_one_fixed_size_workspace():
+    bound = 18 * propagate._CHUNK_SAMPLES * 8 + 64 * 1024
+    peaks = []
+    for n in (65537, 262145):
+        pulse = random_table(n, 3)
+        half = _MirrorHalf(*fields(pulse, n // 2 + 1), False, 3)
+        peaks.append((
+            traced_peak(lambda: _final(pulse, ErrorParams(0.1, 0.2))),
+            traced_peak(lambda: _mirror_final(half))))
+        assert max(peaks[-1]) <= bound
+    # flat in n, up to a few Python objects
+    for short, long in zip(*peaks):
+        assert abs(short - long) <= 4096
 
 
 @st.composite
