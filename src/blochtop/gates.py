@@ -56,7 +56,6 @@ from . import _util
 from .elliptic import _complete_KE, complete_Pi
 from .propagate import (
     ErrorParams,
-    _chunk_rows,
     _final,
     _gate_error,
     _mirror_final,
@@ -556,15 +555,11 @@ def _judged(gate: str, solved: bool, U, target):
 
 def _scan_finals(p: TopParameters, xs, family: Family, n: int,
                  loop: bool) -> np.ndarray:
-    """Mirror-route final pairs (len(xs), 2) at the points xs, in chunks
-    of _chunk_rows(n // 2 + 1) points, a half holding n // 2 + 1 samples:
-    one _mirror_half table and one _mirror_final call per chunk.  Row j
-    has the bits of the one-point call at xs[j], as a solver step or the
-    Montgomery loop makes it."""
-    rows = _chunk_rows(n // 2 + 1)
-    return np.concatenate([
-        _mirror_final(_mirror_half(p, xs[start:start + rows], family, n, loop))
-        for start in range(0, len(xs), rows)])
+    """Mirror-route final pairs (len(xs), 2) at the points xs, from one
+    _mirror_half sampler and one _mirror_final call, which batches the
+    points as it batches any rows.  Row j has the bits of the one-point
+    call at xs[j], as a solver step or the Montgomery loop makes it."""
+    return _mirror_final(_mirror_half(p, xs, family, n, loop))
 
 
 def _involution_scan(p: TopParameters, xs, family: Family,

@@ -60,24 +60,30 @@ rounds scalar arithmetic differently from its array loops.
 
 Every final propagator is built and folded by one driver (_final_pairs):
 sweep cells, so3_final and su2_final, gate scans and the mirror route.
-It takes a field table, shared by every row or one row per mirror half,
-in chunks of _chunk_rows(n) rows, the batch rule that gate scans share.
-A chunk is folded only until its rows hold about _FOLD_PAIRS pairs, a
-row longer than _CHUNK_SAMPLES in end-aligned spans of whole blocks of
-the product tree; the short planes go to a tail of whole chunks, which
-is folded to the end on the same tree, so the bits stay those of a
-one-row fold of the whole row.  Each call takes one workspace of one
-fixed size, whatever n.  A large sweep on two usable CPUs forks once
+It reads the fields through one sampler, fields(rows, lo, hi), whose
+samples lo:hi are shared by every row (a pulse's arrays, _sampler) or
+drawn one row per mirror half (pulsegen._orbit_fields), and it asks for
+one chunk of _chunk_rows(n) rows and one span at a time, so no caller
+holds more of a table than that: the batch rule lives here alone.  A
+chunk is folded only until its rows hold about _FOLD_PAIRS pairs, a row
+longer than _CHUNK_SAMPLES in end-aligned spans of whole blocks of the
+product tree; the short planes go to a tail of whole chunks, which is
+folded to the end on the same tree, so the bits stay those of a one-row
+fold of the whole row.  Each call takes one workspace of one fixed
+size, whatever n.  A large sweep on two usable CPUs forks once
 (_util._in_two); no pair depends on another, so the bits are those of
 one process.
 
 A private mirror route (_mirror_final) serves gate design: the fields of
 an unrotated transfer or loop pulse on its own grid are mirror-symmetric
 about the midpoint, so the final propagator follows from the driver's
-final of the first half, a conjugation and the middle step.  It takes no
-error parameters and propagates a stack of halves on one grid length,
-one row per pulse, in one call.  The public propagators never use it
-and compose every step of whatever pulse they are given.
+final of the first half, a conjugation and the middle step.  The driver
+holds the middle step back from the fold (last) and steps it in the
+same step-stage call as the rest of its span, so an even grid costs no
+second sampler or step-stage call.  The route takes no error parameters
+and propagates a stack of halves on one grid length, one row per pulse,
+in one call, never holding a whole half.  The public propagators never
+use it and compose every step of whatever pulse they are given.
 """
 
 from __future__ import annotations
@@ -173,6 +179,12 @@ def _pairs(S):
 def _table(pulse):
     """The field table (times, omega1, omega2, omega3) of a pulse."""
     return pulse.times, pulse.omega1, pulse.omega2, pulse.omega3
+
+
+def _sampler(pulse):
+    """The field sampler of a pulse for _final_pairs: its field table over
+    samples lo:hi, (hi - lo,) each and shared by every row."""
+    return lambda rows, lo, hi: [f[lo:hi] for f in _table(pulse)]
 
 
 def _averages(table, out):
@@ -462,12 +474,13 @@ def _path(pulse, err: ErrorParams):
 
 def _final(pulse, err: ErrorParams):
     return _one_row(lambda a, d: _final_pairs(
-        _table(pulse), a, d, np.empty((1, 2), dtype=complex)), err)[0]
+        _sampler(pulse), pulse.n_samples, a, d,
+        np.empty((1, 2), dtype=complex)), err)[0]
 
 
 def _mirror_final(half):
     """Final pairs (B, 2) of mirror-symmetric field tables from their
-    first halves (a pulsegen._MirrorHalf of (B, m) tables on grids of one
+    first halves (a pulsegen._MirrorHalf of B rows on grids of one
     length), with no error parameters; row b has the bits of a one-row
     half of row b alone.
 
@@ -477,13 +490,16 @@ def _mirror_final(half):
     the whole table propagates by J A^-1 J^-1 . M . A.  J A^-1 J^-1 is A
     with its component along e_axis negated: a -> a* about e3, c -> c*
     about e1 and c -> -c* about e2.  A is the final of the half without
-    its middle interval (_final_pairs).
+    its middle interval, and M the step that _final_pairs holds back past
+    it (last), so both come out of one call of the step stage, which
+    reads the half's fields span by span.
     """
-    table = [f[:, :-1] for f in half[:4]] if half.middle else half[:4]
-    zeros = np.zeros(len(half.times))
+    zeros = np.zeros(half.rows)
+    q = np.empty((2, half.rows, 2), dtype=complex)
+    _final_pairs(half.fields, half.samples - half.middle, zeros, zeros, q[0],
+                 q[1] if half.middle else None)
     # planes (2, B, 1): the sample axis is kept
-    A = _final_pairs(table, zeros, zeros,
-                     np.empty((len(zeros), 2), dtype=complex)).T[..., None]
+    A, M = q.transpose(0, 2, 1)[..., None]
     mirror = A.copy()  # J A^-1 J^-1
     if half.axis == 3:
         np.conj(mirror[0], out=mirror[0])
@@ -492,11 +508,7 @@ def _mirror_final(half):
         if half.axis == 2:
             np.negative(mirror[1], out=mirror[1])
     if half.middle:
-        # one step as the step stage builds it: folded behind the
-        # identity and rescaled, it would move its bits
-        middle = half._make([f[:, -2:] for f in half[:4]] + list(half[4:]))
-        A = _mul(_step_planes(middle, [0.0], [0.0])[..., 1:], A,
-                 np.empty_like(A))
+        A = _mul(M, A, np.empty_like(A))
     return _pairs(_unit(_mul(mirror, A, np.empty_like(A))))[..., 0, :]
 
 
@@ -512,69 +524,76 @@ def _chunk_rows(samples: int) -> int:
     return max(1, _CHUNK_SAMPLES // samples)
 
 
-def _final_pairs(table, alpha, delta, out):
-    """Final pairs of the field table (times, omega1, omega2, omega3) into
-    out (B, 2), one row per error pair (alpha[b], delta[b]): the one place
-    where the steps of a final propagator are built and folded.  Each
-    field is (n,), shared by every row, or (B, n), one row each.  Returns
-    out.
+def _final_pairs(fields, n, alpha, delta, out, last=None):
+    """Final pairs of n-sample field tables into out (B, 2), one row per
+    error pair (alpha[b], delta[b]): the one place where the steps of a
+    final propagator are built and folded.  The fields are read through
+    the sampler fields(rows, lo, hi), the (times, omega1, omega2, omega3)
+    of the rows slice over samples lo:hi, each (hi - lo,), shared by every
+    row, or (r, hi - lo), one row each.  Given last (B, 2), the tables go
+    on to sample n, and the step from sample n - 1 to n is written there,
+    unfolded and not rescaled, with the bits the step stage gives it in
+    any table.  Returns out.
 
-    Rows go in chunks of _chunk_rows(n), and a chunk is folded L levels
-    of the product tree, the first level whose length m = ceil(n / 2^L)
-    has rows * m <= _FOLD_PAIRS.  A chunk is stepped and folded in
-    end-aligned spans of _CHUNK_SAMPLES samples, rounded down to whole
-    blocks of 2^L samples, so a row of up to _CHUNK_SAMPLES samples is one
-    span.  The leading span holds the rest, which may be the identity
-    alone.  _halve pairs from the last element, so a span folds to the
-    very entries that the whole row's tree has at level L.  A tail of
-    whole chunks gathers the rows' m entries, and each full tail is
-    folded to the end and rescaled at once, so every row has the bits of
-    a one-row fold of the whole row.  A shared table whose rows fit in
-    one span is averaged once per call; others are averaged per chunk
-    and span.
+    Rows go in chunks of _chunk_rows(n) (n + 1 with last), and a chunk is
+    folded L levels of the product tree, the first level whose length
+    m = ceil(n / 2^L) has rows * m <= _FOLD_PAIRS.  A chunk is sampled,
+    stepped and folded in end-aligned spans of _CHUNK_SAMPLES samples,
+    rounded down to whole blocks of 2^L samples, so a row of up to
+    _CHUNK_SAMPLES samples is one span and no call reads more than a
+    span and the samples on either side of it.  The leading span holds
+    the rest, which may be the identity alone.  _halve pairs from the
+    last element, so a span folds to the very entries that the whole
+    row's tree has at level L.  A tail of whole chunks gathers the rows'
+    m entries, and each full tail is folded to the end and rescaled at
+    once, so every row has the bits of a one-row fold of the whole row.
+    A shared table whose rows fit in one span is sampled and averaged
+    once per call; others are sampled and averaged per chunk and span.
 
     One workspace of 18 _CHUNK_SAMPLES floats (2.25 MiB) is allocated per
     call and rewritten in place by every chunk and span.  With the
     module's constants every row of up to 2^24 samples needs at most
-    17 _CHUNK_SAMPLES + 4 floats, so calls do not grow the heap in turn;
-    a longer row, or smaller constants, get what they need.  With no
-    error pairs it allocates no workspace."""
-    B, n = len(alpha), table[0].shape[-1]
+    17 _CHUNK_SAMPLES + 21 floats, a held-back step included, so calls do
+    not grow the heap in turn; a longer row, or smaller constants, get
+    what they need.  With no error pairs it allocates no workspace."""
+    B, extra = len(alpha), last is not None
     if not B:
         return out
-    rows = min(B, _chunk_rows(n))
+    rows = min(B, _chunk_rows(n + extra))
     m, block = n, 1
     while rows * m > _FOLD_PAIRS and m > 1:
         m, block = m - m // 2, 2 * block
     span = max(block, _CHUNK_SAMPLES // block * block)
     t = rows * max(1, min(-(-B // rows), _CHUNK_SAMPLES // (rows * m)))
-    # a span is stepped from the sample before it, where there is one
-    w = min(n, span + 1)
+    # a span is stepped from the sample before it, where there is one, and
+    # the last one on to the held-back step
+    w = min(n, span + 1) + extra
     planes, tail = 4 * rows * w, 4 * t * m
     at = planes + tail + max(8 * rows * (w // 2), 8 * t * (m // 2))
     work = np.empty(max(18 * _CHUNK_SAMPLES, at + 5 * rows * (w - 1)))
     T = work[planes:planes + tail].view(complex).reshape(2, t, m)
     # the step stage's scratch, then either fold's products
     scratch = work[planes + tail:at]
-    once = table[0].ndim == 1 and span >= n
-    held = done = 0
+    once, held, done = False, 0, 0
     for start in range(0, B, rows):
         r = min(rows, B - start)
         cells = slice(start, start + r)
         for i1 in range(n - (n - 1) // span * span, n + 1, span):
             i0 = max(i1 - span, 0)
-            lo = max(i0 - 1, 0)
-            if not (once and start):
-                part = [f[lo:i1] if f.ndim == 1 else f[cells, lo:i1]
-                        for f in table]
+            lo, hi = max(i0 - 1, 0), i1 + (extra and i1 == n)
+            if not once:
+                part = fields(cells, lo, hi)
                 d = part[0][..., 1:]
                 avg = _averages(part, [*work[at:at + 5 * d.size].reshape(
                     (5,) + d.shape), scratch[:d.size].reshape(d.shape)])
-            S = work[:4 * r * (i1 - lo)].view(complex).reshape(2, r, i1 - lo)
+                once = d.ndim == 1 and span >= n
+            S = work[:4 * r * (hi - lo)].view(complex).reshape(2, r, hi - lo)
             _steps(avg, alpha[cells], delta[cells],
-                   scratch[:4 * r * (i1 - lo - 1)].reshape(4, r, i1 - lo - 1),
+                   scratch[:4 * r * (hi - lo - 1)].reshape(4, r, hi - lo - 1),
                    S)
-            S = _fold(S[..., i0 - lo:], -(-(i1 - i0) // block),
+            if hi > i1:
+                last[cells] = _pairs(S[..., -1])
+            S = _fold(S[..., i0 - lo:i1 - lo], -(-(i1 - i0) // block),
                       scratch.view(complex))
             # the span's level-L entries end where its samples do
             T[:, held:held + r, :m - (n - i1) // block][..., -S.shape[-1]:] = S
@@ -604,16 +623,16 @@ def _final_states(pulse, M0, alpha, delta):
     M0 = _state(M0)
     alpha = np.asarray(alpha, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    B, n, table = len(alpha), pulse.n_samples, _table(pulse)
+    B, n, fields = len(alpha), pulse.n_samples, _sampler(pulse)
     h = _util._split(B, _chunk_rows(n), B * n, _FORK_SAMPLES)
     if not h:
-        q = _final_pairs(table, alpha, delta, np.empty((B, 2), complex))
+        q = _final_pairs(fields, n, alpha, delta, np.empty((B, 2), complex))
     else:
         q = np.frombuffer(mmap.mmap(-1, 32 * B), complex).reshape(B, 2)
         if not _util._in_two(
-                lambda: _final_pairs(table, alpha[h:], delta[h:], q[h:]),
-                lambda: _final_pairs(table, alpha[:h], delta[:h], q[:h])):
-            _final_pairs(table, alpha[h:], delta[h:], q[h:])
+                lambda: _final_pairs(fields, n, alpha[h:], delta[h:], q[h:]),
+                lambda: _final_pairs(fields, n, alpha[:h], delta[:h], q[:h])):
+            _final_pairs(fields, n, alpha[h:], delta[h:], q[h:])
     return _states(q, M0)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -84,30 +84,40 @@ def _check_n(n: int):
         raise ValueError(f"need at least 2 samples, got {n}")
 
 
-def _orbit_table(p: TopParameters, es, family: Family, n: int, quarters: int,
-                 m: int, u_offset: float = 0.0) -> np.ndarray:
-    """Field tables of the orbits through tre_initial(p, eps, family), eps
-    in es: the block (4, len(es), m) of (times, omega1, omega2, omega3),
-    one row per eps, over the first m samples of the n-point grid on
-    quarters quarter periods, with the elliptic argument started u_offset
-    past its near-pole point.  Every orbit pulse and mirror half is
-    sampled here, so a half has its full pulse's bits."""
+def _orbit_fields(p: TopParameters, es, family: Family, n: int, quarters: int,
+                  u_offset: float = 0.0):
+    """The field sampler of the orbits through tre_initial(p, eps, family),
+    eps in es, on the n-point grid over quarters quarter periods, with the
+    elliptic argument started u_offset past its near-pole point:
+    fields(rows, lo, hi), rows a slice of es, is the block (4, r, hi - lo)
+    of (times, omega1, omega2, omega3) of those r orbits over samples
+    lo:hi.  Sample i is at i (end / (n - 1)), and sample n - 1 at end, the
+    bits of np.linspace(0, end, n), so any block is that slice of the
+    whole one.  Every orbit pulse and mirror half is sampled here, so a
+    half has its full pulse's bits."""
     _check_n(n)
-    table = np.zeros((4, len(es), m))
-    for row, eps in zip(table.transpose(1, 0, 2), map(float, es)):
-        oc = orbit_constants(p, eps, family)
-        row[0] = np.linspace(0.0, quarters * oc.K / oc.omega, n)[:m]
-        # the shifted times are staged in the omega1 row, which L then
-        # overwrites, so no times array beside the table is held
-        np.add(row[0], u_offset / oc.omega, out=row[1])
-        L = analytic_trajectory(p, eps, family, row[1])
-        row[1], row[3] = L[:, 0], p.k**2 * L[:, 2]
-    return table
+    orbits = [(eps, orbit_constants(p, eps, family)) for eps in map(float, es)]
+
+    def fields(rows, lo, hi):
+        block = np.zeros((4, len(orbits[rows]), hi - lo))
+        for row, (eps, oc) in zip(block.transpose(1, 0, 2), orbits[rows]):
+            end = quarters * oc.K / oc.omega
+            np.multiply(np.arange(lo, hi), end / (n - 1), out=row[0])
+            if hi == n:
+                row[0, -1] = end
+            # the shifted times are staged in the omega1 row, which L then
+            # overwrites, so no times array beside the block is held
+            np.add(row[0], u_offset / oc.omega, out=row[1])
+            L = analytic_trajectory(p, eps, family, row[1])
+            row[1], row[3] = L[:, 0], p.k**2 * L[:, 2]
+        return block
+
+    return fields
 
 
 def tre_pulse(p: TopParameters, eps: float, family: Family, n: int = 2048) -> ControlPulse:
     """Pole-to-pole transfer pulse from a closed orbit passing eps from +e3."""
-    table = _orbit_table(p, [eps], family, n, 2, n)
+    table = _orbit_fields(p, [eps], family, n, 2)(slice(None), 0, n)
     meta = {"kind": "tre", "k": p.k, "eps": eps, "family": family.value, "n": n}
     return ControlPulse(*table[:, 0], meta)
 
@@ -116,7 +126,7 @@ def tre_loop_pulse(p: TopParameters, eps: float, family: Family, n: int = 2048,
                    u_offset: float = 0.0) -> ControlPulse:
     """Full-orbit pulse; u_offset shifts the starting phase of the
     elliptic argument away from the near-pole point."""
-    table = _orbit_table(p, [eps], family, n, 4, n, u_offset)
+    table = _orbit_fields(p, [eps], family, n, 4, u_offset)(slice(None), 0, n)
     meta = {"kind": "tre_loop", "k": p.k, "eps": eps, "family": family.value,
             "n": n, "u_offset": u_offset}
     return ControlPulse(*table[:, 0], meta)
@@ -124,16 +134,17 @@ def tre_loop_pulse(p: TopParameters, eps: float, family: Family, n: int = 2048,
 
 class _MirrorHalf(NamedTuple):
     """First halves of field tables that are mirror-symmetric about their
-    midpoints: samples 0 .. n // 2 of n-sample grids, one row per table,
-    with the field components named as on a ControlPulse.  middle marks
-    that the last interval is the middle one (n even), and the pi
-    rotation about e_axis maps each field step of a first half onto the
-    negative of its mirror step in the second."""
+    midpoints, one per row: samples 0 .. n // 2 of n-sample grids, so
+    samples = n // 2 + 1, read through the sampler fields, whose
+    fields(rows, lo, hi) is the (times, omega1, omega2, omega3) of a slice
+    of rows over samples lo:hi (_orbit_fields).  middle marks that the
+    last interval is the middle one (n even), and the pi rotation about
+    e_axis maps each field step of a first half onto the negative of its
+    mirror step in the second."""
 
-    times: np.ndarray
-    omega1: np.ndarray
-    omega2: np.ndarray
-    omega3: np.ndarray
+    fields: Callable
+    rows: int
+    samples: int
     middle: bool
     axis: int
 
@@ -142,8 +153,8 @@ def _mirror_half(p: TopParameters, es, family: Family, n: int,
                  loop: bool) -> _MirrorHalf:
     """First halves, one row per eps in es, of the unrotated tre_pulse
     (loop False) or tre_loop_pulse (loop True, u_offset 0) grids, without
-    a ControlPulse; row j has the bits of the first n // 2 + 1 samples of
-    that pulse at es[j].
+    a ControlPulse or a table; row j has the bits of the first n // 2 + 1
+    samples of that pulse at es[j].
 
     About the midpoint of the transfer (u = 2K) omega1 is even and omega3
     odd, so J is the pi rotation about e3 in both families.  About the
@@ -151,12 +162,12 @@ def _mirror_half(p: TopParameters, es, family: Family, n: int,
     about e2), while an oscillating orbit has omega1 odd and omega3 even
     (J about e1).
     """
-    table = _orbit_table(p, es, family, n, 4 if loop else 2, n // 2 + 1)
+    fields = _orbit_fields(p, es, family, n, 4 if loop else 2)
     if not loop:
         axis = 3
     else:
         axis = 2 if family is Family.ROTATING else 1
-    return _MirrorHalf(*table, n % 2 == 0, axis)
+    return _MirrorHalf(fields, len(es), n // 2 + 1, n % 2 == 0, axis)
 
 
 def allen_eberly_pulse(p: TopParameters, t0: float = 0.0, half_width: float = 12.0,

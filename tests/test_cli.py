@@ -373,6 +373,14 @@ def test_montgomery_unclosed_loop_names_n_gap_and_tolerance(tmp_path,
     assert not out.exists()
 
 
+def test_montgomery_refuses_a_short_loop_without_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["montgomery", "--k", 0.5, "--eps", 0.5, "--n", 5,
+                "--out", out]) == 2
+    assert "the loop does not close at n = 5: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_period_outputs_quality_fit(tmp_path):
     assert run(["fit-period", "--k", 0.5, "--out", tmp_path]) == 0
     out = json.loads((tmp_path / "fit_period.json").read_text())

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -65,6 +66,54 @@ def test_geometric_shrinks_toward_small_loops():
 def test_montgomery_rejects_unclosed_loop():
     with pytest.raises(ValueError):
         montgomery_phase(TopParameters(0.5), 0.1, Family.ROTATING, n=33)
+
+
+# a few samples leave the loop open by far (rotating n = 5 misses by
+# 0.338); even n takes the held-back middle step
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("family", list(Family))
+def test_montgomery_refusal_names_n(n, family):
+    with pytest.raises(ValueError,
+                       match=f"^the loop does not close at n = {n}: "):
+        montgomery_phase(TopParameters(0.5), 0.5, family, n)
+
+
+def test_montgomery_memory_is_flat_in_n():
+    # a whole 131,073-sample mirror half took 14.0 MiB at n = 262,145
+    peaks = []
+    for n in (65537, 262145):
+        tracemalloc.start()
+        try:
+            montgomery_phase(TopParameters(0.6), 0.01, Family.ROTATING, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 5 * 2 ** 20
+    assert abs(peaks[0] - peaks[1]) <= 64 * 1024
+
+
+def test_mirror_finals_sample_one_span_of_one_chunk_at_a_time(monkeypatch):
+    calls = []
+    orbit_fields = pulsegen._orbit_fields
+
+    def recorded(p, es, family, n, *args):
+        fields = orbit_fields(p, es, family, n, *args)
+
+        def sample(rows, lo, hi):
+            block = fields(rows, lo, hi)
+            calls.append((n, block.shape[1], block.shape[2]))
+            return block
+
+        return sample
+
+    monkeypatch.setattr(pulsegen, "_orbit_fields", recorded)
+    p = TopParameters(0.6)
+    montgomery_phase(p, 0.01, Family.ROTATING, 262145)
+    gates._loop_angles(p, np.geomspace(0.9, 5e-3, 96), 4096)
+    assert sum(rows for n, rows, _ in calls if n == 4096) == 96
+    for n, rows, samples in calls:
+        assert samples <= propagate._CHUNK_SAMPLES + 2
+        assert rows <= propagate._chunk_rows(n // 2 + 1)
 
 
 def test_great_circle_solid_angle():

@@ -637,27 +637,45 @@ def test_step_pairs_are_textbook_steps_to_roundoff(pulse, pairs):
     assert np.max(np.abs(norm - 1.0)) <= 4 * eps
 
 
-def mirror_final_reference(half):
-    """_mirror_final of one unstacked half, composed from the contiguous
-    reference planes."""
-    S = contiguous_step_planes(half, [0.0], [0.0])[:, 0]
-    A = _unit(_fold(S[..., :-1] if half.middle else S))
+def mirror_final_reference(pulse, middle, axis):
+    """_mirror_final of the one half whose samples the pulse holds,
+    composed from the contiguous reference planes."""
+    S = contiguous_step_planes(pulse, [0.0], [0.0])[:, 0]
+    A = _unit(_fold(S[..., :-1] if middle else S))
     mirror = A.copy()
-    if half.axis == 3:
+    if axis == 3:
         np.conj(mirror[0], out=mirror[0])
     else:
         np.conj(mirror[1], out=mirror[1])
-        if half.axis == 2:
+        if axis == 2:
             np.negative(mirror[1], out=mirror[1])
-    if half.middle:
+    if middle:
         A = _mul(S[..., -1:], A, np.empty_like(A))
     return _pairs(_unit(_mul(mirror, A, np.empty_like(A))))[0]
+
+
+def table_fields(table):
+    """The sampler over a field table (times, omega1, omega2, omega3) of
+    (B, m) arrays, one row each."""
+    return lambda rows, lo, hi: [f[rows, lo:hi] for f in table]
+
+
+def table_half(table, middle, axis):
+    """The _MirrorHalf of a field table of (B, m) arrays."""
+    return _MirrorHalf(table_fields(table), len(table[0]), table[0].shape[1],
+                       middle, axis)
+
+
+def row_pulse(table, b):
+    """Row b of a field table of (B, m) arrays as a pulse."""
+    return ControlPulse(*(f[b] for f in table))
 
 
 @st.composite
 def stacked_halves(draw):
     """1..5 rows of random m-sample tables on one grid length m >= 2, so
-    a half may hold a single step, with zero-width samples and fields."""
+    a half may hold a single step, with zero-width samples and fields:
+    the table (times, omega1, omega2, omega3), middle and axis."""
     rows = draw(st.integers(1, 5))
     m = draw(st.integers(2, 12))
 
@@ -668,19 +686,18 @@ def stacked_halves(draw):
 
     times = np.cumsum(table(_step, m - 1), axis=1)
     w = table(_field, 3 * m).reshape(rows, 3, m)
-    return _MirrorHalf(np.column_stack([np.zeros(rows), times]),
-                       w[:, 0], w[:, 1], w[:, 2], draw(st.booleans()),
-                       draw(st.sampled_from([1, 2, 3])))
+    return ((np.column_stack([np.zeros(rows), times]), w[:, 0], w[:, 1],
+             w[:, 2]), draw(st.booleans()), draw(st.sampled_from([1, 2, 3])))
 
 
 @PROPERTY
 @given(stacked_halves())
 def test_stacked_mirror_final_matches_planes_reference_bit_for_bit(half):
-    batch = _mirror_final(half)
+    table, middle, axis = half
+    batch = _mirror_final(table_half(table, middle, axis))
     for b, row in enumerate(batch):
-        one = half._replace(times=half.times[b], omega1=half.omega1[b],
-                            omega2=half.omega2[b], omega3=half.omega3[b])
-        assert row.tobytes() == mirror_final_reference(one).tobytes()
+        assert row.tobytes() == mirror_final_reference(
+            row_pulse(table, b), middle, axis).tobytes()
 
 
 @PROPERTY
@@ -937,10 +954,12 @@ def test_per_row_table_finals_are_one_row_calls_bit_for_bit(B, n, seed,
     alpha, delta = rng.uniform(-0.5, 0.5, B), rng.uniform(-1.0, 1.0, B)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagate, "_CHUNK_SAMPLES", chunk)
-        q = _final_pairs(table, alpha, delta, np.empty((B, 2), complex))
+        q = _final_pairs(table_fields(table), n, alpha, delta,
+                         np.empty((B, 2), complex))
         for b in range(B):
-            one = _final_pairs([f[b:b + 1] for f in table], alpha[b:b + 1],
-                               delta[b:b + 1], np.empty((1, 2), complex))
+            one = _final_pairs(table_fields([f[b:b + 1] for f in table]), n,
+                               alpha[b:b + 1], delta[b:b + 1],
+                               np.empty((1, 2), complex))
             assert q[b].tobytes() == one[0].tobytes()
     # and the shared table of the same row
     for b, pulse in enumerate(pulses_):
@@ -949,16 +968,46 @@ def test_per_row_table_finals_are_one_row_calls_bit_for_bit(B, n, seed,
 
 
 @PROPERTY
+@given(st.integers(4, 64), _fold_n, st.sampled_from([1, 16, 1024]),
+       st.integers(0, 2 ** 32 - 1), _offsets, st.booleans())
+def test_held_back_step_is_the_step_stage_step_bit_for_bit(
+        chunk, n, fold_pairs, seed, pairs, shared):
+    alpha, delta = np.array(pairs).T
+    B = len(alpha)
+    rng = np.random.default_rng(seed)
+    pulses_ = [random_table(n + 1, s)
+               for s in rng.integers(0, 2 ** 32, 1 if shared else B)]
+    if shared:
+        sampler, pulses_ = propagate._sampler(pulses_[0]), pulses_ * B
+    else:
+        sampler = table_fields(
+            [np.concatenate(f) for f in zip(*map(fields, pulses_))])
+    last = np.empty((B, 2), complex)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "_CHUNK_SAMPLES", chunk)
+        mp.setattr(propagate, "_FOLD_PAIRS", fold_pairs)
+        q = _final_pairs(sampler, n, alpha, delta, np.empty((B, 2), complex))
+        held = _final_pairs(sampler, n, alpha, delta,
+                            np.empty((B, 2), complex), last)
+    assert held.tobytes() == q.tobytes()
+    for b, pulse in enumerate(pulses_):
+        two = ControlPulse(pulse.times[n - 1:], pulse.omega1[n - 1:],
+                           pulse.omega2[n - 1:], pulse.omega3[n - 1:])
+        step = _step_planes(two, alpha[b:b + 1], delta[b:b + 1])[:, 0, 1]
+        assert last[b].tobytes() == step.tobytes()
+
+
+@PROPERTY
 @given(stacked_halves(), st.integers(1, 8))
 def test_stacked_mirror_final_in_spans_matches_planes_reference_bit_for_bit(
         half, chunk):
+    table, middle, axis = half
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagate, "_CHUNK_SAMPLES", chunk)
-        batch = _mirror_final(half)
+        batch = _mirror_final(table_half(table, middle, axis))
     for b, row in enumerate(batch):
-        one = half._replace(times=half.times[b], omega1=half.omega1[b],
-                            omega2=half.omega2[b], omega3=half.omega3[b])
-        assert row.tobytes() == mirror_final_reference(one).tobytes()
+        assert row.tobytes() == mirror_final_reference(
+            row_pulse(table, b), middle, axis).tobytes()
 
 
 # 16,385 leaves the identity alone in the leading span, 16,386 two
@@ -973,11 +1022,10 @@ def test_long_finals_are_scan_endpoints_bit_for_bit(n):
 
 @pytest.mark.parametrize("middle", [False, True])
 def test_long_mirror_final_matches_planes_reference_bit_for_bit(middle):
-    half = _MirrorHalf(*fields(random_table(131073, 5)), middle, 2)
-    one = half._replace(times=half.times[0], omega1=half.omega1[0],
-                        omega2=half.omega2[0], omega3=half.omega3[0])
+    pulse = random_table(131073, 5)
+    half = table_half(fields(pulse), middle, 2)
     assert (_mirror_final(half)[0].tobytes()
-            == mirror_final_reference(one).tobytes())
+            == mirror_final_reference(pulse, middle, 2).tobytes())
 
 
 def traced_peak(call):
@@ -995,7 +1043,7 @@ def test_finals_take_one_fixed_size_workspace():
     peaks = []
     for n in (65537, 262145):
         pulse = random_table(n, 3)
-        half = _MirrorHalf(*fields(pulse, n // 2 + 1), False, 3)
+        half = table_half(fields(pulse, n // 2 + 1), False, 3)
         peaks.append((
             traced_peak(lambda: _final(pulse, ErrorParams(0.1, 0.2))),
             traced_peak(lambda: _mirror_final(half))))

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from blochtop.pulsegen import (
     ControlPulse,
     _mirror_half,
+    _orbit_fields,
     allen_eberly_pulse,
     concat,
     inverse_pulse,
@@ -137,13 +140,53 @@ def test_mirror_half_rows_are_pulse_prefixes_bit_for_bit(n, family, loop):
     for k in (0.2, 0.6, 0.95):
         p = TopParameters(k)
         half = _mirror_half(p, es, family, n, loop)
-        assert half.times.shape == (len(es), n // 2 + 1)
+        assert (half.rows, half.samples) == (len(es), n // 2 + 1)
         assert half.middle == (n % 2 == 0)
+        table = half.fields(slice(None), 0, half.samples)
+        assert table.shape == (4, len(es), n // 2 + 1)
         for j, eps in enumerate(es):
             pulse = (tre_loop_pulse if loop else tre_pulse)(p, eps, family, n=n)
-            for name in ("times", "omega1", "omega2", "omega3"):
+            for name, rows in zip(("times", "omega1", "omega2", "omega3"),
+                                  table):
                 full = getattr(pulse, name)[:n // 2 + 1]
-                assert getattr(half, name)[j].tobytes() == full.tobytes()
+                assert rows[j].tobytes() == full.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.one_of(st.sampled_from([2, 16385, 16386]), st.integers(2, 20000)),
+       st.floats(0.2, 0.95),
+       st.lists(st.floats(1e-3, 0.9), min_size=1, max_size=3),
+       st.sampled_from(Family), st.sampled_from([2, 4]),
+       st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), st.data())
+def test_orbit_field_blocks_are_slices_of_the_whole_bit_for_bit(
+        n, k, es, family, quarters, u_offset, data):
+    p = TopParameters(k)
+    fields = _orbit_fields(p, es, family, n, quarters, u_offset)
+    whole = fields(slice(None), 0, n)
+    assert whole.shape == (4, len(es), n)
+    for j, eps in enumerate(es):
+        oc = orbit_constants(p, eps, family)
+        times = np.linspace(0.0, quarters * oc.K / oc.omega, n)
+        L = analytic_trajectory(p, eps, family, times + u_offset / oc.omega)
+        for row, ref in zip(whole[:, j], (times, L[:, 0], np.zeros(n),
+                                          p.k**2 * L[:, 2])):
+            assert row.tobytes() == ref.tobytes()
+        if quarters == 4:
+            pulse = tre_loop_pulse(p, eps, family, n, u_offset)
+        elif u_offset == 0.0:
+            pulse = tre_pulse(p, eps, family, n)
+        else:
+            continue
+        for row, name in zip(whole[:, j], ("times", "omega1", "omega2",
+                                           "omega3")):
+            assert row.tobytes() == getattr(pulse, name).tobytes()
+    for _ in range(4):
+        lo = data.draw(st.integers(0, n - 1))
+        hi = data.draw(st.one_of(st.just(n), st.integers(lo + 1, n)))
+        r0 = data.draw(st.integers(0, len(es) - 1))
+        r1 = data.draw(st.integers(r0 + 1, len(es)))
+        assert (fields(slice(r0, r1), lo, hi).tobytes()
+                == whole[:, r0:r1, lo:hi].tobytes())
 
 
 def test_allen_eberly_is_rescaled_separatrix():
