@@ -87,7 +87,8 @@ _HELP = {"workers": "accepted; has no effect",
          "time_scale": "seconds per body time unit for exported t columns",
          "pulse": "read the drive from a CSV instead",
          "m0": "initial state, e.g. 0,0,1",
-         "alpha_grid": "'value' or 'lo,hi,count'",
+         "alpha_grid": "'value' or 'lo,hi,count', count a whole number",
+         "delta_grid": "'value' or 'lo,hi,count', count a whole number",
          "target": "relative phase in (0, 2 pi)",
          ("fit-period", "eps"): "comma-separated offsets"}
 
@@ -197,13 +198,18 @@ def _parse_vec3(text):
     return tuple(float(x) for x in parts)
 
 
-def _parse_grid(text):
+def _parse_grid(cfg: dict, key: str):
+    """The grid of cfg[key]: one value, or count points from lo to hi,
+    count a whole number (3.0 reads as 3) of at least 1."""
+    text = cfg[key]
     parts = [float(x) for x in text.split(",")]
     if len(parts) == 1:
         return np.array(parts)
-    if len(parts) == 3 and 1 <= parts[2] < math.inf and parts[1] >= parts[0]:
-        return np.linspace(parts[0], parts[1], int(round(parts[2])))
-    raise UsageError("grid must be 'value' or 'lo,hi,count'")
+    if len(parts) == 3 and 1 <= parts[2] < math.inf and parts[1] >= parts[0] \
+            and parts[2].is_integer():
+        return np.linspace(parts[0], parts[1], int(parts[2]))
+    raise UsageError(f"{_flag(key)} must be 'value' or 'lo,hi,count' with "
+                     f"a whole count of at least 1, got {text!r}")
 
 
 def _build_pulse(cfg: dict) -> ControlPulse:
@@ -278,9 +284,9 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
 
 
 def _sweep_grids(cfg: dict, pulse: ControlPulse):
-    a = _parse_grid(cfg["alpha_grid"]) if cfg["alpha_grid"] is not None \
+    a = _parse_grid(cfg, "alpha_grid") if cfg["alpha_grid"] is not None \
         else default_alpha_grid()
-    d = _parse_grid(cfg["delta_grid"]) if cfg["delta_grid"] is not None \
+    d = _parse_grid(cfg, "delta_grid") if cfg["delta_grid"] is not None \
         else default_delta_grid(pulse)
     return a, d
 

@@ -59,7 +59,6 @@ from .propagate import (
     _final,
     _gate_error,
     _mirror_final,
-    _mul,
     _quaternion,
     _rotations,
     _spinors,
@@ -81,7 +80,6 @@ from .topdyn import (
     TopParameters,
     energy,
     orbit_constants,
-    orbit_period,
     tre_initial,
 )
 
@@ -203,11 +201,6 @@ def _orbit_solid_angle(p: TopParameters, eps: float, family: Family,
     return -omega if family is Family.ROTATING else omega
 
 
-def _orbit_dynamical(p: TopParameters, eps: float, family: Family) -> float:
-    base = tre_initial(p, eps, family)
-    return float(2.0 * energy(base, p) * orbit_period(p, eps, family))
-
-
 def _orbit_phases(p: TopParameters, es, family: Family):
     """(phis, periods): the closed-form rotation of each orbit pulse, one
     orbit_constants per eps in es.
@@ -245,12 +238,16 @@ def _orbit_phases(p: TopParameters, es, family: Family):
 
 def _closed_budget(p: TopParameters, eps: float,
                    family: Family) -> PhaseBudget:
-    """Phase budget of one orbit period in closed form: dynamical is
-    2 E T, geometric the solid angle (_orbit_solid_angle), and total
-    their difference 2 E T - Omega wrapped to (-pi, pi], the rotation
-    about the base point that _orbit_phases gives the loop."""
-    dyn = _orbit_dynamical(p, eps, family)
-    geo = _orbit_solid_angle(p, eps, family)
+    """Phase budget of one orbit period in closed form, from one
+    orbit_constants: dynamical is 2 E T, with E the energy of the base
+    point tre_initial and T the period 4 K / omega (orbit_period's bits),
+    geometric the solid angle (_orbit_solid_angle), and total their
+    difference 2 E T - Omega wrapped to (-pi, pi], the rotation about the
+    base point that _orbit_phases gives the loop."""
+    oc = orbit_constants(p, eps, family)
+    dyn = float(2.0 * energy(tre_initial(p, eps, family), p)
+                * (4.0 * oc.K / oc.omega))
+    geo = _orbit_solid_angle(p, eps, family, oc)
     return PhaseBudget(total=_util.wrap_angle(dyn - geo), dynamical=dyn,
                        geometric=geo)
 
@@ -731,7 +728,8 @@ def _match_dynamical(p_b: TopParameters, dyn_target: float):
     xtol = 1e-13
 
     def residual_and_slope(e: float):
-        # A and m round as in orbit_constants, so D tracks _orbit_dynamical
+        # A and m round as in orbit_constants, so D tracks the dynamical
+        # phase of _closed_budget
         A = math.sqrt(k**2 + e**2 * kp2)
         C2 = 1.0 - e**2
         K, E = _complete_KE((k * math.sqrt(C2) / A) ** 2)
@@ -946,7 +944,9 @@ def synthesize_one_qubit(U_target, p: TopParameters | None = None,
     and each distinct wrapped angle is solved once (_solve_loop): gates
     that want the same angle share its eps, loop and convergence flag and
     differ only in the rotation that aligns the loop's axis.  Returns a
-    SynthesisProgram whose segments apply in time order.
+    SynthesisProgram whose segments apply in time order; its fidelity and
+    residuals are read off one propagation of the pulse it ships, the
+    concat of its segments (the identity when it has none).
     """
     p = TopParameters(0.5) if p is None else p
     U = np.asarray(U_target, dtype=complex)
@@ -999,14 +999,11 @@ def synthesize_one_qubit(U_target, p: TopParameters | None = None,
                 meta={"kind": "loop_gate", "k": p.k, "eps": eps_star,
                       "angle": want, "n": n, "converged": bool(converged)}))
 
-    # the segments' final pairs composed in time order, each (2, 1) planes
-    comp = np.array([[1.0], [0.0]], dtype=complex)
-    for seg in segments:
-        comp = _mul(_final(seg, ErrorParams())[:, None], comp,
-                    np.empty_like(comp))
+    q = _final(concat(segments), ErrorParams()) if segments \
+        else np.array([1.0, 0.0], dtype=complex)
     fid, residuals, converged = _judged(
         "synthesis", all(seg.meta["converged"] for seg in segments),
-        _spinors(comp[:, 0]), U)
+        _spinors(q), U)
     return SynthesisProgram(target=U, segments=tuple(segments),
                             labels=tuple(labels), fidelity=fid,
                             residuals=residuals, converged=converged)

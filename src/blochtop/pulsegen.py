@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _util
-from .topdyn import Family, TopParameters, analytic_trajectory, orbit_constants
+from .topdyn import Family, TopParameters, _orbit_point, orbit_constants
 
 _FIELD_NAMES = ("times", "omega1", "omega2", "omega3")
 
@@ -93,23 +93,25 @@ def _orbit_fields(p: TopParameters, es, family: Family, n: int, quarters: int,
     of (times, omega1, omega2, omega3) of those r orbits over samples
     lo:hi.  Sample i is at i (end / (n - 1)), and sample n - 1 at end, the
     bits of np.linspace(0, end, n), so any block is that slice of the
-    whole one.  Every orbit pulse and mirror half is sampled here, so a
-    half has its full pulse's bits."""
+    whole one.  Each orbit's constants are built once, here, and every
+    block reads L1 and L3 off them through topdyn._orbit_point, with the
+    bits of analytic_trajectory's L1 and L3.  Every orbit pulse and
+    mirror half is sampled here, so a half has its full pulse's bits."""
     _check_n(n)
-    orbits = [(eps, orbit_constants(p, eps, family)) for eps in map(float, es)]
+    orbits = [orbit_constants(p, eps, family) for eps in map(float, es)]
 
     def fields(rows, lo, hi):
         block = np.zeros((4, len(orbits[rows]), hi - lo))
-        for row, (eps, oc) in zip(block.transpose(1, 0, 2), orbits[rows]):
+        for row, oc in zip(block.transpose(1, 0, 2), orbits[rows]):
             end = quarters * oc.K / oc.omega
             np.multiply(np.arange(lo, hi), end / (n - 1), out=row[0])
             if hi == n:
                 row[0, -1] = end
-            # the shifted times are staged in the omega1 row, which L then
+            # the shifted times are staged in the omega1 row, which L1 then
             # overwrites, so no times array beside the block is held
             np.add(row[0], u_offset / oc.omega, out=row[1])
-            L = analytic_trajectory(p, eps, family, row[1])
-            row[1], row[3] = L[:, 0], p.k**2 * L[:, 2]
+            L1, _, L3 = _orbit_point(oc, family, row[1])
+            row[1], row[3] = L1, p.k**2 * L3
         return block
 
     return fields

@@ -13,7 +13,11 @@ E foliate the sphere into two families of closed orbits separated by
 the separatrix E = k**2 / 2 through the unstable poles +-e3: rotating
 orbits (E above, circling +-e1) and oscillating orbits (E below,
 circling +-e2).  Closed orbits are Jacobi elliptic functions and the
-separatrix is hyperbolic; both closed forms live here.
+separatrix is hyperbolic; both closed forms live here.  A closed orbit's
+constants (orbit_constants) are computed once; _orbit_point evaluates its
+Jacobi closed form for a caller that already holds them, so the pulse
+sampler reads L1 and L3 without rebuilding the constants per block, and
+analytic_trajectory is the stack of its three components.
 """
 
 from __future__ import annotations
@@ -162,15 +166,20 @@ def orbit_constants(p: TopParameters, eps: float, family: Family) -> OrbitConsta
     return OrbitConstants(*amps, m=m, omega=omega, u0=K, energy=E, K=K)
 
 
-def analytic_trajectory(p: TopParameters, eps: float, family: Family, t):
-    """Closed-form L(t) on the orbit through tre_initial.  Shape t.shape + (3,)."""
-    oc = orbit_constants(p, eps, family)
+def _orbit_point(oc: OrbitConstants, family: Family, t):
+    """(L1, L2, L3) at times t on the orbit whose constants oc the caller
+    holds: the Jacobi closed form at u = omega t + u0, each component of
+    shape t.shape."""
     u = oc.omega * np.asarray(t, dtype=float) + oc.u0
     sn, cn, dn = jacobi_sn_cn_dn(u, oc.m)
     if family is Family.ROTATING:
-        comps = (oc.amp1 * dn, oc.amp2 * cn, oc.amp3 * sn)
-    else:
-        comps = (oc.amp1 * cn, oc.amp2 * dn, oc.amp3 * sn)
+        return oc.amp1 * dn, oc.amp2 * cn, oc.amp3 * sn
+    return oc.amp1 * cn, oc.amp2 * dn, oc.amp3 * sn
+
+
+def analytic_trajectory(p: TopParameters, eps: float, family: Family, t):
+    """Closed-form L(t) on the orbit through tre_initial.  Shape t.shape + (3,)."""
+    comps = _orbit_point(orbit_constants(p, eps, family), family, t)
     return np.stack(np.broadcast_arrays(*comps), axis=-1)
 
 

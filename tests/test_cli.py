@@ -295,6 +295,41 @@ def test_sweep_infinite_grid_count_is_usage_error(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("key, grid", [
+    ("alpha_grid", "0,0.1,2.5"), ("alpha_grid", "0,1,1.4"),
+    ("delta_grid", "-0.1,0.1,3.5")])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_sweep_fractional_grid_count_is_usage_error(tmp_path, capsys, key,
+                                                    grid, via):
+    # a rounded count would sweep 2 points for 2.5 and the single point 0
+    # for 1.4, and exit 0
+    argv = ["sweep", "--family", "rect", "--n", 11]
+    if via == "flag":
+        argv.append(f"{cli._flag(key)}={grid}")
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: grid}))
+        argv += ["--config", path]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {cli._flag(key)} must be" in err
+    assert repr(grid) in err
+    assert not out.exists()
+
+
+def test_sweep_whole_float_grid_count_is_that_count(tmp_path):
+    base = ["sweep", "--family", "rect", "--n", 11, "--delta-grid=0"]
+    assert run(base + ["--alpha-grid=0,0.1,3", "--out", tmp_path / "int"]) == 0
+    assert run(base + ["--alpha-grid=0,0.1,3.0",
+                       "--out", tmp_path / "float"]) == 0
+    csv = (tmp_path / "int" / "sweep.csv").read_bytes()
+    assert (tmp_path / "float" / "sweep.csv").read_bytes() == csv
+    assert load_csv(tmp_path / "float" / "sweep.csv").shape == (3, 4)
+    side = json.loads((tmp_path / "float" / "sweep.csv.json").read_text())
+    assert side["sha256"] == hashlib.sha256(csv).hexdigest()
+
+
 def test_sweep_four_k_preset_emits_four_maps(tmp_path):
     assert run(["sweep", "--preset", "four-k", "--n", 129,
                 "--alpha-grid=-0.2,0.2,3", "--delta-grid", "0",

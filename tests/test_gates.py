@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from blochtop import cli, gates, propagate, pulsegen
+from blochtop import cli, gates, propagate, pulsegen, topdyn
 from blochtop._util import wrap_angle
 from blochtop.gates import (
     NOT_SU2,
@@ -30,9 +30,9 @@ from blochtop.gates import (
 from blochtop.propagate import ErrorParams, bloch_propagate, gate_fidelity, \
     so3_final, spinor_quaternion, su2_final
 from blochtop.pulsegen import ControlPulse, concat, inverse_pulse, nmr_frame, \
-    rect_pi_pulse, tre_loop_pulse
+    rect_pi_pulse, tre_loop_pulse, tre_pulse
 from blochtop.topdyn import Family, TopParameters, analytic_trajectory, \
-    energy, orbit_period, tre_initial
+    energy, orbit_constants, orbit_period, tre_initial
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -822,6 +822,30 @@ def test_synthesize_random_unitary():
     assert prog.fidelity >= 1.0 - 1e-3
 
 
+def _random_su2_times_phase(seed: int) -> np.ndarray:
+    """e^(i chi) [[a, -c*], [c, a*]] from a normal 4-vector and a uniform
+    chi: a uniformly random unitary up to its global phase."""
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=4)
+    q /= math.sqrt(sum(x * x for x in q))
+    a, c = complex(q[0], q[1]), complex(q[2], q[3])
+    return np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * np.array(
+        [[a, -c.conjugate()], [c, a.conjugate()]])
+
+
+@pytest.mark.parametrize("k, n", [(0.6, 1024), (0.5, 4096)])
+@pytest.mark.parametrize("target", ["hadamard", "sx", 1, 2, 3])
+def test_synthesized_report_is_its_shipped_pulse_reading(k, n, target):
+    U = {"hadamard": HADAMARD, "sx": SX}.get(target)
+    U = _random_su2_times_phase(target) if U is None else U
+    prog = synthesize_one_qubit(U, TopParameters(k), n=n)
+    V = su2_final(prog.pulse)
+    infidelity, so3 = propagate._gate_error(V, U)
+    assert _bits(prog.residuals["infidelity"]) == _bits(infidelity)
+    assert _bits(prog.residuals["so3"]) == _bits(so3)
+    assert _bits(prog.fidelity) == _bits(gate_fidelity(V, U))
+
+
 def test_synthesize_rejects_non_unitary():
     with pytest.raises(ValueError):
         synthesize_one_qubit(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -995,13 +1019,15 @@ def test_geometric_phase_near_minus_e3_is_rotation_invariant():
 def test_match_dynamical_newton_agrees_with_brent(k_a):
     # k_b over the range a phase design scans: above k_a, and below the
     # k where a loop at eps -> 1 still carries the target phase
-    target = gates._orbit_dynamical(TopParameters(k_a), 0.01, Family.ROTATING)
+    target = gates._closed_budget(TopParameters(k_a), 0.01,
+                                  Family.ROTATING).dynamical
     k_max = math.sqrt(1.0 - (2.0 * math.pi / target) ** 2)
     for k_b in np.linspace(k_a + 0.015, k_max - 0.015, 9):
         p_b = TopParameters(float(k_b))
 
         def h(e):
-            return gates._orbit_dynamical(p_b, e, Family.ROTATING) - target
+            return gates._closed_budget(p_b, e,
+                                        Family.ROTATING).dynamical - target
 
         ref, _, _ = _solve_bracketed(h, 1e-6, 0.999999, xtol=1e-16)
         eps, residual, converged = gates._match_dynamical(p_b, target)
@@ -1011,8 +1037,8 @@ def test_match_dynamical_newton_agrees_with_brent(k_a):
 
 
 def test_match_dynamical_infeasible_target_is_unconverged():
-    target = gates._orbit_dynamical(TopParameters(0.4526), 0.01,
-                                    Family.ROTATING)
+    target = gates._closed_budget(TopParameters(0.4526), 0.01,
+                                  Family.ROTATING).dynamical
     eps, residual, converged = gates._match_dynamical(TopParameters(0.8716),
                                                       target)
     assert converged is False
@@ -1034,15 +1060,15 @@ def test_solvers_out_of_steps_report_unconverged(monkeypatch):
 
 def test_phase_design_samples_no_orbit(monkeypatch):
     # every orbit table, the shipped pulses' and the mirror route's, is
-    # sampled through pulsegen's analytic_trajectory, one call per orbit
+    # sampled through pulsegen's _orbit_point, one call per orbit
     orbits = []
-    trajectory = pulsegen.analytic_trajectory
+    point = pulsegen._orbit_point
 
-    def counting_trajectory(p, eps, *args):
-        orbits.append(eps)
-        return trajectory(p, eps, *args)
+    def counting_point(oc, *args):
+        orbits.append(oc)
+        return point(oc, *args)
 
-    monkeypatch.setattr(pulsegen, "analytic_trajectory", counting_trajectory)
+    monkeypatch.setattr(pulsegen, "_orbit_point", counting_point)
     passes = []
     ke, match = gates._complete_KE, gates._match_dynamical
 
@@ -1059,7 +1085,11 @@ def test_phase_design_samples_no_orbit(monkeypatch):
     design, _, _ = design_phase_gate(1.45002, TopParameters(0.643546), n=4096)
     assert design.converged
     # the two shipped loops, and no other orbit
-    assert orbits == [design.eps_a, design.eps_b]
+    assert orbits == [
+        orbit_constants(TopParameters(design.k_a), design.eps_a,
+                        Family.ROTATING),
+        orbit_constants(TopParameters(design.k_b), design.eps_b,
+                        Family.ROTATING)]
     # a 33-point k scan, its Brent steps and the final match
     assert 34 <= len(passes) <= 80
     assert max(passes) <= 8
@@ -1408,3 +1438,29 @@ def test_each_shipped_gate_pulse_is_propagated_once(monkeypatch):
     assert budget.total == wrap_angle(2.0 * math.atan2(q[3], q[0]))
     assert design.fidelity == gate_fidelity(
         U, np.diag([np.exp(0.65j), np.exp(-0.65j)]))
+
+    finals.clear()
+    prog = synthesize_one_qubit(HADAMARD, TopParameters(0.6), n=1024)
+    assert prog.converged
+    # the one solved loop once for its axis, the shipped concat once
+    assert propagated(prog.pulse).count(True) == 1
+
+
+@pytest.mark.parametrize("n", [16385, 262145])
+def test_each_orbit_constants_is_built_once(monkeypatch, n):
+    calls = []
+    build = topdyn.orbit_constants
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    for module in (topdyn, pulsegen, gates):
+        monkeypatch.setattr(module, "orbit_constants", counting)
+    p = TopParameters(0.6)
+    montgomery_phase(p, 0.01, Family.ROTATING, n=n)
+    # the mirror half's sampler and the closed-form budget, once each
+    assert len(calls) == 2
+    calls.clear()
+    tre_pulse(p, 0.01, Family.ROTATING, n=65537)
+    assert len(calls) == 1

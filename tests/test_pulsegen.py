@@ -189,6 +189,28 @@ def test_orbit_field_blocks_are_slices_of_the_whole_bit_for_bit(
                 == whole[:, r0:r1, lo:hi].tobytes())
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.one_of(st.sampled_from([2, 16385]), st.integers(2, 16385)),
+       st.floats(0.02, 0.98), st.floats(1e-6, 0.99), st.sampled_from(Family),
+       st.sampled_from([2, 4]), st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+       st.data())
+def test_orbit_field_rows_are_analytic_trajectory_columns_bit_for_bit(
+        n, k, eps, family, quarters, u_offset, data):
+    # the sampler evaluates the orbit through the constants it holds;
+    # its drive rows are the public closed form's L1 and k^2 L3
+    p = TopParameters(k)
+    oc = orbit_constants(p, eps, family)
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.one_of(st.just(n), st.integers(lo + 1, n)))
+    block = _orbit_fields(p, [eps], family, n, quarters, u_offset)(
+        slice(None), lo, hi)[:, 0]
+    times = np.linspace(0.0, quarters * oc.K / oc.omega, n)[lo:hi]
+    L = analytic_trajectory(p, eps, family, times + u_offset / oc.omega)
+    assert block[0].tobytes() == times.tobytes()
+    assert block[1].tobytes() == L[:, 0].tobytes()
+    assert block[3].tobytes() == (p.k**2 * L[:, 2]).tobytes()
+
+
 def test_allen_eberly_is_rescaled_separatrix():
     # the sech/tanh fields are the separatrix fields of the top in the
     # time unit s = k*kp*t, amplitudes divided by the same factor
