@@ -5,12 +5,13 @@ the bytes.  write_csv and dump_json return the sha256 of the bytes they
 wrote, hashed as they write them, so no artifact is read back for its
 digest.  Formatting is most of a long table's write, so write_csv
 formats every block of rows with numpy (_format17: Dekker's exact
-product against a double-double table of 10**k, then a fixed-width byte
-layout that one bytes.translate compacts) and hands the few values it
-cannot round exactly to CPython's "%.17g".  Tables of _CSV_FORK_VALUES
-values or more are split (_split) with one forked child (_in_two), which
-formats its rows into shared memory; this process writes and hashes
-every byte.  The sweep kernel forks through the same two helpers.
+product against a double-double table of 10**k, then a fixed layout of
+32 bytes a value that one bytes.translate compacts) and hands the few
+values it cannot round exactly to CPython's "%.17g".  Tables of
+_CSV_FORK_VALUES values or more are split (_split) with one forked
+child (_in_two), which formats its rows into shared memory; this
+process writes and hashes every byte.  The sweep kernel forks through
+the same two helpers.
 """
 
 from __future__ import annotations
@@ -28,11 +29,14 @@ import numpy as np
 
 
 # rows per formatted block.  Each block costs _format17 about 0.1 ms of
-# fixed work, and one workspace of 48 bytes a value serves all full
+# fixed work, and one workspace of _VALUE_BYTES a value serves all full
 # blocks of a table.  Gate-design job streams ran 77.7 jobs/s with 1024
 # rows against 73.7 with 512 and 74.2 with 2048 (medians of 4
-# fresh-process replays on a shared 2-CPU host)
-_CSV_BLOCK_ROWS = 1024
+# fresh-process replays on a shared 2-CPU host, at 48 bytes a value).
+# 1000 rows of four columns are 128,000 bytes, under glibc's 128 KiB
+# mmap threshold, so the workspace comes from the heap; six columns
+# stay above it
+_CSV_BLOCK_ROWS = 1000
 # values (rows x columns) from which write_csv forks.  On a shared 2-CPU
 # host the fork lost at 16,385 x 4 (three pulse jobs, 77.6 against 73.6
 # ms in one process, one process faster on 21 of 25 alternations) and
@@ -42,11 +46,15 @@ _CSV_FORK_VALUES = 98304
 # then released: this process's RSS grows by one piece, not the text
 _PIECE_BYTES = 1 << 16
 
-# _format17 lays each value out in 48 bytes, six little-endian words:
-#   0       sign, the "0.000" prefix of 1e-4 <= |x| < 1, digit 0, point slot
-#   1 to 4  digits 1-16, four to a word, each followed by a point slot
-#   5       "e", the exponent's sign and three digits, the separator
+# _format17 lays each value out in 32 bytes, four little-endian words:
+#   0     sign, the "0.000" prefix of 1e-4 <= |x| < 1, digit 0, point slot
+#   1, 2  digits 1-16, contiguous; fixed notation with 1 <= E <= 15 and a
+#         fraction puts its point after digit E, and the digits after it
+#         move up a byte
+#   3     the byte digit 16 spills into, "e", the exponent's sign and two
+#         or three digits, and the separator in its last byte
 # and leaves every byte it does not use NUL
+_VALUE_BYTES = 32
 _LE64 = np.dtype("<u8")
 _POW10_MIN, _POW10_MAX = -280, 308
 _EXP_MIN = -300              # the exponent of the first layout row
@@ -85,12 +93,15 @@ def _format17_tables() -> types.SimpleNamespace:
     # Dekker's split of hi: hh keeps its top 26 bits, hh + hl = hi exactly
     m, e = np.frexp(hi)
     hh = np.ldexp(np.floor(np.ldexp(m, 26)), e - 26)
-    # the 4 ASCII digits of i < 10000, each followed by an empty point
-    # slot: the digit of place 10**p runs through 0-9, p times each
-    quad = bytearray(8 * 10000)
-    for j, p in enumerate((1000, 100, 10, 1)):
-        quad[2 * j::8] = b"".join(bytes([48 + d]) * p
-                                  for d in range(10)) * (1000 // p)
+    # quad[h][i]: the 4 ASCII digits of i < 10000 in bytes 4 h to 4 h + 3
+    # of a word; the digit of place 10**p runs through 0-9, p times each
+    quad = []
+    for h in (0, 1):
+        q = bytearray(8 * 10000)
+        for j, p in enumerate((1000, 100, 10, 1)):
+            q[4 * h + j::8] = b"".join(bytes([48 + d]) * p
+                                       for d in range(10)) * (1000 // p)
+        quad.append(np.frombuffer(q, _LE64))
     # kept[i]: how many of the 4 digits of i run up to its last nonzero
     # one, 0 for i = 0.  Level by level, i = 10 q + d keeps what q keeps
     # when d is 0, and all its digits otherwise
@@ -103,42 +114,59 @@ def _format17_tables() -> types.SimpleNamespace:
     last = [np.frombuffer(kept.translate(bytes(
         4 * j + k if 0 < k <= 4 else 0 for k in range(256))), np.uint8)
         for j in range(4)]
-    # keep[j][c]: the digits of group j at places up to c
-    keep = [np.array([_word(b"\xff\0" * min(max(c - 4 * j, 0), 4))
-                      for c in range(17)], np.uint64) for j in range(4)]
-    # word 0's sign and digit 0, by digit + 10 * sign
-    lead = np.array([_word(b"-" * s + b"\0" * (6 - s) + bytes([48 + d]))
-                     for s in (0, 1) for d in range(10)], np.uint64)
+    # word 0's sign and digit 0, by digit + 11 * sign; digit 10 is the
+    # carry D = 10**17, a 1 with the exponent one up
+    lead = np.array([_word(b"-" * s + b"\0" * (6 - s)
+                           + b"01234567891"[d:d + 1])
+                     for s in (0, 1) for d in range(11)], np.uint64)
     # a row per exponent x, point or none, "," or "\n": the prefix, the
-    # whole digits after digit 0 as "0" (the ones not zero are or-ed in),
-    # the point, the exponent and the separator
+    # point, the exponent and the separator.  stay: the bytes of digit
+    # words 1 and 2 that stay put on each row, all but on the rows whose
+    # point goes in those words, where the digits after the point move
+    # up a byte; moves marks those rows
+    ones = [b"\xff" * c + bytes(16 - c) for c in range(17)]
     xs = range(_EXP_MIN, -_EXP_MIN + 10)
-    point_after = np.zeros(len(xs), np.intp)
-    layout = bytearray()
-    for r, x in enumerate(xs):
-        row = bytearray(48)
-        slot = 7
-        if 0 <= x < 17:          # d.ddd to ddd.ddd: the point after digit x
-            point_after[r] = x
-            slot = 7 + 2 * x
-            row[8:7 + 2 * x:2] = b"0" * x
+    layout, stay, moves = bytearray(), bytearray(), bytearray()
+    for x in xs:
+        row = bytearray(_VALUE_BYTES)
+        slot = 7                 # d.ddd, and d.ddde+XX to d.ddde-XXX
+        if 0 < x < 16:           # dd.ddd to ddd.ddd: after digit x
+            slot = 8 + x
+        elif x == 16:            # 17 whole digits and no fraction
+            slot = 0
         elif -4 <= x < 0:        # 0.000ddd: the point is in the prefix
-            point_after[r] = 16
+            slot = 0
             prefix = b"0." + b"0" * (-x - 1)
             row[1:1 + len(prefix)] = prefix
-        else:                    # d.ddde+XX, e-XX, e+XXX or e-XXX
-            row[40:45] = b"e%c%03d" % (b"-+"[x > 0], abs(x))
+        elif x != 0:
+            row[25:30] = b"e%c%03d" % (b"-+"[x > 0], abs(x))
             if abs(x) < 100:
-                row[42] = 0
+                row[27] = 0
         for point in (0, 1):     # row 4 * r + 2 * point + sep
-            row[slot] = ord(".") if point else 0
+            row[slot] = ord(".") if point and slot else 0
+            moved = point and slot > 7
+            stay += ones[x if moved else 16] * 2
+            moves += bytes([moved]) * 2
             for sep in b",\n":
-                row[45] = sep
+                row[31] = sep
                 layout += row
+    # by 17 r + c, for the exponent of layout row r and c the place of the
+    # last nonzero digit among digits 1-16: the layout row, with a point
+    # if c is past the digits that fixed notation keeps whatever their
+    # value, and the bytes of digit words 1 and 2 that hold the digits
+    # kept
+    row_of, keep = [], bytearray()
+    for r, x in enumerate(xs):
+        whole = x if 0 <= x < 17 else 0
+        row_of += [4 * r] * (whole + 1) + [4 * r + 2] * (16 - whole)
+        keep += ones[whole] * whole + b"".join(ones[whole:])
+    keep = np.frombuffer(keep, _LE64)
+    stay = np.frombuffer(stay, _LE64)
     tables = types.SimpleNamespace(
-        hh=hh, hl=hi - hh, lo=lo, quad=np.frombuffer(quad, _LE64),
-        last=last, keep=keep, lead=lead, point_after=point_after,
-        layout=np.frombuffer(layout, _LE64).reshape(-1, 6))
+        hh=hh, hl=hi - hh, lo=lo, quad=quad, last=last, lead=lead,
+        layout=np.frombuffer(layout, _LE64).reshape(-1, 4),
+        row_of=np.array(row_of, np.intp), keep=[keep[0::2], keep[1::2]],
+        stay=[stay[0::2], stay[1::2]], moves=np.frombuffer(moves, bool))
     for t in vars(tables).values():
         for a in t if isinstance(t, list) else [t]:
             a.flags.writeable = False
@@ -164,28 +192,38 @@ def _digits17(a, exp, tables):
     return p.astype(np.int64) + r.astype(np.int64), t - r
 
 
-def _format17(block, buf: bytearray) -> bytearray:
+def _format17(block, buf: bytearray) -> bytes:
     """The rows of a 2-D float block, every value as "%.17g" % value,
     "," between values and a newline after each row.  buf is the caller's
-    workspace, exactly 48 bytes a value: any other size raises ValueError.
+    workspace, exactly _VALUE_BYTES a value: any other size raises
+    ValueError.
 
     The 17 significant digits of |x| are D = round(|x| * 10**(16 - E)),
     E = floor(log10 |x|) (_digits17).  The estimate of E is one low at
-    most, which a D above 10**17 shows; D = 10**17 carries to 10**16 with
-    E + 1.  Each value is laid out as "%g" lays out D and E: fixed
-    notation for -4 <= E < 17, d.ddde+XX otherwise, trailing zeros
-    stripped (the 48-byte layout above), and one bytes.translate deletes
-    the NULs.  The values this cannot round exactly go to "%.17g" itself:
-    a product within 1e-9 of a tie, |x| outside [1e-290, 1e290]
-    (subnormals included), inf and nan.  No numpy warning is raised.
+    most, which a D above 10**17 shows; D = 10**17 is a carry, digit 0
+    reads 1 and E goes one up.  Each value is laid out as "%g" lays out
+    D and E: fixed notation for -4 <= E < 17, d.ddde+XX otherwise,
+    trailing zeros stripped.  In the 32-byte layout above, the layout
+    row of E, the point and the separator is or-ed with the sign and
+    digit 0 (word 0) and with digits 1-16 (words 1 and 2, two 4-digit
+    lookups each, masked after the last digit kept), _point_shift puts
+    in the point of fixed notation with 1 <= E <= 15, and one
+    bytes.translate deletes the NULs.  The values this cannot round
+    exactly go to "%.17g" itself: a product within 1e-9 of a tie, |x|
+    outside [1e-290, 1e290] (subnormals included), inf and nan.  No
+    numpy warning is raised.
     """
     rows, cols = block.shape
+    if len(buf) != _VALUE_BYTES * rows * cols:
+        raise ValueError(f"workspace of {len(buf)} bytes for {rows * cols} "
+                         f"values, not {_VALUE_BYTES} a value")
     x = block.ravel()
     a = np.abs(x)
     zero = a == 0
     slow = ~((a >= 1e-290) & (a <= 1e290) | zero)
     a[slow | zero] = 1.0
-    # floor(log10 a), or one less within 1e-12 of a power of ten
+    # floor(log10 a), or one less within 1e-12 of a power of ten; a zero
+    # reads as 1.0, whose estimate -1 carries to 0 below
     exp = np.floor(np.log10(a) - 1e-12).astype(np.intp)
     tables = _format17_tables()
     D, f = _digits17(a, exp, tables)
@@ -194,12 +232,9 @@ def _format17(block, buf: bytearray) -> bytearray:
         exp[low] += 1
         D[low], f[low] = _digits17(a[low], exp[low], tables)
     slow |= np.abs(f) > 0.5 - 1e-9
-    carry = D == 10 ** 17
-    D[carry] = 10 ** 16
-    exp += carry
+    exp += D == 10 ** 17
     D[zero] = 0
-    exp[zero] = 0
-    # digit 0, then digits 1-16 in four groups of four
+    # digit 0 (10 for D = 10**17), then digits 1-16 in four groups of four
     hi8 = D // 10 ** 8
     lo8 = D - hi8 * 10 ** 8
     d0 = hi8 // 10 ** 8
@@ -210,40 +245,73 @@ def _format17(block, buf: bytearray) -> bytearray:
     place = tables.last[0][g1]
     for j in (1, 2, 3):
         np.maximum(place, tables.last[j][groups[j]], out=place)
-    place = place.astype(np.intp)
-    r = exp - _EXP_MIN
-    row = 4 * r + 2 * (place > tables.point_after[r])
+    cell = 17 * (exp - _EXP_MIN)
+    cell += place
+    row = tables.row_of[cell]
     row.reshape(rows, cols)[:, -1] += 1
-    out = np.frombuffer(buf, _LE64).reshape(-1, 6)
+    out = np.frombuffer(buf, _LE64).reshape(-1, 4)
     np.take(tables.layout, row, axis=0, out=out)
-    out[:, 0] |= tables.lead[d0 + 10 * np.signbit(x)]
-    for j in range(4):
-        w = tables.quad[groups[j]]
-        w &= tables.keep[j][place]
-        out[:, j + 1] |= w
+    d0 += 11 * np.signbit(x)
+    out[:, 0] |= tables.lead[d0]
+    words = []
+    for w in (0, 1):
+        word = tables.quad[0][groups[2 * w]]
+        word |= tables.quad[1][groups[2 * w + 1]]
+        word &= tables.keep[w][cell]
+        words.append(word)
+    _point_shift(words, row, out, tables)
+    out[:, 1] |= words[0]
+    out[:, 2] |= words[1]
     slow = np.flatnonzero(slow)
     if slow.size:
-        out.view(np.uint8)[slow, :45] = np.frombuffer(
-            _cpython17(x[slow].tolist()), np.uint8).reshape(-1, 45)
-    return buf.translate(None, b"\0 ")
+        out.view(np.uint8)[slow, :31] = np.frombuffer(
+            _cpython17(x[slow].tolist()), np.uint8).reshape(-1, 31)
+    # bytes.translate ran about a third faster than bytearray.translate
+    # on these rows, the copy included
+    return bytes(buf).translate(None, b"\0 ")
+
+
+def _point_shift(words, row, out, tables):
+    """Make room for the point after digit E of fixed notation with
+    1 <= E <= 15 and a fraction, on the values whose layout row holds
+    that point in the digit words: the digits after it move up a byte,
+    from word 1 into word 2 and from word 2 into word 3's first byte.
+    Only the values that need it are shifted.  Shifting every value under
+    masks ran as fast on pulse tables, 2% faster where a t column from 0
+    to 37.5 needs it on 73% of its rows, and slower on sweep maps and
+    axis-angle tables, where few values or none need it."""
+    at = np.flatnonzero(tables.moves[row])
+    if not at.size:
+        return
+    r = row[at]
+    carry = 0
+    for w in (0, 1):
+        word = words[w][at]
+        kept = word & tables.stay[w][r]
+        m = word ^ kept
+        kept |= m << 8
+        kept |= carry
+        carry = m >> 56
+        words[w][at] = kept
+    out[at, 3] |= carry
 
 
 def _cpython17(values: list) -> bytes:
-    """Each value as "%.17g" padded with spaces to 45 bytes: "%.17g" is
+    """Each value as "%.17g" padded with spaces to 31 bytes: "%.17g" is
     at most 24 bytes and never holds a space, so the padding goes with
     _format17's NULs."""
-    return (("%-45.17g" * len(values)) % tuple(values)).encode("ascii")
+    return (("%-31.17g" * len(values)) % tuple(values)).encode("ascii")
 
 
 def _blocks(data, start: int, stop: int):
     """The bytes of rows start:stop, _format17's for each block of
     _CSV_BLOCK_ROWS rows.  The full blocks share one workspace, and a
-    shorter last block gets its own, each exactly 48 bytes a value."""
+    shorter last block gets its own, each exactly _VALUE_BYTES a value."""
     buf = bytearray()
     for i in range(start, stop, _CSV_BLOCK_ROWS):
         block = data[i:min(i + _CSV_BLOCK_ROWS, stop)]
-        if len(buf) != 48 * block.size:
-            buf = bytearray(48 * block.size)
+        if len(buf) != _VALUE_BYTES * block.size:
+            buf = bytearray(_VALUE_BYTES * block.size)
         yield _format17(block, buf)
 
 

@@ -200,16 +200,19 @@ def _parse_vec3(text):
 
 def _parse_grid(cfg: dict, key: str):
     """The grid of cfg[key]: one value, or count points from lo to hi,
-    count a whole number (3.0 reads as 3) of at least 1."""
+    count a whole number (3.0 reads as 3) of at least 1 and hi - lo
+    finite, which lo or hi infinite, or a span past the largest double,
+    is not."""
     text = cfg[key]
     parts = [float(x) for x in text.split(",")]
     if len(parts) == 1:
         return np.array(parts)
     if len(parts) == 3 and 1 <= parts[2] < math.inf and parts[1] >= parts[0] \
-            and parts[2].is_integer():
+            and parts[2].is_integer() and math.isfinite(parts[1] - parts[0]):
         return np.linspace(parts[0], parts[1], int(parts[2]))
     raise UsageError(f"{_flag(key)} must be 'value' or 'lo,hi,count' with "
-                     f"a whole count of at least 1, got {text!r}")
+                     f"lo <= hi, a finite span hi - lo and a whole count of "
+                     f"at least 1, got {text!r}")
 
 
 def _build_pulse(cfg: dict) -> ControlPulse:

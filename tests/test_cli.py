@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -312,6 +313,31 @@ def test_sweep_fractional_grid_count_is_usage_error(tmp_path, capsys, key,
         argv += ["--config", path]
     out = tmp_path / "out"
     assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {cli._flag(key)} must be" in err
+    assert repr(grid) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["alpha_grid", "delta_grid"])
+@pytest.mark.parametrize("grid", ["-1e308,1e308,3", "-inf,inf,3", "0,inf,2",
+                                  "-1.5e308,1.5e308,1"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_sweep_grid_with_an_infinite_span_is_usage_error(tmp_path, capsys,
+                                                         key, grid, via):
+    # np.linspace over such a span overflows: it swept alpha = nan, inf
+    # and 1e308 for -1e308,1e308,3 and exited 3
+    argv = ["sweep", "--family", "rect", "--n", 11]
+    if via == "flag":
+        argv.append(f"{cli._flag(key)}={grid}")
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: grid}))
+        argv += ["--config", path]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv + ["--out", out]) == 2
     err = capsys.readouterr().err
     assert f"error: {cli._flag(key)} must be" in err
     assert repr(grid) in err

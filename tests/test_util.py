@@ -286,6 +286,32 @@ def test_write_csv_matches_per_value_format_across_blocks(
         assert path.read_bytes() == b"h\n" + _per_value(table)
 
 
+@st.composite
+def _decimal(draw) -> float:
+    """sign * m * 10**(E - 16), parsed from its decimal string: m has 17
+    digits, the last `zeros` of them 0 and the one before not, and E, the
+    decimal exponent of the value, runs over [-310, 310], half the time
+    over the fixed notation's [-5, 17]."""
+    zeros = draw(st.integers(0, 16))
+    m = draw(st.integers(10 ** 16, 10 ** 17 - 1)) // 10 ** zeros
+    m += m % 10 == 0
+    E = draw(st.one_of(st.integers(-5, 17), st.integers(-310, 310)))
+    return float(f"{draw(st.sampled_from('+-'))}{m}{'0' * zeros}e{E - 16}")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(1, 6), st.lists(_decimal(), min_size=1, max_size=48))
+def test_write_csv_matches_per_value_format_in_every_notation(cols, values):
+    # fixed notation with the point after each digit E = 0 to 16, the
+    # 0.000 prefixes of E = -1 to -4, exponent notation of two and three
+    # digits, and trailing zeros stripped at every place
+    table = np.resize(np.array(values), (-(-len(values) // cols), cols))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        _util.write_csv(path, "h", table)
+        assert path.read_bytes() == b"h\n" + _per_value(table)
+
+
 # the digest write_csv returns is the sha256 of the bytes it wrote, on the
 # one-process path and on the forked one, whose tail a child appends
 
@@ -581,7 +607,8 @@ def test_format17_ties_round_half_to_even():
     assert len(ties) > 100
     assert "%.17g" % 2.0 ** -25 == "2.9802322387695312e-08"
     block = np.resize(np.array(ties), (-(-len(ties) // 4), 4))
-    assert bytes(_util._format17(block, bytearray(48 * block.size))) == \
+    assert bytes(_util._format17(
+        block, bytearray(_util._VALUE_BYTES * block.size))) == \
         _per_value(block)
 
 
@@ -597,18 +624,44 @@ def test_pow10_table_is_double_double_exact():
 def test_format17_digit_tables_are_their_arithmetic_definition():
     tables = _util._format17_tables()
     i = np.arange(10000)
-    # digit d of i at bits 16 d of its word, each digit in ASCII
-    quad = sum((i // 10 ** (3 - j) % 10 + 48).astype(np.uint64) << 16 * j
-               for j in range(4))
-    assert np.array_equal(tables.quad, quad)
+    # quad[h]: digit j of i at bits 8 (4 h + j) of its word, in ASCII
+    for h in (0, 1):
+        quad = sum((i // 10 ** (3 - j) % 10 + 48).astype(np.uint64)
+                   << 8 * (4 * h + j) for j in range(4))
+        assert np.array_equal(tables.quad[h], quad)
     zeros = (i % 10 == 0).astype(np.intp) + (i % 100 == 0) + (i % 1000 == 0)
     for j in range(4):
         last = np.where(i == 0, 0, 4 * j + 4 - zeros).astype(np.uint8)
         assert tables.last[j].dtype == np.uint8
         assert np.array_equal(tables.last[j], last)
-    assert tables.layout.shape == (4 * (10 - 2 * _util._EXP_MIN), 6)
-    for t in (tables.quad, tables.layout, *tables.last):
-        assert not t.flags.writeable
+    assert tables.layout.shape == (4 * (10 - 2 * _util._EXP_MIN), 4)
+    # by 17 r + c: fixed notation keeps digits 1 to E whatever their value
+    # and has a point if the last nonzero digit c is past them; the keep
+    # masks hold max(c, kept) bytes of the 16 digit bytes
+    r, c = np.divmod(np.arange(tables.row_of.size), 17)
+    E = r + _util._EXP_MIN
+    kept = np.where((E >= 0) & (E < 17), E, 0)
+    assert np.array_equal(tables.row_of, 4 * r + 2 * (c > kept))
+
+    def mask(n, w):
+        # the bytes of digit word w + 1 that hold digits 1 to n
+        b = np.clip(n - 8 * w, 0, 8).astype(np.uint64)
+        return np.where(b == 8, np.uint64(2 ** 64 - 1),
+                        (np.uint64(1) << 8 * b) - 1)
+
+    for w in (0, 1):
+        assert np.array_equal(tables.keep[w], mask(np.maximum(c, kept), w))
+    # by layout row 4 r + 2 point + sep: the digit bytes past digit E move
+    # on rows with a point and 1 <= E <= 15
+    row = np.arange(tables.layout.shape[0])
+    E, point = row // 4 + _util._EXP_MIN, row // 2 % 2 == 1
+    moves = point & (E >= 1) & (E <= 15)
+    assert np.array_equal(tables.moves, moves)
+    for w in (0, 1):
+        assert np.array_equal(tables.stay[w], mask(np.where(moves, E, 16), w))
+    for t in vars(tables).values():
+        for a in t if isinstance(t, list) else [t]:
+            assert not a.flags.writeable
 
 
 def test_format17_raises_no_numpy_warning():
@@ -617,13 +670,16 @@ def test_format17_raises_no_numpy_warning():
                       (512, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        text = _util._format17(block, bytearray(48 * block.size))
+        text = _util._format17(block,
+                               bytearray(_util._VALUE_BYTES * block.size))
     assert bytes(text) == _per_value(block)
 
 
-@pytest.mark.parametrize("extra", [-48, 48, 48 * 4])
+@pytest.mark.parametrize("extra", [-_util._VALUE_BYTES, _util._VALUE_BYTES,
+                                   _util._VALUE_BYTES * 4])
 def test_format17_refuses_a_workspace_of_another_size(extra):
-    # a workspace not exactly 48 bytes a value could leak stale bytes
+    # a workspace not exactly _VALUE_BYTES a value could leak stale bytes
     block = np.ones((3, 4))
     with pytest.raises(ValueError):
-        _util._format17(block, bytearray(48 * block.size + extra))
+        _util._format17(block,
+                        bytearray(_util._VALUE_BYTES * block.size + extra))
