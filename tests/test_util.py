@@ -47,13 +47,13 @@ def test_write_csv_round_trips_doubles(tmp_path):
     assert back.tobytes() == table.tobytes()
 
 
-# rows around the block size, and 511 to 513 and 1,027: at four columns the
-# first three cross the smallest block _format17 takes, the last ends one
-# block in a short remainder
+# rows around the block size, and 511 to 513, 1,023 to 1,027 and 2,051:
+# the powers of two and the 1,024-row block of earlier layouts, each one
+# or a few rows from a block edge or a short remainder
 @pytest.mark.parametrize("rows", sorted({
-    0, 1, 511, 512, 513, 1027, _util._CSV_BLOCK_ROWS - 1,
-    _util._CSV_BLOCK_ROWS, _util._CSV_BLOCK_ROWS + 1,
-    2 * _util._CSV_BLOCK_ROWS + 3}))
+    0, 1, 511, 512, 513, 1023, 1024, 1025, 1027, 2051,
+    _util._CSV_BLOCK_ROWS - 1, _util._CSV_BLOCK_ROWS,
+    _util._CSV_BLOCK_ROWS + 1, 2 * _util._CSV_BLOCK_ROWS + 3}))
 @pytest.mark.parametrize("cols", [1, 4])
 def test_write_csv_matches_savetxt_across_blocks(tmp_path, rows, cols):
     rng = np.random.default_rng(rows * 10 + cols)
@@ -675,10 +675,12 @@ def test_format17_raises_no_numpy_warning():
     assert bytes(text) == _per_value(block)
 
 
-@pytest.mark.parametrize("extra", [-_util._VALUE_BYTES, _util._VALUE_BYTES,
-                                   _util._VALUE_BYTES * 4])
+@pytest.mark.parametrize("extra", sorted({
+    -48, 48, 192, -_util._VALUE_BYTES, _util._VALUE_BYTES,
+    _util._VALUE_BYTES * 4}))
 def test_format17_refuses_a_workspace_of_another_size(extra):
-    # a workspace not exactly _VALUE_BYTES a value could leak stale bytes
+    # a workspace not exactly _VALUE_BYTES a value could leak stale bytes:
+    # whole values more or fewer, and the sizes of the 48-byte layout
     block = np.ones((3, 4))
     with pytest.raises(ValueError):
         _util._format17(block,
