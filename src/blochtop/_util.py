@@ -7,7 +7,11 @@ digest.  Formatting is most of a long table's write, so write_csv
 formats every block of rows with numpy (_format17: Dekker's exact
 product against a double-double table of 10**k, then a fixed layout of
 32 bytes a value that one bytes.translate compacts) and hands the few
-values it cannot round exactly to CPython's "%.17g".  Tables of
+values it cannot round exactly to CPython's "%.17g".  Its tables
+(_format17_tables, about 290 KB) hold digit lookups and one column per
+exponent E: the layout rows and whole[E], the digits fixed notation
+keeps whatever their value; a value's point and the digits it keeps
+follow from whole[E] and the place of its last nonzero digit.  Tables of
 _CSV_FORK_VALUES values or more are split (_split) with one forked
 child (_in_two), which formats its rows into shared memory; this
 process writes and hashes every byte.  The sweep kernel forks through
@@ -34,8 +38,9 @@ import numpy as np
 # rows against 73.7 with 512 and 74.2 with 2048 (medians of 4
 # fresh-process replays on a shared 2-CPU host, at 48 bytes a value).
 # 1000 rows of four columns are 128,000 bytes, under glibc's 128 KiB
-# mmap threshold, so the workspace comes from the heap; six columns
-# stay above it
+# mmap threshold, but that saved no page faults: an in-process 108-job
+# gate-design replay took 659-711 minor faults with 1000-row blocks and
+# 572-631 with 1024-row blocks (32 bytes a value)
 _CSV_BLOCK_ROWS = 1000
 # values (rows x columns) from which write_csv forks.  On a shared 2-CPU
 # host the fork lost at 16,385 x 4 (three pulse jobs, 77.6 against 73.6
@@ -120,13 +125,9 @@ def _format17_tables() -> types.SimpleNamespace:
                            + b"01234567891"[d:d + 1])
                      for s in (0, 1) for d in range(11)], np.uint64)
     # a row per exponent x, point or none, "," or "\n": the prefix, the
-    # point, the exponent and the separator.  stay: the bytes of digit
-    # words 1 and 2 that stay put on each row, all but on the rows whose
-    # point goes in those words, where the digits after the point move
-    # up a byte; moves marks those rows
-    ones = [b"\xff" * c + bytes(16 - c) for c in range(17)]
+    # point, the exponent and the separator
     xs = range(_EXP_MIN, -_EXP_MIN + 10)
-    layout, stay, moves = bytearray(), bytearray(), bytearray()
+    layout = bytearray()
     for x in xs:
         row = bytearray(_VALUE_BYTES)
         slot = 7                 # d.ddd, and d.ddde+XX to d.ddde-XXX
@@ -144,29 +145,21 @@ def _format17_tables() -> types.SimpleNamespace:
                 row[27] = 0
         for point in (0, 1):     # row 4 * r + 2 * point + sep
             row[slot] = ord(".") if point and slot else 0
-            moved = point and slot > 7
-            stay += ones[x if moved else 16] * 2
-            moves += bytes([moved]) * 2
             for sep in b",\n":
                 row[31] = sep
                 layout += row
-    # by 17 r + c, for the exponent of layout row r and c the place of the
-    # last nonzero digit among digits 1-16: the layout row, with a point
-    # if c is past the digits that fixed notation keeps whatever their
-    # value, and the bytes of digit words 1 and 2 that hold the digits
-    # kept
-    row_of, keep = [], bytearray()
-    for r, x in enumerate(xs):
-        whole = x if 0 <= x < 17 else 0
-        row_of += [4 * r] * (whole + 1) + [4 * r + 2] * (16 - whole)
-        keep += ones[whole] * whole + b"".join(ones[whole:])
-    keep = np.frombuffer(keep, _LE64)
-    stay = np.frombuffer(stay, _LE64)
+    # whole[r]: how many of digits 1-16 fixed notation keeps whatever
+    # their value, for the exponent E of layout row r: E for 0 <= E < 17
+    # and none otherwise.  ones[w][c]: the bytes of digit word w + 1 that
+    # hold digits 1 to c
+    ones = [b"\xff" * c + bytes(16 - c) for c in range(17)]
     tables = types.SimpleNamespace(
         hh=hh, hl=hi - hh, lo=lo, quad=quad, last=last, lead=lead,
         layout=np.frombuffer(layout, _LE64).reshape(-1, 4),
-        row_of=np.array(row_of, np.intp), keep=[keep[0::2], keep[1::2]],
-        stay=[stay[0::2], stay[1::2]], moves=np.frombuffer(moves, bool))
+        whole=np.frombuffer(bytes(x if 0 <= x < 17 else 0 for x in xs),
+                            np.uint8),
+        ones=[np.frombuffer(b"".join(m[8 * w:8 * w + 8] for m in ones),
+                            _LE64) for w in (0, 1)])
     for t in vars(tables).values():
         for a in t if isinstance(t, list) else [t]:
             a.flags.writeable = False
@@ -245,21 +238,30 @@ def _format17(block, buf: bytearray) -> bytes:
     place = tables.last[0][g1]
     for j in (1, 2, 3):
         np.maximum(place, tables.last[j][groups[j]], out=place)
-    cell = 17 * (exp - _EXP_MIN)
-    cell += place
-    row = tables.row_of[cell]
+    # layout row r = E - _EXP_MIN: row 4 r + 2 point, plus 1 in the last
+    # column, with a point if the last nonzero digit is past the whole
+    # digits, and digits 1 to max(place, whole) kept
+    exp -= _EXP_MIN
+    whole = tables.whole[exp]
+    point = place > whole
+    row = 4 * exp
+    row += 2 * point
     row.reshape(rows, cols)[:, -1] += 1
     out = np.frombuffer(buf, _LE64).reshape(-1, 4)
-    np.take(tables.layout, row, axis=0, out=out)
+    # every row is in range; mode="raise" would gather through a
+    # buffer and copy it into out
+    np.take(tables.layout, row, axis=0, out=out, mode="clip")
     d0 += 11 * np.signbit(x)
     out[:, 0] |= tables.lead[d0]
+    # an intp index: numpy casts a uint8 one at every gather
+    kept = np.maximum(place, whole).astype(np.intp)
     words = []
     for w in (0, 1):
         word = tables.quad[0][groups[2 * w]]
         word |= tables.quad[1][groups[2 * w + 1]]
-        word &= tables.keep[w][cell]
+        word &= tables.ones[w][kept]
         words.append(word)
-    _point_shift(words, row, out, tables)
+    _point_shift(words, point & (whole > 0), whole, out, tables)
     out[:, 1] |= words[0]
     out[:, 2] |= words[1]
     slow = np.flatnonzero(slow)
@@ -271,23 +273,24 @@ def _format17(block, buf: bytearray) -> bytes:
     return bytes(buf).translate(None, b"\0 ")
 
 
-def _point_shift(words, row, out, tables):
+def _point_shift(words, moved, whole, out, tables):
     """Make room for the point after digit E of fixed notation with
-    1 <= E <= 15 and a fraction, on the values whose layout row holds
-    that point in the digit words: the digits after it move up a byte,
-    from word 1 into word 2 and from word 2 into word 3's first byte.
+    1 <= E <= 15 and a fraction, on the moved values, those with a point
+    and whole digits: the digits past whole move up a byte, from word 1
+    into word 2 and from word 2 into word 3's first byte.  E = 16 keeps
+    all 16 digits, so it never has a point.
     Only the values that need it are shifted.  Shifting every value under
     masks ran as fast on pulse tables, 2% faster where a t column from 0
     to 37.5 needs it on 73% of its rows, and slower on sweep maps and
     axis-angle tables, where few values or none need it."""
-    at = np.flatnonzero(tables.moves[row])
+    at = np.flatnonzero(moved)
     if not at.size:
         return
-    r = row[at]
+    c = whole[at].astype(np.intp)
     carry = 0
     for w in (0, 1):
         word = words[w][at]
-        kept = word & tables.stay[w][r]
+        kept = word & tables.ones[w][c]
         m = word ^ kept
         kept |= m << 8
         kept |= carry

@@ -263,7 +263,7 @@ def montgomery_phase(p: TopParameters, eps: float, family: Family,
     more than closure_tol raises a ValueError naming n and the gap.
     """
     base = tre_initial(p, eps, family)
-    q = _scan_finals(p, [eps], family, n, loop=True)[0]
+    q = _mirror_final(_mirror_half(p, [eps], family, n, loop=True))[0]
     gap = math.dist(_states(q, base), base)
     if gap > closure_tol:
         raise ValueError(
@@ -440,9 +440,9 @@ def _search(xs, approx, spans, n: int, sample, crosses, pick):
 
     Samples take the mirror route: transfer and loop pulses are read off
     free-top orbits, which are mirror-symmetric about their midpoints, so
-    _scan_finals samples and propagates only the first half of each, and
-    the pulse propagates by J A^-1 J^-1 . M . A (propagate._mirror_final):
-    A the first half's product, M the middle step (n even only) and J the
+    _mirror_half samples only the first half of each, and the pulse
+    propagates by J A^-1 J^-1 . M . A (propagate._mirror_final): A the
+    first half's product, M the middle step (n even only) and J the
     mirror's pi rotation, Z3 = diag(-1, -1, 1) on a transfer.  Rotated,
     offset, concatenated and user pulses never take it.
     """
@@ -550,15 +550,6 @@ def _judged(gate: str, solved: bool, U, target):
 # tuned NOT gate
 
 
-def _scan_finals(p: TopParameters, xs, family: Family, n: int,
-                 loop: bool) -> np.ndarray:
-    """Mirror-route final pairs (len(xs), 2) at the points xs, from one
-    _mirror_half sampler and one _mirror_final call, which batches the
-    points as it batches any rows.  Row j has the bits of the one-point
-    call at xs[j], as a solver step or the Montgomery loop makes it."""
-    return _mirror_final(_mirror_half(p, xs, family, n, loop))
-
-
 def _involution_scan(p: TopParameters, xs, family: Family,
                      n: int) -> list:
     """Axis of the involutive part P Z3 of the transfer propagator P at
@@ -569,7 +560,8 @@ def _involution_scan(p: TopParameters, xs, family: Family,
     axis's sign, so it turns continuously with eps, as its closed form
     (_orbit_phases) does."""
     axes = []
-    for a, c in _scan_finals(p, xs, family, n, loop=False):
+    for a, c in _mirror_final(_mirror_half(p, xs, family, n,
+                                            loop=False)):
         axis = [c.real, c.imag, a.real]
         axes.append(np.array(axis) / math.hypot(*axis))
     return axes
@@ -895,8 +887,8 @@ class SynthesisProgram:
 def _loop_angles(p: TopParameters, es, n: int) -> list:
     """Rotation angle of each closed loop about its own base point."""
     return [_twist(q, tre_initial(p, float(e), Family.ROTATING))
-            for e, q in zip(es, _scan_finals(p, es, Family.ROTATING, n,
-                                             loop=True))]
+            for e, q in zip(es, _mirror_final(
+                _mirror_half(p, es, Family.ROTATING, n, loop=True)))]
 
 
 def _loop_scan(p: TopParameters):

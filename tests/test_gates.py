@@ -27,10 +27,10 @@ from blochtop.gates import (
     tune_not_gate,
     write_gate_report,
 )
-from blochtop.propagate import ErrorParams, bloch_propagate, gate_fidelity, \
-    so3_final, spinor_quaternion, su2_final
-from blochtop.pulsegen import ControlPulse, concat, inverse_pulse, nmr_frame, \
-    rect_pi_pulse, tre_loop_pulse, tre_pulse
+from blochtop.propagate import ErrorParams, _mirror_final, bloch_propagate, \
+    gate_fidelity, so3_final, spinor_quaternion, su2_final
+from blochtop.pulsegen import ControlPulse, _mirror_half, concat, \
+    inverse_pulse, nmr_frame, rect_pi_pulse, tre_loop_pulse, tre_pulse
 from blochtop.topdyn import Family, TopParameters, analytic_trajectory, \
     energy, orbit_constants, orbit_period, tre_initial
 
@@ -296,7 +296,7 @@ def test_twist_reads_mirror_route_loops_as_the_frame_did(family, k, log_eps,
     # the loop nearly fixes its base point; the two readings part by the
     # square of the miss, about 1e-12 at n = 2048
     p, eps = TopParameters(k), math.exp(log_eps)
-    q = gates._scan_finals(p, [eps], family, n, loop=True)[0]
+    q = _mirror_final(_mirror_half(p, [eps], family, n, loop=True))[0]
     base = tre_initial(p, eps, family)
     frame = _frame_angle(propagate._rotations(q), base)
     assert abs(wrap_angle(gates._twist(q, base) - frame)) <= 1e-11
@@ -456,7 +456,8 @@ def test_involution_axis_is_unit_and_continuous_along_the_scan(case):
     # points and between a point and its log-midpoint
     p, family, n, xs = case
     raw = np.array([[c.real, c.imag, a.real]
-                    for a, c in gates._scan_finals(p, xs, family, n, False)])
+                    for a, c in _mirror_final(
+                        _mirror_half(p, xs, family, n, False))])
     assert_allclose(np.linalg.norm(raw, axis=1), 1.0, rtol=0, atol=1e-15)
     axes = gates._involution_scan(p, xs, family, n)
     assert all(u @ v > 0.0 for u, v in zip(axes, axes[1:]))
@@ -667,13 +668,13 @@ def test_phase_gate_loop_budgets_match_the_propagated_budget(k, target,
 @pytest.mark.parametrize("target", [1.3, 4.0, 1e-7])
 def test_phase_gate_propagates_no_reference_loop(monkeypatch, target):
     calls = []
-    scan = gates._scan_finals
+    final = gates._mirror_final
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return scan(*args, **kwargs)
+        return final(*args, **kwargs)
 
-    monkeypatch.setattr(gates, "_scan_finals", counted)
+    monkeypatch.setattr(gates, "_mirror_final", counted)
     design, _, _ = design_phase_gate(target, TopParameters(0.55), n=4096)
     assert design.converged
     assert calls == []
@@ -1130,7 +1131,7 @@ def _closed_quaternion(p, eps, family, loop, zero=0.0):
 
 
 def _mirror_quaternion(p, eps, family, n, loop):
-    a, c = gates._scan_finals(p, [eps], family, n, loop)[0]
+    a, c = _mirror_final(_mirror_half(p, [eps], family, n, loop))[0]
     return np.array([a.real, -c.imag, c.real, -a.imag])
 
 

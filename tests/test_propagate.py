@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from blochtop import gates, propagate
+from blochtop import propagate
 from blochtop.propagate import (
     ErrorParams,
     _final,
@@ -788,7 +788,7 @@ def test_scan_finals_in_short_chunks_are_single_calls_bit_for_bit(
     monkeypatch.setattr(propagate, "_CHUNK_SAMPLES", 3 * (n // 2 + 1) + 2)
     p = TopParameters(0.8)
     xs = np.geomspace(1e-3, 0.6, 7)
-    finals = gates._scan_finals(p, xs, family, n, loop)
+    finals = _mirror_final(_mirror_half(p, xs, family, n, loop))
     assert finals.shape == (7, 2)
     for x, row in zip(xs, finals):
         single = _mirror_final(_mirror_half(p, [x], family, n, loop))

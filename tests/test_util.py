@@ -4,6 +4,7 @@ import json
 import math
 import mmap
 import os
+import random
 import signal
 import tempfile
 import warnings
@@ -635,13 +636,10 @@ def test_format17_digit_tables_are_their_arithmetic_definition():
         assert tables.last[j].dtype == np.uint8
         assert np.array_equal(tables.last[j], last)
     assert tables.layout.shape == (4 * (10 - 2 * _util._EXP_MIN), 4)
-    # by 17 r + c: fixed notation keeps digits 1 to E whatever their value
-    # and has a point if the last nonzero digit c is past them; the keep
-    # masks hold max(c, kept) bytes of the 16 digit bytes
-    r, c = np.divmod(np.arange(tables.row_of.size), 17)
-    E = r + _util._EXP_MIN
-    kept = np.where((E >= 0) & (E < 17), E, 0)
-    assert np.array_equal(tables.row_of, 4 * r + 2 * (c > kept))
+    # by layout row r, for its exponent E: fixed notation keeps digits 1
+    # to E whatever their value, and none outside 0 <= E < 17
+    E = np.arange(tables.layout.shape[0] // 4) + _util._EXP_MIN
+    assert np.array_equal(tables.whole, np.where((E >= 0) & (E < 17), E, 0))
 
     def mask(n, w):
         # the bytes of digit word w + 1 that hold digits 1 to n
@@ -650,18 +648,55 @@ def test_format17_digit_tables_are_their_arithmetic_definition():
                         (np.uint64(1) << 8 * b) - 1)
 
     for w in (0, 1):
-        assert np.array_equal(tables.keep[w], mask(np.maximum(c, kept), w))
-    # by layout row 4 r + 2 point + sep: the digit bytes past digit E move
-    # on rows with a point and 1 <= E <= 15
-    row = np.arange(tables.layout.shape[0])
-    E, point = row // 4 + _util._EXP_MIN, row // 2 % 2 == 1
-    moves = point & (E >= 1) & (E <= 15)
-    assert np.array_equal(tables.moves, moves)
-    for w in (0, 1):
-        assert np.array_equal(tables.stay[w], mask(np.where(moves, E, 16), w))
-    for t in vars(tables).values():
-        for a in t if isinstance(t, list) else [t]:
-            assert not a.flags.writeable
+        assert np.array_equal(tables.ones[w], mask(np.arange(17), w))
+    arrays = [a for t in vars(tables).values()
+              for a in (t if isinstance(t, list) else [t])]
+    # no table by 17 E + place: every value's layout follows from whole
+    # and ones, and the tables stay under 300 KB
+    assert sum(a.nbytes for a in arrays) <= 300_000
+    for a in arrays:
+        assert not a.flags.writeable
+
+
+def _cell(v: float) -> tuple:
+    """(E, c) of v's "%.17g" digits: its decimal exponent and the place
+    among digits 1-16 of the last nonzero one, 0 for none."""
+    digits, E = ("%.16e" % abs(v)).split("e")
+    return int(E), len(digits.replace(".", "").rstrip("0")) - 1
+
+
+def test_format17_every_layout_cell_matches_per_value_format(monkeypatch):
+    # every exponent E of the fast path, 1e-290 <= |x| <= 1e290, and every
+    # last nonzero place c: a value whose digits end at c, until one reads
+    # back as (E, c) and is no tie, which "%.17g" itself rounds.  c = 0
+    # and c = 1 leave 9 and 81 values, all tried; on 146 and 4 of the
+    # exponents none of their doubles reads back so
+    rnd = random.Random(1)
+    hit = {}
+    for E in range(-290, 291):
+        for c in range(17) if E < 290 else [0]:
+            ks = range(10 ** c, 10 ** (c + 1)) if c < 2 else \
+                (rnd.randrange(10 ** c, 10 ** (c + 1)) for _ in range(1000))
+            for k in ks:
+                v = float(f"{k}e{E - c}")
+                if k % 10 and v <= 1e290 and _cell(v) == (E, c) \
+                        and not _is_tie(v):
+                    hit[E, c] = v
+                    break
+    assert sum((E, 0) not in hit for E in range(-290, 291)) == 146
+    assert [E for E in range(-290, 290) if (E, 1) not in hit] == \
+        [-30, 127, 249, 260]
+    assert all((E, c) in hit for E in range(-290, 290) for c in range(2, 17))
+    # both signs, each in a last and a non-last column; none of them goes
+    # to "%.17g" itself
+    values = np.array(list(hit.values()))
+    table = np.concatenate([np.stack([values, -values], axis=1),
+                            np.stack([-values, values], axis=1)])
+    calls = []
+    monkeypatch.setattr(_util, "_cpython17", calls.append)
+    text = b"".join(_util._blocks(table, 0, len(table)))
+    assert calls == []
+    assert text == _per_value(table)
 
 
 def test_format17_raises_no_numpy_warning():
