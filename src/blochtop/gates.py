@@ -78,7 +78,6 @@ from .pulsegen import (
 from .topdyn import (
     Family,
     TopParameters,
-    energy,
     orbit_constants,
     tre_initial,
 )
@@ -245,8 +244,7 @@ def _closed_budget(p: TopParameters, eps: float,
     difference 2 E T - Omega wrapped to (-pi, pi], the rotation about the
     base point that _orbit_phases gives the loop."""
     oc = orbit_constants(p, eps, family)
-    dyn = float(2.0 * energy(tre_initial(p, eps, family), p)
-                * (4.0 * oc.K / oc.omega))
+    dyn = float(2.0 * oc.energy * (4.0 * oc.K / oc.omega))
     geo = _orbit_solid_angle(p, eps, family, oc)
     return PhaseBudget(total=_util.wrap_angle(dyn - geo), dynamical=dyn,
                        geometric=geo)
@@ -260,12 +258,13 @@ def montgomery_phase(p: TopParameters, eps: float, family: Family,
     full-period loop's propagator (_twist), by the mirror route (_search);
     dynamical and geometric are _closed_budget's, so the budget defect
     measures the propagator alone.  A loop whose end misses its start by
-    more than closure_tol raises a ValueError naming n and the gap.
+    more than closure_tol raises a ValueError naming n and the gap; so
+    does a NaN closure_tol, which no gap meets.
     """
     base = tre_initial(p, eps, family)
     q = _mirror_final(_mirror_half(p, [eps], family, n, loop=True))[0]
     gap = math.dist(_states(q, base), base)
-    if gap > closure_tol:
+    if not gap <= closure_tol:
         raise ValueError(
             f"the loop does not close at n = {n}: |R L0 - L0| = {gap:.3g} "
             f"exceeds the tolerance {closure_tol:g}; raise n")
@@ -942,7 +941,9 @@ def synthesize_one_qubit(U_target, p: TopParameters | None = None,
     """
     p = TopParameters(0.5) if p is None else p
     U = np.asarray(U_target, dtype=complex)
-    if U.shape != (2, 2) or np.linalg.norm(U @ U.conj().T - np.eye(2)) > 1e-9:
+    # a NaN or inf entry leaves the norm NaN, and NaN > 1e-9 is false
+    if (U.shape != (2, 2) or not np.isfinite(U).all()
+            or np.linalg.norm(U @ U.conj().T - np.eye(2)) > 1e-9):
         raise ValueError("target must be a 2x2 unitary")
     (u00, u01), (u10, u11) = U.tolist()
     V = U / np.sqrt(u00 * u11 - u01 * u10)

@@ -37,26 +37,34 @@ Re c, -Im a) (_quaternion), which gate design reads too.
 The kernel is batched and has one step layout: planes (2, B, n), a and
 c each one contiguous complex plane along the sample axis, a leading
 axis of error pairs (alpha, delta), and the identity in slot 0 ahead of
-the n - 1 steps.  Steps are made in two stages: the field table's
-interval averages (_averages), taken once for the rows that share them,
-and one step stage (_steps) that applies each row's errors and writes
-its pairs straight into the planes, so no step is copied on its way into
-the products.
-Paths, finals, sweeps and the mirror route all build their steps with
-this one stage, so a sweep cell has the bits of the endpoint of
-bloch_propagate under its error pair.  The reduction (_fold) pairs the
-steps from the last one down, one level of the product tree at a time
+the n - 1 steps.  Paths and finals run through the same stages.  The
+field table is read through a sampler (_sampler for a pulse), its
+interval averages (_averages) are taken once for the rows that share
+them, and one step stage (_steps) applies each row's errors and writes
+its pairs straight into the planes, so no step is copied on its way
+into the products and a sweep cell has the bits of the endpoint of
+bloch_propagate under its error pair.  A path (_path) runs both stages
+for its one row inside the overflow check (_one_row), in six arrays of
+n - 1 floats beside its planes, and releases the arrays before the
+planes are composed.
+
+Neither composition rescales.  The reduction (_fold) pairs the steps
+from the last one down, one level of the product tree at a time
 (_halve), and folds them in place in the planes, with its products in
-scratch planes.  The scan is work-efficient (Blelloch 1990): its
-up-sweep is that same tree, each level kept in one workspace, and a
-down-sweep turns the levels back into prefixes, in place in the planes,
-about 2 n products in 2 log2 n batched levels.  Its last entry is the
-root of the tree, so a final propagator equals the endpoint of its path
-bit for bit, whether it is computed alone or inside a batch; the
-interior entries are the same products grouped otherwise.  Both read
-pairs (..., 2) out only at the end.  Every product and norm runs on
-arrays that keep the sample axis, even a final one of length 1: numpy
-rounds scalar arithmetic differently from its array loops.
+scratch planes.  The scan (_scan) is work-efficient (Blelloch 1990):
+its up-sweep is that same tree, each level kept in one workspace of 64
+bytes a sample of a row, and a down-sweep turns the levels back into
+prefixes, in place in the planes, about 2 n products in 2 log2 n
+batched levels; the workspace is released when it returns.  Its last
+entry is the root of the tree, so a final propagator equals the
+endpoint of its path bit for bit, whether it is computed alone or
+inside a batch; the interior entries are the same products grouped
+otherwise.  Last, the composed planes are rescaled to unit norm (_unit)
+and read as pairs (..., 2), by _last for a final and by _path for a
+path once the scan's workspace is released, so a path peaks at its
+planes and that workspace, 96 bytes a sample.  Every product and norm
+runs on arrays that keep the sample axis, even a final one of length 1:
+numpy rounds scalar arithmetic differently from its array loops.
 
 Every final propagator is built and folded by one driver (_final_pairs):
 sweep cells, so3_final and su2_final, gate scans and the mirror route.
@@ -176,15 +184,12 @@ def _pairs(S):
     return np.moveaxis(S, 0, -1)
 
 
-def _table(pulse):
-    """The field table (times, omega1, omega2, omega3) of a pulse."""
-    return pulse.times, pulse.omega1, pulse.omega2, pulse.omega3
-
-
 def _sampler(pulse):
-    """The field sampler of a pulse for _final_pairs: its field table over
-    samples lo:hi, (hi - lo,) each and shared by every row."""
-    return lambda rows, lo, hi: [f[lo:hi] for f in _table(pulse)]
+    """The field sampler of a pulse: its field table (times, omega1,
+    omega2, omega3) over samples lo:hi, (hi - lo,) each and shared by
+    every row."""
+    return lambda rows, lo, hi: [f[lo:hi] for f in (
+        pulse.times, pulse.omega1, pulse.omega2, pulse.omega3)]
 
 
 def _averages(table, out):
@@ -251,21 +256,6 @@ def _steps(avg, alpha, delta, v, out):
     return out
 
 
-def _step_planes(pulse, alpha, delta):
-    """Planes (2, B, n) of the identity and every step of the pulse, one
-    row per error pair."""
-    lead = np.broadcast_shapes(np.shape(pulse.omega1)[:-1], (len(alpha),))
-    n = np.shape(pulse.times)[-1]
-    # six arrays, not one block: a long pulse's fields in one block raise
-    # glibc's mmap threshold, and the heap then keeps more pages resident.
-    # The averages are broadcast to the rows, so the stage's scratch is
-    # the sixth array and three averages it has read
-    v = [np.empty(lead + (n - 1,)) for _ in range(6)]
-    S = np.empty((2,) + lead + (n,), dtype=complex)
-    avg = _averages(_table(pulse), v)
-    return _steps(avg, alpha, delta, (v[5], v[4], v[3], v[0]), S)
-
-
 def _mul(p, q, out, scratch=None):
     """Product p q of pair planes (2, ..., m) into out; q acts first.  out
     may share memory with p or q.  The four products go to scratch, four
@@ -324,8 +314,8 @@ def _scan(S):
     before its own; element 0 of every level, a carried one included, is
     its own prefix.  That is about 2 n products in 2 log2 n batched
     levels.  The last entry is the fold's root copied down, so it has the
-    bits of _last.  S holds the scan afterwards; returns it as pairs
-    (..., n, 2)."""
+    bits of _last before its rescale.  S holds the scan afterwards, not
+    rescaled; returns S, and the workspace is released on return."""
     lead, n = S.shape[1:-1], S.shape[-1]
     rows = math.prod(lead)
     sizes = [n]
@@ -351,7 +341,7 @@ def _scan(S):
         j = 1 - odd
         _mul(X[..., odd + 2 * j::2], Y[..., :k - j], X[..., odd + 2 * j::2],
              scratch[:4 * rows * (k - j)].reshape((4,) + lead + (k - j,)))
-    return _pairs(_unit(S))
+    return S
 
 
 def _fold(S, stop=1, scratch=None):
@@ -469,7 +459,23 @@ def _one_row(build, err: ErrorParams):
 
 
 def _path(pulse, err: ErrorParams):
-    return _scan(_one_row(lambda a, d: _step_planes(pulse, a, d), err))[0]
+    """Pairs (n, 2) of the pulse's path under err: the shared stages write
+    the steps into one row's planes, the scan composes them, and the
+    planes are rescaled once the stages' arrays and the scan's workspace
+    are released."""
+    n = pulse.n_samples
+
+    def steps(alpha, delta):
+        # six arrays, not one block: a long pulse's fields in one block
+        # raise glibc's mmap threshold, and the heap then keeps more pages
+        # resident.  The stage's scratch is the sixth array and three
+        # averages it has read
+        v = [np.empty((1, n - 1)) for _ in range(6)]
+        avg = _averages(_sampler(pulse)(None, 0, n), v)
+        return _steps(avg, alpha, delta, (v[5], v[4], v[3], v[0]),
+                      np.empty((2, 1, n), dtype=complex))
+
+    return _pairs(_unit(_scan(_one_row(steps, err))))[0]
 
 
 def _final(pulse, err: ErrorParams):

@@ -105,7 +105,8 @@ class OrbitConstants(NamedTuple):
     amp1..amp3 multiply the Jacobi functions on body axes 1..3; the
     rotating family carries (dn, cn, sn), the oscillating family
     (cn, dn, sn).  The argument is u = omega * t + u0 with parameter m,
-    and K is the quarter period K(m).
+    and K is the quarter period K(m).  energy is that of the base point
+    tre_initial, with the bits of topdyn.energy there.
     """
 
     amp1: float
@@ -148,14 +149,14 @@ def orbit_constants(p: TopParameters, eps: float, family: Family) -> OrbitConsta
         B = C * math.sqrt(1.0 - k**2)
         m = (k * C / A) ** 2
         omega = A * math.sqrt(1.0 - k**2)
-        E = 0.5 * A**2
+        L1 = eps
         amps = (A, B, C)
     else:
         A = math.sqrt(1.0 - k**2 + (k * eps) ** 2)
         B = k * C
         m = (1.0 - k**2) * (C / A) ** 2
         omega = k * A
-        E = 0.5 * (k * C) ** 2
+        L1 = 0.0
         amps = (B, A, C)
     if m >= 1.0:
         raise ValueError(f"eps = {eps} is too close to the separatrix at "
@@ -163,6 +164,10 @@ def orbit_constants(p: TopParameters, eps: float, family: Family) -> OrbitConsta
     K = complete_K(m)
     if not 4.0 * K / omega < math.inf:
         raise ValueError(f"k = {k}, eps = {eps}: the orbit's period overflows")
+    # the base point's energy with the bits of energy(tre_initial(...)):
+    # numpy squares L1 and L3 by multiplying, which x**2 need not match,
+    # and energy takes k**2 as here
+    E = 0.5 * (L1 * L1 + k**2 * (C * C))
     return OrbitConstants(*amps, m=m, omega=omega, u0=K, energy=E, K=K)
 
 

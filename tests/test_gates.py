@@ -56,6 +56,20 @@ def test_budget_matches_frozen_example():
     assert_allclose(b.geometric, -4.06788620121358, atol=1e-6)
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.floats(0.05, 0.95), st.floats(math.log(1e-6), math.log(0.98)),
+       st.sampled_from(list(Family)))
+def test_orbit_energy_is_the_base_point_energy_bit_for_bit(k, log_eps, family):
+    # one reading of 2 E T: the locator's closed-form phase and the loop
+    # budget take E from orbit_constants, with the bits of energy(L0)
+    p, eps = TopParameters(k), math.exp(log_eps)
+    oc = orbit_constants(p, eps, family)
+    assert oc.energy == float(energy(tre_initial(p, eps, family), p))
+    budget = gates._closed_budget(p, eps, family)
+    phi = float(gates._orbit_phases(p, [eps], family)[0][0])
+    assert phi == budget.dynamical - budget.geometric
+
+
 def test_geometric_shrinks_toward_small_loops():
     p = TopParameters(0.5)
     g99 = montgomery_phase(p, 0.99, Family.ROTATING).geometric
@@ -66,6 +80,12 @@ def test_geometric_shrinks_toward_small_loops():
 def test_montgomery_rejects_unclosed_loop():
     with pytest.raises(ValueError):
         montgomery_phase(TopParameters(0.5), 0.1, Family.ROTATING, n=33)
+    # no gap meets a NaN tolerance; an infinite one accepts every loop
+    with pytest.raises(ValueError, match="^the loop does not close at n = 3"):
+        montgomery_phase(TopParameters(0.5), 0.1, Family.ROTATING, n=3,
+                         closure_tol=math.nan)
+    montgomery_phase(TopParameters(0.5), 0.1, Family.ROTATING, n=3,
+                     closure_tol=math.inf)
 
 
 # a few samples leave the loop open by far (rotating n = 5 misses by
@@ -850,6 +870,10 @@ def test_synthesized_report_is_its_shipped_pulse_reading(k, n, target):
 def test_synthesize_rejects_non_unitary():
     with pytest.raises(ValueError):
         synthesize_one_qubit(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # a NaN norm would pass a test of norm > tolerance
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        with pytest.raises(ValueError, match="2x2 unitary"):
+            synthesize_one_qubit(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_geometric_phase_input_validation():

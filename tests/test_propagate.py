@@ -17,6 +17,7 @@ from scipy.integrate import solve_ivp
 from blochtop import propagate
 from blochtop.propagate import (
     ErrorParams,
+    _averages,
     _final,
     _final_pairs,
     _final_states,
@@ -25,9 +26,10 @@ from blochtop.propagate import (
     _mirror_final,
     _mul,
     _pairs,
+    _path,
     _rotations,
     _scan,
-    _step_planes,
+    _steps,
     _unit,
     adjoint_map,
     axis_angle_path,
@@ -553,8 +555,9 @@ _offsets = st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-1.0, 1.0)),
 @given(pulses(), _offsets)
 def test_reduce_is_last_scan_entry_bit_for_bit(pulse, pairs):
     alpha, delta = np.array(pairs).T
-    assert np.array_equal(_last(_step_planes(pulse, alpha, delta)),
-                          _scan(_step_planes(pulse, alpha, delta))[:, -1])
+    assert np.array_equal(
+        _last(averaged_step_planes(pulse, alpha, delta)),
+        _pairs(_unit(_scan(averaged_step_planes(pulse, alpha, delta))))[:, -1])
 
 
 def contiguous_step_planes(pulse, alpha, delta):
@@ -610,12 +613,23 @@ def averaged_step_planes(pulse, alpha, delta):
     return P
 
 
+def stage_planes(pulse, alpha, delta):
+    """Planes (2, B, n) from the shared stages, as the finals driver runs
+    them on a shared table: the pulse's interval averages (_averages)
+    once, then one step-stage row per error pair (_steps)."""
+    n, B = pulse.n_samples, len(alpha)
+    avg = _averages(propagate._sampler(pulse)(None, 0, n),
+                    np.empty((6, n - 1)))
+    return _steps(avg, alpha, delta, np.empty((4, B, n - 1)),
+                  np.empty((2, B, n), dtype=complex))
+
+
 @PROPERTY
 @given(pulses(), _offsets)
 def test_step_planes_are_built_in_place_bit_for_bit(pulse, pairs):
     # a zero-error row among the drawn ones
     alpha, delta = np.array(pairs + [(0.0, 0.0)]).T
-    S = _step_planes(pulse, alpha, delta)
+    S = stage_planes(pulse, alpha, delta)
     assert S.shape == (2, len(alpha), pulse.n_samples)
     assert S.tobytes() == averaged_step_planes(pulse, alpha, delta).tobytes()
     # rows without error keep the bits of the textbook order
@@ -628,13 +642,22 @@ def test_step_planes_are_built_in_place_bit_for_bit(pulse, pairs):
 @given(pulses(), _offsets)
 def test_step_pairs_are_textbook_steps_to_roundoff(pulse, pairs):
     alpha, delta = np.array(pairs).T
-    S = _step_planes(pulse, alpha, delta)
+    S = stage_planes(pulse, alpha, delta)
     eps = np.finfo(float).eps
     textbook = contiguous_step_planes(pulse, alpha, delta)
     assert np.max(np.abs(S - textbook)) <= 4 * eps
     x = S.view(float)
     norm = np.sum(x.reshape(2, len(alpha), -1, 2) ** 2, axis=(0, 3))
     assert np.max(np.abs(norm - 1.0)) <= 4 * eps
+
+
+@PROPERTY
+@given(pulses(), errors)
+def test_path_is_the_scan_of_the_stage_steps_bit_for_bit(pulse, err):
+    # every sample of the path, not only its endpoint
+    S = averaged_step_planes(pulse, [err.alpha], [err.delta])
+    assert (_path(pulse, err).tobytes()
+            == _pairs(_unit(_scan(S)))[0].tobytes())
 
 
 def mirror_final_reference(pulse, middle, axis):
@@ -734,9 +757,10 @@ def test_short_finals_are_path_endpoints_bit_for_bit(n):
     assert np.max(np.abs(U - U_ref)) <= TOL
     alpha = np.array([-0.4, -0.1, 0.0, 0.2, 0.5])
     delta = np.array([0.9, -0.3, 0.0, 0.6, -1.0])
-    scans = _scan(_step_planes(pulse, alpha, delta))
+    scans = _pairs(_unit(_scan(averaged_step_planes(pulse, alpha, delta))))
     for b in range(5):
-        alone = _scan(_step_planes(pulse, alpha[b:b + 1], delta[b:b + 1]))
+        alone = _pairs(_unit(_scan(averaged_step_planes(
+            pulse, alpha[b:b + 1], delta[b:b + 1]))))
         assert scans[b].tobytes() == alone[0].tobytes()
     M0 = np.array([0.6, 0.0, 0.8])
     batch = _final_states(pulse, M0, alpha, delta)
@@ -886,7 +910,7 @@ def test_two_stage_finals_are_single_cell_endpoints_bit_for_bit(grid):
 @given(_fold_n, st.integers(0, 2 ** 32 - 1), _offsets)
 def test_fold_stopped_and_resumed_is_one_pass_bit_for_bit(n, seed, pairs):
     alpha, delta = np.array(pairs).T
-    S = _step_planes(random_table(n, seed), alpha, delta)
+    S = averaged_step_planes(random_table(n, seed), alpha, delta)
     whole = _fold(S.copy())
     assert whole.shape == (2, len(alpha), 1)
     for stop in range(1, n + 1):
@@ -993,7 +1017,8 @@ def test_held_back_step_is_the_step_stage_step_bit_for_bit(
     for b, pulse in enumerate(pulses_):
         two = ControlPulse(pulse.times[n - 1:], pulse.omega1[n - 1:],
                            pulse.omega2[n - 1:], pulse.omega3[n - 1:])
-        step = _step_planes(two, alpha[b:b + 1], delta[b:b + 1])[:, 0, 1]
+        step = averaged_step_planes(two, alpha[b:b + 1],
+                                    delta[b:b + 1])[:, 0, 1]
         assert last[b].tobytes() == step.tobytes()
 
 
@@ -1015,9 +1040,9 @@ def test_stacked_mirror_final_in_spans_matches_planes_reference_bit_for_bit(
 @pytest.mark.parametrize("n", [16385, 16386, 100001])
 def test_long_finals_are_scan_endpoints_bit_for_bit(n):
     pulse = random_table(n, n)
-    S = _step_planes(pulse, [0.3], [-0.7])
+    S = averaged_step_planes(pulse, [0.3], [-0.7])
     final = _final(pulse, ErrorParams(alpha=0.3, delta=-0.7))
-    assert final.tobytes() == _scan(S)[0, -1].tobytes()
+    assert final.tobytes() == _pairs(_unit(_scan(S)))[0, -1].tobytes()
 
 
 @pytest.mark.parametrize("middle", [False, True])
@@ -1051,6 +1076,16 @@ def test_finals_take_one_fixed_size_workspace():
     # flat in n, up to a few Python objects
     for short, long in zip(*peaks):
         assert abs(short - long) <= 4096
+
+
+def test_paths_take_their_output_and_one_scan_workspace():
+    # a path's planes are 32 bytes a sample and the scan's workspace 64;
+    # the stage's arrays are released before the scan and the workspace
+    # before the rescale, which would otherwise add 48 bytes a sample
+    for n in (65537, 262145):
+        pulse = random_table(n, 3)
+        peak = traced_peak(lambda: _path(pulse, ErrorParams(0.1, 0.2)))
+        assert peak <= 100 * n
 
 
 @st.composite
