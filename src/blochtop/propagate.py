@@ -17,9 +17,22 @@ averages taken once per pulse, A_j = (w_j[1:] + w_j[:-1]) 0.5 dt, in
 this rounding order:
 
     v3    = (w3[1:] + w3[:-1] + 2 delta) 0.5 dt
-    phi^2 = g^2 (A1^2 + A2^2) + v3^2
+    phi^2 = g^2 (A1^2 + A2^2) + v3^2,  q = phi^2 0.25
     a     = cos(phi/2) - i s v3,  s = sin(phi/2) / phi
     c     = (s g) (A2 - i A1)
+
+The half-angle pair needs no libm (_half_angles): cos(phi/2) =
+sum_k (-q)^k / (2k)! and s = sum_k (-q)^k / (2 (2k+1)!) (DLMF 4.19),
+each cut before its first term below 2^-64 at q = _Q_BOUND (phi/2 <=
+0.05, five terms), are evaluated by Horner's rule, c_0 + q (c_1 + q
+(... + q c_4)), one real multiply or add per ufunc call.  The last add
+rounds once and the rest of the chain, at most q/2 in size, adds under
+0.01 ulp, so each is within 0.51 ulp of its exact value at the phi^2
+given; no SIMD dispatch can fuse its operations.  A stage call holding an element past the bound, or
+a NaN one, also runs the libm route, phi = sqrt(phi^2), s =
+sin(phi/2) / phi (1 in place of a zero divisor) and cos(phi/2), and
+those elements keep its bits.  An element's bits depend on its phi^2
+alone, never on what shares its call.
 
 A row with alpha = delta = 0 has the bits of the textbook order, which
 rescales and shifts the field samples before it averages them; other
@@ -125,6 +138,28 @@ _FORK_SAMPLES = 300_000
 # share the rest of their folds
 _FOLD_PAIRS = 1024
 
+# the half-angle polynomials of the step stage (_half_angles) serve
+# q = phi^2 / 4 up to this bound, phi / 2 <= 0.05, with five terms each.
+# Gate and long-pulse steps stay under 0.01 and most sweep steps under
+# 0.042; a call holding a larger step, such as some 513-sample loop-pulse
+# maps (up to 0.11), also runs the libm route
+_Q_BOUND = 0.0025
+
+
+def _series(odd):
+    """Maclaurin coefficients in q = phi^2 / 4 of cos(phi / 2) (odd = 0)
+    or sin(phi / 2) / phi (odd = 1), (-1)^k / ((1 + odd) (2k + odd)!),
+    each correctly rounded, up to the last term before one that is below
+    2^-64 of the leading term at q = _Q_BOUND."""
+    c, k = [], 0
+    while _Q_BOUND ** k / math.factorial(2 * k + odd) >= 2.0 ** -64:
+        c.append((-1) ** k / ((1 + odd) * math.factorial(2 * k + odd)))
+        k += 1
+    return tuple(c)
+
+
+_COS, _SINC = _series(0), _series(1)
+
 _SIGMA = np.array([
     [[0.0, 1.0], [1.0, 0.0]],
     [[0.0, -1.0j], [1.0j, 0.0]],
@@ -214,6 +249,46 @@ def _averages(table, out):
     return out[:5]
 
 
+def _horner(q, coefs, acc, out, where=True):
+    """out = c_0 + q (c_1 + q (... + q c_K)) of coefs (c_0, ..., c_K) by
+    Horner's rule, one real multiply or add a call, in the scratch acc
+    (which may be out); only where where is True.  Returns out."""
+    np.multiply(q, coefs[-1], out=acc, where=where)
+    for c in coefs[-2:0:-1]:
+        np.add(acc, c, out=acc, where=where)
+        np.multiply(acc, q, out=acc, where=where)
+    return np.add(acc, coefs[0], out=out, where=where)
+
+
+def _half_angles(p, cos, s, q, w):
+    """cos(phi / 2) into cos and s = sin(phi / 2) / phi into s, from
+    p = phi^2: the polynomials in q = p 0.25 of the module docstring, and
+    the libm route for elements past _Q_BOUND or NaN when a call holds
+    any.  cos, s, p and q are (..., m) float arrays, cos perhaps strided,
+    and p and q are overwritten; w is a complex (..., m) array contiguous
+    along its last axis whose bytes are scratch.  No other memory is
+    taken."""
+    np.multiply(p, 0.25, out=q)
+    # <=, not >: a NaN maximum must take the libm route too
+    if q.max(initial=0.0) <= _Q_BOUND:
+        _horner(q, _COS, p, cos)
+        _horner(q, _SINC, s, s)
+        return
+    # the libm route for every element, w's planes its scratch
+    np.sqrt(p, out=p)
+    np.multiply(p, 0.5, out=w.real)
+    np.equal(p, 0.0, out=w.imag)
+    p += w.imag
+    np.sin(w.real, out=s)
+    s /= p
+    np.cos(w.real, out=cos)
+    # then the polynomials where q is inside the bound, the mask in one
+    # byte of each element of w.imag
+    inside = np.less_equal(q, _Q_BOUND, out=w.view(bool)[..., 8::16])
+    _horner(q, _COS, p, cos, inside)
+    _horner(q, _SINC, w.real, s, inside)
+
+
 def _steps(avg, alpha, delta, v, out):
     """Planes out (2, B, ..., n) of the identity followed by the pairs of
     every step, one row per error pair (alpha[b], delta[b]), from the
@@ -221,12 +296,14 @@ def _steps(avg, alpha, delta, v, out):
     consume, written in place.  With g = 1 + alpha and v3 = (w3[1:] +
     w3[:-1] + 2 delta) 0.5 dt, the step rotates by phi, phi^2 =
     g^2 (A1^2 + A2^2) + v3^2, and its pair is a = cos(phi / 2) - i s v3,
-    c = (s g) (A2 - i A1), with s = sin(phi / 2) / phi.  v holds four
-    (B, ..., n - 1) scratch arrays; v[1] may be avg's A1^2 + A2^2, v[2]
-    its endpoint sums and v[3] its dt, each read for the last time before
-    it is overwritten.  Returns out."""
+    c = (s g) (A2 - i A1), with s = sin(phi / 2) / phi from _half_angles:
+    polynomials in q = phi^2 / 4 up to _Q_BOUND, and the libm route past
+    it.  v holds four (B, ..., n - 1) scratch arrays; v[1] may be avg's
+    A1^2 + A2^2, v[2] its endpoint sums and v[3] its dt, each read for
+    the last time before it is overwritten.  The planes of c are the half
+    angles' scratch until their own values are written.  Returns out."""
     dt, a1, a2, w3, a12 = avg
-    v3, phi, half, s = v
+    v3, p, q, s = v
     gain = 1.0 + np.asarray(alpha, dtype=float)[:, None]
     # delta is added to the endpoint sum, not to A3 after the scaling, so
     # a row with delta = 0 keeps the sign of a zero v3 on an interval of
@@ -234,23 +311,16 @@ def _steps(avg, alpha, delta, v, out):
     np.add(w3, 2.0 * np.asarray(delta, dtype=float)[:, None], out=v3)
     v3 *= 0.5
     v3 *= dt
-    np.multiply(a12, gain * gain, out=phi)
-    np.multiply(v3, v3, out=half)
-    phi += half
-    np.sqrt(phi, out=phi)
-    np.multiply(phi, 0.5, out=half)
-    # the divisor of sin(phi / 2): phi, and 1 in place of a zero phi
-    np.equal(phi, 0.0, out=s)
-    phi += s
-    np.sin(half, out=s)
-    s /= phi
+    np.multiply(a12, gain * gain, out=p)
+    np.multiply(v3, v3, out=q)
+    p += q
     out[0, ..., 0] = 1.0
     out[1, ..., 0] = 0.0
     a, c = out[0, ..., 1:], out[1, ..., 1:]
-    np.cos(half, out=a.real)
-    np.multiply(s, gain, out=half)
-    np.multiply(half, a2, out=c.real)
-    np.multiply(half, a1, out=c.imag)
+    _half_angles(p, a.real, s, q, c)
+    np.multiply(s, gain, out=p)
+    np.multiply(p, a2, out=c.real)
+    np.multiply(p, a1, out=c.imag)
     np.negative(s, out=s)
     np.multiply(s, v3, out=a.imag)
     return out

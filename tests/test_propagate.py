@@ -22,6 +22,7 @@ from blochtop.propagate import (
     _final_pairs,
     _final_states,
     _fold,
+    _half_angles,
     _last,
     _mirror_final,
     _mul,
@@ -560,6 +561,15 @@ def test_reduce_is_last_scan_entry_bit_for_bit(pulse, pairs):
         _pairs(_unit(_scan(averaged_step_planes(pulse, alpha, delta))))[:, -1])
 
 
+def half_angles(phi2):
+    """(cos(phi / 2), sin(phi / 2) / phi) of the step stage for phi^2,
+    taken apart from its planes (_half_angles on arrays of its own)."""
+    p = np.array(phi2, dtype=float)
+    cos, s, q = np.empty_like(p), np.empty_like(p), np.empty_like(p)
+    _half_angles(p, cos, s, q, np.empty(p.shape, dtype=complex))
+    return cos, s
+
+
 def contiguous_step_planes(pulse, alpha, delta):
     """Step planes built apart in the textbook order, the error pair
     applied to the field samples before they are averaged, as contiguous
@@ -574,11 +584,9 @@ def contiguous_step_planes(pulse, alpha, delta):
     v1 = interval(pulse.omega1 * gain)
     v2 = interval(pulse.omega2 * gain)
     v3 = interval(pulse.omega3 + delta)
-    phi = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
-    half = 0.5 * phi
-    s = np.sin(half) / np.where(phi == 0.0, 1.0, phi)
-    S = np.empty((2,) + phi.shape, dtype=complex)
-    np.cos(half, out=S[0].real)
+    cos, s = half_angles(v1 * v1 + v2 * v2 + v3 * v3)
+    S = np.empty((2,) + cos.shape, dtype=complex)
+    S[0].real = cos
     np.multiply(s, v2, out=S[1].real)
     np.negative(s, out=s)
     np.multiply(s, v3, out=S[0].imag)
@@ -601,12 +609,11 @@ def averaged_step_planes(pulse, alpha, delta):
     a1 = 0.5 * (pulse.omega1[1:] + pulse.omega1[:-1]) * dt
     a2 = 0.5 * (pulse.omega2[1:] + pulse.omega2[:-1]) * dt
     v3 = (pulse.omega3[1:] + pulse.omega3[:-1] + 2.0 * delta) * 0.5 * dt
-    phi = np.sqrt(g * g * (a1 * a1 + a2 * a2) + v3 * v3)
-    s = np.sin(0.5 * phi) / np.where(phi == 0.0, 1.0, phi)
-    P = np.empty((2,) + phi.shape[:-1] + (phi.shape[-1] + 1,), dtype=complex)
+    cos, s = half_angles(g * g * (a1 * a1 + a2 * a2) + v3 * v3)
+    P = np.empty((2,) + cos.shape[:-1] + (cos.shape[-1] + 1,), dtype=complex)
     P[0, ..., 0] = 1.0
     P[1, ..., 0] = 0.0
-    np.cos(0.5 * phi, out=P[0, ..., 1:].real)
+    P[0, ..., 1:].real = cos
     np.multiply(-s, v3, out=P[0, ..., 1:].imag)
     np.multiply(s * g, a2, out=P[1, ..., 1:].real)
     np.multiply(-(s * g), a1, out=P[1, ..., 1:].imag)
@@ -658,6 +665,73 @@ def test_path_is_the_scan_of_the_stage_steps_bit_for_bit(pulse, err):
     S = averaged_step_planes(pulse, [err.alpha], [err.delta])
     assert (_path(pulse, err).tobytes()
             == _pairs(_unit(_scan(S)))[0].tobytes())
+
+
+def libm_half_angles(phi2):
+    """The step stage's libm route: phi = sqrt(phi^2), then cos(phi / 2)
+    and sin(phi / 2) / phi, 1 in place of a zero divisor."""
+    phi = np.sqrt(phi2)
+    return np.cos(0.5 * phi), np.sin(0.5 * phi) / np.where(phi == 0.0, 1.0, phi)
+
+
+_BOUND_PHI2 = 4.0 * propagate._Q_BOUND
+# inside the bound (its edge, zero and subnormals included) and past it
+_phi2 = st.one_of(st.sampled_from([0.0, 5e-324, _BOUND_PHI2]),
+                  st.floats(0.0, 2.0 ** -1022), st.floats(0.0, _BOUND_PHI2),
+                  st.floats(_BOUND_PHI2, 1e6, exclude_min=True))
+
+
+@PROPERTY
+@given(st.lists(_phi2, min_size=1, max_size=24))
+def test_half_angles_hold_half_an_ulp_inside_the_bound_and_libm_past_it(phi2):
+    phi2 = np.array(phi2)
+    cos, s = half_angles(phi2)
+    inside = 0.25 * phi2 <= propagate._Q_BOUND
+    libm_cos, libm_s = libm_half_angles(phi2)
+    assert cos[~inside].tobytes() == libm_cos[~inside].tobytes()
+    assert s[~inside].tobytes() == libm_s[~inside].tobytes()
+    # the polynomials against 140-bit values at the phi^2 given
+    with mpmath.workprec(140):
+        for x, c, t in zip(phi2[inside], cos[inside], s[inside]):
+            phi = mpmath.sqrt(mpmath.mpf(x))
+            exact = (mpmath.cos(phi / 2),
+                     mpmath.sin(phi / 2) / phi if x else mpmath.mpf(0.5))
+            for got, e in zip((c, t), exact):
+                assert abs(mpmath.mpf(got) - e) <= 0.51 * math.ulp(float(e))
+    # an element's bits are its own, whatever shares its call
+    for i in range(len(phi2)):
+        alone_cos, alone_s = half_angles(phi2[i:i + 1])
+        assert alone_cos.tobytes() == cos[i:i + 1].tobytes()
+        assert alone_s.tobytes() == s[i:i + 1].tobytes()
+
+
+def test_a_nan_step_sends_its_call_down_the_libm_route():
+    # a pi pulse in 8 steps of pi / 8, past the bound, whose last interval
+    # has no field: under alpha = 1e160, g^2 overflows, so that row's
+    # steps are infinite and its last one 0 inf = NaN.  The NaN maximum of
+    # the call must not read as inside the bound, which would send the
+    # finite row's steps to the polynomials
+    times = np.linspace(0.0, math.pi, 9)
+    w1 = np.concatenate([np.ones(7), np.zeros(2)])
+    pulse = ControlPulse(times, w1, np.zeros(9), np.zeros(9))
+    alpha, delta = np.array([0.1, 1e160]), np.zeros(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = stage_planes(pulse, alpha, delta)
+    assert np.isnan(S[:, 1, -1]).all()
+    assert (S[:, 0].tobytes()
+            == stage_planes(pulse, alpha[:1], delta[:1])[:, 0].tobytes())
+    M0 = (0.0, 0.0, 1.0)
+    for propagator in (lambda e: bloch_propagate(pulse, M0, e),
+                       lambda e: su2_final(pulse, e)):
+        with pytest.raises(ValueError, match=re.escape("alpha = 1e+160")
+                           + ".*overflows"):
+            propagator(ErrorParams(alpha=1e160))
+    rmap = sweep(pulse, M0, alpha, [0.0])
+    assert rmap.flags[:, 0].tolist() == [0, 1]
+    assert rmap.values[0, 0] == merit_J3(bloch_propagate(
+        pulse, M0, ErrorParams(alpha=0.1)))
+    assert rmap.meta["failed_cells"] == [{"index": [1, 0],
+                                          "reason": "non-finite merit"}]
 
 
 def mirror_final_reference(pulse, middle, axis):
