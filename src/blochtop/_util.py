@@ -4,14 +4,18 @@ Every CSV value is written as "%.17g" % value, and a sha256 sidecar pins
 the bytes.  write_csv and dump_json return the sha256 of the bytes they
 wrote, hashed as they write them, so no artifact is read back for its
 digest.  Formatting is most of a long table's write, so write_csv
-formats every block of rows with numpy (_format17: Dekker's exact
-product against a double-double table of 10**k, then a fixed layout of
-32 bytes a value that one bytes.translate compacts) and hands the few
-values it cannot round exactly to CPython's "%.17g".  Its tables
-(_format17_tables, about 290 KB) hold digit lookups and one column per
-exponent E: the layout rows and whole[E], the digits fixed notation
-keeps whatever their value; a value's point and the digits it keeps
-follow from whole[E] and the place of its last nonzero digit.  Tables of
+formats every block of _CSV_BLOCK_VALUES values with numpy (_format17:
+the decimal exponent read exactly from the exponent field, Dekker's
+exact product against a double-double table of 10**k, then a fixed
+layout of 32 bytes a value that one bytes.translate compacts) and hands
+the few values it cannot round exactly to CPython's "%.17g".  Every
+stage writes into one workspace per thread (_workspace), allocated on
+first use and never freed.  The tables (_format17_tables, about 270 KB)
+hold digit lookups and one row per exponent E: the binade's first row
+and the step to the next, the power 10**(16 - E), the layout and
+whole[E], the digits fixed notation keeps whatever their value; a
+value's point and the digits it keeps follow from whole[E] and the place
+of its last nonzero digit.  Tables of
 _CSV_FORK_VALUES values or more are split (_split) with one forked
 child (_in_two), which formats its rows into shared memory; this
 process writes and hashes every byte.  The sweep kernel forks through
@@ -27,25 +31,27 @@ import math
 import mmap
 import os
 import signal
+import sys
+import threading
 import types
 
 import numpy as np
 
 
-# rows per formatted block.  Each block costs _format17 about 0.1 ms of
-# fixed work, and one workspace of _VALUE_BYTES a value serves all full
-# blocks of a table.  Gate-design job streams ran 77.7 jobs/s with 1024
-# rows against 73.7 with 512 and 74.2 with 2048 (medians of 4
-# fresh-process replays on a shared 2-CPU host, at 48 bytes a value).
-# 1000 rows of four columns are 128,000 bytes, under glibc's 128 KiB
-# mmap threshold, but that saved no page faults: an in-process 108-job
-# gate-design replay took 659-711 minor faults with 1000-row blocks and
-# 572-631 with 1024-row blocks (32 bytes a value)
-_CSV_BLOCK_ROWS = 1000
-# values (rows x columns) from which write_csv forks.  On a shared 2-CPU
-# host the fork lost at 16,385 x 4 (three pulse jobs, 77.6 against 73.6
-# ms in one process, one process faster on 21 of 25 alternations) and
-# won at 24,577 x 4 (65.7 against 71.8 ms, 16 of 25) and above
+# values per formatted block: a table of c columns goes in blocks of
+# max(1, _CSV_BLOCK_VALUES // c) rows (_block_rows), so pulses, axis-angle
+# and propagator tables fill blocks of one size in one pooled workspace
+# (_workspace).  In-process _blocks against the 1,000-row blocks before
+# (median ratios of 10 interleaved rounds on a shared 2-CPU host, on
+# 16,385 x 4, 65,537 x 4, 65,537 x 6 and 12,288 x 4 tables): 4,096
+# values 0.86-0.92, 8,192 values 0.76-0.83, 16,384 values 0.74-0.87
+_CSV_BLOCK_VALUES = 8192
+# values (rows x columns) from which write_csv forks.  write_csv of a
+# tre pulse table on a shared 2-CPU host, one process against forked
+# (medians of 30 alternations): 13.61 against 14.83 ms at 16,385 x 4
+# (one process faster in 26 of 30), 16.81 against 17.82 at 24,577 x 4
+# (18 of 30; with 1,000-row blocks the fork won there, 65.7 against
+# 71.8 ms in a slower run) and 51.58 against 38.34 at 65,537 x 4 (2 of 30)
 _CSV_FORK_VALUES = 98304
 # bytes of the forked writer's text written and hashed at a time, and
 # then released: this process's RSS grows by one piece, not the text
@@ -62,7 +68,19 @@ _PIECE_BYTES = 1 << 16
 _VALUE_BYTES = 32
 _LE64 = np.dtype("<u8")
 _POW10_MIN, _POW10_MAX = -280, 308
-_EXP_MIN = -300              # the exponent of the first layout row
+# numpy formats |x| in [2**-964, 2**964), the binades that hold
+# [1e-290, 1e290]: their exponents E run from -291 to 290, and every
+# 10**(16 - E) is in the power tables
+_FAST_BINADES = (-964, 963)
+_EXP_MIN, _EXP_MAX = -291, 290   # the exponents of the first and last rows
+# after the exponent rows, the row of +-0 and the row of the values
+# "%.17g" itself formats
+_ZERO = _EXP_MAX - _EXP_MIN + 1
+_SLOW = _ZERO + 1
+# a value's sign bit is copied from the top byte of its double into its
+# first byte, and the translate that deletes the NULs turns it into "-"
+_SIGN_BYTE = 7 if sys.byteorder == "little" else 0
+_SIGN = bytes.maketrans(b"\x80", b"-")
 
 
 def _pow10():
@@ -82,6 +100,14 @@ def _pow10():
             lo.append((den - num * d) / (den * d))
         hi.append(h)
     return np.array(hi), np.array(lo)
+
+
+def _at_least(num: int, den: int) -> float:
+    """The smallest double >= num / den: int / int is correctly
+    rounded."""
+    h = num / den
+    n, d = h.as_integer_ratio()
+    return h if n * den >= num * d else math.nextafter(h, math.inf)
 
 
 def _word(b: bytes) -> int:
@@ -119,22 +145,45 @@ def _format17_tables() -> types.SimpleNamespace:
     last = [np.frombuffer(kept.translate(bytes(
         4 * j + k if 0 < k <= 4 else 0 for k in range(256))), np.uint8)
         for j in range(4)]
-    # word 0's sign and digit 0, by digit + 11 * sign; digit 10 is the
-    # carry D = 10**17, a 1 with the exponent one up
-    lead = np.array([_word(b"-" * s + b"\0" * (6 - s)
-                           + b"01234567891"[d:d + 1])
-                     for s in (0, 1) for d in range(11)], np.uint64)
-    # a row per exponent x, point or none, "," or "\n": the prefix, the
-    # point, the exponent and the separator
-    xs = range(_EXP_MIN, -_EXP_MIN + 10)
+    # lead[d]: word 0's digit 0, in byte 6
+    lead = np.array([_word(bytes(6) + bytes([48 + d])) for d in range(10)],
+                    np.uint64)
+    # rows r, one per exponent E = _EXP_MIN + r, then the zero row, laid
+    # out as E = 0, and the slow row
+    Es = range(_EXP_MIN, _EXP_MAX + 1)
+    # row_of[e]: the row a value of exponent field e starts on: that of
+    # floor(log10 2**(e - 1023)) in the fast binades, the zero row for ±0
+    # and the subnormals, and the slow row otherwise.  ten[r]: the
+    # smallest double >= 10**(E + 1) - 5 * 10**(E - 17), the first that
+    # rounds to 10**(E + 1) in 17 digits, so |x| >= ten[r] moves a value
+    # one row up to the exponent "%.17g" writes; it moves a subnormal from
+    # the zero row to the slow row, and nothing from there
+    # floor(q log10 2) is exact: for 0 < |q| <= 1074, q log10 2 lies at
+    # least 4.5e-4 from a whole number (closest at q = 485)
+    low, high = _FAST_BINADES
+    row_of = np.full(2048, _SLOW, np.intp)
+    row_of[0] = _ZERO
+    row_of[1023 + low:1024 + high] = np.floor(
+        np.arange(low, high + 1) * math.log10(2)) - _EXP_MIN
+    ten = np.array([_at_least((10 ** 18 - 5) * 10 ** max(E - 17, 0),
+                              10 ** max(17 - E, 0)) for E in Es]
+                   + [5e-324, math.inf])
+    # the power 10**(16 - E) of each row as hh + hl + lo, and 0 on the
+    # zero and slow rows
+    k = 16 - _POW10_MIN - np.arange(_EXP_MIN, _EXP_MAX + 1)
+    hh, hl, lo = (np.concatenate([v[k], np.zeros(2)])
+                  for v in (hh, hi - hh, lo))
+    # by row, point or none: the prefix, the point, the exponent and the
+    # separator ","; the last column's becomes "\n" in _format17
     layout = bytearray()
-    for x in xs:
+    for x in [*Es, 0, None]:
         row = bytearray(_VALUE_BYTES)
+        row[31] = ord(",")
         slot = 7                 # d.ddd, and d.ddde+XX to d.ddde-XXX
-        if 0 < x < 16:           # dd.ddd to ddd.ddd: after digit x
-            slot = 8 + x
-        elif x == 16:            # 17 whole digits and no fraction
+        if x is None or x == 16:  # the slow row; 17 whole digits
             slot = 0
+        elif 0 < x < 16:         # dd.ddd to ddd.ddd: after digit x
+            slot = 8 + x
         elif -4 <= x < 0:        # 0.000ddd: the point is in the prefix
             slot = 0
             prefix = b"0." + b"0" * (-x - 1)
@@ -143,21 +192,19 @@ def _format17_tables() -> types.SimpleNamespace:
             row[25:30] = b"e%c%03d" % (b"-+"[x > 0], abs(x))
             if abs(x) < 100:
                 row[27] = 0
-        for point in (0, 1):     # row 4 * r + 2 * point + sep
+        for point in (0, 1):     # row 2 * r + point
             row[slot] = ord(".") if point and slot else 0
-            for sep in b",\n":
-                row[31] = sep
-                layout += row
+            layout += row
     # whole[r]: how many of digits 1-16 fixed notation keeps whatever
-    # their value, for the exponent E of layout row r: E for 0 <= E < 17
-    # and none otherwise.  ones[w][c]: the bytes of digit word w + 1 that
+    # their value, for the exponent E of row r: E for 0 <= E < 17 and
+    # none otherwise.  ones[w][c]: the bytes of digit word w + 1 that
     # hold digits 1 to c
     ones = [b"\xff" * c + bytes(16 - c) for c in range(17)]
     tables = types.SimpleNamespace(
-        hh=hh, hl=hi - hh, lo=lo, quad=quad, last=last, lead=lead,
-        layout=np.frombuffer(layout, _LE64).reshape(-1, 4),
-        whole=np.frombuffer(bytes(x if 0 <= x < 17 else 0 for x in xs),
-                            np.uint8),
+        row_of=row_of, ten=ten, hh=hh, hl=hl, lo=lo, quad=quad, last=last,
+        lead=lead, layout=np.frombuffer(layout, _LE64).reshape(-1, 4),
+        whole=np.frombuffer(bytes(x if 0 <= x < 17 else 0 for x in Es)
+                            + bytes(2), np.uint8),
         ones=[np.frombuffer(b"".join(m[8 * w:8 * w + 8] for m in ones),
                             _LE64) for w in (0, 1)])
     for t in vars(tables).values():
@@ -166,111 +213,204 @@ def _format17_tables() -> types.SimpleNamespace:
     return tables
 
 
-def _digits17(a, exp, tables):
-    """(D, f): D = round(a * 10**(16 - exp)) as int64, and f the distance
-    of the exact product from D.
+# _format17's stage arrays by name: the lane, of 8 bytes a value, each
+# lies on, and its dtype.  The arrays of one lane are never live at once,
+# so a block's stages run in nine lanes, and its bytes and booleans in
+# four more of one byte
+_LANES = {
+    "a": (0, np.float64), "g1": (0, np.intp),
+    "e": (1, np.intp), "ah": (1, np.float64), "q": (1, np.intp),
+    "w2": (1, np.uint64),
+    "r": (2, np.intp), "mask": (2, np.uint64),
+    "ten": (3, np.float64), "bh": (3, np.float64), "D": (3, np.intp),
+    "kept": (3, np.intp),
+    "bl": (4, np.float64), "ri": (4, np.intp), "hi8": (4, np.intp),
+    "al": (5, np.float64), "lo8": (5, np.intp),
+    "p": (6, np.float64), "d0": (6, np.intp),
+    "t": (7, np.float64), "w1": (7, np.uint64),
+    "tmp": (8, np.float64), "g3": (8, np.intp)}
+_BYTE_LANES = {"place": (0, np.uint8), "whole": (1, np.uint8),
+               "step": (2, np.bool_), "slow": (3, np.bool_)}
+
+
+class _Workspace:
+    """The 32-byte layout buffer and _format17's stage lanes for blocks of
+    up to `values` values, allocated once."""
+
+    def __init__(self, values: int):
+        self.values = values
+        self.layout = bytearray(_VALUE_BYTES * values)
+        self.lanes = np.empty((1 + max(k for k, _ in _LANES.values()),
+                               values), np.uint64)
+        self.byte_lanes = np.empty(
+            (1 + max(k for k, _ in _BYTE_LANES.values()), values), np.uint8)
+        self._cut = None
+
+    def cut(self, n: int) -> types.SimpleNamespace:
+        """The stage arrays, n values long; the cut last asked for is
+        kept, so the full blocks of a table share one."""
+        if self._cut is None or self._cut.n != n:
+            self._cut = types.SimpleNamespace(n=n, **{
+                name: lanes[lane].view(dtype)[:n]
+                for lanes, table in ((self.lanes, _LANES),
+                                     (self.byte_lanes, _BYTE_LANES))
+                for name, (lane, dtype) in table.items()})
+        return self._cut
+
+
+_POOL = threading.local()
+
+
+def _workspace(values: int) -> _Workspace:
+    """This thread's pooled workspace, of _CSV_BLOCK_VALUES values, made
+    on first use and never freed, so no stage's temporaries move glibc's
+    mmap threshold; a forked child uses its inherited copy.  One per
+    thread, since numpy lets other threads run inside its loops.  A block
+    of more values gets a workspace of its own."""
+    ws = getattr(_POOL, "ws", None)
+    if ws is None:
+        ws = _POOL.ws = _Workspace(_CSV_BLOCK_VALUES)
+    return ws if values <= ws.values else _Workspace(values)
+
+
+def _rows(x, tables, s):
+    """|x| into s.a, and into s.r the row of the exponent E of its 17
+    significant digits, the zero row for ±0 or the slow row.  The
+    exponent field picks the row of its binade's lowest exponent, and one
+    compare moves a value up a row.  |x| is capped at 2**964 before the
+    compare, so the slow values' inf and nan meet no arithmetic."""
+    a = np.abs(x, out=s.a)
+    np.right_shift(a.view(np.intp), 52, out=s.e)
+    tables.row_of.take(s.e, out=s.r, mode="clip")
+    np.fmin(a, 2.0 ** (_FAST_BINADES[1] + 1), out=a)
+    tables.ten.take(s.r, out=s.ten, mode="clip")
+    np.greater_equal(a, s.ten, out=s.step)
+    s.r += s.step
+
+
+def _digits17(tables, s):
+    """D = round(a * 10**(16 - E)) into s.D, and f, the distance of the
+    exact product from D, into s.t, for a in s.a and E by its row s.r.
 
     Dekker's (1971) exact product gives a * hi = p + err, and the
     tail adds a * lo.  p is a whole number of 2**53 or more and
     t = err + a * lo is exact to 4e-15, so D = p + rint(t) is the rounded
-    product wherever |f| is not within that of a half."""
-    k = 16 - _POW10_MIN - exp
-    bh, bl = tables.hh[k], tables.hl[k]
-    c = 134217729.0 * a          # 2**27 + 1 splits a
-    ah = c - (c - a)
-    al = a - ah
-    p = a * (bh + bl)
-    t = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * tables.lo[k]
-    r = np.rint(t)
-    return p.astype(np.int64) + r.astype(np.int64), t - r
+    product wherever |f| is not within that of a half.  The zero and
+    slow rows give D = 0."""
+    a, bh, bl, ah, al, p, t, tmp = (s.a, s.bh, s.bl, s.ah, s.al, s.p, s.t,
+                                    s.tmp)
+    tables.hh.take(s.r, out=bh, mode="clip")
+    tables.hl.take(s.r, out=bl, mode="clip")
+    np.multiply(a, 134217729.0, out=ah)      # 2**27 + 1 splits a
+    np.subtract(ah, a, out=al)
+    np.subtract(ah, al, out=ah)
+    np.subtract(a, ah, out=al)
+    np.add(bh, bl, out=p)
+    p *= a
+    np.multiply(ah, bh, out=t)
+    t -= p
+    for u, v in ((ah, bl), (al, bh), (al, bl)):
+        np.multiply(u, v, out=tmp)
+        t += tmp
+    tables.lo.take(s.r, out=tmp, mode="clip")
+    tmp *= a
+    t += tmp
+    np.rint(t, out=tmp)
+    t -= tmp
+    np.copyto(s.D, p, casting="unsafe")
+    np.copyto(s.ri, tmp, casting="unsafe")
+    s.D += s.ri
 
 
-def _format17(block, buf: bytearray) -> bytes:
+def _format17(block, buf) -> bytes:
     """The rows of a 2-D float block, every value as "%.17g" % value,
     "," between values and a newline after each row.  buf is the caller's
-    workspace, exactly _VALUE_BYTES a value: any other size raises
-    ValueError.
+    32-byte layout buffer, exactly _VALUE_BYTES a value: any other size
+    raises ValueError.  The stages write into _workspace's lanes; only
+    the values _point_shift moves and the slow values get arrays of their
+    own.  Every gather passes mode="clip": each index is in range, and
+    the default mode="raise" gathers through a buffer and copies it out.
 
-    The 17 significant digits of |x| are D = round(|x| * 10**(16 - E)),
-    E = floor(log10 |x|) (_digits17).  The estimate of E is one low at
-    most, which a D above 10**17 shows; D = 10**17 is a carry, digit 0
-    reads 1 and E goes one up.  Each value is laid out as "%g" lays out
-    D and E: fixed notation for -4 <= E < 17, d.ddde+XX otherwise,
-    trailing zeros stripped.  In the 32-byte layout above, the layout
-    row of E, the point and the separator is or-ed with the sign and
-    digit 0 (word 0) and with digits 1-16 (words 1 and 2, two 4-digit
-    lookups each, masked after the last digit kept), _point_shift puts
-    in the point of fixed notation with 1 <= E <= 15, and one
-    bytes.translate deletes the NULs.  The values this cannot round
-    exactly go to "%.17g" itself: a product within 1e-9 of a tie, |x|
-    outside [1e-290, 1e290] (subnormals included), inf and nan.  No
-    numpy warning is raised.
+    "%.17g" writes the 17 significant digits D = round(|x| * 10**(16 - E))
+    (_digits17), where E, the exponent of |x| rounded to 17 digits, comes
+    exactly from the exponent field and one compare (_rows), so
+    10**16 <= D < 10**17.  Each value is laid out as "%g" lays out D and
+    E: fixed notation for -4 <= E < 17, d.ddde+XX otherwise, trailing
+    zeros stripped.  In the 32-byte layout above, the layout row of E and
+    the point is or-ed with the sign and digit 0 (word 0) and with digits
+    1-16 (words 1 and 2, two 4-digit lookups each, masked after the last
+    digit kept), _point_shift puts in the point of fixed notation with
+    1 <= E <= 15, and one bytes.translate deletes the NULs.  The values
+    this cannot round exactly go to "%.17g" itself: a product within 1e-9
+    of a tie, |x| outside [2**-964, 2**964) but not 0 (subnormals
+    included), inf and nan.  No numpy warning is raised.
     """
     rows, cols = block.shape
-    if len(buf) != _VALUE_BYTES * rows * cols:
-        raise ValueError(f"workspace of {len(buf)} bytes for {rows * cols} "
+    n = rows * cols
+    if len(buf) != _VALUE_BYTES * n:
+        raise ValueError(f"workspace of {len(buf)} bytes for {n} "
                          f"values, not {_VALUE_BYTES} a value")
-    x = block.ravel()
-    a = np.abs(x)
-    zero = a == 0
-    slow = ~((a >= 1e-290) & (a <= 1e290) | zero)
-    a[slow | zero] = 1.0
-    # floor(log10 a), or one less within 1e-12 of a power of ten; a zero
-    # reads as 1.0, whose estimate -1 carries to 0 below
-    exp = np.floor(np.log10(a) - 1e-12).astype(np.intp)
     tables = _format17_tables()
-    D, f = _digits17(a, exp, tables)
-    low = np.flatnonzero(D > 10 ** 17)
-    if low.size:
-        exp[low] += 1
-        D[low], f[low] = _digits17(a[low], exp[low], tables)
-    slow |= np.abs(f) > 0.5 - 1e-9
-    exp += D == 10 ** 17
-    D[zero] = 0
-    # digit 0 (10 for D = 10**17), then digits 1-16 in four groups of four
-    hi8 = D // 10 ** 8
-    lo8 = D - hi8 * 10 ** 8
-    d0 = hi8 // 10 ** 8
-    hi8 -= d0 * 10 ** 8
-    g1 = hi8 // 10000
-    g3 = lo8 // 10000
-    groups = (g1, hi8 - g1 * 10000, g3, lo8 - g3 * 10000)
-    place = tables.last[0][g1]
+    s = _workspace(n).cut(n)
+    x = block.ravel()
+    _rows(x, tables, s)
+    _digits17(tables, s)
+    np.abs(s.t, out=s.t)
+    np.greater(s.t, 0.5 - 1e-9, out=s.slow)
+    np.equal(s.r, _SLOW, out=s.step)
+    s.slow |= s.step
+    slow = s.slow.nonzero()[0]
+    # digit 0, then digits 1-16 in four groups of four
+    D, hi8, lo8, d0, q = s.D, s.hi8, s.lo8, s.d0, s.q
+    np.floor_divide(D, 10 ** 8, out=hi8)
+    np.multiply(hi8, 10 ** 8, out=q)
+    np.subtract(D, q, out=lo8)
+    np.floor_divide(hi8, 10 ** 8, out=d0)
+    np.multiply(d0, 10 ** 8, out=q)
+    hi8 -= q
+    groups = (s.g1, hi8, s.g3, lo8)
+    for g, rest in ((s.g1, hi8), (s.g3, lo8)):
+        np.floor_divide(rest, 10000, out=g)
+        np.multiply(g, 10000, out=q)
+        rest -= q
+    place = tables.last[0].take(s.g1, out=s.place, mode="clip")
     for j in (1, 2, 3):
-        np.maximum(place, tables.last[j][groups[j]], out=place)
-    # layout row r = E - _EXP_MIN: row 4 r + 2 point, plus 1 in the last
-    # column, with a point if the last nonzero digit is past the whole
-    # digits, and digits 1 to max(place, whole) kept
-    exp -= _EXP_MIN
-    whole = tables.whole[exp]
-    point = place > whole
-    row = 4 * exp
-    row += 2 * point
-    row.reshape(rows, cols)[:, -1] += 1
+        last = tables.last[j].take(groups[j], out=s.whole, mode="clip")
+        np.maximum(place, last, out=place)
+    # a point if the last nonzero digit is past the whole digits, and
+    # digits 1 to max(place, whole) kept
+    whole = tables.whole.take(s.r, out=s.whole, mode="clip")
+    point = np.greater(place, whole, out=s.step)
+    kept = np.maximum(place, whole, out=s.kept)
     out = np.frombuffer(buf, _LE64).reshape(-1, 4)
-    # every row is in range; mode="raise" would gather through a
-    # buffer and copy it into out
-    np.take(tables.layout, row, axis=0, out=out, mode="clip")
-    d0 += 11 * np.signbit(x)
-    out[:, 0] |= tables.lead[d0]
-    # an intp index: numpy casts a uint8 one at every gather
-    kept = np.maximum(place, whole).astype(np.intp)
-    words = []
-    for w in (0, 1):
-        word = tables.quad[0][groups[2 * w]]
-        word |= tables.quad[1][groups[2 * w + 1]]
-        word &= tables.ones[w][kept]
-        words.append(word)
-    _point_shift(words, point & (whole > 0), whole, out, tables)
+    # the layout row 2 r + point
+    row = s.r
+    row <<= 1
+    row += point
+    tables.layout.take(row, axis=0, out=out, mode="clip")
+    out.view(np.uint8).reshape(rows, -1)[:, -1] = ord("\n")
+    # byte 0: the sign bit, 0x80 or 0, which the translate below turns
+    # into "-"; digit 0 goes in byte 6
+    np.bitwise_and(x.view(np.uint8)[_SIGN_BYTE::8], 0x80,
+                   out=out.view(np.uint8)[:, 0])
+    out[:, 0] |= tables.lead.take(d0, out=s.w1, mode="clip")
+    words = (s.w1, s.w2)
+    for w, word in enumerate(words):
+        tables.quad[0].take(groups[2 * w], out=word, mode="clip")
+        word |= tables.quad[1].take(groups[2 * w + 1], out=s.mask,
+                                    mode="clip")
+        word &= tables.ones[w].take(kept, out=s.mask, mode="clip")
+    moved = np.greater(whole, 0, out=s.slow)
+    moved &= point
+    _point_shift(words, moved, whole, out, tables)
     out[:, 1] |= words[0]
     out[:, 2] |= words[1]
-    slow = np.flatnonzero(slow)
     if slow.size:
         out.view(np.uint8)[slow, :31] = np.frombuffer(
             _cpython17(x[slow].tolist()), np.uint8).reshape(-1, 31)
     # bytes.translate ran about a third faster than bytearray.translate
     # on these rows, the copy included
-    return bytes(buf).translate(None, b"\0 ")
+    return bytes(buf).translate(_SIGN, b"\0 ")
 
 
 def _point_shift(words, moved, whole, out, tables):
@@ -283,7 +423,7 @@ def _point_shift(words, moved, whole, out, tables):
     masks ran as fast on pulse tables, 2% faster where a t column from 0
     to 37.5 needs it on 73% of its rows, and slower on sweep maps and
     axis-angle tables, where few values or none need it."""
-    at = np.flatnonzero(moved)
+    at = moved.nonzero()[0]
     if not at.size:
         return
     c = whole[at].astype(np.intp)
@@ -306,16 +446,21 @@ def _cpython17(values: list) -> bytes:
     return (("%-31.17g" * len(values)) % tuple(values)).encode("ascii")
 
 
+def _block_rows(cols: int) -> int:
+    """Rows per block of a table of cols columns."""
+    return max(1, _CSV_BLOCK_VALUES // max(cols, 1))
+
+
 def _blocks(data, start: int, stop: int):
     """The bytes of rows start:stop, _format17's for each block of
-    _CSV_BLOCK_ROWS rows.  The full blocks share one workspace, and a
-    shorter last block gets its own, each exactly _VALUE_BYTES a value."""
-    buf = bytearray()
-    for i in range(start, stop, _CSV_BLOCK_ROWS):
-        block = data[i:min(i + _CSV_BLOCK_ROWS, stop)]
-        if len(buf) != _VALUE_BYTES * block.size:
-            buf = bytearray(_VALUE_BYTES * block.size)
-        yield _format17(block, buf)
+    _block_rows rows, formatted in the pooled workspace's layout buffer
+    and stage arrays."""
+    step = _block_rows(data.shape[1])
+    for i in range(start, stop, step):
+        block = data[i:min(i + step, stop)]
+        ws = _workspace(block.size)
+        yield _format17(block, memoryview(ws.layout)[
+            :_VALUE_BYTES * block.size])
 
 
 def _two_cpus() -> bool:
@@ -411,8 +556,9 @@ def write_csv(path, header: str, data) -> str:
 
     The bytes are fixed: every value is written as "%.17g" % value, the
     bytes numpy's savetxt writes with fmt="%.17g", delimiter=",",
-    comments="" and this header.  Each block of _CSV_BLOCK_ROWS rows is
-    formatted at once by _format17.  A table of _CSV_FORK_VALUES values
+    comments="" and this header.  Each block of _block_rows rows, about
+    _CSV_BLOCK_VALUES values, is formatted at once by _format17 in the
+    pooled workspace.  A table of _CSV_FORK_VALUES values
     or more, on a host with two usable CPUs, is formatted by two
     processes: a forked child formats the blocks after the middle one
     into shared memory (at most 25 bytes a value: "%.17g" and its
@@ -425,7 +571,7 @@ def write_csv(path, header: str, data) -> str:
     data = np.asarray(data, dtype=float)
     rows, cols = data.shape
     digest = hashlib.sha256()
-    split = _split(rows, _CSV_BLOCK_ROWS, rows * cols, _CSV_FORK_VALUES)
+    split = _split(rows, _block_rows(cols), rows * cols, _CSV_FORK_VALUES)
     with open(path, "wb") as fh:
         def write(pieces):
             for text in pieces:

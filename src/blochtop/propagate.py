@@ -123,9 +123,11 @@ from . import _util
 # flat
 _CHUNK_SAMPLES = 2 ** 14
 
-# error pairs x samples (B * n) from which _final_states forks.  A fork,
-# the child's start and its exit cost about 5 ms at 35 MiB RSS on a
-# shared 2-CPU host, and each fork's copy-on-write faults land on the
+# error pairs x samples (B * n) from which _final_states forks.  On a
+# shared 2-CPU host os.fork returns in the parent after 0.8-1.0 ms at 34
+# MiB RSS, the child runs at 1.7-2.1 ms and is reaped at 3.3-3.7 ms, and
+# these grow with RSS: 1.7-2.2, 2.8-3.3 and 4.9-6.2 ms at 74 MiB (three
+# sets of 30 forks each).  Each fork's copy-on-write faults land on the
 # work after it.  Split in two, 21 x 21 cells at n = 2049 took 59 ms
 # against 77 and 11 x 11 at n = 8193 51 against 74 (medians of 9);
 # 5 x 5 at n = 8193 (205k) broke even, and a 220k cutoff, which also

@@ -7,6 +7,8 @@ import os
 import random
 import signal
 import tempfile
+import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -48,13 +50,14 @@ def test_write_csv_round_trips_doubles(tmp_path):
     assert back.tobytes() == table.tobytes()
 
 
-# rows around the block size, and 511 to 513, 1,023 to 1,027 and 2,051:
-# the powers of two and the 1,024-row block of earlier layouts, each one
-# or a few rows from a block edge or a short remainder
+# rows around the block size of one and of four columns, and 511 to 513,
+# 999 to 1,001, 1,023 to 1,027, 2,003 and 2,051: the powers of two and
+# the 1,000- and 1,024-row blocks of earlier layouts, each one or a few
+# rows from a block edge or a short remainder
 @pytest.mark.parametrize("rows", sorted({
-    0, 1, 511, 512, 513, 1023, 1024, 1025, 1027, 2051,
-    _util._CSV_BLOCK_ROWS - 1, _util._CSV_BLOCK_ROWS,
-    _util._CSV_BLOCK_ROWS + 1, 2 * _util._CSV_BLOCK_ROWS + 3}))
+    0, 1, 511, 512, 513, 999, 1000, 1001, 1023, 1024, 1025, 1027, 2003,
+    2051, *(b + d for b in (_util._block_rows(1), _util._block_rows(4))
+            for d in (-1, 0, 1, b + 3))}))
 @pytest.mark.parametrize("cols", [1, 4])
 def test_write_csv_matches_savetxt_across_blocks(tmp_path, rows, cols):
     rng = np.random.default_rng(rows * 10 + cols)
@@ -100,7 +103,7 @@ def _count_forks(monkeypatch) -> list:
 def _csv_split(rows: int, cols: int) -> int:
     """The first row write_csv's forked child formats, as write_csv
     splits a rows x cols table."""
-    return _util._split(rows, _util._CSV_BLOCK_ROWS, rows * cols,
+    return _util._split(rows, _util._block_rows(cols), rows * cols,
                         _util._CSV_FORK_VALUES)
 
 
@@ -111,8 +114,8 @@ def _first_forked_rows(cols: int) -> int:
 def _odd_block_rows(cols: int) -> int:
     # the fewest rows at or above the fork cutoff with an odd block count
     rows = _first_forked_rows(cols)
-    blocks = -(-rows // _util._CSV_BLOCK_ROWS)
-    return rows if blocks % 2 else blocks * _util._CSV_BLOCK_ROWS + 1
+    blocks = -(-rows // _util._block_rows(cols))
+    return rows if blocks % 2 else blocks * _util._block_rows(cols) + 1
 
 
 def _special_table(rows: int, cols: int, split: int) -> np.ndarray:
@@ -144,7 +147,7 @@ def test_forked_write_matches_savetxt(tmp_path, monkeypatch, cols, where):
     forks = _count_forks(monkeypatch)
     split = _csv_split(rows, cols)
     assert (split > 0) == (rows * cols >= _util._CSV_FORK_VALUES)
-    assert split % _util._CSV_BLOCK_ROWS == 0 and split < rows
+    assert split % _util._block_rows(cols) == 0 and split < rows
     table = _special_table(rows, cols, split)
     header = ",".join(f"c{j}" for j in range(cols))
     _util.write_csv(tmp_path / "t.csv", header, table)
@@ -178,7 +181,7 @@ def test_forked_write_parent_failure_leaves_no_child(tmp_path, monkeypatch):
     written = (tmp_path / "t.csv").read_bytes()
     full = _savetxt_bytes(tmp_path / "ref.csv", "a,b,c,d", table)
     assert full.startswith(written)
-    assert written.count(b"\n") == 1 + _util._CSV_BLOCK_ROWS
+    assert written.count(b"\n") == 1 + _util._block_rows(4)
 
 
 def test_forked_write_child_failure_leaves_the_one_process_bytes(
@@ -264,18 +267,26 @@ def _float_bits(u: int) -> float:
 _BITS_OR_FLOATS = st.one_of(
     st.integers(0, 2 ** 64 - 1).map(_float_bits),
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
-# rows around the block size, and 511, 512 and 1025
-_BLOCK_CROSSING_ROWS = sorted({
-    _util._CSV_BLOCK_ROWS - 1, _util._CSV_BLOCK_ROWS,
-    _util._CSV_BLOCK_ROWS + 1, 2 * _util._CSV_BLOCK_ROWS + 3,
-    511, 512, 1025})
+
+
+def _block_crossing(cols: int):
+    """(rows, cols): rows around the block size of cols columns, and
+    511, 512 and 1025."""
+    b = _util._block_rows(cols)
+    return st.tuples(st.sampled_from(sorted({b - 1, b, b + 1, 2 * b + 3,
+                                             511, 512, 1025})),
+                     st.just(cols))
+
+
+_BLOCK_CROSSING = st.integers(1, 6).flatmap(_block_crossing)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(st.sampled_from(_BLOCK_CROSSING_ROWS), st.integers(1, 6),
+@given(_BLOCK_CROSSING,
        st.lists(_BITS_OR_FLOATS, min_size=1, max_size=300), st.randoms())
 def test_write_csv_matches_per_value_format_across_blocks(
-        rows, cols, values, rnd):
+        shape, values, rnd):
+    rows, cols = shape
     # the drawn values, shuffled over a table of one or more blocks, the
     # last of them full or shorter
     cells = [values[i % len(values)] for i in range(rows * cols)]
@@ -322,11 +333,11 @@ def _file_sha256(path) -> str:
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(st.sampled_from(_BLOCK_CROSSING_ROWS), st.integers(1, 6),
-       st.lists(_BITS_OR_FLOATS, min_size=1, max_size=50),
+@given(_BLOCK_CROSSING, st.lists(_BITS_OR_FLOATS, min_size=1, max_size=50),
        st.sampled_from(["", "h", "a,b"]), st.booleans())
-def test_write_csv_returns_the_sha256_of_its_bytes(rows, cols, values,
-                                                   header, forked):
+def test_write_csv_returns_the_sha256_of_its_bytes(shape, values, header,
+                                                   forked):
+    rows, cols = shape
     table = np.resize(np.array(values, dtype=float), (rows, cols))
     with pytest.MonkeyPatch.context() as mp, \
             tempfile.TemporaryDirectory() as tmp:
@@ -338,7 +349,7 @@ def test_write_csv_returns_the_sha256_of_its_bytes(rows, cols, values,
         path = Path(tmp) / "t.csv"
         digest = _util.write_csv(path, header, table)
         _assert_no_child()
-        assert len(forks) == (forked and rows > _util._CSV_BLOCK_ROWS)
+        assert len(forks) == (forked and rows > _util._block_rows(cols))
         assert digest == _file_sha256(path)
         head = header.encode() + b"\n" if header else b""
         assert path.read_bytes() == head + _per_value(table)
@@ -355,7 +366,7 @@ def test_write_csv_bytes_do_not_depend_on_the_block_size(block_rows, rows,
     table = np.resize(np.array(values, dtype=float), (rows, cols))
     with pytest.MonkeyPatch.context() as mp, \
             tempfile.TemporaryDirectory() as tmp:
-        mp.setattr(_util, "_CSV_BLOCK_ROWS", block_rows)
+        mp.setattr(_util, "_CSV_BLOCK_VALUES", block_rows * cols)
         forks = _count_forks(mp)
         if forked:
             mp.setattr(_util, "_CSV_FORK_VALUES", 1)
@@ -487,7 +498,7 @@ def test_no_output_depends_on_the_fork(rows, cols, block_rows, values,
             yield from real_blocks(data, start, stop)
             return
         for k, text in enumerate(real_blocks(data, start, stop)):
-            hook(k, -(-(stop - start) // _util._CSV_BLOCK_ROWS))
+            hook(k, -(-(stop - start) // block_rows))
             yield text
 
     def steps(*args):
@@ -501,7 +512,7 @@ def test_no_output_depends_on_the_fork(rows, cols, block_rows, values,
 
     with pytest.MonkeyPatch.context() as mp, \
             tempfile.TemporaryDirectory() as tmp:
-        mp.setattr(_util, "_CSV_BLOCK_ROWS", block_rows)
+        mp.setattr(_util, "_CSV_BLOCK_VALUES", block_rows * cols)
         mp.setattr(propagate, "_chunk_rows", lambda samples: chunk_rows)
         mp.setattr(propagate, "_FORK_SAMPLES", math.inf)
         serial = propagate._final_states(pulse, M0, alpha, delta)
@@ -635,11 +646,26 @@ def test_format17_digit_tables_are_their_arithmetic_definition():
         last = np.where(i == 0, 0, 4 * j + 4 - zeros).astype(np.uint8)
         assert tables.last[j].dtype == np.uint8
         assert np.array_equal(tables.last[j], last)
-    assert tables.layout.shape == (4 * (10 - 2 * _util._EXP_MIN), 4)
-    # by layout row r, for its exponent E: fixed notation keeps digits 1
-    # to E whatever their value, and none outside 0 <= E < 17
-    E = np.arange(tables.layout.shape[0] // 4) + _util._EXP_MIN
-    assert np.array_equal(tables.whole, np.where((E >= 0) & (E < 17), E, 0))
+    # two layout rows, point or none, for each exponent row, the zero row
+    # and the slow row
+    assert _util._SLOW == _util._ZERO + 1
+    assert tables.layout.shape == (2 * (_util._SLOW + 1), 4)
+    # by row r, for its exponent E: fixed notation keeps digits 1 to E
+    # whatever their value, and none outside 0 <= E < 17 or on the zero
+    # and slow rows
+    E = np.arange(_util._ZERO) + _util._EXP_MIN
+    assert E[-1] == _util._EXP_MAX
+    assert np.array_equal(tables.whole,
+                          np.append(np.where((E >= 0) & (E < 17), E, 0),
+                                    [0, 0]))
+    # the power 10**(16 - E) of each exponent row, and 0 on the others
+    hi, lo = _util._pow10()
+    k = 16 - E - _util._POW10_MIN
+    assert np.array_equal(tables.hh[:_util._ZERO] + tables.hl[:_util._ZERO],
+                          hi[k])
+    assert np.array_equal(tables.lo[:_util._ZERO], lo[k])
+    for t in (tables.hh, tables.hl, tables.lo):
+        assert not t[_util._ZERO:].any()
 
     def mask(n, w):
         # the bytes of digit word w + 1 that hold digits 1 to n
@@ -656,6 +682,41 @@ def test_format17_digit_tables_are_their_arithmetic_definition():
     assert sum(a.nbytes for a in arrays) <= 300_000
     for a in arrays:
         assert not a.flags.writeable
+
+
+def test_format17_exponent_tables_give_the_exponent_of_17_digits():
+    # every exponent field of both signs: the lowest double of the binade,
+    # and the doubles at and one ulp either side of the power of ten in
+    # it and of its table step.  A value of the fast binades starts on
+    # the row of the exponent "%.16e" writes; +-0 on the zero row and
+    # every other value on the slow row, whose bytes "%.17g" writes
+    tables = _util._format17_tables()
+    low, high = _util._FAST_BINADES
+    values = [5e-324, 2.225073858507201e-308, math.nan]
+    for field in range(2047):
+        first = _float_bits(field << 52)
+        values.append(first)
+        if 1023 + low <= field <= 1023 + high:
+            E = int(("%.16e" % first).split("e")[1])
+            step = tables.ten[E - _util._EXP_MIN]
+            for v in (step, float(f"1e{E + 1}")):
+                values += [np.nextafter(v, 0.0), v, np.nextafter(v, math.inf)]
+    values.append(math.inf)
+    x = np.array(values)
+    x = np.concatenate([x, -x])
+    s = _util._Workspace(x.size).cut(x.size)
+    _util._rows(x, tables, s)
+    fast = (np.abs(x) >= 2.0 ** low) & (np.abs(x) < 2.0 ** (high + 1))
+    assert fast.sum() > 4 * (high - low)
+    for v, r, f in zip(x.tolist(), s.r.tolist(), fast.tolist()):
+        if f:
+            assert r + _util._EXP_MIN == int(("%.16e" % v).split("e")[1]), v
+        else:
+            assert r == (_util._ZERO if v == 0 else _util._SLOW), v
+    block = x.reshape(-1, 2)
+    assert _util._format17(
+        block, bytearray(_util._VALUE_BYTES * block.size)) == \
+        _per_value(block)
 
 
 def _cell(v: float) -> tuple:
@@ -700,8 +761,17 @@ def test_format17_every_layout_cell_matches_per_value_format(monkeypatch):
 
 
 def test_format17_raises_no_numpy_warning():
+    # beside the specials: the fast range's edge binades and the values
+    # next to them, the smallest normal and the largest subnormal
+    low, high = (2.0 ** b for b in _util._FAST_BINADES)
     block = np.resize(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
-                                -2.5e-310, 1.5, 1e300, 1e-300]),
+                                -2.5e-310, 1.5, 1e300, 1e-300,
+                                low, -np.nextafter(low, 0.0),
+                                np.nextafter(low * 2, 0.0), -low * 2,
+                                high, -np.nextafter(high, 0.0),
+                                np.nextafter(high * 2, 0.0), -high * 2,
+                                2.2250738585072014e-308,
+                                -2.225073858507201e-308]),
                       (512, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -720,3 +790,54 @@ def test_format17_refuses_a_workspace_of_another_size(extra):
     with pytest.raises(ValueError):
         _util._format17(block,
                         bytearray(_util._VALUE_BYTES * block.size + extra))
+
+
+def test_write_csv_formats_in_one_pooled_workspace(tmp_path, monkeypatch):
+    # tables of 1 to 18 columns, written in one process and forked, share
+    # one workspace of one size; a forked write gives the one-process
+    # bytes, and a one-process write allocates nothing per stage
+    monkeypatch.setattr(_util, "_POOL", threading.local())
+    _two_cpus(monkeypatch)
+    forks = _count_forks(monkeypatch)
+    ws = _util._workspace(1)
+    arrays = [(a, a.nbytes) for a in (ws.lanes, ws.byte_lanes)]
+    layout = (ws.layout, len(ws.layout))
+    rng = np.random.default_rng(12)
+    for rows, cols in [(1, 1), (25, 4), (8193, 4), (4097, 18), (65537, 6)]:
+        table = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(
+            -20, 20, size=(rows, cols))
+        path = tmp_path / f"{rows}x{cols}.csv"
+        digest = _util.write_csv(path, "h", table)
+        _assert_no_child()
+        assert path.read_bytes() == b"h\n" + _per_value(table)
+        assert digest == _file_sha256(path)
+        if rows * cols >= _util._CSV_FORK_VALUES:
+            assert forks == [1]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_util, "_two_cpus", lambda: False)
+                one = tmp_path / "one.csv"
+                assert _util.write_csv(one, "h", table) == digest
+            assert one.read_bytes() == path.read_bytes()
+        assert _util._workspace(1) is ws
+        assert ws.values == _util._CSV_BLOCK_VALUES
+        assert [(a, a.nbytes) for a in (ws.lanes, ws.byte_lanes)] == arrays
+        assert (ws.layout, len(ws.layout)) == layout
+    # a 65,537-sample pulse table, its t column in fixed notation with a
+    # point.  After a warm-up write, the traced peak is one block's bytes
+    # copy of the layout buffer, the translate's result, which starts as
+    # long as its input, and the text of the block before, still being
+    # written; the file's buffer and bookkeeping take less than one stage
+    # array of 8 bytes a value
+    t = np.linspace(0.0, 37.5, 65537)
+    table = np.column_stack([t, np.sin(t), np.cos(t) * 1e-3, t * 1e-9])
+    text = max(map(len, _util._blocks(table, 0, len(table))))
+    monkeypatch.setattr(_util, "_two_cpus", lambda: False)
+    _util.write_csv(tmp_path / "warm.csv", "t,a,b,c", table)
+    tracemalloc.start()
+    try:
+        _util.write_csv(tmp_path / "pulse.csv", "t,a,b,c", table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(ws.layout) + text + 8 * ws.values
+    assert _util._workspace(1) is ws
